@@ -2,7 +2,8 @@
 
 The CLI is a thin shell over the library; it performs file IO and argument
 parsing only. Exit codes: 0 success, 2 IO/parse error, 3 dimension or
-shape/mask mismatch, 4 a visible block is not positive definite.
+shape/mask mismatch, 4 a visible block is not positive definite, 5 a numerical
+failure during completion (a singular model block or matrix).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import matrixio
 from .engines import CompletionConfig, run_completion
-from .errors import DimensionError, FormatError, NotPositiveDefiniteError
+from .errors import DimensionError, FormatError, NotPositiveDefiniteError, NumericalError
 from .linalg import symmetrize
 from .recovery import RecoveryReport, hidden_block_error
 from .views import Fill, apply_mask, random_mask
@@ -29,6 +30,7 @@ log = logging.getLogger("mkmc")
 EXIT_IO = 2
 EXIT_DIM = 3
 EXIT_NOT_PD = 4
+EXIT_NUMERICAL = 5
 
 
 def _fail(code: int, message: str):
@@ -43,6 +45,8 @@ def handle_errors(fn):
             return fn(*args, **kwargs)
         except NotPositiveDefiniteError as exc:
             _fail(EXIT_NOT_PD, str(exc))
+        except NumericalError as exc:
+            _fail(EXIT_NUMERICAL, str(exc))
         except DimensionError as exc:
             _fail(EXIT_DIM, str(exc))
         except (FormatError, OSError) as exc:
@@ -90,7 +94,7 @@ def cmd_mask(inputs, fraction, seed, fill, correlated, out_dir):
 
 
 def _resolve_config(config_path, method, rank, rank_criterion, tol, max_iters,
-                    reg_epsilon, seed, threads, mask, output_dir, inputs):
+                    reg_epsilon, seed, mask, output_dir, inputs):
     if config_path is not None:
         cfg_obj = matrixio.load_run_config(config_path)
         method = cfg_obj.get("method", method)
@@ -120,7 +124,6 @@ def _resolve_config(config_path, method, rank, rank_criterion, tol, max_iters,
         max_iters=max_iters,
         reg_epsilon=reg_epsilon,
         seed=seed,
-        threads=threads,
     )
     return cfg, inputs, mask, output_dir
 
@@ -135,19 +138,17 @@ def _resolve_config(config_path, method, rank, rank_criterion, tol, max_iters,
 @click.option("--max-iters", type=int, default=500, show_default=True)
 @click.option("--reg-epsilon", type=float, default=1e-3, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--threads", type=int, default=1, show_default=True,
-              help="Parallel per-view imputation (results identical to sequential).")
 @click.option("--mask", "mask_path", type=click.Path(), default=None)
 @click.option("--output-dir", type=click.Path(), default=None)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None,
               help="Run-config JSON; overrides flags.")
 @handle_errors
 def cmd_complete(inputs, method, rank, rank_criterion, tol, max_iters, reg_epsilon,
-                 seed, threads, mask_path, output_dir, config_path):
+                 seed, mask_path, output_dir, config_path):
     """Complete the masked kernels and write them with a trace JSON."""
     cfg, inputs, mask_path, output_dir = _resolve_config(
         config_path, method, rank, rank_criterion, tol, max_iters,
-        reg_epsilon, seed, threads, mask_path, output_dir, inputs,
+        reg_epsilon, seed, mask_path, output_dir, inputs,
     )
     pattern = matrixio.read_mask(mask_path)
     mats = _load_square_inputs(inputs)

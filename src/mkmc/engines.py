@@ -4,12 +4,26 @@ All three share the same block coordinate descent driver: impute the hidden
 blocks of every view from the current model matrix, average the completed
 kernels, refit the model, and repeat until the objective (a sum of LogDet
 divergences) stops moving.
+
+The driver evaluates that objective without factoring any completed view. Imputing view
+k from the model M_old in use at the start of an iteration leaves the Schur
+complement of Q_vv in Q^(k) equal to that of M_old, which is the inverse of
+the hidden block of M_old^{-1}. Hence
+
+    log det Q^(k) = log det Q^(k)_vv - log det (M_old^{-1})_hh
+
+with log det Q^(k)_vv fixed for the run, and for the new model M
+
+    sum_k tr(M^{-1} Q^(k)) = K tr(M^{-1} S),  S the unregularized average.
+
+This holds only while every Q^(k) was imputed from M_old; each iteration then
+needs one Cholesky factorization of M and its inverse, which is kept as the
+next iteration's M_old^{-1}. :func:`objective` is the dense reference.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
@@ -17,8 +31,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import DimensionError, NotPositiveDefiniteError, NumericalError
-from .linalg import cholesky_lower, eigh_sorted, logdet, symmetrize
-from .views import Fill, PartitionedView, VisibilityPattern, apply_mask, partition
+from .linalg import cholesky_lower, eigh_sorted, logdet, logdet_divergence, symmetrize
+from .views import Fill, PartitionedView, VisibilityPattern, apply_mask, slice_view, visible_indices
 
 METHOD_FC = "fc"
 METHOD_PCA = "pca"
@@ -84,7 +98,6 @@ class CompletionConfig:
     max_iters: int = 500
     reg_epsilon: float = 1e-3
     seed: int = 0
-    threads: int = 1
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -123,7 +136,7 @@ def average_kernel(qs: Sequence[np.ndarray]) -> np.ndarray:
         if q.shape != shape:
             raise DimensionError(f"dimension mismatch: {shape} vs {q.shape}")
     out = np.zeros(shape)
-    for q in qs:  # fixed order, independent of any parallel imputation
+    for q in qs:
         out += q
     return out / len(qs)
 
@@ -145,7 +158,8 @@ def impute_view(q_vv: np.ndarray, m_parts: PartitionedView) -> tuple[np.ndarray,
         Q_vh = Q_vv M_vv^{-1} M_vh
         Q_hh = M_hh - M_hv M_vv^{-1} M_vh + M_hv M_vv^{-1} Q_vv M_vv^{-1} M_vh
 
-    Inverses are realized by Cholesky solves; Q_hh is symmetrized.
+    Inverses are realized by Cholesky solves, and M_hv M_vv^{-1} Q_vv M_vv^{-1}
+    M_vh reuses Q_vh; Q_hh is symmetrized.
     """
     if q_vv.shape != m_parts.q_vv.shape:
         raise DimensionError(
@@ -157,7 +171,7 @@ def impute_view(q_vv: np.ndarray, m_parts: PartitionedView) -> tuple[np.ndarray,
     except NotPositiveDefiniteError as exc:
         raise NumericalError(f"model visible block is numerically singular: {exc}") from exc
     q_vh = q_vv @ x
-    q_hh = m_parts.q_hh - m_parts.q_vh.T @ x + x.T @ q_vv @ x
+    q_hh = m_parts.q_hh - m_parts.q_vh.T @ x + x.T @ q_vh
     return q_vh, symmetrize(q_hh)
 
 
@@ -227,16 +241,18 @@ def fa_model_update(s_reg: np.ndarray, prev: FaModel) -> FaModel:
 def objective(qs: Sequence[np.ndarray], model: ModelParams) -> float:
     """Sum over views of LogDet(Q^(k), M) with the model matrix materialized."""
     m = model.materialize()
-    ell = m.shape[0]
-    chol_m = cholesky_lower(m)
-    logdet_m = float(2.0 * np.sum(np.log(np.diag(chol_m))))
-    total = 0.0
-    for q in qs:
-        if q.shape != m.shape:
-            raise DimensionError(f"dimension mismatch: {q.shape} vs {m.shape}")
-        minv_q = sla.cho_solve((chol_m, True), q)
-        total += 0.5 * (logdet_m - logdet(q) + float(np.trace(minv_q)) - ell)
-    return total
+    return float(sum(logdet_divergence(q, m) for q in qs))
+
+
+def _logdet_and_inverse(m: np.ndarray) -> tuple[float, np.ndarray]:
+    """log det M and the full symmetric M^{-1} from one Cholesky factorization."""
+    chol = cholesky_lower(m)
+    inv, info = sla.lapack.dpotri(chol, lower=1)
+    if info != 0:
+        raise NumericalError(f"inverting the model matrix failed (dpotri info={info})")
+    inv = np.tril(inv)
+    inv += np.tril(inv, -1).T
+    return float(2.0 * np.sum(np.log(np.diag(chol)))), inv
 
 
 def select_rank(s: np.ndarray, criterion: str) -> int:
@@ -311,16 +327,24 @@ def run_completion(
         if q.shape != (ell, ell):
             raise DimensionError(f"view {k}: expected shape {(ell, ell)}, got {q.shape}")
 
+    # Visible-first permutation of each view and its two halves, built once.
+    perms = [np.concatenate([visible_indices(ell, h), np.array(h, dtype=int)])
+             for h in pattern.hidden]
+    n_vis = pattern.n_visible
+    vis_idx = [p[:n] for p, n in zip(perms, n_vis)]
+    hid_idx = [p[n:] for p, n in zip(perms, n_vis)]
+
     # Zero-initialize hidden blocks (also validates the visible blocks).
     completed = [apply_mask(q, h, Fill.ZERO) for q, h in zip(qs_masked, pattern.hidden)]
-    for k, h in enumerate(pattern.hidden):
-        vis_block = partition(completed[k], h).q_vv
+    logdet_vv = []  # log det Q^(k)_vv, fixed for the run
+    for k, vis in enumerate(vis_idx):
         try:
-            cholesky_lower(vis_block)
+            chol_vv = cholesky_lower(completed[k][np.ix_(vis, vis)])
         except NotPositiveDefiniteError as exc:
             raise NotPositiveDefiniteError(
                 f"view {k}: visible block is not positive definite"
             ) from exc
+        logdet_vv.append(float(2.0 * np.sum(np.log(np.diag(chol_vv)))))
 
     s0 = average_kernel(completed)
     s0_reg = regularize(s0, n_views, cfg.reg_epsilon)
@@ -354,64 +378,53 @@ def run_completion(
 
     model_matrix = s0_reg  # Algorithm start: model matrix = average kernel
     fa_prev = _initial_model(METHOD_FA, s0_reg, rank) if cfg.method == METHOD_FA else None
-
-    vis_idx = []
-    hid_idx = []
-    for h in pattern.hidden:
-        hid = np.array(h, dtype=int)
-        hid_idx.append(hid)
-        vis_idx.append(np.array(sorted(set(range(ell)) - set(h)), dtype=int))
-
-    def impute_one(k: int):
-        if hid_idx[k].size == 0:
-            return None
-        m_parts = partition(model_matrix, pattern.hidden[k])
-        q_vv = completed[k][np.ix_(vis_idx[k], vis_idx[k])]
-        return impute_view(q_vv, m_parts)
+    try:
+        _, model_inv = _logdet_and_inverse(model_matrix)
+    except NotPositiveDefiniteError as exc:
+        raise NumericalError(f"initial model matrix: {exc}") from exc
 
     trace: list[float] = []
     iter_ms: list[float] = []
     converged = False
     model: ModelParams = FullModel(matrix=model_matrix)
-    pool = ThreadPoolExecutor(max_workers=cfg.threads) if cfg.threads > 1 else None
-    try:
-        for it in range(1, cfg.max_iters + 1):
-            t0 = time.perf_counter()
-            try:
-                if pool is not None:
-                    results = list(pool.map(impute_one, range(n_views)))
-                else:
-                    results = [impute_one(k) for k in range(n_views)]
-                for k, res in enumerate(results):
-                    if res is None:
-                        continue
-                    q_vh, q_hh = res
-                    completed[k][np.ix_(vis_idx[k], hid_idx[k])] = q_vh
-                    completed[k][np.ix_(hid_idx[k], vis_idx[k])] = q_vh.T
-                    completed[k][np.ix_(hid_idx[k], hid_idx[k])] = q_hh
+    for it in range(1, cfg.max_iters + 1):
+        t0 = time.perf_counter()
+        try:
+            # sum_k log det Q^(k) after imputing from the current model
+            logdet_q = sum(logdet_vv)
+            for k in range(n_views):
+                vis, hid = vis_idx[k], hid_idx[k]
+                if hid.size == 0:
+                    continue
+                logdet_q -= logdet(model_inv[np.ix_(hid, hid)])
+                q_vh, q_hh = impute_view(
+                    completed[k][np.ix_(vis, vis)], slice_view(model_matrix, perms[k], n_vis[k])
+                )
+                completed[k][np.ix_(vis, hid)] = q_vh
+                completed[k][np.ix_(hid, vis)] = q_vh.T
+                completed[k][np.ix_(hid, hid)] = q_hh
 
-                s = average_kernel(completed)
-                s_reg = regularize(s, n_views, cfg.reg_epsilon)
-                prev = fa_prev if cfg.method == METHOD_FA else model
-                model = _model_update(cfg.method, s_reg, rank, prev)
-                if cfg.method == METHOD_FA:
-                    fa_prev = model
-                model_matrix = model.materialize()
-                j = objective(completed, model)
-            except (NumericalError, NotPositiveDefiniteError) as exc:
-                raise NumericalError(f"iteration {it}: {exc}") from exc
-            iter_ms.append((time.perf_counter() - t0) * 1e3)
-            trace.append(j)
-            if on_iteration is not None:
-                on_iteration(it, completed, model)
-            if len(trace) >= 2:
-                prev_j = trace[-2]
-                if abs(j - prev_j) / max(1.0, abs(prev_j)) < cfg.tol:
-                    converged = True
-                    break
-    finally:
-        if pool is not None:
-            pool.shutdown()
+            s = average_kernel(completed)
+            s_reg = regularize(s, n_views, cfg.reg_epsilon)
+            prev = fa_prev if cfg.method == METHOD_FA else model
+            model = _model_update(cfg.method, s_reg, rank, prev)
+            if cfg.method == METHOD_FA:
+                fa_prev = model
+            model_matrix = model.materialize()
+            logdet_m, model_inv = _logdet_and_inverse(model_matrix)
+            trace_term = n_views * float(np.vdot(model_inv, s))  # sum_k tr(M^{-1} Q^(k))
+            j = 0.5 * (n_views * (logdet_m - ell) - logdet_q + trace_term)
+        except (NumericalError, NotPositiveDefiniteError) as exc:
+            raise NumericalError(f"iteration {it}: {exc}") from exc
+        iter_ms.append((time.perf_counter() - t0) * 1e3)
+        trace.append(j)
+        if on_iteration is not None:
+            on_iteration(it, completed, model)
+        if len(trace) >= 2:
+            prev_j = trace[-2]
+            if abs(j - prev_j) / max(1.0, abs(prev_j)) < cfg.tol:
+                converged = True
+                break
 
     return CompletionResult(
         completed=completed,

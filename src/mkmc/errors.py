@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto its exit-code contract: format/IO problems -> 2,
-dimension/shape mismatches -> 3, positive-definiteness failures -> 4.
+dimension/shape mismatches -> 3, positive-definiteness failures -> 4,
+numerical failures -> 5.
 """
 
 

@@ -109,7 +109,18 @@ def partition(full: np.ndarray, hidden) -> PartitionedView:
         raise DimensionError(f"expected square matrix, got {full.shape}")
     hid = np.array(_validate_hidden(ell, hidden), dtype=int)
     vis = visible_indices(ell, hid)
-    perm = np.concatenate([vis, hid])
+    return slice_view(full, np.concatenate([vis, hid]), len(vis))
+
+
+def slice_view(full: np.ndarray, perm: np.ndarray, n_visible: int) -> PartitionedView:
+    """Blocks of ``full`` under a precomputed visible-first permutation.
+
+    ``perm[:n_visible]`` are the sorted visible indices and
+    ``perm[n_visible:]`` the sorted hidden ones, as :func:`partition` builds
+    them. Nothing is re-validated, so a caller that reuses one mask builds
+    ``perm`` once.
+    """
+    vis, hid = perm[:n_visible], perm[n_visible:]
     return PartitionedView(
         q_vv=full[np.ix_(vis, vis)],
         q_vh=full[np.ix_(vis, hid)],

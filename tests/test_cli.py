@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from mkmc import matrixio
+from mkmc import cli, matrixio
 from mkmc.cli import main
+from mkmc.errors import NumericalError
 from mkmc.recovery import SyntheticSpec, generate_synthetic
 
 from conftest import random_pd
@@ -200,6 +201,31 @@ class TestCompleteCommand:
         assert res.exit_code == 0, res.output
         trace = json.loads((out / "trace.json").read_text())
         assert trace["rank"] == 2
+
+    def test_numerical_error_exits_5(self, runner, tmp_path, synthetic_inputs, monkeypatch):
+        masked_dir = tmp_path / "masked"
+        runner.invoke(
+            main,
+            ["mask", "--fraction", "0.2", "--seed", "4", "--out-dir", str(masked_dir),
+             *synthetic_inputs],
+        )
+
+        def singular(*_args, **_kwargs):
+            raise NumericalError("iteration 3: model visible block is numerically singular")
+
+        monkeypatch.setattr(cli, "run_completion", singular)
+        res = runner.invoke(
+            main,
+            ["complete", "--method", "fc", "--mask", str(masked_dir / "mask.json"),
+             "--output-dir", str(tmp_path / "out"),
+             *[str(masked_dir / Path(p).name) for p in synthetic_inputs]],
+        )
+        assert res.exit_code == 5
+        assert isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output
+        assert res.output.strip().splitlines() == [
+            "mkmc: error: iteration 3: model visible block is numerically singular"
+        ]
 
     def test_invalid_config_exits_2(self, runner, tmp_path):
         cfg_path = tmp_path / "run.json"

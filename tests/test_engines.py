@@ -322,15 +322,31 @@ class TestRunCompletion:
                         3, cfg.reg_epsilon)
         assert result.rank == select_rank(s0, "gk")
 
-    def test_threads_match_sequential(self, rng):
-        _, masked, pattern = make_instance(rng, 12, 4, 0.25)
-        cfg1 = CompletionConfig(method="pca", rank=2, max_iters=40)
-        cfg2 = CompletionConfig(method="pca", rank=2, max_iters=40, threads=4)
-        r1 = run_completion(masked, pattern, cfg1)
-        r2 = run_completion(masked, pattern, cfg2)
-        for a, b in zip(r1.completed, r2.completed):
-            assert np.array_equal(a, b)
-        assert r1.trace == r2.trace
+    @pytest.mark.parametrize("method", ["fc", "pca", "fa"])
+    @pytest.mark.parametrize(
+        "hidden",
+        [
+            ((1, 4, 7), (1, 4, 7), (1, 4, 7)),  # correlated: same objects in every view
+            ((), (0, 5), (2, 3, 9)),  # one view with nothing hidden
+            (tuple(range(1, 10)), (3,), (0, 6)),  # one view with a single visible object
+        ],
+        ids=["correlated", "view-fully-visible", "single-visible-object"],
+    )
+    def test_trace_matches_dense_objective(self, rng, method, hidden):
+        base = random_pd(rng, 10)
+        qs = [base + 0.1 * random_pd(rng, 10) for _ in hidden]
+        pattern = VisibilityPattern(ell=10, hidden=hidden)
+        masked = [apply_mask(q, h, Fill.ZERO) for q, h in zip(qs, pattern.hidden)]
+        dense = []
+
+        def record(_it, completed, model):
+            dense.append(objective(completed, model))
+
+        cfg = CompletionConfig(method=method, rank=2, max_iters=30)
+        result = run_completion(masked, pattern, cfg, on_iteration=record)
+        assert len(dense) == result.iterations
+        for it, (fast, ref) in enumerate(zip(result.trace, dense), start=1):
+            assert fast == pytest.approx(ref, rel=1e-10), f"iteration {it}"
 
     def test_non_pd_visible_block_rejected(self):
         q = np.diag([1.0, -1.0, 1.0])
