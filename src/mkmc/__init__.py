@@ -34,7 +34,6 @@ from .errors import (
 from .linalg import (
     EigenDecomposition,
     eigh_sorted,
-    is_positive_definite,
     logdet,
     logdet_divergence,
     symmetrize,
@@ -45,6 +44,7 @@ from .recovery import (
     compare_methods,
     generate_synthetic,
     hidden_block_error,
+    score_completion,
 )
 from .views import (
     Fill,
@@ -53,7 +53,6 @@ from .views import (
     apply_mask,
     partition,
     random_mask,
-    unpartition,
 )
 
 __version__ = "0.1.0"

@@ -1,9 +1,10 @@
 """Command-line front end: ``mkmc mask``, ``mkmc complete``, ``mkmc evaluate``.
 
 The CLI is a thin shell over the library; it performs file IO and argument
-parsing only. Exit codes: 0 success, 2 IO/parse error, 3 dimension or
-shape/mask mismatch, 4 a visible block is not positive definite, 5 a numerical
-failure during completion (a singular model block or matrix).
+parsing only. Exit codes: 0 success, 2 IO/parse error (including malformed
+mask, trace or config JSON), 3 dimension or shape/mask mismatch or a rank out
+of range, 4 a visible block is not positive definite (or not finite), 5 a
+numerical failure during completion (a singular model block or matrix).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from . import matrixio
 from .engines import CompletionConfig, run_completion
 from .errors import DimensionError, FormatError, NotPositiveDefiniteError, NumericalError
 from .linalg import symmetrize
-from .recovery import RecoveryReport, hidden_block_error
+from .recovery import score_completion
 from .views import Fill, apply_mask, random_mask
 
 log = logging.getLogger("mkmc")
@@ -94,7 +95,7 @@ def cmd_mask(inputs, fraction, seed, fill, correlated, out_dir):
 
 
 def _resolve_config(config_path, method, rank, rank_criterion, tol, max_iters,
-                    reg_epsilon, seed, mask, output_dir, inputs):
+                    reg_epsilon, mask, output_dir, inputs):
     if config_path is not None:
         cfg_obj = matrixio.load_run_config(config_path)
         method = cfg_obj.get("method", method)
@@ -106,7 +107,6 @@ def _resolve_config(config_path, method, rank, rank_criterion, tol, max_iters,
         tol = cfg_obj.get("tol", tol)
         max_iters = cfg_obj.get("max_iters", max_iters)
         reg_epsilon = cfg_obj.get("reg_epsilon", reg_epsilon)
-        seed = cfg_obj.get("seed", seed)
         inputs = tuple(cfg_obj.get("inputs", inputs))
         mask = cfg_obj.get("mask", mask)
         output_dir = cfg_obj.get("output_dir", output_dir)
@@ -123,7 +123,6 @@ def _resolve_config(config_path, method, rank, rank_criterion, tol, max_iters,
         tol=tol,
         max_iters=max_iters,
         reg_epsilon=reg_epsilon,
-        seed=seed,
     )
     return cfg, inputs, mask, output_dir
 
@@ -137,18 +136,17 @@ def _resolve_config(config_path, method, rank, rank_criterion, tol, max_iters,
 @click.option("--tol", type=float, default=1e-8, show_default=True)
 @click.option("--max-iters", type=int, default=500, show_default=True)
 @click.option("--reg-epsilon", type=float, default=1e-3, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--mask", "mask_path", type=click.Path(), default=None)
 @click.option("--output-dir", type=click.Path(), default=None)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None,
               help="Run-config JSON; overrides flags.")
 @handle_errors
 def cmd_complete(inputs, method, rank, rank_criterion, tol, max_iters, reg_epsilon,
-                 seed, mask_path, output_dir, config_path):
+                 mask_path, output_dir, config_path):
     """Complete the masked kernels and write them with a trace JSON."""
     cfg, inputs, mask_path, output_dir = _resolve_config(
         config_path, method, rank, rank_criterion, tol, max_iters,
-        reg_epsilon, seed, mask_path, output_dir, inputs,
+        reg_epsilon, mask_path, output_dir, inputs,
     )
     pattern = matrixio.read_mask(mask_path)
     mats = _load_square_inputs(inputs)
@@ -205,33 +203,8 @@ def cmd_evaluate(mask_path, truth_paths, completed_paths, name, trace_path, out_
             f"mask dimension {pattern.ell} does not match matrices of dim {truths[0].shape[0]}"
         )
 
-    errs = [
-        hidden_block_error(t, c, h)
-        for t, c, h in zip(truths, completed, pattern.hidden)
-    ]
-    zero_errs = [
-        hidden_block_error(t, apply_mask(t, h, Fill.ZERO), h)
-        for t, h in zip(truths, pattern.hidden)
-    ]
-    mean_errs = [
-        hidden_block_error(t, apply_mask(t, h, Fill.MEAN), h)
-        for t, h in zip(truths, pattern.hidden)
-    ]
-
-    trace_obj = {"objective": [], "iterations": 0, "converged": True}
-    if trace_path is not None:
-        trace_obj = json.loads(Path(trace_path).read_text())
-    report = RecoveryReport(
-        per_view_relative_error=errs,
-        mean_relative_error=float(np.mean(errs)),
-        baseline_errors={
-            "zero": float(np.mean(zero_errs)),
-            "mean": float(np.mean(mean_errs)),
-        },
-        objective_trace=list(trace_obj.get("objective", [])),
-        iterations=int(trace_obj.get("iterations", 0)),
-        converged=bool(trace_obj.get("converged", True)),
-    )
+    trace = matrixio.read_trace(trace_path) if trace_path is not None else {}
+    report = score_completion(truths, completed, pattern, **trace)
     Path(out_path).write_text(
         json.dumps({"methods": {name: report.to_json_dict()}}, indent=2) + "\n"
     )

@@ -89,7 +89,11 @@ ModelParams = Union[FullModel, PcaModel, FaModel]
 
 @dataclass(frozen=True)
 class CompletionConfig:
-    """Driver settings; ``rank``/``rank_criterion`` apply to pca/fa only."""
+    """Driver settings; ``rank``/``rank_criterion`` apply to pca/fa only.
+
+    The driver never reads ``seed``: only :func:`mkmc.recovery.compare_methods`
+    does, as the seed of the mask it draws.
+    """
 
     method: str = METHOD_FC
     rank: Optional[int] = None
@@ -153,7 +157,7 @@ def regularize(s: np.ndarray, n_views: int, eps: float) -> np.ndarray:
 def impute_view(q_vv: np.ndarray, m_parts: PartitionedView) -> tuple[np.ndarray, np.ndarray]:
     """Gaussian conditional-moment re-estimation of one view's hidden blocks.
 
-    With the model blocks M_vv, M_vh, M_hh under this view's permutation:
+    With the model blocks M_vv, M_vh, M_hh of this view:
 
         Q_vh = Q_vv M_vv^{-1} M_vh
         Q_hh = M_hh - M_hv M_vv^{-1} M_vh + M_hv M_vv^{-1} Q_vv M_vv^{-1} M_vh
@@ -276,7 +280,7 @@ def degrees_of_freedom(method: str, ell: int, q: Optional[int] = None) -> int:
     if method == METHOD_FC:
         return (ell + 1) * ell // 2
     if q is None or not 1 <= q <= ell - 1:
-        raise ValueError(f"rank q={q} out of range [1, {ell - 1}]")
+        raise DimensionError(f"rank q={q} out of range [1, {ell - 1}]")
     if method == METHOD_PCA:
         return ell * q + 1 - (q - 1) * q // 2
     if method == METHOD_FA:
@@ -284,17 +288,8 @@ def degrees_of_freedom(method: str, ell: int, q: Optional[int] = None) -> int:
     raise ValueError(f"unknown method {method!r}")
 
 
-def _initial_model(method: str, s_reg: np.ndarray, q: Optional[int]) -> ModelParams:
-    if method == METHOD_FC:
-        return fc_model_update(s_reg)
-    if method == METHOD_PCA:
-        return pca_model_update(s_reg, q)
-    # FA has no closed-form fit; seed it with the PPCA optimum.
-    pca = pca_model_update(s_reg, q)
-    return FaModel(W=pca.W, psi=np.full(s_reg.shape[0], pca.sigma2))
-
-
-def _model_update(method: str, s_reg: np.ndarray, q: Optional[int], prev: ModelParams) -> ModelParams:
+def _model_update(method: str, s_reg: np.ndarray, q: Optional[int],
+                  prev: Optional[ModelParams]) -> ModelParams:
     if method == METHOD_FC:
         return fc_model_update(s_reg)
     if method == METHOD_PCA:
@@ -313,9 +308,10 @@ def run_completion(
     Hidden blocks are zero-initialized, the model starts from the (regularized)
     average kernel, and each iteration imputes every view from the current
     model matrix before a single model update. Stops when the relative change
-    of the objective drops below ``cfg.tol``. Visible entries of the inputs
-    are never modified. ``on_iteration`` is invoked after every model update
-    with (iteration, completed matrices, model) for inspection.
+    of the objective drops below ``cfg.tol``, or after the first iteration
+    when nothing is hidden. Visible entries of the inputs are never modified.
+    ``on_iteration`` is invoked after every model update with (iteration,
+    completed matrices, model) for inspection.
     """
     n_views = pattern.n_views
     if len(qs_masked) != n_views:
@@ -327,19 +323,20 @@ def run_completion(
         if q.shape != (ell, ell):
             raise DimensionError(f"view {k}: expected shape {(ell, ell)}, got {q.shape}")
 
-    # Visible-first permutation of each view and its two halves, built once.
-    perms = [np.concatenate([visible_indices(ell, h), np.array(h, dtype=int)])
-             for h in pattern.hidden]
-    n_vis = pattern.n_visible
-    vis_idx = [p[:n] for p, n in zip(perms, n_vis)]
-    hid_idx = [p[n:] for p, n in zip(perms, n_vis)]
+    # Visible and hidden index arrays of each view, built once.
+    hid_idx = [np.array(h, dtype=int) for h in pattern.hidden]
+    vis_idx = [visible_indices(ell, h) for h in pattern.hidden]
 
     # Zero-initialize hidden blocks (also validates the visible blocks).
     completed = [apply_mask(q, h, Fill.ZERO) for q, h in zip(qs_masked, pattern.hidden)]
     logdet_vv = []  # log det Q^(k)_vv, fixed for the run
     for k, vis in enumerate(vis_idx):
+        q_vv = completed[k][np.ix_(vis, vis)]
         try:
-            chol_vv = cholesky_lower(completed[k][np.ix_(vis, vis)])
+            # NaN/inf would pass through the factorization without an error
+            if not np.isfinite(q_vv).all():
+                raise NotPositiveDefiniteError("non-finite entries")
+            chol_vv = cholesky_lower(q_vv)
         except NotPositiveDefiniteError as exc:
             raise NotPositiveDefiniteError(
                 f"view {k}: visible block is not positive definite"
@@ -356,28 +353,14 @@ def run_completion(
         else:
             criterion = cfg.rank_criterion or CRITERION_GK
             rank = select_rank(s0_reg, criterion)
-        if not 1 <= rank <= ell - 1:
-            raise ValueError(f"rank q={rank} out of range [1, {ell - 1}]")
     dof = degrees_of_freedom(cfg.method, ell, rank)
 
-    if pattern.total_hidden == 0:
-        # Imputation is vacuous: fit the model once and stop.
-        model = _initial_model(cfg.method, s0_reg, rank)
-        if cfg.method == METHOD_FA:
-            model = fa_model_update(s0_reg, model)
-        trace = [objective(completed, model)]
-        return CompletionResult(
-            completed=completed,
-            model=model,
-            trace=trace,
-            iterations=1,
-            converged=True,
-            dof=dof,
-            rank=rank,
-        )
-
+    model: Optional[ModelParams] = None  # fc/pca refit from s_reg alone
+    if cfg.method == METHOD_FA:
+        # FA has no closed-form fit; seed its EM with the PPCA optimum.
+        pca = pca_model_update(s0_reg, rank)
+        model = FaModel(W=pca.W, psi=np.full(ell, pca.sigma2))
     model_matrix = s0_reg  # Algorithm start: model matrix = average kernel
-    fa_prev = _initial_model(METHOD_FA, s0_reg, rank) if cfg.method == METHOD_FA else None
     try:
         _, model_inv = _logdet_and_inverse(model_matrix)
     except NotPositiveDefiniteError as exc:
@@ -386,7 +369,6 @@ def run_completion(
     trace: list[float] = []
     iter_ms: list[float] = []
     converged = False
-    model: ModelParams = FullModel(matrix=model_matrix)
     for it in range(1, cfg.max_iters + 1):
         t0 = time.perf_counter()
         try:
@@ -398,7 +380,7 @@ def run_completion(
                     continue
                 logdet_q -= logdet(model_inv[np.ix_(hid, hid)])
                 q_vh, q_hh = impute_view(
-                    completed[k][np.ix_(vis, vis)], slice_view(model_matrix, perms[k], n_vis[k])
+                    completed[k][np.ix_(vis, vis)], slice_view(model_matrix, vis, hid)
                 )
                 completed[k][np.ix_(vis, hid)] = q_vh
                 completed[k][np.ix_(hid, vis)] = q_vh.T
@@ -406,10 +388,7 @@ def run_completion(
 
             s = average_kernel(completed)
             s_reg = regularize(s, n_views, cfg.reg_epsilon)
-            prev = fa_prev if cfg.method == METHOD_FA else model
-            model = _model_update(cfg.method, s_reg, rank, prev)
-            if cfg.method == METHOD_FA:
-                fa_prev = model
+            model = _model_update(cfg.method, s_reg, rank, model)
             model_matrix = model.materialize()
             logdet_m, model_inv = _logdet_and_inverse(model_matrix)
             trace_term = n_views * float(np.vdot(model_inv, s))  # sum_k tr(M^{-1} Q^(k))
@@ -420,11 +399,12 @@ def run_completion(
         trace.append(j)
         if on_iteration is not None:
             on_iteration(it, completed, model)
-        if len(trace) >= 2:
-            prev_j = trace[-2]
-            if abs(j - prev_j) / max(1.0, abs(prev_j)) < cfg.tol:
-                converged = True
-                break
+        # With nothing hidden the imputation is vacuous: one model fit is the answer.
+        if pattern.total_hidden == 0 or (
+            len(trace) >= 2 and abs(j - trace[-2]) / max(1.0, abs(trace[-2])) < cfg.tol
+        ):
+            converged = True
+            break
 
     return CompletionResult(
         completed=completed,

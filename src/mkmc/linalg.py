@@ -15,9 +15,6 @@ import scipy.linalg as sla
 
 from .errors import DimensionError, NotPositiveDefiniteError, NumericalError
 
-# Relative floor used by default when testing positive definiteness.
-PD_FLOOR_REL = 1e-12
-
 
 def symmetrize(raw) -> np.ndarray:
     """Return the symmetric part (A + A^T)/2 of a square matrix."""
@@ -25,11 +22,6 @@ def symmetrize(raw) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
     return (a + a.T) / 2.0
-
-
-def check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise DimensionError(f"dimension mismatch: {a.shape} vs {b.shape}")
 
 
 @dataclass(frozen=True)
@@ -63,19 +55,6 @@ def eigh_sorted(a: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=vals, eigenvectors=vecs)
 
 
-def default_pd_floor(a: np.ndarray) -> float:
-    """Floor for PD checks: relative to the mean diagonal magnitude."""
-    ell = a.shape[0]
-    return PD_FLOOR_REL * abs(np.trace(a)) / ell
-
-
-def is_positive_definite(a: np.ndarray, floor: float = 0.0) -> bool:
-    """True iff the minimum eigenvalue of ``a`` exceeds ``floor``."""
-    if floor < 0:
-        raise ValueError("floor must be nonnegative")
-    return bool(np.linalg.eigvalsh(a)[0] > floor)
-
-
 def cholesky_lower(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor; raises if ``a`` is not positive definite."""
     try:
@@ -98,7 +77,8 @@ def logdet_divergence(q: np.ndarray, m: np.ndarray) -> float:
     0.5 * (logdet M - logdet Q + <M^{-1}, Q - M>); nonnegative, zero iff
     Q == M. The inverse is never formed explicitly.
     """
-    check_same_dim(q, m)
+    if q.shape != m.shape:
+        raise DimensionError(f"dimension mismatch: {q.shape} vs {m.shape}")
     ell = q.shape[0]
     chol_m = cholesky_lower(m)
     logdet_m = float(2.0 * np.sum(np.log(np.diag(chol_m))))

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 from jsonschema import ValidationError, validate
 
-from .errors import FormatError
+from .errors import DimensionError, FormatError
 from .views import VisibilityPattern
 
 MAGIC = b"MKMC"
@@ -41,7 +41,6 @@ RUN_CONFIG_SCHEMA = {
         "tol": {"type": "number", "exclusiveMinimum": 0},
         "max_iters": {"type": "integer", "minimum": 1},
         "reg_epsilon": {"type": "number", "minimum": 0},
-        "seed": {"type": "integer"},
         "inputs": {"type": "array", "items": {"type": "string"}, "minItems": 1},
         "mask": {"type": "string"},
         "output_dir": {"type": "string"},
@@ -107,8 +106,23 @@ def read_mask(path) -> VisibilityPattern:
     try:
         obj = json.loads(Path(path).read_text())
         return VisibilityPattern.from_json_dict(obj)
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except DimensionError:
+        raise  # well-formed, but the indices do not fit ``ell``
+    except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
         raise FormatError(f"{path}: invalid mask file: {exc}") from exc
+
+
+def read_trace(path) -> dict:
+    """Objective trace, iteration count and convergence flag of a trace.json."""
+    try:
+        obj = json.loads(Path(path).read_text())
+        return {
+            "objective_trace": [float(v) for v in obj.get("objective", [])],
+            "iterations": int(obj.get("iterations", 0)),
+            "converged": bool(obj.get("converged", True)),
+        }
+    except (ValueError, TypeError, AttributeError) as exc:  # JSONDecodeError is a ValueError
+        raise FormatError(f"{path}: invalid trace file: {exc}") from exc
 
 
 def load_run_config(path) -> dict:

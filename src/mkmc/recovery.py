@@ -100,14 +100,31 @@ def hidden_block_error(truth: np.ndarray, completed: np.ndarray, hidden) -> floa
     return float(num / den)
 
 
-def _mean_hidden_error(
-    truths: Sequence[np.ndarray], estimates: Sequence[np.ndarray], pattern: VisibilityPattern
-) -> tuple[list[float], float]:
-    errs = [
-        hidden_block_error(t, e, h)
-        for t, e, h in zip(truths, estimates, pattern.hidden)
-    ]
-    return errs, float(np.mean(errs))
+def score_completion(
+    truths: Sequence[np.ndarray],
+    completed: Sequence[np.ndarray],
+    pattern: VisibilityPattern,
+    objective_trace: Sequence[float] = (),
+    iterations: int = 0,
+    converged: bool = True,
+) -> RecoveryReport:
+    """Hidden-block recovery of one completion, beside the zero/mean-fill baselines."""
+    errs = [hidden_block_error(t, c, h) for t, c, h in zip(truths, completed, pattern.hidden)]
+    baselines = {
+        fill.value: float(np.mean([
+            hidden_block_error(t, apply_mask(t, h, fill), h)
+            for t, h in zip(truths, pattern.hidden)
+        ]))
+        for fill in (Fill.ZERO, Fill.MEAN)
+    }
+    return RecoveryReport(
+        per_view_relative_error=errs,
+        mean_relative_error=float(np.mean(errs)),
+        baseline_errors=baselines,
+        objective_trace=list(objective_trace),
+        iterations=iterations,
+        converged=converged,
+    )
 
 
 def compare_methods(
@@ -124,22 +141,10 @@ def compare_methods(
     truths = generate_synthetic(spec)
     pattern = random_mask(spec.ell, spec.n_views, fraction, cfg.seed)
     masked = [apply_mask(t, h, Fill.ZERO) for t, h in zip(truths, pattern.hidden)]
-    mean_filled = [apply_mask(t, h, Fill.MEAN) for t, h in zip(truths, pattern.hidden)]
-
-    _, zero_err = _mean_hidden_error(truths, masked, pattern)
-    _, mean_err = _mean_hidden_error(truths, mean_filled, pattern)
-    baselines = {"zero": zero_err, "mean": mean_err}
-
     reports: dict[str, RecoveryReport] = {}
     for method in methods:
         result = run_completion(masked, pattern, replace(cfg, method=method))
-        errs, mean_rel = _mean_hidden_error(truths, result.completed, pattern)
-        reports[method] = RecoveryReport(
-            per_view_relative_error=errs,
-            mean_relative_error=mean_rel,
-            baseline_errors=dict(baselines),
-            objective_trace=list(result.trace),
-            iterations=result.iterations,
-            converged=result.converged,
+        reports[method] = score_completion(
+            truths, result.completed, pattern, result.trace, result.iterations, result.converged
         )
     return reports

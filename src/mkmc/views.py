@@ -1,16 +1,16 @@
 """Per-view visibility bookkeeping and artificial missingness.
 
-A view with hidden objects is handled through the visible-first permutation:
-reorder rows/columns so visible objects come first, read the four blocks, and
-invert the permutation to write imputed blocks back. Masks are generated with
-a seeded PCG64 generator so they are bit-reproducible.
+A view with hidden objects is handled through its sorted visible and hidden
+index arrays: the blocks are read, and imputed blocks written back, by direct
+fancy indexing. Masks are generated with a seeded PCG64 generator so they are
+bit-reproducible.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,24 +77,11 @@ class VisibilityPattern:
 
 @dataclass(frozen=True)
 class PartitionedView:
-    """Blocks of a symmetric matrix under the visible-first permutation.
-
-    ``perm`` lists original indices in (visible..., hidden...) order, so
-    ``full[np.ix_(perm, perm)]`` is the partitioned layout.
-    """
+    """Visible/hidden blocks of a symmetric matrix for one view."""
 
     q_vv: np.ndarray
     q_vh: np.ndarray
     q_hh: np.ndarray
-    perm: np.ndarray = field(repr=False)
-
-    @property
-    def ell(self) -> int:
-        return len(self.perm)
-
-    @property
-    def n_visible(self) -> int:
-        return self.q_vv.shape[0]
 
 
 def visible_indices(ell: int, hidden) -> np.ndarray:
@@ -108,43 +95,20 @@ def partition(full: np.ndarray, hidden) -> PartitionedView:
     if full.shape != (ell, ell):
         raise DimensionError(f"expected square matrix, got {full.shape}")
     hid = np.array(_validate_hidden(ell, hidden), dtype=int)
-    vis = visible_indices(ell, hid)
-    return slice_view(full, np.concatenate([vis, hid]), len(vis))
+    return slice_view(full, visible_indices(ell, hid), hid)
 
 
-def slice_view(full: np.ndarray, perm: np.ndarray, n_visible: int) -> PartitionedView:
-    """Blocks of ``full`` under a precomputed visible-first permutation.
+def slice_view(full: np.ndarray, vis: np.ndarray, hid: np.ndarray) -> PartitionedView:
+    """Blocks of ``full`` for precomputed sorted visible and hidden indices.
 
-    ``perm[:n_visible]`` are the sorted visible indices and
-    ``perm[n_visible:]`` the sorted hidden ones, as :func:`partition` builds
-    them. Nothing is re-validated, so a caller that reuses one mask builds
-    ``perm`` once.
+    Nothing is re-validated, so a caller that reuses one mask builds the
+    index arrays once.
     """
-    vis, hid = perm[:n_visible], perm[n_visible:]
     return PartitionedView(
         q_vv=full[np.ix_(vis, vis)],
         q_vh=full[np.ix_(vis, hid)],
         q_hh=full[np.ix_(hid, hid)],
-        perm=perm,
     )
-
-
-def unpartition(view: PartitionedView) -> np.ndarray:
-    """Reassemble the full matrix in original index order. Exact: no arithmetic."""
-    n_v = view.q_vv.shape[0]
-    n_h = view.q_hh.shape[0] if view.q_hh.size else view.q_vh.shape[1]
-    if view.q_vh.shape != (n_v, n_h):
-        raise DimensionError(
-            f"inconsistent blocks: q_vv {view.q_vv.shape}, q_vh {view.q_vh.shape}, "
-            f"q_hh {view.q_hh.shape}"
-        )
-    ell = n_v + n_h
-    if len(view.perm) != ell:
-        raise DimensionError("permutation length does not match block dims")
-    stacked = np.block([[view.q_vv, view.q_vh], [view.q_vh.T, view.q_hh]])
-    out = np.empty((ell, ell))
-    out[np.ix_(view.perm, view.perm)] = stacked
-    return out
 
 
 def random_mask(

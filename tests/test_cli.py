@@ -179,6 +179,66 @@ class TestCompleteCommand:
         )
         assert res.exit_code == 4
 
+    def test_non_finite_visible_block_exits_4(self, runner, tmp_path, rng):
+        q = random_pd(rng, 4)
+        q[0, 1] = q[1, 0] = np.nan
+        bad = tmp_path / "bad.csv"
+        matrixio.write_csv_matrix(bad, q)
+        mask = tmp_path / "mask.json"
+        mask.write_text('{"ell": 4, "views": [{"hidden": [3]}]}')
+        res = runner.invoke(
+            main,
+            ["complete", "--method", "fc", "--mask", str(mask),
+             "--output-dir", str(tmp_path / "o"), str(bad)],
+        )
+        assert res.exit_code == 4
+        assert res.output.strip().splitlines() == [
+            "mkmc: error: view 0: visible block is not positive definite"
+        ]
+
+    def test_rank_out_of_range_exits_3(self, runner, tmp_path, synthetic_inputs):
+        masked_dir = tmp_path / "masked"
+        runner.invoke(
+            main,
+            ["mask", "--fraction", "0.2", "--seed", "1", "--out-dir", str(masked_dir),
+             *synthetic_inputs],
+        )
+        res = runner.invoke(
+            main,
+            ["complete", "--method", "pca", "--rank", "50",
+             "--mask", str(masked_dir / "mask.json"), "--output-dir", str(tmp_path / "o"),
+             *[str(masked_dir / Path(p).name) for p in synthetic_inputs]],
+        )
+        assert res.exit_code == 3
+        assert res.output.strip().splitlines() == ["mkmc: error: rank q=50 out of range [1, 11]"]
+
+    def test_malformed_mask_exits_2(self, runner, tmp_path, synthetic_inputs):
+        mask = tmp_path / "mask.json"
+        mask.write_text('{"ell": "abc", "views": [{"hidden": [1]}]}')
+        res = runner.invoke(
+            main,
+            ["complete", "--mask", str(mask), "--output-dir", str(tmp_path / "o"),
+             *synthetic_inputs],
+        )
+        assert res.exit_code == 2
+        assert len(res.output.strip().splitlines()) == 1
+        assert res.output.startswith("mkmc: error: ")
+
+    def test_mask_index_out_of_range_exits_3(self, runner, tmp_path, synthetic_inputs):
+        mask = tmp_path / "mask.json"
+        mask.write_text('{"ell": 12, "views": [{"hidden": [12]}]}')
+        res = runner.invoke(
+            main,
+            ["complete", "--mask", str(mask), "--output-dir", str(tmp_path / "o"),
+             *synthetic_inputs],
+        )
+        assert res.exit_code == 3
+
+    def test_seed_option_removed(self, runner):
+        res = runner.invoke(main, ["complete", "--seed", "1"])
+        assert res.exit_code == 2
+        assert "No such option" in res.output and "--seed" in res.output
+
     def test_config_file_overrides_flags(self, runner, tmp_path, synthetic_inputs):
         masked_dir = tmp_path / "masked"
         runner.invoke(
@@ -271,6 +331,24 @@ class TestEvaluateCommand:
         assert res.exit_code == 0, res.output
         obj = json.loads(report.read_text())["methods"]["method"]
         assert obj["per_view_relative_error"] == [1.0, 1.0]
+
+    def test_invalid_trace_exits_2(self, runner, tmp_path, synthetic_inputs):
+        mask = tmp_path / "mask.json"
+        mask.write_text(json.dumps(
+            {"ell": 12, "views": [{"hidden": [0]}, {"hidden": [2]}, {"hidden": []}]}
+        ))
+        trace = tmp_path / "trace.json"
+        trace.write_text('{"objective": [1.0,')
+        res = runner.invoke(
+            main,
+            ["evaluate", "--mask", str(mask), "--trace", str(trace),
+             "--out", str(tmp_path / "r.json"),
+             *[a for p in synthetic_inputs for a in ("--truth", p)],
+             *[a for p in synthetic_inputs for a in ("--completed", p)]],
+        )
+        assert res.exit_code == 2
+        assert len(res.output.strip().splitlines()) == 1
+        assert res.output.startswith(f"mkmc: error: {trace}: invalid trace file")
 
     def test_shape_mask_mismatch_exits_3(self, runner, tmp_path, rng):
         qs = [random_pd(rng, 6)]

@@ -19,7 +19,7 @@ from mkmc.engines import (
     select_rank,
 )
 from mkmc.errors import DimensionError, NotPositiveDefiniteError
-from mkmc.linalg import is_positive_definite, logdet_divergence
+from mkmc.linalg import logdet_divergence
 from mkmc.views import Fill, VisibilityPattern, apply_mask, partition, random_mask
 
 from conftest import random_pd
@@ -103,20 +103,25 @@ class TestImputeView:
         # perturbing the imputed blocks never decreases the divergence
         m = random_pd(rng, 6)
         hidden = (2, 5)
+        vis, hid = [0, 1, 3, 4], list(hidden)
         mp = partition(m, hidden)
         q_vv = random_pd(rng, 4)
         q_vh, q_hh = impute_view(q_vv, mp)
-        from mkmc.views import PartitionedView, unpartition
 
-        best = unpartition(PartitionedView(q_vv=q_vv, q_vh=q_vh, q_hh=q_hh, perm=mp.perm))
-        j_best = logdet_divergence(best, m)
+        def assemble(q_vh, q_hh):
+            full = np.empty((6, 6))
+            full[np.ix_(vis, vis)] = q_vv
+            full[np.ix_(vis, hid)] = q_vh
+            full[np.ix_(hid, vis)] = q_vh.T
+            full[np.ix_(hid, hid)] = q_hh
+            return full
+
+        j_best = logdet_divergence(assemble(q_vh, q_hh), m)
         for _ in range(25):
             d_vh = 1e-3 * rng.standard_normal(q_vh.shape)
             d_hh = 1e-3 * rng.standard_normal(q_hh.shape)
             d_hh = (d_hh + d_hh.T) / 2
-            pert = unpartition(
-                PartitionedView(q_vv=q_vv, q_vh=q_vh + d_vh, q_hh=q_hh + d_hh, perm=mp.perm)
-            )
+            pert = assemble(q_vh + d_vh, q_hh + d_hh)
             assert logdet_divergence(pert, m) >= j_best - 1e-12
 
 
@@ -284,8 +289,8 @@ class TestRunCompletion:
             diffs = np.diff(result.trace)
             assert np.all(diffs <= 1e-8)
             for c in result.completed:
-                assert is_positive_definite(c, 0.0)
-            assert is_positive_definite(result.model.materialize(), 0.0)
+                assert np.linalg.eigvalsh(c)[0] > 0.0
+            assert np.linalg.eigvalsh(result.model.materialize())[0] > 0.0
 
     def test_visible_entries_bit_identical(self, rng):
         qs, masked, pattern = make_instance(rng, 12, 3, 0.25)
@@ -329,8 +334,9 @@ class TestRunCompletion:
             ((1, 4, 7), (1, 4, 7), (1, 4, 7)),  # correlated: same objects in every view
             ((), (0, 5), (2, 3, 9)),  # one view with nothing hidden
             (tuple(range(1, 10)), (3,), (0, 6)),  # one view with a single visible object
+            ((), (), ()),  # nothing hidden: one iteration, hook still called
         ],
-        ids=["correlated", "view-fully-visible", "single-visible-object"],
+        ids=["correlated", "view-fully-visible", "single-visible-object", "nothing-hidden"],
     )
     def test_trace_matches_dense_objective(self, rng, method, hidden):
         base = random_pd(rng, 10)
@@ -353,6 +359,21 @@ class TestRunCompletion:
         pattern = VisibilityPattern(ell=3, hidden=((2,),))
         with pytest.raises(NotPositiveDefiniteError, match="view 0"):
             run_completion([q], pattern, CompletionConfig(method="fc"))
+
+    def test_non_finite_visible_block_rejected(self, rng):
+        # NaN passes through the Cholesky factorization without an error
+        q = random_pd(rng, 4)
+        q[0, 1] = q[1, 0] = np.nan
+        pattern = VisibilityPattern(ell=4, hidden=((), (3,)))
+        with pytest.raises(NotPositiveDefiniteError, match="view 1: visible block"):
+            run_completion([random_pd(rng, 4), q], pattern, CompletionConfig(method="fc"))
+
+    def test_nan_in_hidden_rows_is_overwritten(self, rng):
+        q = random_pd(rng, 5)
+        q[3, :] = q[:, 3] = np.nan
+        pattern = VisibilityPattern(ell=5, hidden=((3,),))
+        result = run_completion([q], pattern, CompletionConfig(method="fc", max_iters=5))
+        assert np.isfinite(result.completed[0]).all()
 
     def test_view_count_mismatch(self, rng):
         pattern = VisibilityPattern(ell=4, hidden=((), ()))

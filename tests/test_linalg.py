@@ -6,7 +6,6 @@ import pytest
 from mkmc.errors import DimensionError, NotPositiveDefiniteError
 from mkmc.linalg import (
     eigh_sorted,
-    is_positive_definite,
     logdet,
     logdet_divergence,
     symmetrize,
@@ -61,21 +60,6 @@ class TestEigh:
             assert np.max(np.abs(u.T @ u - np.eye(ell))) < 1e-10
             recon = u @ np.diag(eig.eigenvalues) @ u.T
             assert np.max(np.abs(recon - a)) <= 1e-10 * max(1.0, np.linalg.norm(a))
-
-
-class TestIsPositiveDefinite:
-    def test_identity(self):
-        assert is_positive_definite(np.eye(2), 0.0)
-
-    def test_indefinite(self):
-        assert not is_positive_definite(np.diag([1.0, -1.0]), 0.0)
-
-    def test_floor_comparison(self):
-        assert not is_positive_definite(np.diag([1e-12, 1.0]), 1e-9)
-
-    def test_negative_floor_rejected(self):
-        with pytest.raises(ValueError):
-            is_positive_definite(np.eye(2), -1.0)
 
 
 class TestLogdet:
