@@ -25,6 +25,7 @@ from .engines import (
     select_rank,
 )
 from .errors import (
+    ConfigError,
     DimensionError,
     FormatError,
     MkmcError,

@@ -1,10 +1,9 @@
 """Command-line front end: ``mkmc mask``, ``mkmc complete``, ``mkmc evaluate``.
 
 The CLI is a thin shell over the library; it performs file IO and argument
-parsing only. Exit codes: 0 success, 2 IO/parse error (including malformed
-mask, trace or config JSON), 3 dimension or shape/mask mismatch or a rank out
-of range, 4 a visible block is not positive definite (or not finite), 5 a
-numerical failure during completion (a singular model block or matrix).
+parsing only. Every setting of ``complete``, from a flag or a run config, is
+checked by :class:`mkmc.engines.CompletionConfig`. Each error class carries
+its exit code; the table is in :mod:`mkmc.errors`.
 """
 
 from __future__ import annotations
@@ -20,18 +19,17 @@ import click
 import numpy as np
 
 from . import matrixio
-from .engines import CompletionConfig, run_completion
-from .errors import DimensionError, FormatError, NotPositiveDefiniteError, NumericalError
+from .engines import METHODS, RANK_CRITERIA, CompletionConfig, run_completion
+from .errors import DimensionError, MkmcError, NotPositiveDefiniteError
 from .linalg import symmetrize
 from .recovery import score_completion
 from .views import Fill, apply_mask, random_mask
 
 log = logging.getLogger("mkmc")
 
-EXIT_IO = 2
-EXIT_DIM = 3
-EXIT_NOT_PD = 4
-EXIT_NUMERICAL = 5
+# Asymmetry max|A - A^T| / max|A| above which an input is refused, not symmetrized:
+# round-off from building a kernel stays far below it, a data error far above.
+ASYMMETRY_RTOL = 1e-8
 
 
 def _fail(code: int, message: str):
@@ -44,14 +42,10 @@ def handle_errors(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except NotPositiveDefiniteError as exc:
-            _fail(EXIT_NOT_PD, str(exc))
-        except NumericalError as exc:
-            _fail(EXIT_NUMERICAL, str(exc))
-        except DimensionError as exc:
-            _fail(EXIT_DIM, str(exc))
-        except (FormatError, OSError) as exc:
-            _fail(EXIT_IO, str(exc))
+        except MkmcError as exc:
+            _fail(exc.exit_code, str(exc))
+        except OSError as exc:
+            _fail(2, str(exc))
 
     return wrapper
 
@@ -64,11 +58,15 @@ def main():
 
 
 def _load_square_inputs(inputs) -> list[np.ndarray]:
-    mats = [symmetrize(matrixio.read_matrix(p)) for p in inputs]
-    ell = mats[0].shape[0]
-    for p, m in zip(inputs, mats):
-        if m.shape[0] != ell:
-            raise DimensionError(f"{p}: dimension {m.shape[0]} differs from {ell}")
+    mats = []
+    for p in inputs:
+        raw = matrixio.read_matrix(p)
+        mats.append(symmetrize(raw))  # also rejects a non-square matrix
+        if raw.shape != mats[0].shape:
+            raise DimensionError(f"{p}: dimension {raw.shape[0]} differs from {mats[0].shape[0]}")
+        asym = np.abs(raw - raw.T).max(initial=0.0)
+        if asym > ASYMMETRY_RTOL * np.abs(raw).max(initial=0.0):
+            raise NotPositiveDefiniteError(f"{p}: not symmetric, max |A - A^T| = {asym:.3g}")
     return mats
 
 
@@ -103,19 +101,13 @@ def _resolve_config(config_path, method, rank, rank_criterion, tol, max_iters,
         if isinstance(raw_rank, dict):
             rank, rank_criterion = None, raw_rank["criterion"]
         elif raw_rank is not None:
-            rank, rank_criterion = int(raw_rank), None
+            rank, rank_criterion = raw_rank, None
         tol = cfg_obj.get("tol", tol)
         max_iters = cfg_obj.get("max_iters", max_iters)
         reg_epsilon = cfg_obj.get("reg_epsilon", reg_epsilon)
         inputs = tuple(cfg_obj.get("inputs", inputs))
         mask = cfg_obj.get("mask", mask)
         output_dir = cfg_obj.get("output_dir", output_dir)
-    if not inputs:
-        raise click.UsageError("no input matrices given (arguments or config 'inputs')")
-    if mask is None:
-        raise click.UsageError("a mask file is required (--mask or config 'mask')")
-    if output_dir is None:
-        raise click.UsageError("an output directory is required (--output-dir or config 'output_dir')")
     cfg = CompletionConfig(
         method=method,
         rank=rank,
@@ -124,14 +116,20 @@ def _resolve_config(config_path, method, rank, rank_criterion, tol, max_iters,
         max_iters=max_iters,
         reg_epsilon=reg_epsilon,
     )
+    if not inputs:
+        raise click.UsageError("no input matrices given (arguments or config 'inputs')")
+    if mask is None:
+        raise click.UsageError("a mask file is required (--mask or config 'mask')")
+    if output_dir is None:
+        raise click.UsageError("an output directory is required (--output-dir or config 'output_dir')")
     return cfg, inputs, mask, output_dir
 
 
 @main.command("complete")
 @click.argument("inputs", nargs=-1, type=click.Path())
-@click.option("--method", type=click.Choice(["fc", "pca", "fa"]), default="fc", show_default=True)
+@click.option("--method", type=click.Choice(METHODS), default="fc", show_default=True)
 @click.option("--rank", type=int, default=None, help="Explicit model rank q (pca/fa).")
-@click.option("--rank-criterion", type=click.Choice(["gk", "kaiser"]), default=None,
+@click.option("--rank-criterion", type=click.Choice(RANK_CRITERIA), default=None,
               help="Pick q from the initial average kernel's spectrum.")
 @click.option("--tol", type=float, default=1e-8, show_default=True)
 @click.option("--max-iters", type=int, default=500, show_default=True)
@@ -149,13 +147,7 @@ def cmd_complete(inputs, method, rank, rank_criterion, tol, max_iters, reg_epsil
         reg_epsilon, mask_path, output_dir, inputs,
     )
     pattern = matrixio.read_mask(mask_path)
-    mats = _load_square_inputs(inputs)
-    if mats[0].shape[0] != pattern.ell or len(mats) != pattern.n_views:
-        raise DimensionError(
-            f"mask describes {pattern.n_views} views of dim {pattern.ell}, "
-            f"got {len(mats)} matrices of dim {mats[0].shape[0]}"
-        )
-    result = run_completion(mats, pattern, cfg)
+    result = run_completion(_load_square_inputs(inputs), pattern, cfg)
 
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)

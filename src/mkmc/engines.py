@@ -23,6 +23,8 @@ next iteration's M_old^{-1}. :func:`objective` is the dense reference.
 
 from __future__ import annotations
 
+import numbers
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
@@ -30,7 +32,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import DimensionError, NotPositiveDefiniteError, NumericalError
+from .errors import ConfigError, DimensionError, NotPositiveDefiniteError, NumericalError
 from .linalg import cholesky_lower, eigh_sorted, logdet, logdet_divergence, symmetrize
 from .views import Fill, PartitionedView, VisibilityPattern, apply_mask, slice_view, visible_indices
 
@@ -41,6 +43,7 @@ METHODS = (METHOD_FC, METHOD_PCA, METHOD_FA)
 
 CRITERION_GK = "gk"
 CRITERION_KAISER = "kaiser"
+RANK_CRITERIA = (CRITERION_GK, CRITERION_KAISER)
 
 # Relative floor keeping noise variances strictly positive in the FA update.
 PSI_FLOOR_REL = 1e-10
@@ -91,8 +94,10 @@ ModelParams = Union[FullModel, PcaModel, FaModel]
 class CompletionConfig:
     """Driver settings; ``rank``/``rank_criterion`` apply to pca/fa only.
 
-    The driver never reads ``seed``: only :func:`mkmc.recovery.compare_methods`
-    does, as the seed of the mask it draws.
+    Each setting is checked here, by type and value, for the library and the
+    CLI alike; :func:`degrees_of_freedom` checks that ``rank`` fits the data.
+    A NaN ``tol`` never stops the run early. The driver never reads ``seed``:
+    only :func:`mkmc.recovery.compare_methods` does, as the seed of the mask it draws.
     """
 
     method: str = METHOD_FC
@@ -104,19 +109,26 @@ class CompletionConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.reg_epsilon < 0:
-            raise ValueError("reg_epsilon must be nonnegative")
-        if self.rank_criterion is not None and self.rank_criterion not in (
-            CRITERION_GK,
-            CRITERION_KAISER,
+        for name, valid, rule in (
+            ("method", self.method in METHODS, f"one of {METHODS}"),
+            ("rank", self.rank is None or _is_integer(self.rank), "an integer"),
+            ("rank_criterion", self.rank_criterion in (None, *RANK_CRITERIA),
+             f"one of {RANK_CRITERIA}"),
+            ("tol", _is_real(self.tol) and not self.tol <= 0, "a number > 0"),
+            ("max_iters", _is_integer(self.max_iters) and self.max_iters >= 1, "an integer >= 1"),
+            ("reg_epsilon", _is_real(self.reg_epsilon)
+             and 0 <= self.reg_epsilon <= sys.float_info.max, "a finite number >= 0"),
         ):
-            raise ValueError(f"unknown rank criterion {self.rank_criterion!r}")
+            if not valid:
+                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass

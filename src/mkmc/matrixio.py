@@ -13,7 +13,6 @@ import struct
 from pathlib import Path
 
 import numpy as np
-from jsonschema import ValidationError, validate
 
 from .errors import DimensionError, FormatError
 from .views import VisibilityPattern
@@ -22,30 +21,9 @@ MAGIC = b"MKMC"
 VERSION = 1
 _HEADER = struct.Struct("<4sBII")
 
-RUN_CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "method": {"enum": ["fc", "pca", "fa"]},
-        "rank": {
-            "oneOf": [
-                {"type": "integer", "minimum": 1},
-                {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {"criterion": {"enum": ["gk", "kaiser"]}},
-                    "required": ["criterion"],
-                },
-            ]
-        },
-        "tol": {"type": "number", "exclusiveMinimum": 0},
-        "max_iters": {"type": "integer", "minimum": 1},
-        "reg_epsilon": {"type": "number", "minimum": 0},
-        "inputs": {"type": "array", "items": {"type": "string"}, "minItems": 1},
-        "mask": {"type": "string"},
-        "output_dir": {"type": "string"},
-    },
-}
+RUN_CONFIG_KEYS = frozenset(
+    {"method", "rank", "tol", "max_iters", "reg_epsilon", "inputs", "mask", "output_dir"}
+)
 
 
 def write_csv_matrix(path, a: np.ndarray) -> None:
@@ -126,13 +104,37 @@ def read_trace(path) -> dict:
 
 
 def load_run_config(path) -> dict:
-    """Parse and schema-validate a run-config JSON file; unknown keys rejected."""
+    """Parse a run-config JSON file and check its shape.
+
+    The file holds one object with only the keys of ``RUN_CONFIG_KEYS``:
+    ``inputs`` is a list of path strings, ``mask`` and ``output_dir`` are
+    strings, and ``rank`` is an integer or exactly ``{"criterion": name}``.
+    JSON does not tell 2 from 2.0, so an integral float ``rank`` or
+    ``max_iters`` is read as an int. The setting values themselves are
+    checked by :class:`mkmc.engines.CompletionConfig`, as the flags are.
+    """
     try:
         obj = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError alike
         raise FormatError(f"{path}: invalid JSON: {exc}") from exc
-    try:
-        validate(obj, RUN_CONFIG_SCHEMA)
-    except ValidationError as exc:
-        raise FormatError(f"{path}: invalid run config: {exc.message}") from exc
+    if not isinstance(obj, dict):
+        raise FormatError(f"{path}: invalid run config: not a JSON object")
+    unknown = sorted(obj.keys() - RUN_CONFIG_KEYS)
+    inputs = obj.get("inputs", [])
+    rank = obj.get("rank")
+    for bad, message in (
+        (unknown, f"unknown keys {unknown}"),
+        (not isinstance(inputs, list) or not all(isinstance(p, str) for p in inputs),
+         "inputs must be a list of path strings"),
+        (not all(isinstance(obj[k], str) for k in ("mask", "output_dir") if k in obj),
+         "mask and output_dir must be path strings"),
+        ("rank" in obj and rank is None or isinstance(rank, dict) and not (
+            rank.keys() == {"criterion"} and isinstance(rank["criterion"], str)),
+         'rank must be an integer or {"criterion": name}'),
+    ):
+        if bad:
+            raise FormatError(f"{path}: invalid run config: {message}")
+    for key in ("rank", "max_iters"):
+        if isinstance(obj.get(key), float) and obj[key].is_integer():
+            obj[key] = int(obj[key])
     return obj

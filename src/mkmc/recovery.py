@@ -7,7 +7,7 @@ optional per-view jitter makes the views correlated rather than identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -45,25 +45,7 @@ class RecoveryReport:
     converged: bool = True
 
     def to_json_dict(self) -> dict:
-        return {
-            "per_view_relative_error": self.per_view_relative_error,
-            "mean_relative_error": self.mean_relative_error,
-            "baseline_errors": self.baseline_errors,
-            "objective_trace": self.objective_trace,
-            "iterations": self.iterations,
-            "converged": self.converged,
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "RecoveryReport":
-        return cls(
-            per_view_relative_error=list(obj["per_view_relative_error"]),
-            mean_relative_error=float(obj["mean_relative_error"]),
-            baseline_errors=dict(obj["baseline_errors"]),
-            objective_trace=list(obj["objective_trace"]),
-            iterations=int(obj["iterations"]),
-            converged=bool(obj["converged"]),
-        )
+        return asdict(self)
 
 
 def generate_synthetic(spec: SyntheticSpec) -> list[np.ndarray]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import ConfigError, DimensionError
 from .linalg import symmetrize
 
 
@@ -52,10 +52,6 @@ class VisibilityPattern:
     @property
     def n_views(self) -> int:
         return len(self.hidden)
-
-    @property
-    def n_visible(self) -> tuple[int, ...]:
-        return tuple(self.ell - len(h) for h in self.hidden)
 
     @property
     def total_hidden(self) -> int:
@@ -125,9 +121,9 @@ def random_mask(
     a single draw instead of independent ones.
     """
     if not 0.0 <= fraction < 1.0:
-        raise ValueError("fraction must be in [0, 1)")
+        raise ConfigError(f"fraction must be in [0, 1), got {fraction!r}")
     if fraction * ell > ell - 1:
-        raise ValueError(
+        raise DimensionError(
             f"fraction {fraction} would leave no visible object (ell={ell})"
         )
     n_hidden = math.floor(fraction * ell)

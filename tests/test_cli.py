@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +38,14 @@ def synthetic_inputs(tmp_path):
     return write_views(tmp_path, generate_synthetic(spec))
 
 
+@pytest.fixture
+def mask_file(tmp_path):
+    """Mask for the three synthetic views, each hiding object 0."""
+    path = tmp_path / "mask.json"
+    path.write_text(json.dumps({"ell": 12, "views": [{"hidden": [0]}] * 3}))
+    return path
+
+
 class TestMaskCommand:
     def test_fraction_zero_outputs_identical(self, runner, tmp_path, synthetic_inputs):
         out = tmp_path / "masked"
@@ -66,6 +77,32 @@ class TestMaskCommand:
             main, ["mask", "--fraction", "0.1", "--out-dir", str(tmp_path / "o"), str(bad)]
         )
         assert res.exit_code == 3
+
+    @pytest.mark.parametrize("fraction, code", [("1.5", 2), ("-0.1", 2), ("0.95", 3)])
+    def test_bad_fraction_exits_2_or_3(self, runner, tmp_path, synthetic_inputs, fraction, code):
+        res = runner.invoke(
+            main, ["mask", "--fraction", fraction, "--out-dir", str(tmp_path / "o"),
+                   *synthetic_inputs],
+        )
+        assert res.exit_code == code
+        assert len(res.output.strip().splitlines()) == 1
+        assert res.output.startswith("mkmc: error: ")
+
+    @pytest.mark.parametrize("delta, relative, code", [(100.0, False, 4), (1e-15, True, 0)])
+    def test_asymmetric_input(self, runner, tmp_path, synthetic_inputs, delta, relative, code):
+        q = matrixio.read_matrix(synthetic_inputs[0])
+        q[0, 1] += delta * (np.abs(q).max() if relative else 1.0)
+        assert q[0, 1] != q[1, 0]
+        bad = tmp_path / "asym.csv"
+        matrixio.write_csv_matrix(bad, q)
+        res = runner.invoke(
+            main, ["mask", "--fraction", "0.2", "--out-dir", str(tmp_path / "o"), str(bad)]
+        )
+        assert res.exit_code == code, res.output
+        if code:
+            assert res.output.strip().splitlines() == [
+                f"mkmc: error: {bad}: not symmetric, max |A - A^T| = 100"
+            ]
 
     def test_unreadable_input_exits_2(self, runner, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -287,11 +324,73 @@ class TestCompleteCommand:
             "mkmc: error: iteration 3: model visible block is numerically singular"
         ]
 
-    def test_invalid_config_exits_2(self, runner, tmp_path):
+    @pytest.mark.parametrize("config", [
+        {"method": "fc", "bogus": True},
+        {"method": "svd"},
+        {"rank": {}},
+        {"tol": "1e-8"},
+        {"mask": 5},
+        {"rank": True},
+        {"max_iters": 0},
+    ], ids=["unknown-key", "bad-method", "rank-empty-object", "tol-string", "mask-not-string",
+            "rank-bool", "max-iters-zero"])
+    def test_invalid_config_exits_2(self, runner, tmp_path, config):
         cfg_path = tmp_path / "run.json"
-        cfg_path.write_text('{"method": "fc", "bogus": true}')
+        cfg_path.write_text(json.dumps(config))
         res = runner.invoke(main, ["complete", "--config", str(cfg_path)])
         assert res.exit_code == 2
+        assert len(res.output.strip().splitlines()) == 1
+        assert res.output.startswith("mkmc: error: ")
+
+    @pytest.mark.parametrize("flags", [["--max-iters", "0"], ["--tol", "0"],
+                                       ["--reg-epsilon", "-1"]])
+    def test_invalid_setting_flag_exits_2(self, runner, tmp_path, synthetic_inputs,
+                                          mask_file, flags):
+        res = runner.invoke(
+            main, ["complete", *flags, "--mask", str(mask_file),
+                   "--output-dir", str(tmp_path / "o"), *synthetic_inputs],
+        )
+        assert res.exit_code == 2
+        assert len(res.output.strip().splitlines()) == 1
+        assert res.output.startswith(f"mkmc: error: {flags[0][2:].replace('-', '_')} must be")
+
+    @pytest.mark.parametrize("config, code", [
+        ({"method": "pca", "rank": 0}, 3),
+        ({"method": "pca", "rank": 2.0, "max_iters": 3.0}, 0),
+    ], ids=["rank-zero", "integral-floats"])
+    def test_config_values_checked_like_flags(self, runner, tmp_path, synthetic_inputs,
+                                              mask_file, config, code):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({**config, "inputs": synthetic_inputs,
+                                        "mask": str(mask_file), "output_dir": str(tmp_path / "o")}))
+        res = runner.invoke(main, ["complete", "--config", str(cfg_path)])
+        assert res.exit_code == code, res.output
+        if code:
+            assert res.output.strip().splitlines() == [
+                "mkmc: error: rank q=0 out of range [1, 11]"
+            ]
+        else:
+            trace = json.loads((tmp_path / "o" / "trace.json").read_text())
+            assert trace["rank"] == 2 and trace["iterations"] == 3
+
+    def test_fewer_matrices_than_views_exits_3(self, runner, tmp_path, synthetic_inputs,
+                                               mask_file):
+        res = runner.invoke(
+            main, ["complete", "--mask", str(mask_file), "--output-dir", str(tmp_path / "o"),
+                   *synthetic_inputs[:2]],
+        )
+        assert res.exit_code == 3
+        assert res.output.strip().splitlines() == [
+            "mkmc: error: 2 matrices but pattern has 3 views"
+        ]
+
+
+def test_import_leaves_jsonschema_unloaded():
+    code = "import sys, mkmc.cli; print('jsonschema' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestEvaluateCommand:

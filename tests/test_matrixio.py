@@ -101,9 +101,3 @@ class TestRunConfig:
         path.write_text('{"method": "fc", "bogus": 1}')
         with pytest.raises(FormatError):
             matrixio.load_run_config(path)
-
-    def test_bad_method_rejected(self, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_text('{"method": "svd"}')
-        with pytest.raises(FormatError):
-            matrixio.load_run_config(path)

@@ -11,13 +11,22 @@ augmented sum is asserted monotone; at eps = 0 the two coincide.
 
 At eps = 0 an object hidden in every view leaves the zero-filled starting
 average singular, and the driver must refuse the problem.
+
+The CLI never exits 1: whatever values its flags or a run config carry, it
+ends in one of the documented exit codes, and codes 3-5 print exactly one
+``mkmc: error:`` line.
 """
+
+import json
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mkmc import matrixio
+from mkmc.cli import main
 from mkmc.engines import METHODS, CompletionConfig, objective, run_completion
 from mkmc.errors import NumericalError
 from mkmc.views import Fill, VisibilityPattern, apply_mask
@@ -86,3 +95,78 @@ def test_completion_invariants(problem):
     assert again.trace == result.trace
     for c, c2 in zip(result.completed, again.completed):
         assert np.array_equal(c, c2)
+
+
+FLAG_TEXT = {
+    "--method": ["fc", "pca", "fa", "svd"],
+    "--rank": ["2", "5", "0", "6", "2.0"],
+    "--tol": ["1e-8", "0.5", "inf", "nan", "0", "x"],
+    "--max-iters": ["1", "5", "0", "2.5"],
+    "--reg-epsilon": ["1e-3", "0", "-1", "inf", "nan"],
+}
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 5),
+    st.sampled_from([0.0, 2.0, 3.0, -1.0, 0.5, 1e-8, 1e-3]),
+    st.sampled_from(["fc", "pca", "fa", "gk", "x", ""]),
+    st.lists(st.integers(0, 2), max_size=2),
+    st.dictionaries(st.sampled_from(["criterion", "x"]), st.sampled_from(["gk", "kaiser", 1]),
+                    max_size=2),
+)
+# Path keys never get a string, which could make a run write outside the test's directory.
+PATH_VALUES = JSON_VALUES.filter(lambda v: not isinstance(v, str))
+FRACTIONS = ["-0.1", "0", "0.2", "0.5", "0.9", "0.95", "1", "1.5", "nan", "x"]
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """Six-object views, an independent mask and one hiding object 0 in both views."""
+    root = tmp_path_factory.mktemp("cli")
+    rng = np.random.default_rng(0)
+    base = random_pd(rng, 6)
+    views = []
+    for k in range(2):
+        path = root / f"view_{k}.csv"
+        matrixio.write_csv_matrix(path, base + 0.1 * random_pd(rng, 6))
+        views.append(str(path))
+    masks = []
+    for name, hidden in (("independent", [[0], [1]]), ("shared", [[0], [0]])):
+        path = root / f"{name}.json"
+        path.write_text(json.dumps({"ell": 6, "views": [{"hidden": h} for h in hidden]}))
+        masks.append(str(path))
+    return root, views, masks
+
+
+@st.composite
+def cli_calls(draw, root, views, masks):
+    out = str(root / "out")
+    if draw(st.integers(0, 3)) == 0:
+        return ["mask", "--fraction", draw(st.sampled_from(FRACTIONS)), "--out-dir", out, *views]
+    flags = [a for flag, texts in FLAG_TEXT.items() if draw(st.booleans())
+             for a in (flag, draw(st.sampled_from(texts)))]
+    args = ["complete", "--max-iters", draw(st.sampled_from(["1", "5"])), *flags]
+    mask = draw(st.sampled_from(masks))
+    if not draw(st.booleans()):
+        return args + ["--mask", mask, "--output-dir", out, *views]
+    config = {"inputs": views, "mask": mask, "output_dir": out}
+    settings_keys = ["method", "rank", "tol", "max_iters", "reg_epsilon"]
+    for key in draw(st.sets(st.sampled_from(settings_keys), max_size=2)):
+        config[key] = draw(JSON_VALUES)
+    for key in draw(st.sets(st.sampled_from(["inputs", "mask", "output_dir"]), max_size=1)):
+        config[key] = draw(PATH_VALUES)
+    path = root / "run.json"
+    path.write_text(json.dumps(config))
+    return args + ["--config", str(path)]
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_cli_never_exits_1(cli_files, data):
+    args = data.draw(cli_calls(*cli_files))
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code in (0, 2, 3, 4, 5), (args, repr(res.exception))
+    assert "Traceback" not in res.output
+    if res.exit_code >= 3:
+        lines = res.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("mkmc: error: "), res.output

@@ -4,7 +4,6 @@ import pytest
 from mkmc.engines import CompletionConfig
 from mkmc.linalg import eigh_sorted
 from mkmc.recovery import (
-    RecoveryReport,
     SyntheticSpec,
     compare_methods,
     generate_synthetic,
@@ -110,14 +109,3 @@ class TestCompareMethods:
             assert np.all(np.diff(rep.objective_trace) <= 1e-8)
             assert set(rep.baseline_errors) == {"zero", "mean"}
             assert rep.baseline_errors["zero"] == pytest.approx(1.0, abs=1e-12)
-
-    def test_report_json_round_trip(self):
-        rep = RecoveryReport(
-            per_view_relative_error=[0.1, 0.2],
-            mean_relative_error=0.15,
-            baseline_errors={"zero": 1.0, "mean": 0.9},
-            objective_trace=[3.0, 2.0],
-            iterations=2,
-            converged=True,
-        )
-        assert RecoveryReport.from_json_dict(rep.to_json_dict()) == rep

@@ -17,7 +17,6 @@ class TestVisibilityPattern:
     def test_sorts_and_validates(self):
         pat = VisibilityPattern(ell=5, hidden=((3, 1), ()))
         assert pat.hidden == ((1, 3), ())
-        assert pat.n_visible == (3, 5)
         assert pat.total_hidden == 2
 
     def test_out_of_range(self):
