@@ -9,7 +9,6 @@ its exit code; the table is in :mod:`mkmc.errors`.
 from __future__ import annotations
 
 import functools
-import json
 import logging
 import os
 import sys
@@ -92,30 +91,12 @@ def cmd_mask(inputs, fraction, seed, fill, correlated, out_dir):
     log.info("wrote mask and %d masked matrices to %s", len(mats), out)
 
 
-def _resolve_config(config_path, method, rank, rank_criterion, tol, max_iters,
-                    reg_epsilon, mask, output_dir, inputs):
+def _resolve_config(config_path, **run):
+    """Flags overridden by the run config: (CompletionConfig, inputs, mask, output_dir)."""
     if config_path is not None:
-        cfg_obj = matrixio.load_run_config(config_path)
-        method = cfg_obj.get("method", method)
-        raw_rank = cfg_obj.get("rank")
-        if isinstance(raw_rank, dict):
-            rank, rank_criterion = None, raw_rank["criterion"]
-        elif raw_rank is not None:
-            rank, rank_criterion = raw_rank, None
-        tol = cfg_obj.get("tol", tol)
-        max_iters = cfg_obj.get("max_iters", max_iters)
-        reg_epsilon = cfg_obj.get("reg_epsilon", reg_epsilon)
-        inputs = tuple(cfg_obj.get("inputs", inputs))
-        mask = cfg_obj.get("mask", mask)
-        output_dir = cfg_obj.get("output_dir", output_dir)
-    cfg = CompletionConfig(
-        method=method,
-        rank=rank,
-        rank_criterion=rank_criterion,
-        tol=tol,
-        max_iters=max_iters,
-        reg_epsilon=reg_epsilon,
-    )
+        run.update(matrixio.load_run_config(config_path))
+    inputs, mask, output_dir = run.pop("inputs"), run.pop("mask"), run.pop("output_dir")
+    cfg = CompletionConfig(**run)
     if not inputs:
         raise click.UsageError("no input matrices given (arguments or config 'inputs')")
     if mask is None:
@@ -134,18 +115,14 @@ def _resolve_config(config_path, method, rank, rank_criterion, tol, max_iters,
 @click.option("--tol", type=float, default=1e-8, show_default=True)
 @click.option("--max-iters", type=int, default=500, show_default=True)
 @click.option("--reg-epsilon", type=float, default=1e-3, show_default=True)
-@click.option("--mask", "mask_path", type=click.Path(), default=None)
+@click.option("--mask", type=click.Path(), default=None)
 @click.option("--output-dir", type=click.Path(), default=None)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None,
               help="Run-config JSON; overrides flags.")
 @handle_errors
-def cmd_complete(inputs, method, rank, rank_criterion, tol, max_iters, reg_epsilon,
-                 mask_path, output_dir, config_path):
+def cmd_complete(config_path, **run):
     """Complete the masked kernels and write them with a trace JSON."""
-    cfg, inputs, mask_path, output_dir = _resolve_config(
-        config_path, method, rank, rank_criterion, tol, max_iters,
-        reg_epsilon, mask_path, output_dir, inputs,
-    )
+    cfg, inputs, mask_path, output_dir = _resolve_config(config_path, **run)
     pattern = matrixio.read_mask(mask_path)
     result = run_completion(_load_square_inputs(inputs), pattern, cfg)
 
@@ -153,15 +130,7 @@ def cmd_complete(inputs, method, rank, rank_criterion, tol, max_iters, reg_epsil
     out.mkdir(parents=True, exist_ok=True)
     for path, mat in zip(inputs, result.completed):
         matrixio.write_matrix(out / Path(path).name, mat)
-    trace_obj = {
-        "objective": result.trace,
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "dof": result.dof,
-        "rank": result.rank,
-        "iter_ms": result.iter_ms,
-    }
-    (out / "trace.json").write_text(json.dumps(trace_obj, indent=2) + "\n")
+    matrixio.write_trace(out / "trace.json", result)
 
     status = "converged" if result.converged else "stopped at max_iters"
     click.echo(
@@ -197,9 +166,7 @@ def cmd_evaluate(mask_path, truth_paths, completed_paths, name, trace_path, out_
 
     trace = matrixio.read_trace(trace_path) if trace_path is not None else {}
     report = score_completion(truths, completed, pattern, **trace)
-    Path(out_path).write_text(
-        json.dumps({"methods": {name: report.to_json_dict()}}, indent=2) + "\n"
-    )
+    matrixio.write_report(out_path, {name: report})
     click.echo(f"{name}: mean_relative_error={report.mean_relative_error:.17g}")
 
 

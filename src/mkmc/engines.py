@@ -55,8 +55,6 @@ class FullModel:
 
     matrix: np.ndarray
 
-    kind = METHOD_FC
-
     def materialize(self) -> np.ndarray:
         return self.matrix
 
@@ -68,8 +66,6 @@ class PcaModel:
     W: np.ndarray
     sigma2: float
 
-    kind = METHOD_PCA
-
     def materialize(self) -> np.ndarray:
         return symmetrize(self.W @ self.W.T + self.sigma2 * np.eye(self.W.shape[0]))
 
@@ -80,8 +76,6 @@ class FaModel:
 
     W: np.ndarray
     psi: np.ndarray
-
-    kind = METHOD_FA
 
     def materialize(self) -> np.ndarray:
         return symmetrize(self.W @ self.W.T + np.diag(self.psi))

@@ -1,9 +1,15 @@
-"""Matrix, mask, and config file formats used by the CLI.
+"""Every file format of mkmc: matrix, mask, trace, run config and report.
 
 Matrices travel either as headerless CSV (17 significant digits, so float64
 round-trips exactly) or as a small binary format: magic ``MKMC``, a version
 byte, row and column counts as little-endian uint32, then row-major
 little-endian float64 payload.
+
+Masks, traces, run configs and reports are JSON, written with ``indent=2`` and
+a trailing newline. One reader parses them all and raises :class:`FormatError`
+for a file that is not JSON, not UTF-8 or nested too deep to parse. Every
+integer field follows one rule: an int, or a finite float with no fraction
+part (JSON does not tell 2 from 2.0); a bool or a string is refused.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError, FormatError
+from .errors import FormatError
 from .views import VisibilityPattern
 
 MAGIC = b"MKMC"
@@ -76,47 +82,76 @@ def write_matrix(path, a: np.ndarray) -> None:
         write_binary_matrix(path, a)
 
 
+def _read_json(path, what: str):
+    try:
+        return json.loads(Path(path).read_text())
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nesting too deep
+        raise FormatError(f"{path}: invalid {what}: {exc}") from exc
+
+
+def _write_json(path, obj) -> None:
+    Path(path).write_text(json.dumps(obj, indent=2) + "\n")
+
+
+def _integer(value, name: str, path, what: str) -> int:
+    if type(value) is int or type(value) is float and value.is_integer():  # not inf, nan, bool
+        return int(value)
+    raise FormatError(f"{path}: invalid {what}: {name} must be an integer, got {value!r}")
+
+
 def write_mask(path, pattern: VisibilityPattern) -> None:
-    Path(path).write_text(json.dumps(pattern.to_json_dict(), indent=2) + "\n")
+    _write_json(path, {"ell": pattern.ell, "views": [{"hidden": list(h)} for h in pattern.hidden]})
 
 
 def read_mask(path) -> VisibilityPattern:
-    try:
-        obj = json.loads(Path(path).read_text())
-        return VisibilityPattern.from_json_dict(obj)
-    except DimensionError:
-        raise  # well-formed, but the indices do not fit ``ell``
-    except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
-        raise FormatError(f"{path}: invalid mask file: {exc}") from exc
+    """Parse a mask file; an index that does not fit ``ell`` raises DimensionError."""
+    obj = _read_json(path, "mask file")
+    views = obj.get("views") if isinstance(obj, dict) else None
+    if not isinstance(views, list) or not all(
+            isinstance(v, dict) and isinstance(v.get("hidden"), list) for v in views):
+        raise FormatError(f'{path}: invalid mask file: views must be a list of {{"hidden": [...]}}')
+    ell = _integer(obj.get("ell"), "ell", path, "mask file")
+    hidden = [[_integer(i, "hidden index", path, "mask file") for i in v["hidden"]] for v in views]
+    return VisibilityPattern(ell=ell, hidden=hidden)
+
+
+def write_trace(path, result) -> None:
+    """trace.json of a :class:`mkmc.engines.CompletionResult`."""
+    _write_json(path, {"objective": result.trace, "iterations": result.iterations,
+                       "converged": result.converged, "dof": result.dof, "rank": result.rank,
+                       "iter_ms": result.iter_ms})
 
 
 def read_trace(path) -> dict:
     """Objective trace, iteration count and convergence flag of a trace.json."""
-    try:
-        obj = json.loads(Path(path).read_text())
-        return {
-            "objective_trace": [float(v) for v in obj.get("objective", [])],
-            "iterations": int(obj.get("iterations", 0)),
-            "converged": bool(obj.get("converged", True)),
-        }
-    except (ValueError, TypeError, AttributeError) as exc:  # JSONDecodeError is a ValueError
-        raise FormatError(f"{path}: invalid trace file: {exc}") from exc
+    obj = _read_json(path, "trace file")
+    if not isinstance(obj, dict):
+        raise FormatError(f"{path}: invalid trace file: not a JSON object")
+    objective, converged = obj.get("objective", []), obj.get("converged", True)
+    if not isinstance(objective, list) or not all(type(v) in (int, float) for v in objective):
+        raise FormatError(f"{path}: invalid trace file: objective must be a list of numbers")
+    if not isinstance(converged, bool):
+        raise FormatError(f"{path}: invalid trace file: converged must be true or false")
+    return {"objective_trace": [float(v) for v in objective], "converged": converged,
+            "iterations": _integer(obj.get("iterations", 0), "iterations", path, "trace file")}
+
+
+def write_report(path, reports: dict) -> None:
+    """Recovery report ``{"methods": {name: RecoveryReport fields}}``."""
+    _write_json(path, {"methods": {name: r.to_json_dict() for name, r in reports.items()}})
 
 
 def load_run_config(path) -> dict:
-    """Parse a run-config JSON file and check its shape.
+    """Parse a run-config JSON file into settings named like the CompletionConfig fields.
 
     The file holds one object with only the keys of ``RUN_CONFIG_KEYS``:
     ``inputs`` is a list of path strings, ``mask`` and ``output_dir`` are
-    strings, and ``rank`` is an integer or exactly ``{"criterion": name}``.
-    JSON does not tell 2 from 2.0, so an integral float ``rank`` or
-    ``max_iters`` is read as an int. The setting values themselves are
-    checked by :class:`mkmc.engines.CompletionConfig`, as the flags are.
+    strings, ``max_iters`` is an integer, and ``rank`` is an integer or
+    exactly ``{"criterion": name}``, returned as ``rank=None,
+    rank_criterion=name``. The setting values themselves are checked by
+    :class:`mkmc.engines.CompletionConfig`, as the flags are.
     """
-    try:
-        obj = json.loads(Path(path).read_text())
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError alike
-        raise FormatError(f"{path}: invalid JSON: {exc}") from exc
+    obj = _read_json(path, "run config")
     if not isinstance(obj, dict):
         raise FormatError(f"{path}: invalid run config: not a JSON object")
     unknown = sorted(obj.keys() - RUN_CONFIG_KEYS)
@@ -128,13 +163,16 @@ def load_run_config(path) -> dict:
          "inputs must be a list of path strings"),
         (not all(isinstance(obj[k], str) for k in ("mask", "output_dir") if k in obj),
          "mask and output_dir must be path strings"),
-        ("rank" in obj and rank is None or isinstance(rank, dict) and not (
+        (isinstance(rank, dict) and not (
             rank.keys() == {"criterion"} and isinstance(rank["criterion"], str)),
          'rank must be an integer or {"criterion": name}'),
     ):
         if bad:
             raise FormatError(f"{path}: invalid run config: {message}")
-    for key in ("rank", "max_iters"):
-        if isinstance(obj.get(key), float) and obj[key].is_integer():
-            obj[key] = int(obj[key])
+    if isinstance(rank, dict):
+        obj["rank"], obj["rank_criterion"] = None, rank["criterion"]
+    elif "rank" in obj:
+        obj["rank"] = _integer(rank, "rank", path, "run config")
+    if "max_iters" in obj:
+        obj["max_iters"] = _integer(obj["max_iters"], "max_iters", path, "run config")
     return obj

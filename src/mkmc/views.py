@@ -57,19 +57,6 @@ class VisibilityPattern:
     def total_hidden(self) -> int:
         return sum(len(h) for h in self.hidden)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "ell": self.ell,
-            "views": [{"hidden": list(h)} for h in self.hidden],
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "VisibilityPattern":
-        return cls(
-            ell=int(obj["ell"]),
-            hidden=tuple(tuple(v["hidden"]) for v in obj["views"]),
-        )
-
 
 @dataclass(frozen=True)
 class PartitionedView:
@@ -116,12 +103,14 @@ def random_mask(
 ) -> VisibilityPattern:
     """Draw hidden index sets for each view without replacement.
 
-    Uses numpy's PCG64 generator seeded with ``seed``; the same arguments
+    Uses numpy's PCG64 generator seeded with ``seed`` (>= 0); the same arguments
     always produce the same pattern. With ``correlated=True`` all views share
     a single draw instead of independent ones.
     """
     if not 0.0 <= fraction < 1.0:
         raise ConfigError(f"fraction must be in [0, 1), got {fraction!r}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed!r}")
     if fraction * ell > ell - 1:
         raise DimensionError(
             f"fraction {fraction} would leave no visible object (ell={ell})"

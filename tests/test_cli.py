@@ -88,6 +88,14 @@ class TestMaskCommand:
         assert len(res.output.strip().splitlines()) == 1
         assert res.output.startswith("mkmc: error: ")
 
+    def test_negative_seed_exits_2(self, runner, tmp_path, synthetic_inputs):
+        res = runner.invoke(
+            main, ["mask", "--fraction", "0.2", "--seed", "-1", "--out-dir", str(tmp_path / "o"),
+                   *synthetic_inputs],
+        )
+        assert res.exit_code == 2
+        assert res.output.strip().splitlines() == ["mkmc: error: seed must be >= 0, got -1"]
+
     @pytest.mark.parametrize("delta, relative, code", [(100.0, False, 4), (1e-15, True, 0)])
     def test_asymmetric_input(self, runner, tmp_path, synthetic_inputs, delta, relative, code):
         q = matrixio.read_matrix(synthetic_inputs[0])
@@ -249,9 +257,20 @@ class TestCompleteCommand:
         assert res.exit_code == 3
         assert res.output.strip().splitlines() == ["mkmc: error: rank q=50 out of range [1, 11]"]
 
-    def test_malformed_mask_exits_2(self, runner, tmp_path, synthetic_inputs):
+    @pytest.mark.parametrize("text", [
+        '{"ell": "abc", "views": [{"hidden": [1]}]}',
+        '{"ell": 1e400, "views": [{"hidden": [1]}]}',
+        '{"ell": 12, "views": [{"hidden": [1.5]}]}',
+        '{"ell": 12, "views": [{"hidden": [true]}]}',
+        '{"ell": 6.7, "views": [{"hidden": [1]}]}',
+        '{"ell": "6", "views": [{"hidden": [1]}]}',
+        '{"ell": 12, "views": [{"hidden": "12"}]}',
+        "[" * 100_000 + "]" * 100_000,
+    ], ids=["ell-string", "ell-overflow", "hidden-fraction", "hidden-bool", "ell-fraction",
+            "ell-digit-string", "hidden-string", "deep"])
+    def test_malformed_mask_exits_2(self, runner, tmp_path, synthetic_inputs, text):
         mask = tmp_path / "mask.json"
-        mask.write_text('{"ell": "abc", "views": [{"hidden": [1]}]}')
+        mask.write_text(text)
         res = runner.invoke(
             main,
             ["complete", "--mask", str(mask), "--output-dir", str(tmp_path / "o"),
@@ -259,7 +278,20 @@ class TestCompleteCommand:
         )
         assert res.exit_code == 2
         assert len(res.output.strip().splitlines()) == 1
-        assert res.output.startswith("mkmc: error: ")
+        assert res.output.startswith(f"mkmc: error: {mask}: invalid mask file")
+
+    def test_integral_float_mask_fields_read_as_integers(self, runner, tmp_path,
+                                                         synthetic_inputs):
+        mask = tmp_path / "mask.json"
+        mask.write_text('{"ell": 12.0, "views": [{"hidden": [1.0]}, {"hidden": []}, '
+                        '{"hidden": [2]}]}')
+        assert matrixio.read_mask(mask).hidden == ((1,), (), (2,))
+        res = runner.invoke(
+            main,
+            ["complete", "--mask", str(mask), "--output-dir", str(tmp_path / "o"),
+             *synthetic_inputs],
+        )
+        assert res.exit_code == 0, res.output
 
     def test_mask_index_out_of_range_exits_3(self, runner, tmp_path, synthetic_inputs):
         mask = tmp_path / "mask.json"
@@ -332,11 +364,16 @@ class TestCompleteCommand:
         {"mask": 5},
         {"rank": True},
         {"max_iters": 0},
+        {"max_iters": 1e400},
+        {"max_iters": 2.5},
+        {"rank": "2"},
+        "[" * 100_000 + "]" * 100_000,
     ], ids=["unknown-key", "bad-method", "rank-empty-object", "tol-string", "mask-not-string",
-            "rank-bool", "max-iters-zero"])
+            "rank-bool", "max-iters-zero", "max-iters-overflow", "max-iters-fraction",
+            "rank-string", "deep"])
     def test_invalid_config_exits_2(self, runner, tmp_path, config):
         cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps(config))
+        cfg_path.write_text(config if isinstance(config, str) else json.dumps(config))
         res = runner.invoke(main, ["complete", "--config", str(cfg_path)])
         assert res.exit_code == 2
         assert len(res.output.strip().splitlines()) == 1
@@ -431,23 +468,46 @@ class TestEvaluateCommand:
         obj = json.loads(report.read_text())["methods"]["method"]
         assert obj["per_view_relative_error"] == [1.0, 1.0]
 
-    def test_invalid_trace_exits_2(self, runner, tmp_path, synthetic_inputs):
+    def evaluate_with_trace(self, runner, tmp_path, synthetic_inputs, text):
         mask = tmp_path / "mask.json"
         mask.write_text(json.dumps(
             {"ell": 12, "views": [{"hidden": [0]}, {"hidden": [2]}, {"hidden": []}]}
         ))
         trace = tmp_path / "trace.json"
-        trace.write_text('{"objective": [1.0,')
-        res = runner.invoke(
+        trace.write_text(text)
+        return trace, runner.invoke(
             main,
             ["evaluate", "--mask", str(mask), "--trace", str(trace),
              "--out", str(tmp_path / "r.json"),
              *[a for p in synthetic_inputs for a in ("--truth", p)],
              *[a for p in synthetic_inputs for a in ("--completed", p)]],
         )
+
+    @pytest.mark.parametrize("text", [
+        '{"objective": [1.0,',
+        '{"iterations": 1e400}',
+        '{"iterations": 2.5}',
+        '{"iterations": true}',
+        '{"objective": "12"}',
+        '{"objective": [1.0, null]}',
+        '{"converged": "no"}',
+        '[1.0]',
+        "[" * 100_000 + "]" * 100_000,
+    ], ids=["truncated", "iterations-overflow", "iterations-fraction", "iterations-bool",
+            "objective-string", "objective-null", "converged-string", "not-object", "deep"])
+    def test_invalid_trace_exits_2(self, runner, tmp_path, synthetic_inputs, text):
+        trace, res = self.evaluate_with_trace(runner, tmp_path, synthetic_inputs, text)
         assert res.exit_code == 2
         assert len(res.output.strip().splitlines()) == 1
         assert res.output.startswith(f"mkmc: error: {trace}: invalid trace file")
+
+    def test_integral_float_iterations_read_as_integer(self, runner, tmp_path, synthetic_inputs):
+        _, res = self.evaluate_with_trace(runner, tmp_path, synthetic_inputs,
+                                          '{"objective": [2.0, 1.5, 1], "iterations": 3.0}')
+        assert res.exit_code == 0, res.output
+        report = json.loads((tmp_path / "r.json").read_text())["methods"]["method"]
+        assert report["iterations"] == 3 and type(report["iterations"]) is int
+        assert report["objective_trace"] == [2.0, 1.5, 1.0] and report["converged"] is True
 
     def test_shape_mask_mismatch_exits_3(self, runner, tmp_path, rng):
         qs = [random_pd(rng, 6)]

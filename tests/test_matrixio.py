@@ -1,11 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 
 from mkmc import matrixio
+from mkmc.engines import CompletionConfig, run_completion
 from mkmc.errors import FormatError
-from mkmc.views import VisibilityPattern
+from mkmc.views import Fill, VisibilityPattern, apply_mask
 
-from conftest import random_symmetric
+from conftest import random_pd, random_symmetric
 
 
 class TestCsvFormat:
@@ -86,6 +89,24 @@ class TestMaskFile:
             matrixio.read_mask(path)
 
 
+class TestTraceFile:
+    def test_round_trip(self, rng, tmp_path):
+        pattern = VisibilityPattern(ell=5, hidden=((0,), (3,)))
+        masked = [apply_mask(random_pd(rng, 5), h, Fill.ZERO) for h in pattern.hidden]
+        result = run_completion(masked, pattern, CompletionConfig(method="pca", rank=1))
+        path = tmp_path / "trace.json"
+        matrixio.write_trace(path, result)
+        assert matrixio.read_trace(path) == {
+            "objective_trace": result.trace,
+            "iterations": result.iterations,
+            "converged": result.converged,
+        }
+        layout = {"objective": result.trace, "iterations": result.iterations,
+                  "converged": result.converged, "dof": result.dof, "rank": 1,
+                  "iter_ms": result.iter_ms}
+        assert path.read_text() == json.dumps(layout, indent=2) + "\n"
+
+
 class TestRunConfig:
     def test_valid_config(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -95,6 +116,7 @@ class TestRunConfig:
         )
         cfg = matrixio.load_run_config(path)
         assert cfg["method"] == "pca"
+        assert cfg["rank"] is None and cfg["rank_criterion"] == "gk"
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"

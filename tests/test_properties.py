@@ -12,12 +12,14 @@ augmented sum is asserted monotone; at eps = 0 the two coincide.
 At eps = 0 an object hidden in every view leaves the zero-filled starting
 average singular, and the driver must refuse the problem.
 
-The CLI never exits 1: whatever values its flags or a run config carry, it
-ends in one of the documented exit codes, and codes 3-5 print exactly one
-``mkmc: error:`` line.
+The CLI never exits 1: whatever values its flags, a run config, a mask file,
+an ``evaluate --trace`` file or ``mask --seed`` carry, it ends in one of the
+documented exit codes, and codes 3-5, like every error of ``evaluate``, print
+exactly one ``mkmc: error:`` line.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -117,6 +119,9 @@ JSON_VALUES = st.one_of(
 # Path keys never get a string, which could make a run write outside the test's directory.
 PATH_VALUES = JSON_VALUES.filter(lambda v: not isinstance(v, str))
 FRACTIONS = ["-0.1", "0", "0.2", "0.5", "0.9", "0.95", "1", "1.5", "nan", "x"]
+SEEDS = st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70))
+# File fields also get a number too large for a float.
+FILE_VALUES = st.one_of(JSON_VALUES, st.just(math.inf))
 
 
 @pytest.fixture(scope="module")
@@ -138,21 +143,59 @@ def cli_files(tmp_path_factory):
     return root, views, masks
 
 
+def write_json(path, obj) -> str:
+    """Write ``obj`` with each infinity spelled ``1e400``, as a file from elsewhere may."""
+    path.write_text(json.dumps(obj).replace("Infinity", "1e400"))
+    return str(path)
+
+
+@st.composite
+def mask_files(draw, root):
+    """A two-view mask with ``ell``, a view's ``hidden`` or one hidden index drawn."""
+    obj = {"ell": 6, "views": [{"hidden": [0]}, {"hidden": [1]}]}
+    view = draw(st.sampled_from(obj["views"]))
+    field, value = draw(st.sampled_from(["ell", "hidden", "index"])), draw(FILE_VALUES)
+    if field == "ell":
+        obj["ell"] = value
+    else:
+        view["hidden"] = value if field == "hidden" else [value]
+    return write_json(root / "drawn_mask.json", obj)
+
+
+@st.composite
+def trace_files(draw, root):
+    """A trace with ``objective``, one objective value, ``iterations`` or ``converged`` drawn."""
+    obj = {"objective": [2.0, 1.0], "iterations": 2, "converged": True}
+    field, value = draw(st.sampled_from([*obj, "value"])), draw(FILE_VALUES)
+    if field == "value":
+        obj["objective"][1] = value
+    else:
+        obj[field] = value
+    return write_json(root / "drawn_trace.json", obj)
+
+
 @st.composite
 def cli_calls(draw, root, views, masks):
     out = str(root / "out")
-    if draw(st.integers(0, 3)) == 0:
-        return ["mask", "--fraction", draw(st.sampled_from(FRACTIONS)), "--out-dir", out, *views]
+    # complete, which takes the most kinds of input, is drawn half of the time
+    command = draw(st.sampled_from(["mask", "evaluate", "complete", "complete"]))
+    if command == "mask":
+        return ["mask", "--fraction", draw(st.sampled_from(FRACTIONS)),
+                "--seed", str(draw(SEEDS)), "--out-dir", out, *views]
+    mask = draw(st.one_of(st.sampled_from(masks), mask_files(root)))
+    if command == "evaluate":
+        return ["evaluate", "--mask", mask, "--trace", draw(trace_files(root)),
+                "--out", str(root / "report.json"),
+                *[a for p in views for a in ("--truth", p, "--completed", p)]]
     flags = [a for flag, texts in FLAG_TEXT.items() if draw(st.booleans())
              for a in (flag, draw(st.sampled_from(texts)))]
     args = ["complete", "--max-iters", draw(st.sampled_from(["1", "5"])), *flags]
-    mask = draw(st.sampled_from(masks))
     if not draw(st.booleans()):
         return args + ["--mask", mask, "--output-dir", out, *views]
     config = {"inputs": views, "mask": mask, "output_dir": out}
     settings_keys = ["method", "rank", "tol", "max_iters", "reg_epsilon"]
     for key in draw(st.sets(st.sampled_from(settings_keys), max_size=2)):
-        config[key] = draw(JSON_VALUES)
+        config[key] = draw(FILE_VALUES)
     for key in draw(st.sets(st.sampled_from(["inputs", "mask", "output_dir"]), max_size=1)):
         config[key] = draw(PATH_VALUES)
     path = root / "run.json"
@@ -160,13 +203,13 @@ def cli_calls(draw, root, views, masks):
     return args + ["--config", str(path)]
 
 
-@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_cli_never_exits_1(cli_files, data):
     args = data.draw(cli_calls(*cli_files))
     res = CliRunner().invoke(main, args)
     assert res.exit_code in (0, 2, 3, 4, 5), (args, repr(res.exception))
     assert "Traceback" not in res.output
-    if res.exit_code >= 3:
+    if res.exit_code >= 3 or res.exit_code and args[0] == "evaluate":
         lines = res.output.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("mkmc: error: "), res.output

@@ -31,10 +31,6 @@ class TestVisibilityPattern:
         with pytest.raises(DimensionError):
             VisibilityPattern(ell=2, hidden=((0, 1),))
 
-    def test_json_round_trip(self):
-        pat = VisibilityPattern(ell=4, hidden=((0, 2), (1,)))
-        assert VisibilityPattern.from_json_dict(pat.to_json_dict()) == pat
-
 
 class TestPartition:
     def test_nothing_hidden(self, rng):
