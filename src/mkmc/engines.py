@@ -5,20 +5,26 @@ blocks of every view from the current model matrix, average the completed
 kernels, refit the model, and repeat until the objective (a sum of LogDet
 divergences) stops moving.
 
-The driver evaluates that objective without factoring any completed view. Imputing view
-k from the model M_old in use at the start of an iteration leaves the Schur
-complement of Q_vv in Q^(k) equal to that of M_old, which is the inverse of
-the hidden block of M_old^{-1}. Hence
+The driver never factors a block of M. Let P = M_old^{-1}, the inverse of the
+model M_old that every view is imputed from in an iteration. For a view with
+visible objects v and hidden objects h, the partitioned inverse gives
 
-    log det Q^(k) = log det Q^(k)_vv - log det (M_old^{-1})_hh
+    X := M_vv^{-1} M_vh = -P_vh P_hh^{-1},    M_hh - M_hv M_vv^{-1} M_vh = P_hh^{-1}
+
+(the Schur complement of M_vv), so one Cholesky factorization of P_hh yields
+Q_vh = Q_vv X and Q_hh = P_hh^{-1} + X^T Q_vh; :func:`impute_view` is the
+dense reference. Imputing leaves the Schur complement of Q_vv in Q^(k) equal
+to P_hh^{-1}, hence
+
+    log det Q^(k) = log det Q^(k)_vv - log det P_hh
 
 with log det Q^(k)_vv fixed for the run, and for the new model M
 
     sum_k tr(M^{-1} Q^(k)) = K tr(M^{-1} S),  S the unregularized average.
 
-This holds only while every Q^(k) was imputed from M_old; each iteration then
-needs one Cholesky factorization of M and its inverse, which is kept as the
-next iteration's M_old^{-1}. :func:`objective` is the dense reference.
+All of this holds only while P is the inverse of the model every Q^(k) was
+imputed from; each iteration therefore factors M once and keeps its inverse
+as the next P. :func:`objective` is the dense reference.
 """
 
 from __future__ import annotations
@@ -33,8 +39,9 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import ConfigError, DimensionError, NotPositiveDefiniteError, NumericalError
-from .linalg import cholesky_lower, eigh_sorted, logdet, logdet_divergence, symmetrize
-from .views import Fill, PartitionedView, VisibilityPattern, apply_mask, slice_view, visible_indices
+from .linalg import cholesky_lower, eigh_sorted, logdet_divergence, symmetrize
+from .views import (Fill, PartitionedView, VisibilityPattern, apply_mask, is_integer,
+                    visible_indices)
 
 METHOD_FC = "fc"
 METHOD_PCA = "pca"
@@ -105,20 +112,16 @@ class CompletionConfig:
     def __post_init__(self):
         for name, valid, rule in (
             ("method", self.method in METHODS, f"one of {METHODS}"),
-            ("rank", self.rank is None or _is_integer(self.rank), "an integer"),
+            ("rank", self.rank is None or is_integer(self.rank), "an integer"),
             ("rank_criterion", self.rank_criterion in (None, *RANK_CRITERIA),
              f"one of {RANK_CRITERIA}"),
             ("tol", _is_real(self.tol) and not self.tol <= 0, "a number > 0"),
-            ("max_iters", _is_integer(self.max_iters) and self.max_iters >= 1, "an integer >= 1"),
+            ("max_iters", is_integer(self.max_iters) and self.max_iters >= 1, "an integer >= 1"),
             ("reg_epsilon", _is_real(self.reg_epsilon)
              and 0 <= self.reg_epsilon <= sys.float_info.max, "a finite number >= 0"),
         ):
             if not valid:
                 raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _is_real(value) -> bool:
@@ -163,6 +166,7 @@ def regularize(s: np.ndarray, n_views: int, eps: float) -> np.ndarray:
 def impute_view(q_vv: np.ndarray, m_parts: PartitionedView) -> tuple[np.ndarray, np.ndarray]:
     """Gaussian conditional-moment re-estimation of one view's hidden blocks.
 
+    The dense reference for the driver, which imputes from M^{-1} instead.
     With the model blocks M_vv, M_vh, M_hh of this view:
 
         Q_vh = Q_vv M_vv^{-1} M_vh
@@ -254,15 +258,28 @@ def objective(qs: Sequence[np.ndarray], model: ModelParams) -> float:
     return float(sum(logdet_divergence(q, m) for q in qs))
 
 
-def _logdet_and_inverse(m: np.ndarray) -> tuple[float, np.ndarray]:
-    """log det M and the full symmetric M^{-1} from one Cholesky factorization."""
-    chol = cholesky_lower(m)
+def _factor(a: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+    """Lower Cholesky factor, log det and full symmetric inverse of a PD matrix."""
+    chol = cholesky_lower(a)
     inv, info = sla.lapack.dpotri(chol, lower=1)
     if info != 0:
-        raise NumericalError(f"inverting the model matrix failed (dpotri info={info})")
+        raise NumericalError(f"inverting a matrix of dim {a.shape[0]} failed (dpotri info={info})")
     inv = np.tril(inv)
     inv += np.tril(inv, -1).T
-    return float(2.0 * np.sum(np.log(np.diag(chol)))), inv
+    return chol, float(2.0 * np.sum(np.log(np.diag(chol)))), inv
+
+
+def _impute_from_inverse(q_vv: np.ndarray, model_inv: np.ndarray, vis: np.ndarray,
+                         hid: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """log det P_hh, Q_vh and Q_hh of one view, from P = M^{-1} (module docstring)."""
+    try:
+        chol, logdet_p_hh, schur = _factor(model_inv[np.ix_(hid, hid)])
+    except NotPositiveDefiniteError as exc:
+        raise NumericalError(
+            f"hidden block of the model inverse is numerically singular: {exc}") from exc
+    x = -sla.cho_solve((chol, True), model_inv[np.ix_(hid, vis)]).T  # M_vv^{-1} M_vh
+    q_vh = q_vv @ x
+    return logdet_p_hh, q_vh, symmetrize(schur + x.T @ q_vh)
 
 
 def select_rank(s: np.ndarray, criterion: str) -> int:
@@ -335,9 +352,10 @@ def run_completion(
 
     # Zero-initialize hidden blocks (also validates the visible blocks).
     completed = [apply_mask(q, h, Fill.ZERO) for q, h in zip(qs_masked, pattern.hidden)]
-    logdet_vv = []  # log det Q^(k)_vv, fixed for the run
-    for k, vis in enumerate(vis_idx):
-        q_vv = completed[k][np.ix_(vis, vis)]
+    # Q^(k)_vv and its log det, fixed for the run
+    q_vvs = [c[np.ix_(vis, vis)] for c, vis in zip(completed, vis_idx)]
+    logdet_vv = []
+    for k, q_vv in enumerate(q_vvs):
         try:
             # NaN/inf would pass through the factorization without an error
             if not np.isfinite(q_vv).all():
@@ -366,9 +384,8 @@ def run_completion(
         # FA has no closed-form fit; seed its EM with the PPCA optimum.
         pca = pca_model_update(s0_reg, rank)
         model = FaModel(W=pca.W, psi=np.full(ell, pca.sigma2))
-    model_matrix = s0_reg  # Algorithm start: model matrix = average kernel
-    try:
-        _, model_inv = _logdet_and_inverse(model_matrix)
+    try:  # Algorithm start: model matrix = average kernel
+        _, _, model_inv = _factor(s0_reg)
     except NotPositiveDefiniteError as exc:
         raise NumericalError(f"initial model matrix: {exc}") from exc
 
@@ -384,10 +401,11 @@ def run_completion(
                 vis, hid = vis_idx[k], hid_idx[k]
                 if hid.size == 0:
                     continue
-                logdet_q -= logdet(model_inv[np.ix_(hid, hid)])
-                q_vh, q_hh = impute_view(
-                    completed[k][np.ix_(vis, vis)], slice_view(model_matrix, vis, hid)
-                )
+                try:
+                    logdet_p_hh, q_vh, q_hh = _impute_from_inverse(q_vvs[k], model_inv, vis, hid)
+                except NumericalError as exc:
+                    raise NumericalError(f"view {k}: {exc}") from exc
+                logdet_q -= logdet_p_hh
                 completed[k][np.ix_(vis, hid)] = q_vh
                 completed[k][np.ix_(hid, vis)] = q_vh.T
                 completed[k][np.ix_(hid, hid)] = q_hh
@@ -395,8 +413,7 @@ def run_completion(
             s = average_kernel(completed)
             s_reg = regularize(s, n_views, cfg.reg_epsilon)
             model = _model_update(cfg.method, s_reg, rank, model)
-            model_matrix = model.materialize()
-            logdet_m, model_inv = _logdet_and_inverse(model_matrix)
+            _, logdet_m, model_inv = _factor(model.materialize())
             trace_term = n_views * float(np.vdot(model_inv, s))  # sum_k tr(M^{-1} Q^(k))
             j = 0.5 * (n_views * (logdet_m - ell) - logdet_q + trace_term)
         except (NumericalError, NotPositiveDefiniteError) as exc:

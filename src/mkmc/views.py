@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +26,16 @@ class Fill(str, enum.Enum):
     MEAN = "mean"
 
 
+def is_integer(value) -> bool:
+    """The integer rule for callers' values: any integral type, numpy's too, but no bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _validate_hidden(ell: int, hidden) -> tuple[int, ...]:
-    idx = tuple(int(i) for i in hidden)
+    idx = tuple(hidden)
+    if not all(map(is_integer, idx)):
+        raise ConfigError(f"hidden indices must be integers, got {idx!r}")
+    idx = tuple(map(int, idx))
     if any(i < 0 or i >= ell for i in idx):
         raise DimensionError(f"hidden index out of range [0, {ell})")
     if len(set(idx)) != len(idx):
@@ -38,14 +47,20 @@ def _validate_hidden(ell: int, hidden) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class VisibilityPattern:
-    """Which objects are hidden in each of the K views."""
+    """Which objects are hidden in each of the K views.
+
+    ``ell`` and every index must pass :func:`is_integer`; they are stored as ints.
+    """
 
     ell: int
     hidden: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if not is_integer(self.ell):
+            raise ConfigError(f"ell must be an integer, got {self.ell!r}")
         if self.ell < 1:
             raise DimensionError("ell must be >= 1")
+        object.__setattr__(self, "ell", int(self.ell))
         clean = tuple(_validate_hidden(self.ell, h) for h in self.hidden)
         object.__setattr__(self, "hidden", clean)
 
@@ -78,15 +93,7 @@ def partition(full: np.ndarray, hidden) -> PartitionedView:
     if full.shape != (ell, ell):
         raise DimensionError(f"expected square matrix, got {full.shape}")
     hid = np.array(_validate_hidden(ell, hidden), dtype=int)
-    return slice_view(full, visible_indices(ell, hid), hid)
-
-
-def slice_view(full: np.ndarray, vis: np.ndarray, hid: np.ndarray) -> PartitionedView:
-    """Blocks of ``full`` for precomputed sorted visible and hidden indices.
-
-    Nothing is re-validated, so a caller that reuses one mask builds the
-    index arrays once.
-    """
+    vis = visible_indices(ell, hid)
     return PartitionedView(
         q_vv=full[np.ix_(vis, vis)],
         q_vh=full[np.ix_(vis, hid)],

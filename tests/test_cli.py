@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from mkmc import cli, matrixio
+from mkmc import engines, matrixio
 from mkmc.cli import main
-from mkmc.errors import NumericalError
+from mkmc.errors import NotPositiveDefiniteError
+from mkmc.linalg import cholesky_lower
 from mkmc.recovery import SyntheticSpec, generate_synthetic
 
 from conftest import random_pd
@@ -339,10 +340,13 @@ class TestCompleteCommand:
              *synthetic_inputs],
         )
 
-        def singular(*_args, **_kwargs):
-            raise NumericalError("iteration 3: model visible block is numerically singular")
+        # ell = 12 and fraction 0.2 hide two objects per view; fail each 2 x 2 P_hh
+        def singular(a):
+            if a.shape[0] == 2:
+                raise NotPositiveDefiniteError("matrix of dim 2 is not positive definite")
+            return cholesky_lower(a)
 
-        monkeypatch.setattr(cli, "run_completion", singular)
+        monkeypatch.setattr(engines, "cholesky_lower", singular)
         res = runner.invoke(
             main,
             ["complete", "--method", "fc", "--mask", str(masked_dir / "mask.json"),
@@ -353,7 +357,8 @@ class TestCompleteCommand:
         assert isinstance(res.exception, SystemExit)
         assert "Traceback" not in res.output
         assert res.output.strip().splitlines() == [
-            "mkmc: error: iteration 3: model visible block is numerically singular"
+            "mkmc: error: iteration 1: view 0: hidden block of the model inverse is numerically "
+            "singular: matrix of dim 2 is not positive definite"
         ]
 
     @pytest.mark.parametrize("config", [

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mkmc import engines
 from mkmc.engines import (
     CompletionConfig,
     FaModel,
@@ -18,8 +19,8 @@ from mkmc.engines import (
     run_completion,
     select_rank,
 )
-from mkmc.errors import DimensionError, NotPositiveDefiniteError
-from mkmc.linalg import logdet_divergence
+from mkmc.errors import DimensionError, NotPositiveDefiniteError, NumericalError
+from mkmc.linalg import cholesky_lower, logdet_divergence
 from mkmc.views import Fill, VisibilityPattern, apply_mask, partition, random_mask
 
 from conftest import random_pd
@@ -379,3 +380,42 @@ class TestRunCompletion:
         pattern = VisibilityPattern(ell=4, hidden=((), ()))
         with pytest.raises(DimensionError):
             run_completion([random_pd(rng, 4)], pattern, CompletionConfig())
+
+    @pytest.mark.parametrize("method", ["fc", "pca", "fa"])
+    def test_no_visible_block_factored_after_setup(self, rng, method, monkeypatch):
+        # ell = 10, n_v = 7, n_h = 3 and rank 2: each size names one kind of block
+        hidden = ((1, 2, 3), (4, 5, 6), (0, 7, 8))
+        base = random_pd(rng, 10)
+        masked = [apply_mask(base + 0.1 * random_pd(rng, 10), h, Fill.ZERO) for h in hidden]
+        sizes = []
+
+        def recording(a):
+            sizes.append(a.shape[0])
+            return cholesky_lower(a)
+
+        monkeypatch.setattr(engines, "cholesky_lower", recording)
+        cfg = CompletionConfig(method=method, rank=2, max_iters=5)
+        result = run_completion(masked, VisibilityPattern(ell=10, hidden=hidden), cfg)
+        assert result.iterations >= 2
+        assert sizes.count(7) == 3  # each view's Q_vv, once, in the set-up
+        assert sizes.count(3) == 3 * result.iterations  # each view's P_hh, every iteration
+
+    def test_numerical_error_names_the_view(self, rng, monkeypatch):
+        # only view 1 hides two objects, so only its P_hh has dimension 2
+        hidden = ((0,), (1, 2), ())
+        masked = [apply_mask(random_pd(rng, 6), h, Fill.ZERO) for h in hidden]
+
+        def failing(a):
+            if a.shape[0] == 2:
+                raise NotPositiveDefiniteError("matrix of dim 2 is not positive definite")
+            return cholesky_lower(a)
+
+        monkeypatch.setattr(engines, "cholesky_lower", failing)
+        with pytest.raises(NumericalError) as info:
+            run_completion(masked, VisibilityPattern(ell=6, hidden=hidden),
+                           CompletionConfig(method="fc"))
+        assert str(info.value) == (
+            "iteration 1: view 1: hidden block of the model inverse is numerically singular: "
+            "matrix of dim 2 is not positive definite"
+        )
+        assert info.value.exit_code == 5

@@ -12,6 +12,14 @@ augmented sum is asserted monotone; at eps = 0 the two coincide.
 At eps = 0 an object hidden in every view leaves the zero-filled starting
 average singular, and the driver must refuse the problem.
 
+The driver imputes each view from the inverse of the model it holds; at every
+iteration its hidden blocks equal those of the dense conditional moments
+(:func:`impute_view`) computed from the previous model matrix.
+
+A :class:`VisibilityPattern` built by a library caller obeys one integer rule:
+``ell`` and every hidden index are integers of any integral type, numpy's
+included, but not bools; anything else is a ``ConfigError`` (exit 2).
+
 The CLI never exits 1: whatever values its flags, a run config, a mask file,
 an ``evaluate --trace`` file or ``mask --seed`` carry, it ends in one of the
 documented exit codes, and codes 3-5, like every error of ``evaluate``, print
@@ -24,14 +32,15 @@ import math
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mkmc import matrixio
 from mkmc.cli import main
-from mkmc.engines import METHODS, CompletionConfig, objective, run_completion
-from mkmc.errors import NumericalError
-from mkmc.views import Fill, VisibilityPattern, apply_mask
+from mkmc.engines import (METHODS, CompletionConfig, average_kernel, impute_view, objective,
+                          regularize, run_completion)
+from mkmc.errors import ConfigError, NumericalError
+from mkmc.views import Fill, VisibilityPattern, apply_mask, partition, random_mask
 
 from conftest import random_pd
 
@@ -61,16 +70,25 @@ def problems(draw):
     return VisibilityPattern(ell=ell, hidden=hidden), method, rank, eps, seed
 
 
+def masked_views(pattern, seed):
+    """Zero-filled views that share one random PD base matrix."""
+    rng = np.random.default_rng(seed)
+    base = random_pd(rng, pattern.ell)
+    return [apply_mask(base + 0.1 * random_pd(rng, pattern.ell), h, Fill.ZERO)
+            for h in pattern.hidden]
+
+
+def hidden_everywhere(pattern) -> bool:
+    return bool(set.intersection(*map(set, pattern.hidden)))
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(problems())
 def test_completion_invariants(problem):
     pattern, method, rank, eps, seed = problem
-    rng = np.random.default_rng(seed)
-    base = random_pd(rng, pattern.ell)
-    masked = [apply_mask(base + 0.1 * random_pd(rng, pattern.ell), h, Fill.ZERO)
-              for h in pattern.hidden]
+    masked = masked_views(pattern, seed)
     cfg = CompletionConfig(method=method, rank=rank, reg_epsilon=eps, max_iters=30)
-    if eps == 0.0 and set.intersection(*map(set, pattern.hidden)):
+    if eps == 0.0 and hidden_everywhere(pattern):
         with pytest.raises(NumericalError, match="initial model matrix"):
             run_completion(masked, pattern, cfg)
         return
@@ -97,6 +115,69 @@ def test_completion_invariants(problem):
     assert again.trace == result.trace
     for c, c2 in zip(result.completed, again.completed):
         assert np.array_equal(c, c2)
+
+
+def assert_close(fast, ref, rel=1e-10):
+    assert np.linalg.norm(fast - ref) <= rel * np.linalg.norm(ref)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(problems())
+@example((VisibilityPattern(ell=6, hidden=((0, 1, 2, 3, 5), (2,))), "fc", 1, 0.0, 3))
+@example((VisibilityPattern(ell=6, hidden=((1, 2, 3, 4, 5), (0, 4), ())), "fa", 2, 1e-3, 4))
+@example((VisibilityPattern(ell=5, hidden=((), ())), "pca", 2, 0.0, 5))
+def test_driver_imputes_like_dense_oracle(problem):
+    pattern, method, rank, eps, seed = problem
+    masked = masked_views(pattern, seed)
+    if eps == 0.0 and hidden_everywhere(pattern):
+        return  # refused; see test_completion_invariants
+    # iteration 1 imputes from the regularized average of the zero-filled views
+    models = [regularize(average_kernel(masked), pattern.n_views, eps)]
+    steps = []
+
+    def record(_it, completed, model):
+        steps.append([c.copy() for c in completed])
+        models.append(model.materialize())
+
+    cfg = CompletionConfig(method=method, rank=rank, reg_epsilon=eps, max_iters=30)
+    run_completion(masked, pattern, cfg, on_iteration=record)
+    for completed, m_prev in zip(steps, models):
+        for c, h in zip(completed, pattern.hidden):
+            if h:
+                got = partition(c, h)
+                q_vh, q_hh = impute_view(got.q_vv, partition(m_prev, h))
+                assert_close(got.q_vh, q_vh)
+                assert_close(got.q_hh, q_hh)
+
+
+@pytest.mark.parametrize("ell, hidden", [
+    (5.5, ((1,),)),
+    (5.0, ((1,),)),
+    ("5", ((1,),)),
+    (True, ((),)),
+    (5, ((1.5,), (True,))),
+    (5, ((1.0,),)),
+    (5, ((np.float64(2.0),),)),
+    (5, ((np.bool_(True),),)),
+    (5, ((None,),)),
+    (5, ("12",)),
+], ids=["ell-fraction", "ell-float", "ell-string", "ell-bool", "index-fraction-and-bool",
+        "index-float", "index-numpy-float", "index-numpy-bool", "index-none", "hidden-string"])
+def test_pattern_refuses_non_integers(ell, hidden):
+    with pytest.raises(ConfigError, match="must be (an integer|integers), got") as info:
+        VisibilityPattern(ell=ell, hidden=hidden)
+    assert info.value.exit_code == 2
+
+
+def test_pattern_accepts_every_integral_type(tmp_path):
+    pattern = VisibilityPattern(ell=np.int64(5), hidden=((np.int32(3), np.uint8(1)), (4,)))
+    assert pattern.ell == 5 and pattern.hidden == ((1, 3), (4,))
+    # stored as ints, so the pattern can be written as JSON
+    assert all(type(i) is int for i in (pattern.ell, *pattern.hidden[0]))
+    matrixio.write_mask(tmp_path / "mask.json", pattern)
+    assert matrixio.read_mask(tmp_path / "mask.json") == pattern
+    drawn = random_mask(np.int64(9), 3, 0.4, seed=np.uint32(2))
+    assert VisibilityPattern(ell=drawn.ell, hidden=drawn.hidden) == drawn
 
 
 FLAG_TEXT = {
