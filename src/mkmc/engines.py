@@ -11,8 +11,9 @@ visible objects v and hidden objects h, the partitioned inverse gives
 
     X := M_vv^{-1} M_vh = -P_vh P_hh^{-1},    M_hh - M_hv M_vv^{-1} M_vh = P_hh^{-1}
 
-(the Schur complement of M_vv), so one Cholesky factorization of P_hh yields
-Q_vh = Q_vv X and Q_hh = P_hh^{-1} + X^T Q_vh; :func:`impute_view` is the
+(the Schur complement of M_vv). One Cholesky factorization of P_hh yields
+log det P_hh and, by ``dpotri``, P_hh^{-1}; then X is one product with it,
+Q_vh = Q_vv X and Q_hh = P_hh^{-1} + X^T Q_vh. :func:`impute_view` is the
 dense reference. Imputing leaves the Schur complement of Q_vv in Q^(k) equal
 to P_hh^{-1}, hence
 
@@ -190,8 +191,9 @@ def impute_view(q_vv: np.ndarray, m_parts: PartitionedView) -> tuple[np.ndarray,
 
 
 def fc_model_update(s_reg: np.ndarray) -> FullModel:
-    """Full-covariance M-step: the model matrix is the average kernel itself."""
-    cholesky_lower(s_reg)  # reject non-PD input up front
+    """Full-covariance M-step: the model matrix is the average kernel itself.
+
+    The driver's factorization of M, not this step, rejects a non-PD ``s_reg``."""
     return FullModel(matrix=s_reg)
 
 
@@ -258,26 +260,26 @@ def objective(qs: Sequence[np.ndarray], model: ModelParams) -> float:
     return float(sum(logdet_divergence(q, m) for q in qs))
 
 
-def _factor(a: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
-    """Lower Cholesky factor, log det and full symmetric inverse of a PD matrix."""
+def _factor(a: np.ndarray) -> tuple[float, np.ndarray]:
+    """Log det and full symmetric inverse of a PD matrix, from one Cholesky."""
     chol = cholesky_lower(a)
     inv, info = sla.lapack.dpotri(chol, lower=1)
     if info != 0:
         raise NumericalError(f"inverting a matrix of dim {a.shape[0]} failed (dpotri info={info})")
     inv = np.tril(inv)
     inv += np.tril(inv, -1).T
-    return chol, float(2.0 * np.sum(np.log(np.diag(chol)))), inv
+    return float(2.0 * np.sum(np.log(np.diag(chol)))), inv
 
 
 def _impute_from_inverse(q_vv: np.ndarray, model_inv: np.ndarray, vis: np.ndarray,
                          hid: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """log det P_hh, Q_vh and Q_hh of one view, from P = M^{-1} (module docstring)."""
     try:
-        chol, logdet_p_hh, schur = _factor(model_inv[np.ix_(hid, hid)])
+        logdet_p_hh, schur = _factor(model_inv[np.ix_(hid, hid)])
     except NotPositiveDefiniteError as exc:
         raise NumericalError(
             f"hidden block of the model inverse is numerically singular: {exc}") from exc
-    x = -sla.cho_solve((chol, True), model_inv[np.ix_(hid, vis)]).T  # M_vv^{-1} M_vh
+    x = -model_inv[np.ix_(vis, hid)] @ schur  # M_vv^{-1} M_vh
     q_vh = q_vv @ x
     return logdet_p_hh, q_vh, symmetrize(schur + x.T @ q_vh)
 
@@ -385,7 +387,7 @@ def run_completion(
         pca = pca_model_update(s0_reg, rank)
         model = FaModel(W=pca.W, psi=np.full(ell, pca.sigma2))
     try:  # Algorithm start: model matrix = average kernel
-        _, _, model_inv = _factor(s0_reg)
+        _, model_inv = _factor(s0_reg)
     except NotPositiveDefiniteError as exc:
         raise NumericalError(f"initial model matrix: {exc}") from exc
 
@@ -413,7 +415,7 @@ def run_completion(
             s = average_kernel(completed)
             s_reg = regularize(s, n_views, cfg.reg_epsilon)
             model = _model_update(cfg.method, s_reg, rank, model)
-            _, logdet_m, model_inv = _factor(model.materialize())
+            logdet_m, model_inv = _factor(model.materialize())
             trace_term = n_views * float(np.vdot(model_inv, s))  # sum_k tr(M^{-1} Q^(k))
             j = 0.5 * (n_views * (logdet_m - ell) - logdet_q + trace_term)
         except (NumericalError, NotPositiveDefiniteError) as exc:

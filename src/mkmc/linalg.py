@@ -83,8 +83,5 @@ def logdet_divergence(q: np.ndarray, m: np.ndarray) -> float:
     chol_m = cholesky_lower(m)
     logdet_m = float(2.0 * np.sum(np.log(np.diag(chol_m))))
     logdet_q = logdet(q)
-    try:
-        minv_q = sla.cho_solve((chol_m, True), q)
-    except sla.LinAlgError as exc:  # pragma: no cover - cho_solve rarely fails
-        raise NumericalError("triangular solve failed in LogDet divergence") from exc
+    minv_q = sla.cho_solve((chol_m, True), q)
     return 0.5 * (logdet_m - logdet_q + float(np.trace(minv_q)) - ell)

@@ -142,17 +142,16 @@ def apply_mask(full: np.ndarray, hidden, fill: Fill = Fill.ZERO) -> np.ndarray:
     Entries with both indices visible are never touched. Note the MEAN
     result need not be positive definite; it exists only as a baseline.
     """
-    full = symmetrize(full)
-    ell = full.shape[0]
+    out = symmetrize(full)  # a new array: the input is never written
+    ell = out.shape[0]
     hid = np.array(_validate_hidden(ell, hidden), dtype=int)
-    out = full.copy()
     if hid.size == 0:
         return out
     if Fill(fill) is Fill.ZERO:
         value = 0.0
     else:
         vis = visible_indices(ell, hid)
-        value = float(np.mean(full[np.ix_(vis, vis)]))
+        value = float(np.mean(out[np.ix_(vis, vis)]))
     out[hid, :] = value
     out[:, hid] = value
     return out

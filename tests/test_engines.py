@@ -133,10 +133,6 @@ class TestModelUpdates:
         assert model.matrix is s
         assert abs(logdet_divergence(s, model.materialize())) < 1e-10
 
-    def test_fc_rejects_non_pd(self):
-        with pytest.raises(NotPositiveDefiniteError):
-            fc_model_update(np.diag([1.0, -1.0]))
-
     def test_pca_flat_spectrum(self):
         model = pca_model_update(np.eye(6), 2)
         assert model.sigma2 == pytest.approx(1.0, rel=1e-12)
@@ -399,6 +395,7 @@ class TestRunCompletion:
         assert result.iterations >= 2
         assert sizes.count(7) == 3  # each view's Q_vv, once, in the set-up
         assert sizes.count(3) == 3 * result.iterations  # each view's P_hh, every iteration
+        assert sizes.count(10) == 1 + result.iterations  # the initial model, then each M
 
     def test_numerical_error_names_the_view(self, rng, monkeypatch):
         # only view 1 hides two objects, so only its P_hh has dimension 2
@@ -418,4 +415,16 @@ class TestRunCompletion:
             "iteration 1: view 1: hidden block of the model inverse is numerically singular: "
             "matrix of dim 2 is not positive definite"
         )
+        assert info.value.exit_code == 5
+
+    def test_non_pd_fc_model_ends_the_run(self, rng, monkeypatch):
+        # fc_model_update does not check its input; the driver's factorization of M does
+        hidden = ((0,), (1, 2), ())
+        masked = [apply_mask(random_pd(rng, 6), h, Fill.ZERO) for h in hidden]
+        non_pd = FullModel(matrix=np.diag([1.0, -1.0, 1.0, 1.0, 1.0, 1.0]))
+        monkeypatch.setattr(engines, "fc_model_update", lambda s_reg: non_pd)
+        with pytest.raises(NumericalError) as info:
+            run_completion(masked, VisibilityPattern(ell=6, hidden=hidden),
+                           CompletionConfig(method="fc"))
+        assert str(info.value) == "iteration 1: matrix of dim 6 is not positive definite"
         assert info.value.exit_code == 5

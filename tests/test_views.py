@@ -114,6 +114,8 @@ class TestApplyMask:
         a = random_symmetric(rng, 6)
         hidden = (1, 4)
         visible = [0, 2, 3, 5]
+        before = a.copy()
         for fill in (Fill.ZERO, Fill.MEAN):
             out = apply_mask(a, hidden, fill)
             assert np.array_equal(out[np.ix_(visible, visible)], a[np.ix_(visible, visible)])
+            assert np.array_equal(a, before)  # the input itself is never written
