@@ -19,7 +19,7 @@ import numpy as np
 
 from . import matrixio
 from .engines import METHODS, RANK_CRITERIA, CompletionConfig, run_completion
-from .errors import DimensionError, MkmcError, NotPositiveDefiniteError
+from .errors import ConfigError, DimensionError, MkmcError, NotPositiveDefiniteError
 from .linalg import symmetrize
 from .recovery import score_completion
 from .views import Fill, apply_mask, random_mask
@@ -56,6 +56,15 @@ def main():
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
 
 
+def _output_paths(out_dir, sidecar: str, inputs) -> list[Path]:
+    """``out_dir`` / ``sidecar``, then / each input's file name; two equal names are refused."""
+    names = [sidecar] + [Path(p).name for p in inputs]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ConfigError(f"two outputs would be written to {Path(out_dir) / name}")
+    return [Path(out_dir) / name for name in names]
+
+
 def _load_square_inputs(inputs) -> list[np.ndarray]:
     mats = []
     for p in inputs:
@@ -79,16 +88,15 @@ def _load_square_inputs(inputs) -> list[np.ndarray]:
 @handle_errors
 def cmd_mask(inputs, fraction, seed, fill, correlated, out_dir):
     """Hide random rows/columns of each input kernel and write masked copies."""
+    mask_path, *out_paths = _output_paths(out_dir, "mask.json", inputs)
     mats = _load_square_inputs(inputs)
     ell = mats[0].shape[0]
     pattern = random_mask(ell, len(mats), fraction, seed, correlated=correlated)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    matrixio.write_mask(out / "mask.json", pattern)
-    for path, mat, hidden in zip(inputs, mats, pattern.hidden):
-        masked = apply_mask(mat, hidden, Fill(fill))
-        matrixio.write_matrix(out / Path(path).name, masked)
-    log.info("wrote mask and %d masked matrices to %s", len(mats), out)
+    mask_path.parent.mkdir(parents=True, exist_ok=True)
+    matrixio.write_mask(mask_path, pattern)
+    for out_path, mat, hidden in zip(out_paths, mats, pattern.hidden):
+        matrixio.write_matrix(out_path, apply_mask(mat, hidden, Fill(fill)))
+    log.info("wrote mask and %d masked matrices to %s", len(mats), out_dir)
 
 
 def _resolve_config(config_path, **run):
@@ -123,14 +131,14 @@ def _resolve_config(config_path, **run):
 def cmd_complete(config_path, **run):
     """Complete the masked kernels and write them with a trace JSON."""
     cfg, inputs, mask_path, output_dir = _resolve_config(config_path, **run)
+    trace_path, *out_paths = _output_paths(output_dir, "trace.json", inputs)
     pattern = matrixio.read_mask(mask_path)
     result = run_completion(_load_square_inputs(inputs), pattern, cfg)
 
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for path, mat in zip(inputs, result.completed):
-        matrixio.write_matrix(out / Path(path).name, mat)
-    matrixio.write_trace(out / "trace.json", result)
+    trace_path.parent.mkdir(parents=True, exist_ok=True)
+    for out_path, mat in zip(out_paths, result.completed):
+        matrixio.write_matrix(out_path, mat)
+    matrixio.write_trace(trace_path, result)
 
     status = "converged" if result.converged else "stopped at max_iters"
     click.echo(
@@ -154,16 +162,6 @@ def cmd_evaluate(mask_path, truth_paths, completed_paths, name, trace_path, out_
     pattern = matrixio.read_mask(mask_path)
     truths = _load_square_inputs(truth_paths)
     completed = _load_square_inputs(completed_paths)
-    if len(truths) != pattern.n_views or len(completed) != pattern.n_views:
-        raise DimensionError(
-            f"mask has {pattern.n_views} views, got {len(truths)} truth and "
-            f"{len(completed)} completed matrices"
-        )
-    if truths[0].shape[0] != pattern.ell:
-        raise DimensionError(
-            f"mask dimension {pattern.ell} does not match matrices of dim {truths[0].shape[0]}"
-        )
-
     trace = matrixio.read_trace(trace_path) if trace_path is not None else {}
     report = score_completion(truths, completed, pattern, **trace)
     matrixio.write_report(out_path, {name: report})

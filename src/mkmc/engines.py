@@ -338,26 +338,17 @@ def run_completion(
     ``on_iteration`` is invoked after every model update with (iteration,
     completed matrices, model) for inspection.
     """
-    n_views = pattern.n_views
-    if len(qs_masked) != n_views:
-        raise DimensionError(
-            f"{len(qs_masked)} matrices but pattern has {n_views} views"
-        )
-    ell = pattern.ell
-    for k, q in enumerate(qs_masked):
-        if q.shape != (ell, ell):
-            raise DimensionError(f"view {k}: expected shape {(ell, ell)}, got {q.shape}")
-
-    # Visible and hidden index arrays of each view, built once.
-    hid_idx = [np.array(h, dtype=int) for h in pattern.hidden]
-    vis_idx = [visible_indices(ell, h) for h in pattern.hidden]
+    pattern.check(qs_masked)
+    n_views, ell = pattern.n_views, pattern.ell
 
     # Zero-initialize hidden blocks (also validates the visible blocks).
     completed = [apply_mask(q, h, Fill.ZERO) for q, h in zip(qs_masked, pattern.hidden)]
-    # Q^(k)_vv and its log det, fixed for the run
-    q_vvs = [c[np.ix_(vis, vis)] for c, vis in zip(completed, vis_idx)]
-    logdet_vv = []
-    for k, q_vv in enumerate(q_vvs):
+    # Fixed for the run: sum_k log det Q^(k)_vv, and (k, vis, hid, Q_vv) of each view hiding objects
+    logdet_vv = 0.0
+    views = []
+    for k, (c, h) in enumerate(zip(completed, pattern.hidden)):
+        vis, hid = visible_indices(ell, h), np.array(h, dtype=int)
+        q_vv = c[np.ix_(vis, vis)]
         try:
             # NaN/inf would pass through the factorization without an error
             if not np.isfinite(q_vv).all():
@@ -365,9 +356,10 @@ def run_completion(
             chol_vv = cholesky_lower(q_vv)
         except NotPositiveDefiniteError as exc:
             raise NotPositiveDefiniteError(
-                f"view {k}: visible block is not positive definite"
-            ) from exc
-        logdet_vv.append(float(2.0 * np.sum(np.log(np.diag(chol_vv)))))
+                f"view {k}: visible block is not positive definite") from exc
+        logdet_vv += float(2.0 * np.sum(np.log(np.diag(chol_vv))))
+        if hid.size:
+            views.append((k, vis, hid, q_vv))
 
     s0 = average_kernel(completed)
     s0_reg = regularize(s0, n_views, cfg.reg_epsilon)
@@ -398,13 +390,10 @@ def run_completion(
         t0 = time.perf_counter()
         try:
             # sum_k log det Q^(k) after imputing from the current model
-            logdet_q = sum(logdet_vv)
-            for k in range(n_views):
-                vis, hid = vis_idx[k], hid_idx[k]
-                if hid.size == 0:
-                    continue
+            logdet_q = logdet_vv
+            for k, vis, hid, q_vv in views:
                 try:
-                    logdet_p_hh, q_vh, q_hh = _impute_from_inverse(q_vvs[k], model_inv, vis, hid)
+                    logdet_p_hh, q_vh, q_hh = _impute_from_inverse(q_vv, model_inv, vis, hid)
                 except NumericalError as exc:
                     raise NumericalError(f"view {k}: {exc}") from exc
                 logdet_q -= logdet_p_hh
@@ -425,7 +414,7 @@ def run_completion(
         if on_iteration is not None:
             on_iteration(it, completed, model)
         # With nothing hidden the imputation is vacuous: one model fit is the answer.
-        if pattern.total_hidden == 0 or (
+        if not views or (
             len(trace) >= 2 and abs(j - trace[-2]) / max(1.0, abs(trace[-2])) < cfg.tol
         ):
             converged = True

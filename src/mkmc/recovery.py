@@ -91,6 +91,8 @@ def score_completion(
     converged: bool = True,
 ) -> RecoveryReport:
     """Hidden-block recovery of one completion, beside the zero/mean-fill baselines."""
+    pattern.check(truths, "truth matrices")
+    pattern.check(completed, "completed matrices")
     errs = [hidden_block_error(t, c, h) for t, c, h in zip(truths, completed, pattern.hidden)]
     baselines = {
         fill.value: float(np.mean([

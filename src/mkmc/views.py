@@ -47,7 +47,7 @@ def _validate_hidden(ell: int, hidden) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class VisibilityPattern:
-    """Which objects are hidden in each of the K views.
+    """Which objects are hidden in each of the K >= 1 views.
 
     ``ell`` and every index must pass :func:`is_integer`; they are stored as ints.
     """
@@ -62,15 +62,22 @@ class VisibilityPattern:
             raise DimensionError("ell must be >= 1")
         object.__setattr__(self, "ell", int(self.ell))
         clean = tuple(_validate_hidden(self.ell, h) for h in self.hidden)
+        if not clean:
+            raise DimensionError("a pattern needs at least one view")
         object.__setattr__(self, "hidden", clean)
+
+    def check(self, matrices, what: str = "matrices") -> None:
+        """Raise DimensionError unless ``matrices`` holds one ell x ell matrix per view."""
+        if len(matrices) != self.n_views:
+            raise DimensionError(f"{len(matrices)} {what} but pattern has {self.n_views} views")
+        for k, m in enumerate(matrices):
+            if np.shape(m) != (self.ell, self.ell):
+                raise DimensionError(
+                    f"{what}, view {k}: expected shape {(self.ell, self.ell)}, got {np.shape(m)}")
 
     @property
     def n_views(self) -> int:
         return len(self.hidden)
-
-    @property
-    def total_hidden(self) -> int:
-        return sum(len(h) for h in self.hidden)
 
 
 @dataclass(frozen=True)
@@ -114,6 +121,9 @@ def random_mask(
     always produce the same pattern. With ``correlated=True`` all views share
     a single draw instead of independent ones.
     """
+    for name, value in (("ell", ell), ("n_views", n_views), ("seed", seed)):
+        if not is_integer(value):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
     if not 0.0 <= fraction < 1.0:
         raise ConfigError(f"fraction must be in [0, 1), got {fraction!r}")
     if seed < 0:

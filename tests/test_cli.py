@@ -47,6 +47,17 @@ def mask_file(tmp_path):
     return path
 
 
+def same_name_inputs(tmp_path, synthetic_inputs, name):
+    """The synthetic views copied so that the first two share the file name ``name``."""
+    paths = []
+    for k, p in enumerate(synthetic_inputs):
+        path = tmp_path / f"dir_{k}" / (name if k < 2 else Path(p).name)
+        path.parent.mkdir()
+        path.write_bytes(Path(p).read_bytes())
+        paths.append(str(path))
+    return paths
+
+
 class TestMaskCommand:
     def test_fraction_zero_outputs_identical(self, runner, tmp_path, synthetic_inputs):
         out = tmp_path / "masked"
@@ -112,6 +123,17 @@ class TestMaskCommand:
             assert res.output.strip().splitlines() == [
                 f"mkmc: error: {bad}: not symmetric, max |A - A^T| = 100"
             ]
+
+    @pytest.mark.parametrize("name", ["v.csv", "mask.json"])
+    def test_output_name_collision_exits_2(self, runner, tmp_path, synthetic_inputs, name):
+        out = tmp_path / "o"
+        res = runner.invoke(main, ["mask", "--fraction", "0.2", "--out-dir", str(out),
+                                   *same_name_inputs(tmp_path, synthetic_inputs, name)])
+        assert res.exit_code == 2
+        assert res.output.strip().splitlines() == [
+            f"mkmc: error: two outputs would be written to {out / name}"
+        ]
+        assert not out.exists()
 
     def test_unreadable_input_exits_2(self, runner, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -426,6 +448,18 @@ class TestCompleteCommand:
             "mkmc: error: 2 matrices but pattern has 3 views"
         ]
 
+    @pytest.mark.parametrize("name", ["v.csv", "trace.json"])
+    def test_output_name_collision_exits_2(self, runner, tmp_path, synthetic_inputs, mask_file,
+                                           name):
+        out = tmp_path / "o"
+        res = runner.invoke(main, ["complete", "--mask", str(mask_file), "--output-dir", str(out),
+                                   *same_name_inputs(tmp_path, synthetic_inputs, name)])
+        assert res.exit_code == 2
+        assert res.output.strip().splitlines() == [
+            f"mkmc: error: two outputs would be written to {out / name}"
+        ]
+        assert not out.exists()
+
 
 def test_import_leaves_jsonschema_unloaded():
     code = "import sys, mkmc.cli; print('jsonschema' in sys.modules)"
@@ -513,6 +547,22 @@ class TestEvaluateCommand:
         report = json.loads((tmp_path / "r.json").read_text())["methods"]["method"]
         assert report["iterations"] == 3 and type(report["iterations"]) is int
         assert report["objective_trace"] == [2.0, 1.5, 1.0] and report["converged"] is True
+
+    @pytest.mark.parametrize("n_truth, n_completed, what", [
+        (3, 2, "2 completed matrices"), (2, 3, "2 truth matrices"), (2, 2, "2 truth matrices"),
+    ])
+    def test_count_mismatch_exits_3(self, runner, tmp_path, synthetic_inputs, mask_file,
+                                    n_truth, n_completed, what):
+        res = runner.invoke(
+            main,
+            ["evaluate", "--mask", str(mask_file), "--out", str(tmp_path / "r.json"),
+             *[a for p in synthetic_inputs[:n_truth] for a in ("--truth", p)],
+             *[a for p in synthetic_inputs[:n_completed] for a in ("--completed", p)]],
+        )
+        assert res.exit_code == 3
+        assert res.output.strip().splitlines() == [
+            f"mkmc: error: {what} but pattern has 3 views"
+        ]
 
     def test_shape_mask_mismatch_exits_3(self, runner, tmp_path, rng):
         qs = [random_pd(rng, 6)]

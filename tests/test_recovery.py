@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from mkmc.engines import CompletionConfig
+from mkmc.errors import DimensionError
 from mkmc.linalg import eigh_sorted
 from mkmc.recovery import (
     SyntheticSpec,
     compare_methods,
     generate_synthetic,
     hidden_block_error,
+    score_completion,
 )
+from mkmc.views import VisibilityPattern
 
 from conftest import random_symmetric
 
@@ -35,6 +38,18 @@ class TestGenerateSynthetic:
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
             SyntheticSpec(ell=5, n_views=2, true_rank=5, noise_sigma2=0.1)
+
+
+class TestScoreCompletion:
+    @pytest.mark.parametrize("n_truths, n_completed, what", [
+        (2, 3, "2 truth matrices"), (3, 2, "2 completed matrices"), (2, 2, "2 truth matrices"),
+    ])
+    def test_count_must_match_views(self, n_truths, n_completed, what):
+        truths = generate_synthetic(SyntheticSpec(ell=6, n_views=3, true_rank=2,
+                                                  noise_sigma2=0.1, seed=1))
+        pattern = VisibilityPattern(ell=6, hidden=((0,), (1,), (2,)))
+        with pytest.raises(DimensionError, match=f"^{what} but pattern has 3 views$"):
+            score_completion(truths[:n_truths], truths[:n_completed], pattern)
 
 
 class TestHiddenBlockError:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mkmc.errors import DimensionError
+from mkmc.errors import ConfigError, DimensionError
 from mkmc.views import (
     Fill,
     VisibilityPattern,
@@ -17,7 +17,6 @@ class TestVisibilityPattern:
     def test_sorts_and_validates(self):
         pat = VisibilityPattern(ell=5, hidden=((3, 1), ()))
         assert pat.hidden == ((1, 3), ())
-        assert pat.total_hidden == 2
 
     def test_out_of_range(self):
         with pytest.raises(DimensionError):
@@ -30,6 +29,23 @@ class TestVisibilityPattern:
     def test_all_hidden(self):
         with pytest.raises(DimensionError):
             VisibilityPattern(ell=2, hidden=((0, 1),))
+
+    def test_zero_views(self):
+        with pytest.raises(DimensionError, match="at least one view"):
+            VisibilityPattern(ell=3, hidden=())
+
+    @pytest.mark.parametrize("matrices, message", [
+        ([np.eye(3)] * 2, "2 matrices but pattern has 3 views"),
+        ([np.eye(3)] * 4, "4 matrices but pattern has 3 views"),
+        ([np.eye(3), np.eye(4), np.eye(3)],
+         r"^matrices, view 1: expected shape \(3, 3\), got \(4, 4\)$"),
+        ([np.eye(3), np.eye(3), np.ones((3, 2))], r"view 2: expected shape \(3, 3\), got \(3, 2\)"),
+    ])
+    def test_check(self, matrices, message):
+        pattern = VisibilityPattern(ell=3, hidden=((0,), (), (1, 2)))
+        pattern.check([np.eye(3)] * 3)
+        with pytest.raises(DimensionError, match=message):
+            pattern.check(matrices)
 
 
 class TestPartition:
@@ -88,6 +104,20 @@ class TestRandomMask:
     def test_no_visible_object_left(self):
         with pytest.raises(ValueError):
             random_mask(5, 2, 0.99, seed=0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"seed": True}, {"seed": 1.5}, {"seed": 2.0}, {"ell": 8.0}, {"n_views": 2.0},
+        {"n_views": True}, {"ell": "8"},
+    ])
+    def test_integer_rule(self, kwargs):
+        args = {"ell": 8, "n_views": 2, "fraction": 0.25, "seed": 1, **kwargs}
+        name = next(iter(kwargs))
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            random_mask(**args)
+
+    def test_zero_views(self):
+        with pytest.raises(DimensionError):
+            random_mask(8, 0, 0.25, seed=1)
 
     def test_correlated_shares_one_draw(self):
         pat = random_mask(20, 4, 0.25, seed=3, correlated=True)
