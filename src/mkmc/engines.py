@@ -25,12 +25,12 @@ with log det Q^(k)_vv fixed for the run, and for the new model M
 
 All of this holds only while P is the inverse of the model every Q^(k) was
 imputed from; each iteration therefore factors M once and keeps its inverse
-as the next P. :func:`objective` is the dense reference.
+as the next P. :func:`objective` is the dense reference. The log dets and
+inverses of PD matrices used here all come from :mod:`mkmc.linalg`.
 """
 
 from __future__ import annotations
 
-import numbers
 import sys
 import time
 from dataclasses import dataclass, field
@@ -40,8 +40,9 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import ConfigError, DimensionError, NotPositiveDefiniteError, NumericalError
-from .linalg import cholesky_lower, eigh_sorted, logdet_divergence, symmetrize
-from .views import (Fill, PartitionedView, VisibilityPattern, apply_mask, is_integer,
+from .linalg import (cholesky_lower, eigh_sorted, logdet, logdet_and_inverse,
+                     logdet_divergence, symmetrize)
+from .views import (Fill, PartitionedView, VisibilityPattern, apply_mask, is_integer, is_real,
                     visible_indices)
 
 METHOD_FC = "fc"
@@ -116,17 +117,13 @@ class CompletionConfig:
             ("rank", self.rank is None or is_integer(self.rank), "an integer"),
             ("rank_criterion", self.rank_criterion in (None, *RANK_CRITERIA),
              f"one of {RANK_CRITERIA}"),
-            ("tol", _is_real(self.tol) and not self.tol <= 0, "a number > 0"),
+            ("tol", is_real(self.tol) and not self.tol <= 0, "a number > 0"),
             ("max_iters", is_integer(self.max_iters) and self.max_iters >= 1, "an integer >= 1"),
-            ("reg_epsilon", _is_real(self.reg_epsilon)
+            ("reg_epsilon", is_real(self.reg_epsilon)
              and 0 <= self.reg_epsilon <= sys.float_info.max, "a finite number >= 0"),
         ):
             if not valid:
                 raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass
@@ -260,25 +257,10 @@ def objective(qs: Sequence[np.ndarray], model: ModelParams) -> float:
     return float(sum(logdet_divergence(q, m) for q in qs))
 
 
-def _factor(a: np.ndarray) -> tuple[float, np.ndarray]:
-    """Log det and full symmetric inverse of a PD matrix, from one Cholesky."""
-    chol = cholesky_lower(a)
-    inv, info = sla.lapack.dpotri(chol, lower=1)
-    if info != 0:
-        raise NumericalError(f"inverting a matrix of dim {a.shape[0]} failed (dpotri info={info})")
-    inv = np.tril(inv)
-    inv += np.tril(inv, -1).T
-    return float(2.0 * np.sum(np.log(np.diag(chol)))), inv
-
-
 def _impute_from_inverse(q_vv: np.ndarray, model_inv: np.ndarray, vis: np.ndarray,
                          hid: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """log det P_hh, Q_vh and Q_hh of one view, from P = M^{-1} (module docstring)."""
-    try:
-        logdet_p_hh, schur = _factor(model_inv[np.ix_(hid, hid)])
-    except NotPositiveDefiniteError as exc:
-        raise NumericalError(
-            f"hidden block of the model inverse is numerically singular: {exc}") from exc
+    logdet_p_hh, schur = logdet_and_inverse(model_inv[np.ix_(hid, hid)])
     x = -model_inv[np.ix_(vis, hid)] @ schur  # M_vv^{-1} M_vh
     q_vh = q_vv @ x
     return logdet_p_hh, q_vh, symmetrize(schur + x.T @ q_vh)
@@ -350,14 +332,10 @@ def run_completion(
         vis, hid = visible_indices(ell, h), np.array(h, dtype=int)
         q_vv = c[np.ix_(vis, vis)]
         try:
-            # NaN/inf would pass through the factorization without an error
-            if not np.isfinite(q_vv).all():
-                raise NotPositiveDefiniteError("non-finite entries")
-            chol_vv = cholesky_lower(q_vv)
+            logdet_vv += logdet(q_vv)
         except NotPositiveDefiniteError as exc:
             raise NotPositiveDefiniteError(
                 f"view {k}: visible block is not positive definite") from exc
-        logdet_vv += float(2.0 * np.sum(np.log(np.diag(chol_vv))))
         if hid.size:
             views.append((k, vis, hid, q_vv))
 
@@ -366,11 +344,8 @@ def run_completion(
 
     rank: Optional[int] = None
     if cfg.method in (METHOD_PCA, METHOD_FA):
-        if cfg.rank is not None:
-            rank = int(cfg.rank)
-        else:
-            criterion = cfg.rank_criterion or CRITERION_GK
-            rank = select_rank(s0_reg, criterion)
+        rank = (int(cfg.rank) if cfg.rank is not None
+                else select_rank(s0_reg, cfg.rank_criterion or CRITERION_GK))
     dof = degrees_of_freedom(cfg.method, ell, rank)
 
     model: Optional[ModelParams] = None  # fc/pca refit from s_reg alone
@@ -379,7 +354,7 @@ def run_completion(
         pca = pca_model_update(s0_reg, rank)
         model = FaModel(W=pca.W, psi=np.full(ell, pca.sigma2))
     try:  # Algorithm start: model matrix = average kernel
-        _, model_inv = _factor(s0_reg)
+        _, model_inv = logdet_and_inverse(s0_reg)
     except NotPositiveDefiniteError as exc:
         raise NumericalError(f"initial model matrix: {exc}") from exc
 
@@ -394,8 +369,9 @@ def run_completion(
             for k, vis, hid, q_vv in views:
                 try:
                     logdet_p_hh, q_vh, q_hh = _impute_from_inverse(q_vv, model_inv, vis, hid)
-                except NumericalError as exc:
-                    raise NumericalError(f"view {k}: {exc}") from exc
+                except NotPositiveDefiniteError as exc:
+                    raise NumericalError(f"view {k}: hidden block of the model inverse is "
+                                         f"numerically singular: {exc}") from exc
                 logdet_q -= logdet_p_hh
                 completed[k][np.ix_(vis, hid)] = q_vh
                 completed[k][np.ix_(hid, vis)] = q_vh.T
@@ -404,7 +380,7 @@ def run_completion(
             s = average_kernel(completed)
             s_reg = regularize(s, n_views, cfg.reg_epsilon)
             model = _model_update(cfg.method, s_reg, rank, model)
-            logdet_m, model_inv = _factor(model.materialize())
+            logdet_m, model_inv = logdet_and_inverse(model.materialize())
             trace_term = n_views * float(np.vdot(model_inv, s))  # sum_k tr(M^{-1} Q^(k))
             j = 0.5 * (n_views * (logdet_m - ell) - logdet_q + trace_term)
         except (NumericalError, NotPositiveDefiniteError) as exc:

@@ -2,8 +2,8 @@
 
 Everything downstream (views, completion engines, evaluation) works with
 plain float64 ndarrays that are kept exactly symmetric via :func:`symmetrize`.
-Log-determinants go through Cholesky for speed and stability; the full
-eigendecomposition is reserved for model updates and diagnostics.
+Every log det and inverse of a PD matrix is taken here, from one Cholesky factor;
+the full eigendecomposition is reserved for model updates and diagnostics.
 """
 
 from __future__ import annotations
@@ -65,23 +65,36 @@ def cholesky_lower(a: np.ndarray) -> np.ndarray:
         ) from exc
 
 
+def _logdet_of_factor(chol: np.ndarray) -> float:
+    """log det of L L^T; NaN or inf entries pass the pivot test but leave it non-finite."""
+    value = float(2.0 * np.sum(np.log(np.diag(chol))))
+    if not np.isfinite(value):
+        raise NotPositiveDefiniteError(f"matrix of dim {chol.shape[0]} is not positive definite")
+    return value
+
+
 def logdet(a: np.ndarray) -> float:
     """log det of a positive definite matrix, via Cholesky."""
+    return _logdet_of_factor(cholesky_lower(a))
+
+
+def logdet_and_inverse(a: np.ndarray) -> tuple[float, np.ndarray]:
+    """log det and full symmetric inverse of a PD matrix, from one Cholesky (``dpotri``)."""
     chol = cholesky_lower(a)
-    return float(2.0 * np.sum(np.log(np.diag(chol))))
+    inv, info = sla.lapack.dpotri(chol, lower=1)
+    if info != 0:
+        raise NumericalError(f"inverting a matrix of dim {a.shape[0]} failed (dpotri info={info})")
+    inv = np.tril(inv)
+    inv += np.tril(inv, -1).T
+    return _logdet_of_factor(chol), inv
 
 
 def logdet_divergence(q: np.ndarray, m: np.ndarray) -> float:
     """LogDet (Stein-type) Bregman divergence between PD matrices.
 
-    0.5 * (logdet M - logdet Q + <M^{-1}, Q - M>); nonnegative, zero iff
-    Q == M. The inverse is never formed explicitly.
+    0.5 * (logdet M - logdet Q + <M^{-1}, Q> - ell); nonnegative, zero iff Q == M.
     """
     if q.shape != m.shape:
         raise DimensionError(f"dimension mismatch: {q.shape} vs {m.shape}")
-    ell = q.shape[0]
-    chol_m = cholesky_lower(m)
-    logdet_m = float(2.0 * np.sum(np.log(np.diag(chol_m))))
-    logdet_q = logdet(q)
-    minv_q = sla.cho_solve((chol_m, True), q)
-    return 0.5 * (logdet_m - logdet_q + float(np.trace(minv_q)) - ell)
+    logdet_m, m_inv = logdet_and_inverse(m)
+    return 0.5 * (logdet_m - logdet(q) + float(np.vdot(m_inv, q)) - q.shape[0])

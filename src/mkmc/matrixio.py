@@ -38,10 +38,9 @@ def write_csv_matrix(path, a: np.ndarray) -> None:
 
 def read_csv_matrix(path) -> np.ndarray:
     try:
-        a = np.loadtxt(path, delimiter=",", ndmin=2)
+        return np.loadtxt(path, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise FormatError(f"{path}: cannot parse as CSV matrix: {exc}") from exc
-    return a
 
 
 def write_binary_matrix(path, a: np.ndarray) -> None:

@@ -13,8 +13,8 @@ from typing import Sequence
 import numpy as np
 
 from .engines import CompletionConfig, run_completion
-from .errors import DimensionError
-from .views import Fill, VisibilityPattern, apply_mask, random_mask
+from .errors import ConfigError, DimensionError, NotPositiveDefiniteError
+from .views import Fill, VisibilityPattern, apply_mask, is_integer, is_real, random_mask
 
 
 @dataclass(frozen=True)
@@ -27,12 +27,19 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not 1 <= self.true_rank <= self.ell - 1:
-            raise ValueError("true_rank must be in [1, ell-1]")
-        if self.noise_sigma2 <= 0:
-            raise ValueError("noise_sigma2 must be positive")
-        if self.per_view_jitter < 0:
-            raise ValueError("per_view_jitter must be nonnegative")
+        for name, valid, rule in (
+            ("ell", is_integer(self.ell), "an integer"),
+            ("n_views", is_integer(self.n_views) and self.n_views >= 1, "an integer >= 1"),
+            ("true_rank", is_integer(self.true_rank) and is_integer(self.ell)
+             and 1 <= self.true_rank <= self.ell - 1, "an integer in [1, ell-1]"),
+            ("noise_sigma2", is_real(self.noise_sigma2)
+             and 0 < self.noise_sigma2 < np.inf, "a finite number > 0"),
+            ("per_view_jitter", is_real(self.per_view_jitter)
+             and 0 <= self.per_view_jitter < np.inf, "a finite number >= 0"),
+            ("seed", is_integer(self.seed) and self.seed >= 0, "an integer >= 0"),
+        ):
+            if not valid:
+                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -79,6 +86,8 @@ def hidden_block_error(truth: np.ndarray, completed: np.ndarray, hidden) -> floa
     mask[:, hid] = True
     num = np.linalg.norm(truth[mask] - completed[mask])
     den = np.linalg.norm(truth[mask])
+    if den == 0:
+        raise NotPositiveDefiniteError("truth is not positive definite: its hidden rows are zero")
     return float(num / den)
 
 
@@ -93,7 +102,12 @@ def score_completion(
     """Hidden-block recovery of one completion, beside the zero/mean-fill baselines."""
     pattern.check(truths, "truth matrices")
     pattern.check(completed, "completed matrices")
-    errs = [hidden_block_error(t, c, h) for t, c, h in zip(truths, completed, pattern.hidden)]
+    errs = []
+    for k, (t, c, h) in enumerate(zip(truths, completed, pattern.hidden)):
+        try:
+            errs.append(hidden_block_error(t, c, h))
+        except NotPositiveDefiniteError as exc:
+            raise NotPositiveDefiniteError(f"view {k}: {exc}") from exc
     baselines = {
         fill.value: float(np.mean([
             hidden_block_error(t, apply_mask(t, h, fill), h)

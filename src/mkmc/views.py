@@ -31,6 +31,11 @@ def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """Any real type, numpy's too, but no bool; NaN and inf pass, so bound the value too."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _validate_hidden(ell: int, hidden) -> tuple[int, ...]:
     idx = tuple(hidden)
     if not all(map(is_integer, idx)):
@@ -129,20 +134,12 @@ def random_mask(
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed!r}")
     if fraction * ell > ell - 1:
-        raise DimensionError(
-            f"fraction {fraction} would leave no visible object (ell={ell})"
-        )
+        raise DimensionError(f"fraction {fraction} would leave no visible object (ell={ell})")
     n_hidden = math.floor(fraction * ell)
     rng = np.random.Generator(np.random.PCG64(seed))
-    if correlated:
-        shared = np.sort(rng.choice(ell, size=n_hidden, replace=False))
-        hidden = tuple(tuple(int(i) for i in shared) for _ in range(n_views))
-    else:
-        hidden = tuple(
-            tuple(int(i) for i in np.sort(rng.choice(ell, size=n_hidden, replace=False)))
-            for _ in range(n_views)
-        )
-    return VisibilityPattern(ell=ell, hidden=hidden)
+    draws = [tuple(int(i) for i in np.sort(rng.choice(ell, size=n_hidden, replace=False)))
+             for _ in range(1 if correlated else n_views)]
+    return VisibilityPattern(ell=ell, hidden=draws * n_views if correlated else draws)
 
 
 def apply_mask(full: np.ndarray, hidden, fill: Fill = Fill.ZERO) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from mkmc import engines, matrixio
+from mkmc import linalg, matrixio
 from mkmc.cli import main
 from mkmc.errors import NotPositiveDefiniteError
 from mkmc.linalg import cholesky_lower
@@ -368,7 +369,7 @@ class TestCompleteCommand:
                 raise NotPositiveDefiniteError("matrix of dim 2 is not positive definite")
             return cholesky_lower(a)
 
-        monkeypatch.setattr(engines, "cholesky_lower", singular)
+        monkeypatch.setattr(linalg, "cholesky_lower", singular)
         res = runner.invoke(
             main,
             ["complete", "--method", "fc", "--mask", str(masked_dir / "mask.json"),
@@ -459,6 +460,53 @@ class TestCompleteCommand:
             f"mkmc: error: two outputs would be written to {out / name}"
         ]
         assert not out.exists()
+
+
+def write_file(tmp_path, name, data: bytes) -> str:
+    path = tmp_path / name
+    path.write_bytes(data)
+    return str(path)
+
+
+def mask_args(d, *inputs):
+    return ["mask", "--fraction", "0.2", "--out-dir", str(d / "o"), *inputs]
+
+
+@pytest.mark.parametrize("command, code, message", [
+    (lambda d, views, mask: ["complete", "--mask", mask, "--output-dir", str(d / "o"),
+                             *views, str(d / "missing.csv")], 2, "No such file or directory"),
+    (lambda d, views, mask: ["complete", "--mask", mask, "--output-dir", str(d / "o")], 2,
+     "Error: no input matrices given"),
+    (lambda d, views, mask: ["complete", "--output-dir", str(d / "o"), *views], 2,
+     "Error: a mask file is required"),
+    (lambda d, views, mask: ["complete", "--mask", mask, *views], 2,
+     "Error: an output directory is required"),
+    (lambda d, views, mask: mask_args(d, write_file(d, "short.bin", b"MKMC\x01\x02")), 2,
+     "short.bin: truncated binary matrix header"),
+    (lambda d, views, mask: mask_args(d, write_file(
+        d, "v2.bin", struct.pack("<4sBIId", b"MKMC", 2, 1, 1, 1.0))), 2,
+     "v2.bin: unsupported version 2"),
+    (lambda d, views, mask: ["complete", "--config", write_file(d, "run.json", b"[1, 2]")], 2,
+     "run.json: invalid run config: not a JSON object"),
+    (lambda d, views, mask: mask_args(d, *views, write_file(d, "small.csv", b"1,0\n0,1\n")), 3,
+     "small.csv: dimension 2 differs from 12"),
+    (lambda d, views, mask: mask_args(d, str(d)), 2, "Is a directory"),
+    (lambda d, views, mask: ["mask", "--fraction", "0.2", "--out-dir", views[0], *views[1:]], 2,
+     "File exists"),
+], ids=["missing-input", "no-inputs", "no-mask", "no-output-dir", "truncated-header",
+        "binary-version-2", "config-list", "mask-sizes-differ", "mask-input-directory",
+        "out-dir-is-file"])
+def test_documented_exit_paths(runner, tmp_path, synthetic_inputs, mask_file, command, code,
+                               message):
+    res = runner.invoke(main, command(tmp_path, synthetic_inputs, str(mask_file)))
+    assert res.exit_code == code
+    assert isinstance(res.exception, SystemExit)
+    lines = res.output.strip().splitlines()
+    if message.startswith("Error: "):  # click's usage error
+        assert lines[0].startswith("Usage: ") and lines[-1].startswith(message)
+    else:
+        assert len(lines) == 1 and lines[0].startswith("mkmc: error: ") and message in lines[0]
+    assert not (tmp_path / "o").exists()
 
 
 def test_import_leaves_jsonschema_unloaded():
@@ -563,6 +611,28 @@ class TestEvaluateCommand:
         assert res.output.strip().splitlines() == [
             f"mkmc: error: {what} but pattern has 3 views"
         ]
+
+    def test_truth_with_zero_hidden_rows_exits_4(self, runner, tmp_path, rng):
+        # object 0 is hidden in view 1, whose truth is zero in row and column 0
+        qs = [random_pd(rng, 4) for _ in range(2)]
+        truths = [qs[0], qs[1].copy()]
+        truths[1][0, :] = truths[1][:, 0] = 0.0
+        truth_paths = write_views(tmp_path, truths, stem="truth")
+        comp_paths = write_views(tmp_path, qs, stem="completed")
+        mask = tmp_path / "mask.json"
+        mask.write_text('{"ell": 4, "views": [{"hidden": [1]}, {"hidden": [0]}]}')
+        report = tmp_path / "r.json"
+        res = runner.invoke(
+            main,
+            ["evaluate", "--mask", str(mask), "--out", str(report),
+             *[a for p in truth_paths for a in ("--truth", p)],
+             *[a for p in comp_paths for a in ("--completed", p)]],
+        )
+        assert res.exit_code == 4
+        assert res.output.strip().splitlines() == [
+            "mkmc: error: view 1: truth is not positive definite: its hidden rows are zero"
+        ]
+        assert not report.exists()
 
     def test_shape_mask_mismatch_exits_3(self, runner, tmp_path, rng):
         qs = [random_pd(rng, 6)]

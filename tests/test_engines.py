@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mkmc import engines
+from mkmc import engines, linalg
 from mkmc.engines import (
     CompletionConfig,
     FaModel,
@@ -389,7 +389,7 @@ class TestRunCompletion:
             sizes.append(a.shape[0])
             return cholesky_lower(a)
 
-        monkeypatch.setattr(engines, "cholesky_lower", recording)
+        monkeypatch.setattr(linalg, "cholesky_lower", recording)
         cfg = CompletionConfig(method=method, rank=2, max_iters=5)
         result = run_completion(masked, VisibilityPattern(ell=10, hidden=hidden), cfg)
         assert result.iterations >= 2
@@ -407,7 +407,7 @@ class TestRunCompletion:
                 raise NotPositiveDefiniteError("matrix of dim 2 is not positive definite")
             return cholesky_lower(a)
 
-        monkeypatch.setattr(engines, "cholesky_lower", failing)
+        monkeypatch.setattr(linalg, "cholesky_lower", failing)
         with pytest.raises(NumericalError) as info:
             run_completion(masked, VisibilityPattern(ell=6, hidden=hidden),
                            CompletionConfig(method="fc"))

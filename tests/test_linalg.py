@@ -7,6 +7,7 @@ from mkmc.errors import DimensionError, NotPositiveDefiniteError
 from mkmc.linalg import (
     eigh_sorted,
     logdet,
+    logdet_and_inverse,
     logdet_divergence,
     symmetrize,
 )
@@ -109,3 +110,36 @@ class TestLogdetDivergence:
     def test_non_pd_argument(self):
         with pytest.raises(NotPositiveDefiniteError):
             logdet_divergence(np.eye(2), np.diag([1.0, -1.0]))
+
+
+class TestLogdetAndInverse:
+    def test_matches_numpy(self, rng):
+        for ell in range(1, 31):
+            a = random_pd(rng, ell)
+            value, inv = logdet_and_inverse(a)
+            sign, expected = np.linalg.slogdet(a)
+            assert sign == 1.0
+            assert value == pytest.approx(expected, rel=1e-12, abs=1e-12)
+            ref = np.linalg.inv(a)
+            assert np.linalg.norm(inv - ref) <= 1e-12 * np.linalg.norm(ref)
+            assert np.array_equal(inv, inv.T)
+
+    def test_non_pd_rejected(self):
+        with pytest.raises(NotPositiveDefiniteError):
+            logdet_and_inverse(np.diag([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("entry", [(2, 2), (3, 1)], ids=["diagonal", "off-diagonal"])
+@pytest.mark.parametrize("call", [
+    logdet,
+    logdet_and_inverse,
+    lambda a: logdet_divergence(np.eye(a.shape[0]), a),
+    lambda a: logdet_divergence(a, np.eye(a.shape[0])),
+], ids=["logdet", "logdet_and_inverse", "divergence-model", "divergence-data"])
+def test_non_finite_entry_is_not_pd(rng, call, entry, value):
+    # Some of these pass the Cholesky pivot test but never leave the log det finite
+    a = random_pd(rng, 5)
+    a[entry] = a[entry[::-1]] = value
+    with pytest.raises(NotPositiveDefiniteError, match="^matrix of dim 5 is not positive definite$"):
+        call(a)

@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from mkmc.engines import CompletionConfig
-from mkmc.errors import DimensionError
+from mkmc.errors import ConfigError, DimensionError, NotPositiveDefiniteError
 from mkmc.linalg import eigh_sorted
 from mkmc.recovery import (
     SyntheticSpec,
@@ -39,6 +41,29 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError):
             SyntheticSpec(ell=5, n_views=2, true_rank=5, noise_sigma2=0.1)
 
+    @pytest.mark.parametrize("field, value, rule", [
+        ("ell", 10.0, "an integer"),
+        ("ell", "10", "an integer"),
+        ("n_views", 0, "an integer >= 1"),
+        ("n_views", 2.0, "an integer >= 1"),
+        ("true_rank", 0, "an integer in [1, ell-1]"),
+        ("true_rank", True, "an integer in [1, ell-1]"),
+        ("noise_sigma2", 0.0, "a finite number > 0"),
+        ("noise_sigma2", float("inf"), "a finite number > 0"),
+        ("noise_sigma2", float("nan"), "a finite number > 0"),
+        ("noise_sigma2", "0.1", "a finite number > 0"),
+        ("per_view_jitter", -0.1, "a finite number >= 0"),
+        ("per_view_jitter", float("inf"), "a finite number >= 0"),
+        ("per_view_jitter", float("nan"), "a finite number >= 0"),
+        ("seed", 1.5, "an integer >= 0"),
+        ("seed", True, "an integer >= 0"),
+        ("seed", -1, "an integer >= 0"),
+    ])
+    def test_every_field_checked(self, field, value, rule):
+        spec = dict(ell=6, n_views=2, true_rank=2, noise_sigma2=0.1, per_view_jitter=0.0, seed=0)
+        with pytest.raises(ConfigError, match=f"^{field} must be {re.escape(rule)}, got "):
+            SyntheticSpec(**{**spec, field: value})
+
 
 class TestScoreCompletion:
     @pytest.mark.parametrize("n_truths, n_completed, what", [
@@ -63,6 +88,15 @@ class TestHiddenBlockError:
         a = random_symmetric(rng, 6) + 3 * np.eye(6)
         zeroed = apply_mask(a, (0, 4), Fill.ZERO)
         assert hidden_block_error(a, zeroed, (0, 4)) == pytest.approx(1.0, abs=1e-15)
+
+    def test_zero_hidden_rows_are_not_pd(self, rng):
+        truth = random_symmetric(rng, 5)
+        truth[1, :] = truth[:, 1] = 0.0
+        with pytest.raises(NotPositiveDefiniteError, match="^truth is not positive definite: its hidden rows are zero$"):
+            hidden_block_error(truth, random_symmetric(rng, 5), (1,))
+        pattern = VisibilityPattern(ell=5, hidden=((0,), (1,)))
+        with pytest.raises(NotPositiveDefiniteError, match="^view 1: truth is not positive"):
+            score_completion([random_symmetric(rng, 5), truth], [truth, truth], pattern)
 
     def test_empty_hidden(self, rng):
         a = random_symmetric(rng, 4)
