@@ -2,13 +2,17 @@
 
 Everything downstream (views, completion engines, evaluation) works with
 plain float64 ndarrays that are kept exactly symmetric via :func:`symmetrize`.
-Every log det and inverse of a PD matrix is taken here, from one Cholesky factor;
-the full eigendecomposition is reserved for model updates and diagnostics.
+Every log det and inverse of a PD matrix is taken here, from one Cholesky factor:
+of the matrix itself (:func:`logdet_and_inverse`), or, for a low-rank-plus-diagonal
+matrix W W^T + diag(d), of its q x q capacitance matrix
+(:func:`low_rank_logdet_and_inverse`). Eigendecompositions, full or of the top q
+eigenpairs only, are reserved for model updates and rank selection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import scipy.linalg as sla
@@ -37,15 +41,27 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
 
-def eigh_sorted(a: np.ndarray) -> EigenDecomposition:
-    """Symmetric eigendecomposition, eigenvalues sorted descending."""
+def _eigensolver_failed(a: np.ndarray) -> NumericalError:
+    return NumericalError(
+        f"eigensolver failed on {a.shape[0]}x{a.shape[0]} matrix "
+        f"(fro norm {np.linalg.norm(a):.3e})"
+    )
+
+
+def eigh_sorted(a: np.ndarray, top: Optional[int] = None) -> EigenDecomposition:
+    """Symmetric eigendecomposition, eigenvalues sorted descending.
+
+    With ``top`` = q, only the q largest eigenpairs are computed (LAPACK ``dsyevr``
+    on an index range), under the same sort and sign rule.
+    """
     try:
-        vals, vecs = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"eigensolver failed on {a.shape[0]}x{a.shape[0]} matrix "
-            f"(fro norm {np.linalg.norm(a):.3e})"
-        ) from exc
+        if top is None:
+            vals, vecs = np.linalg.eigh(a)
+        else:
+            ell = a.shape[0]
+            vals, vecs = sla.eigh(a, subset_by_index=(ell - top, ell - 1))
+    except (np.linalg.LinAlgError, ValueError) as exc:  # scipy refuses NaN and inf
+        raise _eigensolver_failed(a) from exc
     vals = vals[::-1].copy()
     vecs = vecs[:, ::-1].copy()
     lead = np.argmax(np.abs(vecs), axis=0)
@@ -53,6 +69,14 @@ def eigh_sorted(a: np.ndarray) -> EigenDecomposition:
     signs[signs == 0] = 1.0
     vecs *= signs
     return EigenDecomposition(eigenvalues=vals, eigenvectors=vecs)
+
+
+def eigenvalues(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix, ascending, without the eigenvectors."""
+    try:
+        return np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        raise _eigensolver_failed(a) from exc
 
 
 def cholesky_lower(a: np.ndarray) -> np.ndarray:
@@ -87,6 +111,32 @@ def logdet_and_inverse(a: np.ndarray) -> tuple[float, np.ndarray]:
     inv = np.tril(inv)
     inv += np.tril(inv, -1).T
     return _logdet_of_factor(chol), inv
+
+
+def low_rank_logdet_and_inverse(w: np.ndarray, d: np.ndarray) -> tuple[float, np.ndarray]:
+    """log det and inverse of M = W W^T + diag(d), from one q x q Cholesky factor.
+
+    With C = I + W^T D^{-1} W = L L^T (the capacitance matrix), the determinant
+    lemma and the Woodbury identity give
+
+        log det M = sum_i log d_i + log det C,    M^{-1} = D^{-1} - Z^T Z,  Z = L^{-1} W^T D^{-1},
+
+    in O(ell^2 q) for an ell x q ``w``. Every entry of ``d`` must be positive.
+    """
+    ell = w.shape[0]
+    if not np.all(d > 0):  # NaN included
+        raise NotPositiveDefiniteError(
+            f"matrix of dim {ell} has a diagonal part that is not positive"
+        )
+    if not (np.isfinite(d).all() and np.isfinite(w).all()):
+        raise NotPositiveDefiniteError(f"matrix of dim {ell} is not positive definite")
+    w_scaled = w / np.sqrt(d)[:, None]  # D^{-1/2} W
+    chol = cholesky_lower(np.eye(w.shape[1]) + w_scaled.T @ w_scaled)  # C >= I
+    value = float(np.sum(np.log(d))) + _logdet_of_factor(chol)
+    z = sla.solve_triangular(chol, w.T / d, lower=True, check_finite=False)
+    inv = -(z.T @ z)  # one symmetric rank-q product, exactly symmetric
+    inv[np.diag_indices(ell)] += 1.0 / d
+    return value, inv
 
 
 def logdet_divergence(q: np.ndarray, m: np.ndarray) -> float:

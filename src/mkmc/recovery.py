@@ -75,7 +75,12 @@ def generate_synthetic(spec: SyntheticSpec) -> list[np.ndarray]:
 
 
 def hidden_block_error(truth: np.ndarray, completed: np.ndarray, hidden) -> float:
-    """Relative Frobenius error restricted to rows/columns that were hidden."""
+    """Relative Frobenius error restricted to rows/columns that were hidden.
+
+    A truth with a NaN or infinite entry is not positive definite, and neither
+    is a completion with one in a hidden row or column, nor a truth whose hidden
+    rows are all zero. (The mean-fill baseline reads the truth's visible block.)
+    """
     if truth.shape != completed.shape:
         raise DimensionError(f"dimension mismatch: {truth.shape} vs {completed.shape}")
     hid = np.asarray(sorted(set(int(i) for i in hidden)), dtype=int)
@@ -84,6 +89,11 @@ def hidden_block_error(truth: np.ndarray, completed: np.ndarray, hidden) -> floa
     mask = np.zeros(truth.shape, dtype=bool)
     mask[hid, :] = True
     mask[:, hid] = True
+    if not np.isfinite(truth).all():
+        raise NotPositiveDefiniteError("truth is not positive definite: it has a non-finite entry")
+    if not np.isfinite(completed[mask]).all():
+        raise NotPositiveDefiniteError(
+            "completed matrix is not positive definite: a hidden row has a non-finite entry")
     num = np.linalg.norm(truth[mask] - completed[mask])
     den = np.linalg.norm(truth[mask])
     if den == 0:

@@ -634,6 +634,31 @@ class TestEvaluateCommand:
         ]
         assert not report.exists()
 
+    @pytest.mark.parametrize("which", ["completed", "truth"])
+    def test_non_finite_hidden_row_exits_4(self, runner, tmp_path, rng, which):
+        # object 0 is hidden, and row and column 0 of one matrix are NaN
+        truth = random_pd(rng, 4)
+        bad = truth.copy()
+        bad[0, :] = bad[:, 0] = np.nan
+        mats = {"truth": truth, "completed": truth}
+        mats[which] = bad
+        truth_paths = write_views(tmp_path, [mats["truth"]], stem="truth")
+        comp_paths = write_views(tmp_path, [mats["completed"]], stem="completed")
+        mask = tmp_path / "mask.json"
+        mask.write_text('{"ell": 4, "views": [{"hidden": [0]}]}')
+        report = tmp_path / "r.json"
+        res = runner.invoke(
+            main,
+            ["evaluate", "--mask", str(mask), "--out", str(report),
+             "--truth", truth_paths[0], "--completed", comp_paths[0]],
+        )
+        reason = {"truth": "truth is not positive definite: it has a non-finite entry",
+                  "completed": "completed matrix is not positive definite: "
+                               "a hidden row has a non-finite entry"}[which]
+        assert res.exit_code == 4
+        assert res.output.strip().splitlines() == [f"mkmc: error: view 0: {reason}"]
+        assert not report.exists()
+
     def test_shape_mask_mismatch_exits_3(self, runner, tmp_path, rng):
         qs = [random_pd(rng, 6)]
         paths = write_views(tmp_path, qs)

@@ -20,7 +20,8 @@ from mkmc.engines import (
     select_rank,
 )
 from mkmc.errors import DimensionError, NotPositiveDefiniteError, NumericalError
-from mkmc.linalg import cholesky_lower, logdet_divergence
+from mkmc.linalg import cholesky_lower, eigh_sorted, logdet_divergence
+from mkmc.recovery import SyntheticSpec, generate_synthetic
 from mkmc.views import Fill, VisibilityPattern, apply_mask, partition, random_mask
 
 from conftest import random_pd
@@ -157,6 +158,16 @@ class TestModelUpdates:
             j = objective([s], PcaModel(W=w, sigma2=sigma2))
             assert j_star <= j + 1e-6
 
+    @pytest.mark.parametrize("ell,q", [(32, 2), (48, 3), (80, 5)])
+    def test_pca_top_q_matches_full_eigendecomposition(self, rng, ell, q, monkeypatch):
+        s = random_pd(rng, ell)
+        assert engines._low_rank(ell, q)
+        model = pca_model_update(s, q)
+        monkeypatch.setattr(engines, "_low_rank", lambda ell, q: False)
+        dense = pca_model_update(s, q)
+        assert model.sigma2 == pytest.approx(dense.sigma2, rel=1e-10)
+        assert np.max(np.abs(model.W - dense.W)) <= 1e-10 * np.max(np.abs(dense.W))
+
     def test_pca_rank_out_of_range(self, rng):
         with pytest.raises(ValueError):
             pca_model_update(random_pd(rng, 4), 4)
@@ -236,6 +247,27 @@ class TestSelectRank:
     def test_unknown_criterion(self):
         with pytest.raises(ValueError):
             select_rank(np.eye(2), "aic")
+
+    @pytest.mark.parametrize("criterion", ["gk", "kaiser"])
+    def test_matches_full_decomposition_count(self, criterion):
+        # the synthetic data of the acceptance and CLI tests, masked and averaged
+        def full_count(s):
+            vals = eigh_sorted(s).eigenvalues
+            raw = np.sum(vals > (np.mean(vals) if criterion == "gk" else 1.0))
+            return max(1, min(int(raw), len(vals) - 1))
+
+        for ell, n_views, rank, noise, jitter, seed in [
+            (30, 4, 5, 0.5, 0.2, 0), (30, 4, 5, 0.5, 0.2, 1), (40, 4, 3, 0.1, 0.05, 0),
+            (15, 3, 2, 0.2, 0.05, 33), (12, 3, 2, 0.2, 0.05, 21),
+        ]:
+            truths = generate_synthetic(SyntheticSpec(ell=ell, n_views=n_views, true_rank=rank,
+                                                      noise_sigma2=noise,
+                                                      per_view_jitter=jitter, seed=seed))
+            for s in (average_kernel(truths), regularize(average_kernel(
+                    [apply_mask(t, h, Fill.ZERO) for t, h in
+                     zip(truths, random_mask(ell, n_views, 0.2, seed=seed).hidden)]),
+                    n_views, 1e-3)):
+                assert select_rank(s, criterion) == full_count(s)
 
 
 class TestDegreesOfFreedom:
@@ -396,6 +428,65 @@ class TestRunCompletion:
         assert sizes.count(7) == 3  # each view's Q_vv, once, in the set-up
         assert sizes.count(3) == 3 * result.iterations  # each view's P_hh, every iteration
         assert sizes.count(10) == 1 + result.iterations  # the initial model, then each M
+
+    @pytest.mark.parametrize("method", ["pca", "fa"])
+    def test_low_rank_model_never_factored_at_full_size(self, rng, method, monkeypatch):
+        # ell = 48 >= 16 q: n_v = 45, n_h = 3 and rank 2, so each size names one kind of block
+        hidden = ((1, 2, 3), (4, 5, 6), (0, 7, 8))
+        base = random_pd(rng, 48)
+        masked = [apply_mask(base + 0.1 * random_pd(rng, 48), h, Fill.ZERO) for h in hidden]
+        sizes = []
+
+        def recording(a):
+            sizes.append(a.shape[0])
+            return cholesky_lower(a)
+
+        monkeypatch.setattr(linalg, "cholesky_lower", recording)
+        cfg = CompletionConfig(method=method, rank=2, max_iters=5)
+        result = run_completion(masked, VisibilityPattern(ell=48, hidden=hidden), cfg)
+        assert result.iterations >= 2
+        assert sizes.count(45) == 3  # each view's Q_vv, once, in the set-up
+        assert sizes.count(3) == 3 * result.iterations  # each view's P_hh, every iteration
+        assert sizes.count(48) == 1  # the initial model only
+        assert sizes.count(2) == result.iterations  # the capacitance matrix of each M
+
+    @pytest.mark.parametrize("method", ["pca", "fa"])
+    def test_low_rank_path_matches_dense_path(self, rng, method, monkeypatch):
+        ell = 48
+        _, masked, pattern = make_instance(rng, ell, 3, 0.2)
+        dense_objective = []
+
+        def record(_it, completed, model):
+            dense_objective.append(objective(completed, model))
+
+        cfg = CompletionConfig(method=method, rank=3, max_iters=40)
+        assert engines._low_rank(ell, cfg.rank)
+        fast = run_completion(masked, pattern, cfg, on_iteration=record)
+        assert len(dense_objective) == fast.iterations >= 2
+        for it, (value, ref) in enumerate(zip(fast.trace, dense_objective), start=1):
+            assert value == pytest.approx(ref, rel=1e-10), f"iteration {it}"
+
+        monkeypatch.setattr(engines, "_low_rank", lambda ell, q: False)
+        dense = run_completion(masked, pattern, cfg)
+        assert dense.iterations == fast.iterations
+        for c_fast, c_dense in zip(fast.completed, dense.completed):
+            assert np.linalg.norm(c_fast - c_dense) <= 1e-9 * np.linalg.norm(c_dense)
+        assert np.allclose(fast.trace, dense.trace, rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("method,model", [
+        ("pca", PcaModel(W=np.ones((48, 2)), sigma2=0.0)),
+        ("fa", FaModel(W=np.ones((48, 2)), psi=np.r_[np.ones(47), -1e-3])),
+    ], ids=["sigma2-zero", "psi-negative"])
+    def test_non_positive_noise_ends_the_run(self, rng, method, model, monkeypatch):
+        hidden = ((0,), (1, 2), ())
+        masked = [apply_mask(random_pd(rng, 48), h, Fill.ZERO) for h in hidden]
+        monkeypatch.setattr(engines, f"{method}_model_update", lambda *_: model)
+        with pytest.raises(NumericalError) as info:
+            run_completion(masked, VisibilityPattern(ell=48, hidden=hidden),
+                           CompletionConfig(method=method, rank=2))
+        assert str(info.value) == (
+            "iteration 1: matrix of dim 48 has a diagonal part that is not positive")
+        assert info.value.exit_code == 5
 
     def test_numerical_error_names_the_view(self, rng, monkeypatch):
         # only view 1 hides two objects, so only its P_hh has dimension 2

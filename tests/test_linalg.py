@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from mkmc.errors import DimensionError, NotPositiveDefiniteError
+from mkmc.errors import DimensionError, NotPositiveDefiniteError, NumericalError
 from mkmc.linalg import (
+    eigenvalues,
     eigh_sorted,
     logdet,
     logdet_and_inverse,
     logdet_divergence,
+    low_rank_logdet_and_inverse,
     symmetrize,
 )
 
@@ -61,6 +63,33 @@ class TestEigh:
             assert np.max(np.abs(u.T @ u - np.eye(ell))) < 1e-10
             recon = u @ np.diag(eig.eigenvalues) @ u.T
             assert np.max(np.abs(recon - a)) <= 1e-10 * max(1.0, np.linalg.norm(a))
+
+    @pytest.mark.parametrize("ell", [2, 17, 48])
+    def test_top_matches_full_decomposition(self, rng, ell):
+        # same values, same vectors under the same sign rule, for every q
+        for _ in range(5):
+            a = random_symmetric(rng, ell)
+            full = eigh_sorted(a)
+            for q in range(1, ell):
+                top = eigh_sorted(a, top=q)
+                assert top.eigenvalues.shape == (q,) and top.eigenvectors.shape == (ell, q)
+                scale = max(1.0, np.abs(full.eigenvalues).max())
+                assert np.max(np.abs(top.eigenvalues - full.eigenvalues[:q])) <= 1e-10 * scale
+                assert np.max(np.abs(top.eigenvectors - full.eigenvectors[:, :q])) <= 1e-10
+
+    def test_top_refuses_non_finite_input(self, rng):
+        a = random_pd(rng, 5)
+        a[1, 3] = a[3, 1] = np.nan
+        with pytest.raises(NumericalError, match="^eigensolver failed on 5x5 matrix"):
+            eigh_sorted(a, top=2)
+
+    def test_eigenvalues_match_decomposition(self, rng):
+        for ell in (1, 7, 40):
+            a = random_symmetric(rng, ell)
+            vals = eigenvalues(a)
+            assert np.all(np.diff(vals) >= 0)
+            assert np.max(np.abs(vals[::-1] - eigh_sorted(a).eigenvalues)) <= 1e-10 * max(
+                1.0, np.linalg.norm(a))
 
 
 class TestLogdet:
@@ -127,6 +156,40 @@ class TestLogdetAndInverse:
     def test_non_pd_rejected(self):
         with pytest.raises(NotPositiveDefiniteError):
             logdet_and_inverse(np.diag([1.0, 0.0]))
+
+
+class TestLowRankLogdetAndInverse:
+    # 16 q <= ell selects this form in the engines; the oracle covers q on both sides
+    @pytest.mark.parametrize("ell,q", [(48, 1), (48, 3), (48, 4), (48, 12), (48, 47), (5, 1)])
+    def test_matches_dense_oracle(self, rng, ell, q):
+        for _ in range(5):
+            w = rng.standard_normal((ell, q))
+            d = rng.uniform(0.05, 3.0, size=ell)
+            value, inv = low_rank_logdet_and_inverse(w, d)
+            ref_value, ref_inv = logdet_and_inverse(w @ w.T + np.diag(d))
+            assert value == pytest.approx(ref_value, rel=1e-10, abs=1e-10)
+            assert np.linalg.norm(inv - ref_inv) <= 1e-10 * np.linalg.norm(ref_inv)
+            assert np.array_equal(inv, inv.T)
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-3, np.nan], ids=["zero", "negative", "nan"])
+    def test_non_positive_diagonal_rejected(self, rng, bad):
+        w = rng.standard_normal((6, 2))
+        d = np.ones(6)
+        d[4] = bad
+        with pytest.raises(NotPositiveDefiniteError,
+                           match="^matrix of dim 6 has a diagonal part that is not positive$"):
+            low_rank_logdet_and_inverse(w, d)
+
+    @pytest.mark.parametrize("where", ["W", "d"])
+    def test_non_finite_input_rejected(self, rng, where):
+        w, d = rng.standard_normal((6, 2)), np.ones(6)
+        if where == "W":
+            w[2, 1] = np.inf
+        else:
+            d[2] = np.inf
+        with pytest.raises(NotPositiveDefiniteError,
+                           match="^matrix of dim 6 is not positive definite$"):
+            low_rank_logdet_and_inverse(w, d)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])

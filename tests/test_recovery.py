@@ -98,6 +98,22 @@ class TestHiddenBlockError:
         with pytest.raises(NotPositiveDefiniteError, match="^view 1: truth is not positive"):
             score_completion([random_symmetric(rng, 5), truth], [truth, truth], pattern)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_entry_is_not_pd(self, rng, value):
+        a = random_symmetric(rng, 5)
+        bad = a.copy()
+        bad[3, 2] = bad[2, 3] = value
+        with pytest.raises(NotPositiveDefiniteError, match="^completed matrix is not positive "
+                           "definite: a hidden row has a non-finite entry$"):
+            hidden_block_error(a, bad, (2,))
+        # a completion's entry outside the hidden rows and columns is never read
+        assert hidden_block_error(a, bad, (0,)) == 0.0
+        # a truth's is: the mean-fill baseline averages its visible block
+        pattern = VisibilityPattern(ell=5, hidden=((), (0,)))
+        with pytest.raises(NotPositiveDefiniteError, match="^view 1: truth is not positive "
+                           "definite: it has a non-finite entry$"):
+            score_completion([a, bad], [a, a], pattern)
+
     def test_empty_hidden(self, rng):
         a = random_symmetric(rng, 4)
         assert hidden_block_error(a, a + 1.0, ()) == 0.0
