@@ -24,19 +24,34 @@ with log det Q^(k)_vv fixed for the run, and for the new model M
     sum_k tr(M^{-1} Q^(k)) = K tr(M^{-1} S),  S the unregularized average.
 
 All of this holds only while P is the inverse of the model every Q^(k) was
-imputed from; each iteration therefore factors M once (a low-rank model: its
-q x q capacitance matrix, below) and keeps its inverse as the next P.
-:func:`objective` is the dense reference. The log dets and inverses of PD
-matrices used here all come from :mod:`mkmc.linalg`.
+imputed from; each iteration therefore factors M once and keeps its inverse
+as the next P. :func:`objective` is the dense reference. The log dets and
+inverses of PD matrices used here all come from :mod:`mkmc.linalg`.
 
-``pca`` and ``fa`` models are low rank plus diagonal, W W^T + diag(d). When
-:func:`_low_rank` holds (16 q <= ell), the driver takes log det M and P from W
-and d alone, by the determinant lemma and the Woodbury identity: O(ell^2 q)
-and one q x q Cholesky factorization. :func:`pca_model_update` then computes
-only the top q eigenpairs of the average kernel, though their solver still
-reduces it to tridiagonal form in O(ell^3). Otherwise M is materialized and
-factored, and the eigendecomposition is full; that dense path is also the
-test oracle of the low-rank one.
+The driver holds P in one of two forms, each with its own per-view step.
+:class:`_DenseInverse` holds the whole ell x ell P, as above: it serves ``fc``
+(O(ell^3) per iteration for M, plus O(n_h^3 + n_v^2 n_h) per view; only views
+sharing a hidden set could share that per-view work), iteration 1 of every
+method (imputed from the average kernel S_0), and ``pca``/``fa`` when
+:func:`_low_rank` fails (16 q > ell).
+
+``pca`` and ``fa`` models are low rank plus diagonal, M = W W^T + D with
+D = diag(d) (``pca``: d = sigma2 * 1). When 16 q <= ell, :class:`_FactoredInverse`
+holds M^{-1} as W, d and the Cholesky factor of C = I + W^T D^{-1} W
+(Woodbury identity, determinant lemma; O(ell q^2)), and P is never formed.
+For a view, C_v = I + W_v^T D_v^{-1} W_v >= I is the capacitance matrix of
+M_vv, A = D_v^{-1} W_v C_v^{-1} = M_vv^{-1} W_v, so X = A W_h^T, and the Schur
+complement is D_h + W_h C_v^{-1} W_h^T:
+
+    Q_vh = (Q_vv A) W_h^T,    Q_hh = D_h + W_h (C_v^{-1} + A^T Q_vv A) W_h^T,
+    log det P_hh = log det C_v - log det D_h - log det C,
+
+with only q x q systems, O(n_v^2 q) per view. The trace term is
+<M^{-1}, S> = sum_i S_ii / d_i - <C^{-1}, (D^{-1} W)^T S (D^{-1} W)>, O(ell^2 q);
+:func:`pca_model_update` takes the top q eigenpairs by Lanczos and
+:func:`fa_model_update` reuses the held factorization. After iteration 1 no
+step of the low-rank path costs O(ell^3). The dense path is the test oracle
+of the factored one.
 """
 
 from __future__ import annotations
@@ -44,14 +59,15 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 import scipy.linalg as sla
 
 from .errors import ConfigError, DimensionError, NotPositiveDefiniteError, NumericalError
-from .linalg import (cholesky_lower, eigenvalues, eigh_sorted, logdet, logdet_and_inverse,
-                     logdet_divergence, low_rank_logdet_and_inverse, symmetrize)
+from .linalg import (LowRankInverse, cholesky_lower, eigenvalues, eigh_sorted, logdet,
+                     logdet_and_inverse, logdet_divergence, low_rank_logdet_and_inverse,
+                     symmetrize)
 from .views import (Fill, PartitionedView, VisibilityPattern, apply_mask, is_integer, is_real,
                     visible_indices)
 
@@ -67,18 +83,23 @@ RANK_CRITERIA = (CRITERION_GK, CRITERION_KAISER)
 # Relative floor keeping noise variances strictly positive in the FA update.
 PSI_FLOOR_REL = 1e-10
 
-# pca/fa take the low-rank path (Woodbury inverse, top-q eigenpairs) when
-# LOW_RANK_RATIO * q <= ell. Time of each low-rank step over its dense
-# counterpart (full eigendecomposition; materialize and factor M), one BLAS
-# thread, best of 4-30 calls on a 2-core Xeon:
+# pca/fa take the low-rank path (factored inverse, Lanczos top-q eigenpairs)
+# when LOW_RANK_RATIO * q <= ell. Time of each low-rank step over its dense
+# counterpart, on the average of 4 synthetic kernels of signal rank 5 (the
+# benchmark's), one BLAS thread, best of 6-30 calls on a 2-core Xeon:
 #
-#   ell                              50    100   200   400   800
-#   top-q eigensolve, q = ell/16    0.57  0.62  0.64  0.69  0.53
-#   Woodbury inverse, q = ell/16    0.68  0.31  0.12  0.10  0.06
-#   q where the eigensolve ties     ~8    ~16   ~20   ~60   ~200
+#   ell                                         50    100   200   400   800
+#   factored inverse and trace, q = ell/16     0.52  0.20  0.07  0.06  0.06
+#   per-view step, n_h = ell/5, q = ell/16     1.28  0.99  0.54  0.39  0.37
+#   Lanczos top-q over full eigh, q = ell/16   1.66  1.62  1.03  0.79  1.14
+#   Lanczos top-q over full eigh, q = 5         -    0.50  0.17  0.07  0.06
 #
-# Both steps lose at large q: at q = ell - 1 the top-q eigensolve is 3.1-3.9x
-# slower and the Woodbury inverse 1.2-1.5x slower (ell = 400, 800).
+# Lanczos converges within one restart when the top q eigenvalues stand
+# clear of the rest (q up to the signal rank), and needs many restarts once
+# q reaches into the flat noise part of the spectrum: the full
+# eigendecomposition is faster from about q = 3, 6, 12, 41 and 50 for the
+# ell above. The ratio stays at 16, so a rank-40 model at ell = 400 (the
+# benchmark's cli workload) stays dense.
 LOW_RANK_RATIO = 16
 
 
@@ -97,11 +118,16 @@ class PcaModel:
     """Low-rank plus isotropic noise: W W^T + sigma2 I.
 
     The driver never materializes it when :func:`_low_rank` holds: it inverts
-    it from W and sigma2 alone, by the Woodbury identity.
+    it from W and the noise diagonal alone, by the Woodbury identity.
     """
 
     W: np.ndarray
     sigma2: float
+
+    @property
+    def noise(self) -> np.ndarray:
+        """The noise diagonal, sigma2 * 1."""
+        return np.full(self.W.shape[0], self.sigma2)
 
     def materialize(self) -> np.ndarray:
         return symmetrize(self.W @ self.W.T + self.sigma2 * np.eye(self.W.shape[0]))
@@ -112,11 +138,16 @@ class FaModel:
     """Low-rank plus diagonal noise: W W^T + diag(psi).
 
     The driver never materializes it when :func:`_low_rank` holds: it inverts
-    it from W and psi alone, by the Woodbury identity.
+    it from W and the noise diagonal alone, by the Woodbury identity.
     """
 
     W: np.ndarray
     psi: np.ndarray
+
+    @property
+    def noise(self) -> np.ndarray:
+        """The noise diagonal, psi."""
+        return self.psi
 
     def materialize(self) -> np.ndarray:
         return symmetrize(self.W @ self.W.T + np.diag(self.psi))
@@ -190,7 +221,10 @@ def regularize(s: np.ndarray, n_views: int, eps: float) -> np.ndarray:
         raise ValueError("eps must be nonnegative")
     if eps == 0:
         return s
-    return (n_views * s + eps * np.eye(s.shape[0])) / (n_views + eps)
+    out = n_views * s
+    out[np.diag_indices_from(out)] += eps
+    out /= n_views + eps
+    return out
 
 
 def impute_view(q_vv: np.ndarray, m_parts: PartitionedView) -> tuple[np.ndarray, np.ndarray]:
@@ -254,36 +288,37 @@ def pca_model_update(s_reg: np.ndarray, q: int) -> PcaModel:
     return PcaModel(W=w, sigma2=sigma2)
 
 
-def fa_estep(s: np.ndarray, w: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def fa_estep(s: np.ndarray, w: np.ndarray, psi: np.ndarray,
+             inverse: Optional[LowRankInverse] = None) -> tuple[np.ndarray, np.ndarray]:
     """Latent second moments (S_xz, S_zz) given current FA parameters.
 
-    Uses the Woodbury form of (W W^T + diag(psi))^{-1} so only a q x q system
-    is factored.
+    W^T M^{-1} comes from the factored inverse of M = W W^T + diag(psi), so
+    only a q x q system is factored; ``inverse`` is that factorization when
+    the caller already holds it.
     """
-    q = w.shape[1]
-    psi_inv = 1.0 / psi
-    f = w.T * psi_inv  # W^T diag(psi)^{-1}
-    c = np.eye(q) + f @ w
-    try:
-        c_chol = cholesky_lower(symmetrize(c))
-        b = f - (f @ w) @ sla.cho_solve((c_chol, True), f)  # W^T M^{-1}
-    except NotPositiveDefiniteError as exc:
-        raise NumericalError("FA E-step capacitance matrix is singular") from exc
+    if inverse is None:
+        try:
+            _, inverse = low_rank_logdet_and_inverse(w, psi)
+        except NotPositiveDefiniteError as exc:
+            raise NumericalError("FA E-step capacitance matrix is singular") from exc
+    b = inverse.w_t_inverse()
     s_xz = s @ b.T
-    s_zz = np.eye(q) - b @ w + b @ s_xz
+    s_zz = np.eye(w.shape[1]) - b @ w + b @ s_xz
     return s_xz, s_zz
 
 
-def fa_model_update(s_reg: np.ndarray, prev: FaModel) -> FaModel:
+def fa_model_update(s_reg: np.ndarray, prev: FaModel,
+                    inverse: Optional[LowRankInverse] = None) -> FaModel:
     """One EM step for the factor-analysis model.
 
     W_new = S_xz S_zz^{-1}, psi_new = diag(S - S_xz S_zz^{-1} S_xz^T); the
-    noise variances are floored to stay strictly positive.
+    noise variances are floored to stay strictly positive. ``inverse`` is
+    passed on to :func:`fa_estep`.
     """
     if np.any(prev.psi <= 0):
         raise ValueError("previous noise variances must be positive")
     ell = s_reg.shape[0]
-    s_xz, s_zz = fa_estep(s_reg, prev.W, prev.psi)
+    s_xz, s_zz = fa_estep(s_reg, prev.W, prev.psi, inverse)
     try:
         w_new = np.linalg.solve(s_zz.T, s_xz.T).T  # S_xz S_zz^{-1}
     except np.linalg.LinAlgError as exc:
@@ -300,13 +335,62 @@ def objective(qs: Sequence[np.ndarray], model: ModelParams) -> float:
     return float(sum(logdet_divergence(q, m) for q in qs))
 
 
-def _impute_from_inverse(q_vv: np.ndarray, model_inv: np.ndarray, vis: np.ndarray,
-                         hid: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """log det P_hh, Q_vh and Q_hh of one view, from P = M^{-1} (module docstring)."""
-    logdet_p_hh, schur = logdet_and_inverse(model_inv[np.ix_(hid, hid)])
-    x = -model_inv[np.ix_(vis, hid)] @ schur  # M_vv^{-1} M_vh
-    q_vh = q_vv @ x
-    return logdet_p_hh, q_vh, symmetrize(schur + x.T @ q_vh)
+class _View(NamedTuple):
+    """A view hiding objects: its index, Q_vv (fixed for the run) and its blocks' indices."""
+
+    k: int
+    vis: np.ndarray
+    hid: np.ndarray
+    q_vv: np.ndarray
+    vh: tuple  # np.ix_(vis, hid)
+    hv: tuple
+    hh: tuple
+
+    @classmethod
+    def of(cls, k: int, vis: np.ndarray, hid: np.ndarray, q_vv: np.ndarray) -> "_View":
+        return cls(k, vis, hid, q_vv, np.ix_(vis, hid), np.ix_(hid, vis), np.ix_(hid, hid))
+
+
+class _DenseInverse:
+    """P = M^{-1} held whole: fc, iteration 1 of every method, pca/fa off the low-rank path."""
+
+    def __init__(self, p: np.ndarray):
+        self.p = p
+
+    def impute(self, view: _View) -> tuple[float, np.ndarray, np.ndarray]:
+        """log det P_hh, Q_vh and Q_hh of one view (module docstring)."""
+        logdet_p_hh, schur = logdet_and_inverse(self.p[view.hh])
+        x = -self.p[view.vh] @ schur  # M_vv^{-1} M_vh
+        q_vh = view.q_vv @ x
+        return logdet_p_hh, q_vh, symmetrize(schur + x.T @ q_vh)
+
+    def inner(self, s: np.ndarray) -> float:
+        """<M^{-1}, S>."""
+        return float(np.vdot(self.p, s))
+
+
+class _FactoredInverse:
+    """M^{-1} of a low-rank model W W^T + diag(d), held as W, d and chol C (module docstring)."""
+
+    def __init__(self, factors: LowRankInverse):
+        self.factors = factors
+
+    def impute(self, view: _View) -> tuple[float, np.ndarray, np.ndarray]:
+        """log det P_hh, Q_vh and Q_hh of one view from q x q systems, O(n_v^2 q)."""
+        m = self.factors
+        f_v, w_h, d_h = m.f[:, view.vis], m.w[view.hid], m.d[view.hid]
+        # C_v = I + W_v^T D_v^{-1} W_v >= I, the capacitance matrix of M_vv
+        logdet_c_v, c_v_inv = logdet_and_inverse(np.eye(len(f_v)) + f_v @ m.w[view.vis])
+        a = f_v.T @ c_v_inv  # D_v^{-1} W_v C_v^{-1} = M_vv^{-1} W_v
+        qa = view.q_vv @ a
+        q_hh = w_h @ (c_v_inv + a.T @ qa) @ w_h.T
+        q_hh.flat[::len(d_h) + 1] += d_h
+        logdet_p_hh = logdet_c_v - float(np.sum(np.log(d_h))) - m.logdet_c
+        return logdet_p_hh, qa @ w_h.T, symmetrize(q_hh)
+
+    def inner(self, s: np.ndarray) -> float:
+        """<M^{-1}, S>, O(ell^2 q)."""
+        return self.factors.inner(s)
 
 
 def select_rank(s: np.ndarray, criterion: str) -> int:
@@ -338,21 +422,26 @@ def degrees_of_freedom(method: str, ell: int, q: Optional[int] = None) -> int:
     raise ValueError(f"unknown method {method!r}")
 
 
-def _model_logdet_and_inverse(model: ModelParams, low_rank: bool) -> tuple[float, np.ndarray]:
-    """log det M and M^{-1}, from W and the noise diagonal when ``low_rank``."""
+def _model_logdet_and_inverse(
+        model: ModelParams, low_rank: bool) -> tuple[float, Union[_DenseInverse, _FactoredInverse]]:
+    """log det M and the held M^{-1}: factored from W and the noise diagonal when ``low_rank``."""
     if not low_rank:
-        return logdet_and_inverse(model.materialize())
-    noise = model.psi if isinstance(model, FaModel) else np.full(model.W.shape[0], model.sigma2)
-    return low_rank_logdet_and_inverse(model.W, noise)
+        logdet_m, p = logdet_and_inverse(model.materialize())
+        return logdet_m, _DenseInverse(p)
+    logdet_m, factors = low_rank_logdet_and_inverse(model.W, model.noise)
+    return logdet_m, _FactoredInverse(factors)
 
 
 def _model_update(method: str, s_reg: np.ndarray, q: Optional[int],
-                  prev: Optional[ModelParams]) -> ModelParams:
+                  prev: Optional[ModelParams],
+                  prev_inv: Union[_DenseInverse, _FactoredInverse]) -> ModelParams:
     if method == METHOD_FC:
         return fc_model_update(s_reg)
     if method == METHOD_PCA:
         return pca_model_update(s_reg, q)
-    return fa_model_update(s_reg, prev)
+    # A factored inverse the driver holds is always that of prev.
+    return fa_model_update(
+        s_reg, prev, prev_inv.factors if isinstance(prev_inv, _FactoredInverse) else None)
 
 
 def run_completion(
@@ -376,7 +465,7 @@ def run_completion(
 
     # Zero-initialize hidden blocks (also validates the visible blocks).
     completed = [apply_mask(q, h, Fill.ZERO) for q, h in zip(qs_masked, pattern.hidden)]
-    # Fixed for the run: sum_k log det Q^(k)_vv, and (k, vis, hid, Q_vv) of each view hiding objects
+    # Fixed for the run: sum_k log det Q^(k)_vv, and each view hiding objects
     logdet_vv = 0.0
     views = []
     for k, (c, h) in enumerate(zip(completed, pattern.hidden)):
@@ -388,7 +477,7 @@ def run_completion(
             raise NotPositiveDefiniteError(
                 f"view {k}: visible block is not positive definite") from exc
         if hid.size:
-            views.append((k, vis, hid, q_vv))
+            views.append(_View.of(k, vis, hid, q_vv))
 
     s0 = average_kernel(completed)
     s0_reg = regularize(s0, n_views, cfg.reg_epsilon)
@@ -406,7 +495,7 @@ def run_completion(
         pca = pca_model_update(s0_reg, rank)
         model = FaModel(W=pca.W, psi=np.full(ell, pca.sigma2))
     try:  # Algorithm start: model matrix = average kernel
-        _, model_inv = logdet_and_inverse(s0_reg)
+        model_inv = _DenseInverse(logdet_and_inverse(s0_reg)[1])
     except NotPositiveDefiniteError as exc:
         raise NumericalError(f"initial model matrix: {exc}") from exc
 
@@ -418,22 +507,23 @@ def run_completion(
         try:
             # sum_k log det Q^(k) after imputing from the current model
             logdet_q = logdet_vv
-            for k, vis, hid, q_vv in views:
+            for view in views:
                 try:
-                    logdet_p_hh, q_vh, q_hh = _impute_from_inverse(q_vv, model_inv, vis, hid)
+                    logdet_p_hh, q_vh, q_hh = model_inv.impute(view)
                 except NotPositiveDefiniteError as exc:
-                    raise NumericalError(f"view {k}: hidden block of the model inverse is "
+                    raise NumericalError(f"view {view.k}: hidden block of the model inverse is "
                                          f"numerically singular: {exc}") from exc
                 logdet_q -= logdet_p_hh
-                completed[k][np.ix_(vis, hid)] = q_vh
-                completed[k][np.ix_(hid, vis)] = q_vh.T
-                completed[k][np.ix_(hid, hid)] = q_hh
+                c = completed[view.k]
+                c[view.vh] = q_vh
+                c[view.hv] = q_vh.T
+                c[view.hh] = q_hh
 
             s = average_kernel(completed)
             s_reg = regularize(s, n_views, cfg.reg_epsilon)
-            model = _model_update(cfg.method, s_reg, rank, model)
+            model = _model_update(cfg.method, s_reg, rank, model, model_inv)
             logdet_m, model_inv = _model_logdet_and_inverse(model, low_rank)
-            trace_term = n_views * float(np.vdot(model_inv, s))  # sum_k tr(M^{-1} Q^(k))
+            trace_term = n_views * model_inv.inner(s)  # sum_k tr(M^{-1} Q^(k))
             j = 0.5 * (n_views * (logdet_m - ell) - logdet_q + trace_term)
         except (NumericalError, NotPositiveDefiniteError) as exc:
             raise NumericalError(f"iteration {it}: {exc}") from exc

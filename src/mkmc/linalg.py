@@ -5,12 +5,14 @@ plain float64 ndarrays that are kept exactly symmetric via :func:`symmetrize`.
 Every log det and inverse of a PD matrix is taken here, from one Cholesky factor:
 of the matrix itself (:func:`logdet_and_inverse`), or, for a low-rank-plus-diagonal
 matrix W W^T + diag(d), of its q x q capacitance matrix
-(:func:`low_rank_logdet_and_inverse`). Eigendecompositions, full or of the top q
-eigenpairs only, are reserved for model updates and rank selection.
+(:func:`low_rank_logdet_and_inverse`, which keeps the inverse in factored form).
+Eigendecompositions, full or of the top q eigenpairs only (by Lanczos), are
+reserved for model updates and rank selection.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Optional
 
@@ -48,19 +50,50 @@ def _eigensolver_failed(a: np.ndarray) -> NumericalError:
     )
 
 
+def _lanczos_top(a: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``top`` largest eigenpairs by implicitly restarted Lanczos (ARPACK), ascending.
+
+    The start vector is drawn from a generator seeded with 0, so every call on
+    the same matrix returns the same bits. When ARPACK fails to converge, or
+    ``top`` is outside its range [1, ell), LAPACK ``dsyevr`` on the index range
+    gives the same pairs (or refuses the range).
+    """
+    # Imported here: scipy.sparse takes a few MB and about 15 ms to import, and
+    # only a low-rank pca update needs it.
+    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
+
+    ell = a.shape[0]
+    if 1 <= top < ell:
+        rng = np.random.default_rng(0)
+        v0 = rng.uniform(-1.0, 1.0, size=ell)
+        # ARPACK draws a vector of its own whenever the Krylov space turns invariant
+        # (a spectrum with few distinct values); scipy releases whose eigsh takes
+        # ``rng`` draw it from the seeded generator, so those calls are bit-identical too.
+        seeded = {"rng": rng} if "rng" in inspect.signature(eigsh).parameters else {}
+        try:
+            vals, vecs = eigsh(a, k=top, which="LA", v0=v0, **seeded)
+        except (ArpackNoConvergence, ArpackError):
+            pass
+        else:
+            order = np.argsort(vals, kind="stable")
+            return vals[order], vecs[:, order]
+    return sla.eigh(a, subset_by_index=(ell - top, ell - 1))
+
+
 def eigh_sorted(a: np.ndarray, top: Optional[int] = None) -> EigenDecomposition:
     """Symmetric eigendecomposition, eigenvalues sorted descending.
 
-    With ``top`` = q, only the q largest eigenpairs are computed (LAPACK ``dsyevr``
-    on an index range), under the same sort and sign rule.
+    With ``top`` = q, only the q largest eigenpairs are computed, by
+    :func:`_lanczos_top`, under the same sort and sign rule.
     """
     try:
         if top is None:
             vals, vecs = np.linalg.eigh(a)
+        elif not np.isfinite(a).all():  # ARPACK would not refuse NaN or inf
+            raise _eigensolver_failed(a)
         else:
-            ell = a.shape[0]
-            vals, vecs = sla.eigh(a, subset_by_index=(ell - top, ell - 1))
-    except (np.linalg.LinAlgError, ValueError) as exc:  # scipy refuses NaN and inf
+            vals, vecs = _lanczos_top(a, top)
+    except (np.linalg.LinAlgError, ValueError) as exc:  # ValueError: top outside [1, ell]
         raise _eigensolver_failed(a) from exc
     vals = vals[::-1].copy()
     vecs = vecs[:, ::-1].copy()
@@ -113,15 +146,45 @@ def logdet_and_inverse(a: np.ndarray) -> tuple[float, np.ndarray]:
     return _logdet_of_factor(chol), inv
 
 
-def low_rank_logdet_and_inverse(w: np.ndarray, d: np.ndarray) -> tuple[float, np.ndarray]:
-    """log det and inverse of M = W W^T + diag(d), from one q x q Cholesky factor.
+@dataclass(frozen=True)
+class LowRankInverse:
+    """The inverse of M = W W^T + diag(d), kept in factored form.
 
-    With C = I + W^T D^{-1} W = L L^T (the capacitance matrix), the determinant
-    lemma and the Woodbury identity give
+    With F = W^T D^{-1} and the q x q capacitance matrix C = I + F W = L L^T
+    (``chol`` = L), the Woodbury identity gives
 
-        log det M = sum_i log d_i + log det C,    M^{-1} = D^{-1} - Z^T Z,  Z = L^{-1} W^T D^{-1},
+        M^{-1} = D^{-1} - F^T C^{-1} F.
 
-    in O(ell^2 q) for an ell x q ``w``. Every entry of ``d`` must be positive.
+    Nothing of size ell x ell is stored.
+    """
+
+    w: np.ndarray
+    d: np.ndarray
+    f: np.ndarray  # W^T D^{-1}, q x ell
+    fw: np.ndarray  # F W = C - I
+    chol: np.ndarray
+    logdet_c: float
+
+    def solve_c(self, b: np.ndarray) -> np.ndarray:
+        """C^{-1} b, by LAPACK ``dpotrs`` on L."""
+        return sla.lapack.dpotrs(self.chol, b, lower=1)[0]
+
+    def w_t_inverse(self) -> np.ndarray:
+        """W^T M^{-1} = F - (F W) C^{-1} F, in O(ell q^2)."""
+        return self.f - self.fw @ self.solve_c(self.f)
+
+    def inner(self, s: np.ndarray) -> float:
+        """<M^{-1}, S> = sum_i S_ii / d_i - <C^{-1}, F S F^T>, in O(ell^2 q)."""
+        fsf = self.f @ (s @ self.f.T)
+        return float(np.sum(np.diag(s) / self.d) - np.trace(self.solve_c(fsf)))
+
+
+def low_rank_logdet_and_inverse(w: np.ndarray, d: np.ndarray) -> tuple[float, LowRankInverse]:
+    """log det and factored inverse of M = W W^T + diag(d), from one q x q Cholesky factor.
+
+    The determinant lemma gives log det M = sum_i log d_i + log det C, and
+    :class:`LowRankInverse` holds M^{-1}, both in O(ell q^2) for an ell x q
+    ``w``. Every entry of ``d`` must be positive.
     """
     ell = w.shape[0]
     if not np.all(d > 0):  # NaN included
@@ -130,13 +193,12 @@ def low_rank_logdet_and_inverse(w: np.ndarray, d: np.ndarray) -> tuple[float, np
         )
     if not (np.isfinite(d).all() and np.isfinite(w).all()):
         raise NotPositiveDefiniteError(f"matrix of dim {ell} is not positive definite")
-    w_scaled = w / np.sqrt(d)[:, None]  # D^{-1/2} W
-    chol = cholesky_lower(np.eye(w.shape[1]) + w_scaled.T @ w_scaled)  # C >= I
-    value = float(np.sum(np.log(d))) + _logdet_of_factor(chol)
-    z = sla.solve_triangular(chol, w.T / d, lower=True, check_finite=False)
-    inv = -(z.T @ z)  # one symmetric rank-q product, exactly symmetric
-    inv[np.diag_indices(ell)] += 1.0 / d
-    return value, inv
+    f = w.T * (1.0 / d)
+    fw = f @ w
+    chol = cholesky_lower(symmetrize(np.eye(w.shape[1]) + fw))  # C >= I
+    logdet_c = _logdet_of_factor(chol)
+    inv = LowRankInverse(w=w, d=d, f=f, fw=fw, chol=chol, logdet_c=logdet_c)
+    return float(np.sum(np.log(d))) + logdet_c, inv
 
 
 def logdet_divergence(q: np.ndarray, m: np.ndarray) -> float:

@@ -435,20 +435,32 @@ class TestRunCompletion:
         hidden = ((1, 2, 3), (4, 5, 6), (0, 7, 8))
         base = random_pd(rng, 48)
         masked = [apply_mask(base + 0.1 * random_pd(rng, 48), h, Fill.ZERO) for h in hidden]
-        sizes = []
+        factored, inverted, marks = [], [], []
 
         def recording(a):
-            sizes.append(a.shape[0])
+            factored.append(a.shape[0])
             return cholesky_lower(a)
 
+        def recording_inverse(a):
+            inverted.append(a.shape[0])
+            return linalg.logdet_and_inverse(a)
+
         monkeypatch.setattr(linalg, "cholesky_lower", recording)
+        monkeypatch.setattr(engines, "logdet_and_inverse", recording_inverse)
         cfg = CompletionConfig(method=method, rank=2, max_iters=5)
-        result = run_completion(masked, VisibilityPattern(ell=48, hidden=hidden), cfg)
+        result = run_completion(masked, VisibilityPattern(ell=48, hidden=hidden), cfg,
+                                on_iteration=lambda *_: marks.append(len(factored)))
         assert result.iterations >= 2
-        assert sizes.count(45) == 3  # each view's Q_vv, once, in the set-up
-        assert sizes.count(3) == 3 * result.iterations  # each view's P_hh, every iteration
-        assert sizes.count(48) == 1  # the initial model only
-        assert sizes.count(2) == result.iterations  # the capacitance matrix of each M
+        # set-up and iteration 1: each view's Q_vv, the initial model S_0, each view's
+        # P_hh of S_0, and C of the new model (for fa also C of the PPCA start it refits)
+        n_c = 2 if method == "fa" else 1
+        assert sorted(factored[:marks[0]]) == [2] * n_c + [3] * 3 + [45] * 3 + [48]
+        # every later iteration: each view's q x q C_v, then C of the new model
+        for it, (lo, hi) in enumerate(zip(marks, marks[1:]), start=2):
+            assert factored[lo:hi] == [2] * 4, f"iteration {it}"
+        # the only ell x ell inverse is that of S_0 and P_hh is inverted in iteration 1
+        # only; later, each view inverts its C_v
+        assert inverted == [48, 3, 3, 3] + [2] * 3 * (result.iterations - 1)
 
     @pytest.mark.parametrize("method", ["pca", "fa"])
     def test_low_rank_path_matches_dense_path(self, rng, method, monkeypatch):

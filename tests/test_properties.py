@@ -14,7 +14,9 @@ average singular, and the driver must refuse the problem.
 
 The driver imputes each view from the inverse of the model it holds; at every
 iteration its hidden blocks equal those of the dense conditional moments
-(:func:`impute_view`) computed from the previous model matrix.
+(:func:`impute_view`) computed from the previous model matrix. The drawn
+problems are too small for the low-rank pca/fa path (16 q <= ell), so both
+driver properties also run on explicit examples that take it.
 
 A :class:`VisibilityPattern` built by a library caller obeys one integer rule:
 ``ell`` and every hidden index are integers of any integral type, numpy's
@@ -78,12 +80,37 @@ def masked_views(pattern, seed):
             for h in pattern.hidden]
 
 
+def low_rank_examples():
+    """pca and fa with 16 q <= ell, eps in {0, 1e-3}, and every kind of mask."""
+    out = []
+    for i, (method, eps, kind) in enumerate(
+            (m, e, k) for m in ("pca", "fa") for e in (0.0, 1e-3) for k in MASK_KINDS):
+        ell, rank = (20, 1) if (i + i // len(MASK_KINDS)) % 2 else (40, 2)  # both, per kind
+        if kind == "empty":
+            hidden = ((), ())
+        elif kind == "correlated":
+            hidden = ((2, 5, 7, 11),) * 3
+        elif kind == "single-visible-object":
+            hidden = (tuple(j for j in range(ell) if j != 3), (3, 8), ())
+        else:
+            hidden = ((1, 4, 9), (0, 4, 15, 16), (2, 6))
+        out.append((VisibilityPattern(ell=ell, hidden=hidden), method, rank, eps, 100 + i))
+    return out
+
+
+def with_low_rank_examples(test):
+    for problem in low_rank_examples():
+        test = example(problem)(test)
+    return test
+
+
 def hidden_everywhere(pattern) -> bool:
     return bool(set.intersection(*map(set, pattern.hidden)))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(problems())
+@with_low_rank_examples
 def test_completion_invariants(problem):
     pattern, method, rank, eps, seed = problem
     masked = masked_views(pattern, seed)
@@ -126,6 +153,7 @@ def assert_close(fast, ref, rel=1e-10):
 @example((VisibilityPattern(ell=6, hidden=((0, 1, 2, 3, 5), (2,))), "fc", 1, 0.0, 3))
 @example((VisibilityPattern(ell=6, hidden=((1, 2, 3, 4, 5), (0, 4), ())), "fa", 2, 1e-3, 4))
 @example((VisibilityPattern(ell=5, hidden=((), ())), "pca", 2, 0.0, 5))
+@with_low_rank_examples
 def test_driver_imputes_like_dense_oracle(problem):
     pattern, method, rank, eps, seed = problem
     masked = masked_views(pattern, seed)
