@@ -48,10 +48,11 @@ complement is D_h + W_h C_v^{-1} W_h^T:
 
 with only q x q systems, O(n_v^2 q) per view. The trace term is
 <M^{-1}, S> = sum_i S_ii / d_i - <C^{-1}, (D^{-1} W)^T S (D^{-1} W)>, O(ell^2 q);
-:func:`pca_model_update` takes the top q eigenpairs by Lanczos and
-:func:`fa_model_update` reuses the held factorization. After iteration 1 no
-step of the low-rank path costs O(ell^3). The dense path is the test oracle
-of the factored one.
+:func:`fa_model_update` reuses the held factorization, so after iteration 1
+an ``fa`` iteration has no O(ell^3) step. :func:`pca_model_update` computes
+only the top q eigenpairs, but their solver (LAPACK ``dsyevr``) still reduces
+S to tridiagonal form in O(ell^3). The dense path is the test oracle of the
+factored one.
 """
 
 from __future__ import annotations
@@ -83,23 +84,20 @@ RANK_CRITERIA = (CRITERION_GK, CRITERION_KAISER)
 # Relative floor keeping noise variances strictly positive in the FA update.
 PSI_FLOOR_REL = 1e-10
 
-# pca/fa take the low-rank path (factored inverse, Lanczos top-q eigenpairs)
-# when LOW_RANK_RATIO * q <= ell. Time of each low-rank step over its dense
+# pca/fa take the low-rank path (factored inverse, top-q eigenpairs) when
+# LOW_RANK_RATIO * q <= ell. Time of each low-rank step over its dense
 # counterpart, on the average of 4 synthetic kernels of signal rank 5 (the
 # benchmark's), one BLAS thread, best of 6-30 calls on a 2-core Xeon:
 #
 #   ell                                         50    100   200   400   800
-#   factored inverse and trace, q = ell/16     0.52  0.20  0.07  0.06  0.06
-#   per-view step, n_h = ell/5, q = ell/16     1.28  0.99  0.54  0.39  0.37
-#   Lanczos top-q over full eigh, q = ell/16   1.66  1.62  1.03  0.79  1.14
-#   Lanczos top-q over full eigh, q = 5         -    0.50  0.17  0.07  0.06
+#   factored inverse and trace, q = ell/16     0.55  0.22  0.08  0.07  0.07
+#   per-view step, n_h = ell/5, q = ell/16     0.79  1.06  0.50  0.41  0.35
+#   dsyevr top-q over full eigh, q = ell/16    0.57  0.60  0.45  0.53  0.54
+#   q where the top-q eigensolve ties          ~13   ~9    ~33   ~88   ~226
 #
-# Lanczos converges within one restart when the top q eigenvalues stand
-# clear of the rest (q up to the signal rank), and needs many restarts once
-# q reaches into the flat noise part of the spectrum: the full
-# eigendecomposition is faster from about q = 3, 6, 12, 41 and 50 for the
-# ell above. The ratio stays at 16, so a rank-40 model at ell = 400 (the
-# benchmark's cli workload) stays dense.
+# The top-q eigensolve still reduces S to tridiagonal form in O(ell^3); at
+# q = 5 it takes 0.41-0.55 of a full eigh. The ratio stays at 16, so a
+# rank-40 model at ell = 400 (the benchmark's cli workload) stays dense.
 LOW_RANK_RATIO = 16
 
 
@@ -354,6 +352,8 @@ class _View(NamedTuple):
 class _DenseInverse:
     """P = M^{-1} held whole: fc, iteration 1 of every method, pca/fa off the low-rank path."""
 
+    factors: Optional[LowRankInverse] = None  # no low-rank factorization is held
+
     def __init__(self, p: np.ndarray):
         self.p = p
 
@@ -373,7 +373,7 @@ class _FactoredInverse:
     """M^{-1} of a low-rank model W W^T + diag(d), held as W, d and chol C (module docstring)."""
 
     def __init__(self, factors: LowRankInverse):
-        self.factors = factors
+        self.factors: Optional[LowRankInverse] = factors
 
     def impute(self, view: _View) -> tuple[float, np.ndarray, np.ndarray]:
         """log det P_hh, Q_vh and Q_hh of one view from q x q systems, O(n_v^2 q)."""
@@ -439,9 +439,8 @@ def _model_update(method: str, s_reg: np.ndarray, q: Optional[int],
         return fc_model_update(s_reg)
     if method == METHOD_PCA:
         return pca_model_update(s_reg, q)
-    # A factored inverse the driver holds is always that of prev.
-    return fa_model_update(
-        s_reg, prev, prev_inv.factors if isinstance(prev_inv, _FactoredInverse) else None)
+    # The factorization the driver holds, if any, is always that of prev.
+    return fa_model_update(s_reg, prev, prev_inv.factors)
 
 
 def run_completion(

@@ -6,13 +6,12 @@ Every log det and inverse of a PD matrix is taken here, from one Cholesky factor
 of the matrix itself (:func:`logdet_and_inverse`), or, for a low-rank-plus-diagonal
 matrix W W^T + diag(d), of its q x q capacitance matrix
 (:func:`low_rank_logdet_and_inverse`, which keeps the inverse in factored form).
-Eigendecompositions, full or of the top q eigenpairs only (by Lanczos), are
-reserved for model updates and rank selection.
+Eigendecompositions, full or of the top q eigenpairs only, are reserved for
+model updates and rank selection.
 """
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 from typing import Optional
 
@@ -50,50 +49,19 @@ def _eigensolver_failed(a: np.ndarray) -> NumericalError:
     )
 
 
-def _lanczos_top(a: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``top`` largest eigenpairs by implicitly restarted Lanczos (ARPACK), ascending.
-
-    The start vector is drawn from a generator seeded with 0, so every call on
-    the same matrix returns the same bits. When ARPACK fails to converge, or
-    ``top`` is outside its range [1, ell), LAPACK ``dsyevr`` on the index range
-    gives the same pairs (or refuses the range).
-    """
-    # Imported here: scipy.sparse takes a few MB and about 15 ms to import, and
-    # only a low-rank pca update needs it.
-    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
-
-    ell = a.shape[0]
-    if 1 <= top < ell:
-        rng = np.random.default_rng(0)
-        v0 = rng.uniform(-1.0, 1.0, size=ell)
-        # ARPACK draws a vector of its own whenever the Krylov space turns invariant
-        # (a spectrum with few distinct values); scipy releases whose eigsh takes
-        # ``rng`` draw it from the seeded generator, so those calls are bit-identical too.
-        seeded = {"rng": rng} if "rng" in inspect.signature(eigsh).parameters else {}
-        try:
-            vals, vecs = eigsh(a, k=top, which="LA", v0=v0, **seeded)
-        except (ArpackNoConvergence, ArpackError):
-            pass
-        else:
-            order = np.argsort(vals, kind="stable")
-            return vals[order], vecs[:, order]
-    return sla.eigh(a, subset_by_index=(ell - top, ell - 1))
-
-
 def eigh_sorted(a: np.ndarray, top: Optional[int] = None) -> EigenDecomposition:
     """Symmetric eigendecomposition, eigenvalues sorted descending.
 
-    With ``top`` = q, only the q largest eigenpairs are computed, by
-    :func:`_lanczos_top`, under the same sort and sign rule.
+    With ``top`` = q, only the q largest eigenpairs are computed (LAPACK ``dsyevr``
+    on an index range), under the same sort and sign rule.
     """
     try:
         if top is None:
             vals, vecs = np.linalg.eigh(a)
-        elif not np.isfinite(a).all():  # ARPACK would not refuse NaN or inf
-            raise _eigensolver_failed(a)
         else:
-            vals, vecs = _lanczos_top(a, top)
-    except (np.linalg.LinAlgError, ValueError) as exc:  # ValueError: top outside [1, ell]
+            ell = a.shape[0]
+            vals, vecs = sla.eigh(a, subset_by_index=(ell - top, ell - 1))
+    except (np.linalg.LinAlgError, ValueError) as exc:  # scipy refuses NaN and inf
         raise _eigensolver_failed(a) from exc
     vals = vals[::-1].copy()
     vecs = vecs[:, ::-1].copy()
