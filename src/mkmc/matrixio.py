@@ -1,9 +1,11 @@
 """Every file format of mkmc: matrix, mask, trace, run config and report.
 
-Matrices travel either as headerless CSV (17 significant digits, so float64
-round-trips exactly) or as a small binary format: magic ``MKMC``, a version
-byte, row and column counts as little-endian uint32, then row-major
-little-endian float64 payload.
+Matrices travel either as headerless CSV or as a small binary format: magic
+``MKMC``, a version byte, row and column counts as little-endian uint32, then
+row-major little-endian float64 payload. The CSV writer gives each value as
+the shortest text that reads back to the same float64 (orjson's Ryū
+formatter), so ``1.0`` for one and ``nan``, ``inf`` or ``-inf`` for a
+non-finite entry; ``np.loadtxt`` reads it back exactly.
 
 Masks, traces, run configs and reports are JSON, written with ``indent=2`` and
 a trailing newline. One reader parses them all and raises :class:`FormatError`
@@ -33,7 +35,18 @@ RUN_CONFIG_KEYS = frozenset(
 
 
 def write_csv_matrix(path, a: np.ndarray) -> None:
-    np.savetxt(path, np.atleast_2d(a), fmt="%.17g", delimiter=",")
+    import orjson  # imported here so that ``import mkmc.cli`` stays light
+
+    a = np.ascontiguousarray(np.atleast_2d(a), dtype=np.float64)
+    # [[1.0,2.0],[3.0,4.0]] -> 1.0,2.0\n3.0,4.0
+    body = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].replace(b"],[", b"\n")
+    nonfinite = a[~np.isfinite(a)]
+    if nonfinite.size:  # orjson writes null for each, in row-major order
+        parts = body.split(b"null")
+        body = b"".join(p + b"%.17g" % x for p, x in zip(parts, nonfinite)) + parts[-1]
+    with open(path, "wb") as fh:
+        fh.write(body)
+        fh.write(b"\n")
 
 
 def read_csv_matrix(path) -> np.ndarray:
@@ -44,9 +57,10 @@ def read_csv_matrix(path) -> np.ndarray:
 
 
 def write_binary_matrix(path, a: np.ndarray) -> None:
-    a = np.atleast_2d(np.asarray(a, dtype="<f8"))
-    header = _HEADER.pack(MAGIC, VERSION, a.shape[0], a.shape[1])
-    Path(path).write_bytes(header + a.tobytes(order="C"))
+    a = np.ascontiguousarray(np.atleast_2d(a), dtype="<f8")
+    with open(path, "wb") as fh:
+        fh.write(_HEADER.pack(MAGIC, VERSION, a.shape[0], a.shape[1]))
+        fh.write(a.data)
 
 
 def read_binary_matrix(path) -> np.ndarray:
@@ -61,7 +75,7 @@ def read_binary_matrix(path) -> np.ndarray:
     expected = _HEADER.size + 8 * rows * cols
     if len(raw) != expected:
         raise FormatError(f"{path}: expected {expected} bytes, found {len(raw)}")
-    return np.frombuffer(raw[_HEADER.size :], dtype="<f8").reshape(rows, cols).copy()
+    return np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(rows, cols).copy()
 
 
 def read_matrix(path) -> np.ndarray:

@@ -11,9 +11,11 @@ from click.testing import CliRunner
 
 from mkmc import linalg, matrixio
 from mkmc.cli import main
+from mkmc.engines import CompletionConfig, run_completion
 from mkmc.errors import NotPositiveDefiniteError
 from mkmc.linalg import cholesky_lower
 from mkmc.recovery import SyntheticSpec, generate_synthetic
+from mkmc.views import Fill, apply_mask, random_mask
 
 from conftest import random_pd
 
@@ -461,6 +463,29 @@ class TestCompleteCommand:
         ]
         assert not out.exists()
 
+    @pytest.mark.parametrize("method", ["fc", "pca", "fa"])
+    def test_outputs_equal_library_completion(self, runner, tmp_path, method):
+        """CSV and binary outputs read back bit for bit as ``run_completion``'s matrices."""
+        spec = SyntheticSpec(ell=40, n_views=3, true_rank=2, noise_sigma2=0.1,
+                             per_view_jitter=0.05, seed=8)
+        pattern = random_mask(ell=40, n_views=3, fraction=0.25, seed=8)
+        masked = [apply_mask(t, h, Fill.ZERO)
+                  for t, h in zip(generate_synthetic(spec), pattern.hidden)]
+        inputs = [tmp_path / name for name in ("v0.csv", "v1.mkm", "v2.csv")]
+        for path, mat in zip(inputs, masked):
+            matrixio.write_matrix(path, mat)
+        matrixio.write_mask(tmp_path / "mask.json", pattern)
+        out = tmp_path / "o"
+        res = runner.invoke(main, ["complete", "--method", method, "--rank", "2",
+                                   "--max-iters", "20", "--mask", str(tmp_path / "mask.json"),
+                                   "--output-dir", str(out), *map(str, inputs)])
+        assert res.exit_code == 0, res.output
+        cfg = CompletionConfig(method=method, rank=2, max_iters=20)
+        library = run_completion(masked, pattern, cfg).completed
+        assert (out / "v1.mkm").read_bytes()[:4] == matrixio.MAGIC
+        for path, mat in zip(inputs, library):
+            assert np.array_equal(matrixio.read_matrix(out / path.name), mat)
+
 
 def write_file(tmp_path, name, data: bytes) -> str:
     path = tmp_path / name
@@ -510,11 +535,12 @@ def test_documented_exit_paths(runner, tmp_path, synthetic_inputs, mask_file, co
 
 
 def test_import_leaves_jsonschema_unloaded():
-    code = "import sys, mkmc.cli; print('jsonschema' in sys.modules)"
+    """Neither jsonschema nor orjson (imported by the CSV writer when it runs) loads with the CLI."""
+    code = "import sys, mkmc.cli; print('jsonschema' in sys.modules, 'orjson' in sys.modules)"
     src = str(Path(__file__).resolve().parents[1] / "src")
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 class TestEvaluateCommand:

@@ -1,7 +1,11 @@
 import json
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mkmc import matrixio
 from mkmc.engines import CompletionConfig, run_completion
@@ -9,6 +13,32 @@ from mkmc.errors import FormatError
 from mkmc.views import Fill, VisibilityPattern, apply_mask
 
 from conftest import random_pd, random_symmetric
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 1.0, -3.0, 2.0**53, 1e16, 0.1, 5e-324, -5e-324,
+                  2.2250738585072009e-308, sys.float_info.min, sys.float_info.max,
+                  -sys.float_info.max, np.nan, np.inf, -np.inf]
+
+
+@st.composite
+def csv_inputs(draw):
+    """A 1x1 to 12x12 matrix in any memory layout, as float64, float32 or int64."""
+    shape = (draw(st.integers(1, 12)), draw(st.integers(1, 12)))
+    layout = draw(st.sampled_from(["C", "F", "transposed", "strided", "float32", "int"]))
+    if layout == "int":
+        return draw(hnp.arrays(np.int64, shape, elements=st.integers(-2**63, 2**63 - 1)))
+    values = st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS))
+    a = draw(hnp.arrays(np.float64, shape, elements=values))
+    if layout == "F":
+        return np.asfortranarray(a)
+    if layout == "transposed":
+        return a.T
+    if layout == "strided":
+        return np.repeat(a, 2, axis=1)[:, ::2]
+    if layout == "float32":
+        with np.errstate(over="ignore"):
+            return a.astype(np.float32)
+    return a
 
 
 class TestCsvFormat:
@@ -29,6 +59,22 @@ class TestCsvFormat:
         path.write_text("1,2\nfoo,bar\n")
         with pytest.raises(FormatError):
             matrixio.read_csv_matrix(path)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(a=csv_inputs())
+    @example(a=np.array([[-0.0]]))
+    @example(a=np.array([[np.nan, -np.inf, 0.0, np.inf, -0.0]]))
+    @example(a=np.array([[5e-324], [-sys.float_info.max], [1e16], [2.0**53 + 2]]))
+    def test_round_trip_property(self, a, tmp_path_factory):
+        path = tmp_path_factory.mktemp("csv") / "m.csv"
+        matrixio.write_csv_matrix(path, a)
+        expected = np.asarray(a, dtype=float)
+        out = matrixio.read_csv_matrix(path)
+        assert out.shape == expected.shape
+        assert np.array_equal(out, expected, equal_nan=True)
+        zeros = expected == 0
+        assert np.array_equal(np.signbit(out[zeros]), np.signbit(expected[zeros]))
+        assert b"null" not in path.read_bytes()
 
 
 class TestBinaryFormat:
