@@ -1,9 +1,31 @@
 """Completion engines: full-covariance, PPCA, and factor-analysis models.
 
-All three share the same block coordinate descent driver: impute the hidden
-blocks of every view from the current model matrix, average the completed
-kernels, refit the model, and repeat until the objective (a sum of LogDet
-divergences) stops moving.
+All three share the same block coordinate descent driver. One map evaluation
+F (an "iteration") imputes the hidden blocks of every view from one model
+matrix, averages the completed kernels and refits the model. The driver
+repeats it until the objective stops moving:
+
+    J = sum_k LogDet(Q^(k), M) + eps LogDet(I, M),
+
+with eps = ``reg_epsilon``. The model update (K S + eps I)/(K + eps) fits the
+views and eps copies of I, so this augmented sum is what every plain step
+descends; its eps term is eps/2 (log det M + tr M^{-1} - ell).
+
+The map converges linearly at a rate near 1, like EM, so the driver
+accelerates it by SQUAREM (Varadhan & Roland 2008, *Scand. J. Stat.*) over the
+model parameters theta: M for ``fc``, (W, log sigma2) for ``pca`` and
+(W, log psi) for ``fa`` (the logs keep the noise positive). From the model
+after iteration 1 on, evaluations run in cycles. From theta0, two plain
+steps give theta1 = F(theta0) and theta2 = F(theta1); with
+r = theta1 - theta0, v = theta2 - 2 theta1 + theta0 and the step length
+alpha = -||r|| / ||v|| (capped at -1), the third evaluation is F at
+theta0 - 2 alpha r + alpha^2 v. Its result is kept only if J does not rise
+above the last kept value; otherwise, or if the point cannot be factored or
+imputed from, the evaluation is rejected and alpha moves halfway to -1, and
+to -1 itself once that would leave it above -2. alpha = -1 is the plain step
+F(theta2), which always descends. Rejected evaluations count toward
+``max_iters`` but never reach the trace, the hook or the result. With
+``max_iters`` <= 3 no point is extrapolated.
 
 The driver never factors a block of M. Let P = M_old^{-1}, the inverse of the
 model M_old that every view is imputed from in an iteration. For a view with
@@ -25,8 +47,9 @@ with log det Q^(k)_vv fixed for the run, and for the new model M
 
 All of this holds only while P is the inverse of the model every Q^(k) was
 imputed from; each iteration therefore factors M once and keeps its inverse
-as the next P. :func:`objective` is the dense reference. The log dets and
-inverses of PD matrices used here all come from :mod:`mkmc.linalg`.
+as the next P, and an extrapolated evaluation also factors its starting
+point. :func:`objective` is the dense reference. The log dets and inverses of
+PD matrices used here all come from :mod:`mkmc.linalg`.
 
 The driver holds P in one of two forms, each with its own per-view step.
 :class:`_DenseInverse` holds the whole ell x ell P, as above: it serves ``fc``
@@ -47,7 +70,10 @@ complement is D_h + W_h C_v^{-1} W_h^T:
     log det P_hh = log det C_v - log det D_h - log det C,
 
 with only q x q systems, O(n_v^2 q) per view. The trace term is
-<M^{-1}, S> = sum_i S_ii / d_i - <C^{-1}, (D^{-1} W)^T S (D^{-1} W)>, O(ell^2 q);
+<M^{-1}, S> = sum_i S_ii / d_i - <C^{-1}, (D^{-1} W)^T S (D^{-1} W)>, O(ell^2 q),
+and tr M^{-1} = sum_i 1 / d_i - <C^{-1} F, F> with F = W^T D^{-1}, O(ell q^2).
+Extrapolating (W, log d) is O(ell q) and factoring the point O(ell q^2), so
+the model is never materialized there either;
 :func:`fa_model_update` reuses the held factorization, so after iteration 1
 an ``fa`` iteration has no O(ell^3) step. :func:`pca_model_update` computes
 only the top q eigenpairs, but their solver (LAPACK ``dsyevr``) still reduces
@@ -110,6 +136,14 @@ class FullModel:
     def materialize(self) -> np.ndarray:
         return self.matrix
 
+    def parameters(self) -> tuple[np.ndarray, ...]:
+        """The point the driver extrapolates: M itself (a reference)."""
+        return (self.matrix,)
+
+    @classmethod
+    def from_parameters(cls, theta: tuple[np.ndarray, ...]) -> "FullModel":
+        return cls(matrix=theta[0])
+
 
 @dataclass(frozen=True)
 class PcaModel:
@@ -130,6 +164,14 @@ class PcaModel:
     def materialize(self) -> np.ndarray:
         return symmetrize(self.W @ self.W.T + self.sigma2 * np.eye(self.W.shape[0]))
 
+    def parameters(self) -> tuple[np.ndarray, ...]:
+        """The point the driver extrapolates: W and log sigma2."""
+        return (self.W, np.log([self.sigma2]))
+
+    @classmethod
+    def from_parameters(cls, theta: tuple[np.ndarray, ...]) -> "PcaModel":
+        return cls(W=theta[0], sigma2=float(np.exp(theta[1][0])))
+
 
 @dataclass(frozen=True)
 class FaModel:
@@ -149,6 +191,14 @@ class FaModel:
 
     def materialize(self) -> np.ndarray:
         return symmetrize(self.W @ self.W.T + np.diag(self.psi))
+
+    def parameters(self) -> tuple[np.ndarray, ...]:
+        """The point the driver extrapolates: W and log psi."""
+        return (self.W, np.log(self.psi))
+
+    @classmethod
+    def from_parameters(cls, theta: tuple[np.ndarray, ...]) -> "FaModel":
+        return cls(W=theta[0], psi=np.exp(theta[1]))
 
 
 ModelParams = Union[FullModel, PcaModel, FaModel]
@@ -187,16 +237,36 @@ class CompletionConfig:
                 raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
+STOP_TOL = "tol"
+STOP_MAX_ITERS = "max_iters"
+STOP_NO_HIDDEN = "no_hidden"
+
+
 @dataclass
 class CompletionResult:
+    """What :func:`run_completion` returns.
+
+    ``iterations`` counts map evaluations, rejected ones included; ``trace``,
+    ``iter_ms``, ``residual`` and ``step_length`` hold one entry per accepted
+    evaluation, so each has ``iterations - rejected`` entries. ``residual`` is
+    None for iteration 1 and ``step_length`` None for a plain step.
+    """
+
     completed: list[np.ndarray]
     model: ModelParams
     trace: list[float]
     iterations: int
-    converged: bool
+    stop: str
     dof: int
     rank: Optional[int] = None
     iter_ms: list[float] = field(default_factory=list)
+    residual: list[Optional[float]] = field(default_factory=list)
+    step_length: list[Optional[float]] = field(default_factory=list)
+    rejected: int = 0
+
+    @property
+    def converged(self) -> bool:
+        return self.stop != STOP_MAX_ITERS
 
 
 def average_kernel(qs: Sequence[np.ndarray]) -> np.ndarray:
@@ -368,6 +438,10 @@ class _DenseInverse:
         """<M^{-1}, S>."""
         return float(np.vdot(self.p, s))
 
+    def trace(self) -> float:
+        """tr M^{-1}."""
+        return float(np.trace(self.p))
+
 
 class _FactoredInverse:
     """M^{-1} of a low-rank model W W^T + diag(d), held as W, d and chol C (module docstring)."""
@@ -391,6 +465,10 @@ class _FactoredInverse:
     def inner(self, s: np.ndarray) -> float:
         """<M^{-1}, S>, O(ell^2 q)."""
         return self.factors.inner(s)
+
+    def trace(self) -> float:
+        """tr M^{-1}, O(ell q^2)."""
+        return self.factors.trace()
 
 
 def select_rank(s: np.ndarray, criterion: str) -> int:
@@ -443,24 +521,52 @@ def _model_update(method: str, s_reg: np.ndarray, q: Optional[int],
     return fa_model_update(s_reg, prev, prev_inv.factors)
 
 
+def _sq_norm(theta: tuple[np.ndarray, ...]) -> float:
+    return sum(float(np.vdot(part, part)) for part in theta)
+
+
+def _relative_change(diff: tuple[np.ndarray, ...], theta: tuple[np.ndarray, ...],
+                     theta_new: tuple[np.ndarray, ...]) -> float:
+    """||diff|| over the larger of ||theta|| and ||theta_new||; 0 when nothing moved."""
+    dd = _sq_norm(diff)
+    return float(np.sqrt(dd / max(_sq_norm(theta), _sq_norm(theta_new)))) if dd else 0.0
+
+
+def _step_length(r: tuple[np.ndarray, ...], v: tuple[np.ndarray, ...]) -> Optional[float]:
+    """SQUAREM's -||r|| / ||v|| when below -1; None for -1, the plain step from theta2."""
+    rr, vv = _sq_norm(r), _sq_norm(v)
+    return -float(np.sqrt(rr / vv)) if rr > vv > 0.0 else None
+
+
+def _extrapolate(theta2, r, v, alpha: float) -> tuple[np.ndarray, ...]:
+    """theta0 - 2 alpha r + alpha^2 v, written from theta2 = theta0 + 2 r + v."""
+    return tuple(t - 2.0 * (1.0 + alpha) * a + (alpha * alpha - 1.0) * b
+                 for t, a, b in zip(theta2, r, v))
+
+
 def run_completion(
     qs_masked: Sequence[np.ndarray],
     pattern: VisibilityPattern,
     cfg: CompletionConfig,
     on_iteration: Optional[Callable[[int, list[np.ndarray], ModelParams], None]] = None,
 ) -> CompletionResult:
-    """Block coordinate descent completing all K views against one model.
+    """Block coordinate descent completing all K views against one model, SQUAREM-accelerated.
 
     Hidden blocks are zero-initialized, the model starts from the (regularized)
-    average kernel, and each iteration imputes every view from the current
-    model matrix before a single model update. Stops when the relative change
-    of the objective drops below ``cfg.tol``, or after the first iteration
-    when nothing is hidden. Visible entries of the inputs are never modified.
-    ``on_iteration`` is invoked after every model update with (iteration,
-    completed matrices, model) for inspection.
+    average kernel, and each map evaluation imputes every view from one model
+    matrix before a single model update. From the model after iteration 1 on,
+    the evaluations run in cycles of three (module docstring): two plain steps,
+    then one from the extrapolated point, kept only if the objective does not
+    rise. Stops when the relative change of the objective drops below
+    ``cfg.tol``, after ``cfg.max_iters`` evaluations, or after the first
+    iteration when nothing is hidden. Visible entries of the inputs are never
+    modified. ``on_iteration`` is invoked after every accepted evaluation with
+    (iteration, completed matrices, model) for inspection; iteration counts
+    evaluations, rejected ones included.
     """
     pattern.check(qs_masked)
     n_views, ell = pattern.n_views, pattern.ell
+    eps = cfg.reg_epsilon
 
     # Zero-initialize hidden blocks (also validates the visible blocks).
     completed = [apply_mask(q, h, Fill.ZERO) for q, h in zip(qs_masked, pattern.hidden)]
@@ -479,7 +585,7 @@ def run_completion(
             views.append(_View.of(k, vis, hid, q_vv))
 
     s0 = average_kernel(completed)
-    s0_reg = regularize(s0, n_views, cfg.reg_epsilon)
+    s0_reg = regularize(s0, n_views, eps)
 
     rank: Optional[int] = None
     if cfg.method in (METHOD_PCA, METHOD_FA):
@@ -498,52 +604,107 @@ def run_completion(
     except NotPositiveDefiniteError as exc:
         raise NumericalError(f"initial model matrix: {exc}") from exc
 
+    def write(view: _View, q_vh: np.ndarray, q_hh: np.ndarray) -> None:
+        c = completed[view.k]
+        c[view.vh] = q_vh
+        c[view.hv] = q_vh.T
+        c[view.hh] = q_hh
+
+    def evaluate(prev: Optional[ModelParams], prev_inv):
+        """F at ``prev`` (inverse ``prev_inv``): impute every view, refit; J of the result."""
+        logdet_q = logdet_vv  # sum_k log det Q^(k) after imputing from prev
+        for view in views:
+            try:
+                logdet_p_hh, q_vh, q_hh = prev_inv.impute(view)
+            except NotPositiveDefiniteError as exc:
+                raise NumericalError(f"view {view.k}: hidden block of the model inverse is "
+                                     f"numerically singular: {exc}") from exc
+            logdet_q -= logdet_p_hh
+            write(view, q_vh, q_hh)
+        s = average_kernel(completed)
+        new = _model_update(cfg.method, regularize(s, n_views, eps), rank, prev, prev_inv)
+        logdet_m, new_inv = _model_logdet_and_inverse(new, low_rank)
+        trace_term = n_views * new_inv.inner(s)  # sum_k tr(M^{-1} Q^(k))
+        j = 0.5 * (n_views * (logdet_m - ell) - logdet_q + trace_term)
+        j += 0.5 * eps * (logdet_m + new_inv.trace() - ell)  # eps * LogDet(I, M)
+        return j, new, new_inv
+
     trace: list[float] = []
     iter_ms: list[float] = []
-    converged = False
+    residual: list[Optional[float]] = []
+    step_length: list[Optional[float]] = []
+    theta = None  # parameters of the accepted model; none before iteration 1
+    diffs: list = []  # F(theta) - theta of this cycle's plain steps
+    alpha: Optional[float] = None  # step length of the next evaluation, if extrapolated
+    rejected, stop, t0 = 0, STOP_MAX_ITERS, None
     for it in range(1, cfg.max_iters + 1):
-        t0 = time.perf_counter()
-        try:
-            # sum_k log det Q^(k) after imputing from the current model
-            logdet_q = logdet_vv
-            for view in views:
-                try:
-                    logdet_p_hh, q_vh, q_hh = model_inv.impute(view)
-                except NotPositiveDefiniteError as exc:
-                    raise NumericalError(f"view {view.k}: hidden block of the model inverse is "
-                                         f"numerically singular: {exc}") from exc
-                logdet_q -= logdet_p_hh
-                c = completed[view.k]
-                c[view.vh] = q_vh
-                c[view.hv] = q_vh.T
-                c[view.hh] = q_hh
+        if t0 is None:  # a rejected evaluation's time goes to the next accepted one
+            t0 = time.perf_counter()
+        if alpha is None:
+            point = theta
+            try:
+                j, new, new_inv = evaluate(model, model_inv)
+            except (NumericalError, NotPositiveDefiniteError) as exc:
+                raise NumericalError(f"iteration {it}: {exc}") from exc
+        else:
+            saved = [(completed[view.k][view.vh], completed[view.k][view.hh]) for view in views]
+            try:
+                with np.errstate(all="raise"):
+                    point = _extrapolate(theta, *diffs, alpha)
+                    trial = type(model).from_parameters(point)
+                with np.errstate(over="raise", invalid="raise", divide="raise"):
+                    j, new, new_inv = evaluate(trial, _model_logdet_and_inverse(trial, low_rank)[1])
+                accepted = j <= trace[-1]
+            except (NumericalError, NotPositiveDefiniteError, FloatingPointError):
+                accepted = False
+            if not accepted:  # back to the last accepted completions; alpha halfway to -1
+                rejected += 1
+                for view, blocks in zip(views, saved):
+                    write(view, *blocks)
+                alpha = (alpha - 1.0) / 2.0 if alpha <= -3.0 else None
+                continue
 
-            s = average_kernel(completed)
-            s_reg = regularize(s, n_views, cfg.reg_epsilon)
-            model = _model_update(cfg.method, s_reg, rank, model, model_inv)
-            logdet_m, model_inv = _model_logdet_and_inverse(model, low_rank)
-            trace_term = n_views * model_inv.inner(s)  # sum_k tr(M^{-1} Q^(k))
-            j = 0.5 * (n_views * (logdet_m - ell) - logdet_q + trace_term)
-        except (NumericalError, NotPositiveDefiniteError) as exc:
-            raise NumericalError(f"iteration {it}: {exc}") from exc
+        model, model_inv = new, new_inv
+        step_length.append(alpha)
+        alpha = None
+        theta = model.parameters()
+        if point is None:  # iteration 1 starts from S_0, outside the parameter space
+            residual.append(None)
+        else:
+            diff = tuple(a - b for a, b in zip(theta, point))
+            residual.append(_relative_change(diff, point, theta))
+        # A cycle starts at the model of iteration 1 and after each third evaluation.
+        if point is None or len(diffs) == 2:
+            diffs = []
+        else:
+            diffs.append(diff)
+            if len(diffs) == 2:
+                for r, d in zip(*diffs):
+                    d -= r  # v = (theta2 - theta1) - (theta1 - theta0)
+                alpha = _step_length(*diffs)
         iter_ms.append((time.perf_counter() - t0) * 1e3)
+        t0 = None
         trace.append(j)
         if on_iteration is not None:
             on_iteration(it, completed, model)
         # With nothing hidden the imputation is vacuous: one model fit is the answer.
-        if not views or (
-            len(trace) >= 2 and abs(j - trace[-2]) / max(1.0, abs(trace[-2])) < cfg.tol
-        ):
-            converged = True
+        if not views:
+            stop = STOP_NO_HIDDEN
+            break
+        if len(trace) >= 2 and abs(j - trace[-2]) / max(1.0, abs(trace[-2])) < cfg.tol:
+            stop = STOP_TOL
             break
 
     return CompletionResult(
         completed=completed,
         model=model,
         trace=trace,
-        iterations=len(trace),
-        converged=converged,
+        iterations=it,
+        stop=stop,
         dof=dof,
         rank=rank,
         iter_ms=iter_ms,
+        residual=residual,
+        step_length=step_length,
+        rejected=rejected,
     )

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -51,9 +52,14 @@ def write_csv_matrix(path, a: np.ndarray) -> None:
 
 def read_csv_matrix(path) -> np.ndarray:
     try:
-        return np.loadtxt(path, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():  # a file with no data is refused below instead
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            a = np.loadtxt(path, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise FormatError(f"{path}: cannot parse as CSV matrix: {exc}") from exc
+    if a.size == 0:
+        raise FormatError(f"{path}: cannot parse as CSV matrix: no data")
+    return a
 
 
 def write_binary_matrix(path, a: np.ndarray) -> None:
@@ -132,7 +138,9 @@ def write_trace(path, result) -> None:
     """trace.json of a :class:`mkmc.engines.CompletionResult`."""
     _write_json(path, {"objective": result.trace, "iterations": result.iterations,
                        "converged": result.converged, "dof": result.dof, "rank": result.rank,
-                       "iter_ms": result.iter_ms})
+                       "iter_ms": result.iter_ms, "residual": result.residual,
+                       "step_length": result.step_length, "stop": result.stop,
+                       "rejected": result.rejected})
 
 
 def read_trace(path) -> dict:

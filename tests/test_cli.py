@@ -217,7 +217,12 @@ class TestCompleteCommand:
         assert trace["dof"] == ell * 3 + ell - 3
         assert trace["rank"] == 3
         assert isinstance(trace["converged"], bool)
-        assert len(trace["iter_ms"]) == trace["iterations"]
+        assert trace["stop"] in ("tol", "max_iters") and trace["converged"] == (
+            trace["stop"] == "tol")
+        entries = trace["iterations"] - trace["rejected"]
+        for key in ("objective", "iter_ms", "residual", "step_length"):
+            assert len(trace[key]) == entries, key
+        assert trace["residual"][0] is None and trace["step_length"][:3] == [None] * 3
 
     def test_max_iters_hit_is_not_an_error(self, runner, tmp_path, synthetic_inputs):
         masked_dir = tmp_path / "masked"
@@ -531,6 +536,23 @@ def test_documented_exit_paths(runner, tmp_path, synthetic_inputs, mask_file, co
         assert lines[0].startswith("Usage: ") and lines[-1].startswith(message)
     else:
         assert len(lines) == 1 and lines[0].startswith("mkmc: error: ") and message in lines[0]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "# a comment only\n"],
+                         ids=["empty", "blank-lines", "comment-only"])
+def test_csv_without_data_exits_2_with_one_line(tmp_path, text):
+    """No numpy warning reaches stderr before the one error line (a real process, not CliRunner)."""
+    (tmp_path / "empty.csv").write_text(text)
+    (tmp_path / "m.json").write_text('{"ell": 1, "views": [{"hidden": []}]}')
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-m", "mkmc.cli", "complete", "--mask", "m.json", "--output-dir", "o",
+         "empty.csv"], cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True)
+    assert out.returncode == 2
+    assert out.stderr.splitlines() == [
+        "mkmc: error: empty.csv: cannot parse as CSV matrix: no data"]
     assert not (tmp_path / "o").exists()
 
 

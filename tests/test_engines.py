@@ -27,6 +27,11 @@ from mkmc.views import Fill, VisibilityPattern, apply_mask, partition, random_ma
 from conftest import random_pd
 
 
+def augmented_objective(completed, model, eps):
+    """What the driver descends and records: the view sum plus eps * LogDet(I, M)."""
+    return objective(completed, model) + eps * objective([np.eye(completed[0].shape[0])], model)
+
+
 def make_instance(rng, ell, n_views, fraction, jitter=0.1):
     """Random PD views sharing a base matrix, plus a random mask."""
     base = random_pd(rng, ell)
@@ -373,15 +378,15 @@ class TestRunCompletion:
         pattern = VisibilityPattern(ell=10, hidden=hidden)
         masked = [apply_mask(q, h, Fill.ZERO) for q, h in zip(qs, pattern.hidden)]
         dense = []
+        cfg = CompletionConfig(method=method, rank=2, max_iters=30)
 
         def record(_it, completed, model):
-            dense.append(objective(completed, model))
+            dense.append(augmented_objective(completed, model, cfg.reg_epsilon))
 
-        cfg = CompletionConfig(method=method, rank=2, max_iters=30)
         result = run_completion(masked, pattern, cfg, on_iteration=record)
-        assert len(dense) == result.iterations
+        assert len(dense) == len(result.trace) == result.iterations - result.rejected
         for it, (fast, ref) in enumerate(zip(result.trace, dense), start=1):
-            assert fast == pytest.approx(ref, rel=1e-10), f"iteration {it}"
+            assert fast == pytest.approx(ref, rel=1e-10), f"entry {it}"
 
     def test_non_pd_visible_block_rejected(self):
         q = np.diag([1.0, -1.0, 1.0])
@@ -424,10 +429,13 @@ class TestRunCompletion:
         monkeypatch.setattr(linalg, "cholesky_lower", recording)
         cfg = CompletionConfig(method=method, rank=2, max_iters=5)
         result = run_completion(masked, VisibilityPattern(ell=10, hidden=hidden), cfg)
-        assert result.iterations >= 2
+        assert result.iterations == 5 and result.rejected == 0
+        extrapolated = sum(a is not None for a in result.step_length)
+        assert result.step_length[3] is not None and extrapolated == 1  # iteration 4 only
         assert sizes.count(7) == 3  # each view's Q_vv, once, in the set-up
         assert sizes.count(3) == 3 * result.iterations  # each view's P_hh, every iteration
-        assert sizes.count(10) == 1 + result.iterations  # the initial model, then each M
+        # the initial model, then each M, and the extrapolated point of iteration 4
+        assert sizes.count(10) == 1 + result.iterations + extrapolated
 
     @pytest.mark.parametrize("method", ["pca", "fa"])
     def test_low_rank_model_never_factored_at_full_size(self, rng, method, monkeypatch):
@@ -450,14 +458,17 @@ class TestRunCompletion:
         cfg = CompletionConfig(method=method, rank=2, max_iters=5)
         result = run_completion(masked, VisibilityPattern(ell=48, hidden=hidden), cfg,
                                 on_iteration=lambda *_: marks.append(len(factored)))
-        assert result.iterations >= 2
+        assert result.iterations == 5 and result.rejected == 0
+        assert result.step_length[3] is not None  # iteration 4 is extrapolated
         # set-up and iteration 1: each view's Q_vv, the initial model S_0, each view's
         # P_hh of S_0, and C of the new model (for fa also C of the PPCA start it refits)
         n_c = 2 if method == "fa" else 1
         assert sorted(factored[:marks[0]]) == [2] * n_c + [3] * 3 + [45] * 3 + [48]
-        # every later iteration: each view's q x q C_v, then C of the new model
+        # every later iteration: C of the extrapolated point if there is one, each
+        # view's q x q C_v, then C of the new model
         for it, (lo, hi) in enumerate(zip(marks, marks[1:]), start=2):
-            assert factored[lo:hi] == [2] * 4, f"iteration {it}"
+            n_point = result.step_length[it - 1] is not None
+            assert factored[lo:hi] == [2] * (n_point + 4), f"iteration {it}"
         # the only ell x ell inverse is that of S_0 and P_hh is inverted in iteration 1
         # only; later, each view inverts its C_v
         assert inverted == [48, 3, 3, 3] + [2] * 3 * (result.iterations - 1)
@@ -467,20 +478,22 @@ class TestRunCompletion:
         ell = 48
         _, masked, pattern = make_instance(rng, ell, 3, 0.2)
         dense_objective = []
+        cfg = CompletionConfig(method=method, rank=3, max_iters=40)
 
         def record(_it, completed, model):
-            dense_objective.append(objective(completed, model))
+            dense_objective.append(augmented_objective(completed, model, cfg.reg_epsilon))
 
-        cfg = CompletionConfig(method=method, rank=3, max_iters=40)
         assert engines._low_rank(ell, cfg.rank)
         fast = run_completion(masked, pattern, cfg, on_iteration=record)
-        assert len(dense_objective) == fast.iterations >= 2
+        assert len(dense_objective) == len(fast.trace) >= 2
+        assert any(a is not None for a in fast.step_length)
         for it, (value, ref) in enumerate(zip(fast.trace, dense_objective), start=1):
-            assert value == pytest.approx(ref, rel=1e-10), f"iteration {it}"
+            assert value == pytest.approx(ref, rel=1e-10), f"entry {it}"
 
         monkeypatch.setattr(engines, "_low_rank", lambda ell, q: False)
         dense = run_completion(masked, pattern, cfg)
-        assert dense.iterations == fast.iterations
+        assert dense.iterations == fast.iterations and dense.rejected == fast.rejected
+        assert dense.step_length == pytest.approx(fast.step_length, rel=1e-8)
         for c_fast, c_dense in zip(fast.completed, dense.completed):
             assert np.linalg.norm(c_fast - c_dense) <= 1e-9 * np.linalg.norm(c_dense)
         assert np.allclose(fast.trace, dense.trace, rtol=1e-10, atol=0)
@@ -531,3 +544,126 @@ class TestRunCompletion:
                            CompletionConfig(method="fc"))
         assert str(info.value) == "iteration 1: matrix of dim 6 is not positive definite"
         assert info.value.exit_code == 5
+
+
+def plain_loop(masked, pattern, cfg):
+    """The map without extrapolation, iterated from the public functions under the
+    driver's stop rule: (map evaluations, final model)."""
+    eps, ell = cfg.reg_epsilon, pattern.ell
+    completed = [apply_mask(q, h, Fill.ZERO) for q, h in zip(masked, pattern.hidden)]
+    m = regularize(average_kernel(completed), pattern.n_views, eps)
+    model = None
+    if cfg.method == "fa":
+        start = pca_model_update(m, cfg.rank)
+        model = FaModel(W=start.W, psi=np.full(ell, start.sigma2))
+    trace = []
+    for it in range(1, cfg.max_iters + 1):
+        model = plain_step(completed, pattern, m, model, cfg)
+        m = model.materialize()
+        trace.append(augmented_objective(completed, model, eps))
+        if len(trace) >= 2 and abs(trace[-1] - trace[-2]) / max(1.0, abs(trace[-2])) < cfg.tol:
+            break
+    return it, model
+
+
+def plain_step(completed, pattern, m, model, cfg):
+    """Impute every view of ``completed`` in place from the matrix m, then refit."""
+    for c, h in zip(completed, pattern.hidden):
+        if h:
+            hid, vis = np.array(h), np.setdiff1d(np.arange(pattern.ell), h)
+            q_vh, q_hh = impute_view(c[np.ix_(vis, vis)], partition(m, h))
+            c[np.ix_(vis, hid)], c[np.ix_(hid, vis)], c[np.ix_(hid, hid)] = q_vh, q_vh.T, q_hh
+    s_reg = regularize(average_kernel(completed), pattern.n_views, cfg.reg_epsilon)
+    if cfg.method == "fc":
+        return fc_model_update(s_reg)
+    if cfg.method == "pca":
+        return pca_model_update(s_reg, cfg.rank)
+    return fa_model_update(s_reg, model)
+
+
+def seeded_problem(seed, ell=16, n_views=3):
+    """Synthetic views and independent masks, redrawn until every object is seen in some
+    view: the map creeps toward the fixed point at a rate near 1 when one is not."""
+    spec = SyntheticSpec(ell=ell, n_views=n_views, true_rank=3, noise_sigma2=0.1,
+                         per_view_jitter=0.05, seed=seed)
+    draw = seed
+    pattern = random_mask(ell, n_views, 0.25, seed=draw)
+    while set.intersection(*map(set, pattern.hidden)):
+        draw += 1000
+        pattern = random_mask(ell, n_views, 0.25, seed=draw)
+    truths = generate_synthetic(spec)
+    return [apply_mask(t, h, Fill.ZERO) for t, h in zip(truths, pattern.hidden)], pattern
+
+
+class TestAcceleration:
+    @pytest.mark.parametrize("method", ["fc", "pca", "fa"])
+    def test_three_iterations_are_plain_steps(self, method):
+        masked, pattern = seeded_problem(0)
+        snapshots = []
+        longer = run_completion(masked, pattern, CompletionConfig(method=method, rank=2, max_iters=9),
+                                on_iteration=lambda _it, c, m: snapshots.append(
+                                    ([x.copy() for x in c], m)))
+        assert any(a is not None for a in longer.step_length[3:])
+        for max_iters in (1, 2, 3):
+            cfg = CompletionConfig(method=method, rank=2, max_iters=max_iters)
+            result = run_completion(masked, pattern, cfg)
+            assert result.step_length == [None] * max_iters
+            assert result.iterations == max_iters and result.rejected == 0
+            assert result.stop == "max_iters"
+            completed, model = snapshots[max_iters - 1]
+            for c, ref in zip(result.completed, completed):
+                assert np.array_equal(c, ref)
+            assert np.array_equal(result.model.materialize(), model.materialize())
+
+    @pytest.mark.parametrize("method", ["fc", "pca", "fa"])
+    def test_nearer_the_fixed_point_in_fewer_evaluations(self, method):
+        """Against the plain loop on 5 seeded problems, under the same tol rule.
+
+        The per-step residual ||F(theta) - theta|| / ||theta|| of a map converging
+        linearly at rate rho is about (1 - rho) times the distance to the fixed point,
+        so a plain loop creeping at rho near 1 reports a small residual far from it.
+        The comparison is therefore the distance of the final model matrix to the
+        fixed point: the driver's model once consecutive objectives are equal, which
+        one more plain step moves by at most 1e-8 (relative).
+        """
+        cfg = CompletionConfig(method=method, rank=2, max_iters=300)
+        plain_total = driver_total = 0
+        for seed in range(5):
+            masked, pattern = seeded_problem(seed)
+            n_plain, plain_model = plain_loop(masked, pattern, cfg)
+            result = run_completion(masked, pattern, cfg)
+            assert result.stop == "tol"
+            plain_total += n_plain
+            driver_total += result.iterations
+
+            ref = run_completion(masked, pattern, CompletionConfig(
+                method=method, rank=2, tol=1e-300, max_iters=5000))
+            assert ref.stop == "tol"
+            m_ref = ref.model.materialize()
+            again = plain_step([c.copy() for c in ref.completed], pattern, m_ref, ref.model, cfg)
+            scale = np.linalg.norm(m_ref)
+            assert np.linalg.norm(again.materialize() - m_ref) <= 1e-8 * scale
+
+            def distance(model):
+                return np.linalg.norm(model.materialize() - m_ref) / scale
+
+            assert distance(result.model) <= distance(plain_model), f"seed {seed}"
+        assert driver_total < plain_total
+
+    @pytest.mark.parametrize("method, seed", [("fc", 0), ("fa", 2)])  # problems with a rejection
+    def test_run_ending_on_a_rejection_returns_the_last_accepted_state(self, method, seed):
+        masked, pattern = seeded_problem(seed)
+        cfg = CompletionConfig(method=method, rank=2, max_iters=300)
+        accepted = {}
+        full = run_completion(masked, pattern, cfg, on_iteration=lambda it, c, m: accepted.update(
+            {it: ([x.copy() for x in c], m)}))
+        assert full.rejected >= 1
+        first_rejected = min(set(range(1, full.iterations + 1)) - set(accepted))
+        stopped = run_completion(masked, pattern, CompletionConfig(
+            method=method, rank=2, max_iters=first_rejected))
+        assert stopped.stop == "max_iters" and stopped.rejected == 1
+        assert stopped.trace == full.trace[:first_rejected - 1]
+        completed, model = accepted[first_rejected - 1]
+        for c, ref in zip(stopped.completed, completed):
+            assert np.array_equal(c, ref)
+        assert np.array_equal(stopped.model.materialize(), model.materialize())

@@ -149,8 +149,12 @@ class TestTraceFile:
         }
         layout = {"objective": result.trace, "iterations": result.iterations,
                   "converged": result.converged, "dof": result.dof, "rank": 1,
-                  "iter_ms": result.iter_ms}
+                  "iter_ms": result.iter_ms, "residual": result.residual,
+                  "step_length": result.step_length, "stop": result.stop,
+                  "rejected": result.rejected}
         assert path.read_text() == json.dumps(layout, indent=2) + "\n"
+        assert result.stop == "tol" and result.residual[0] is None
+        assert len(result.residual) == len(result.step_length) == len(result.trace)
 
 
 class TestRunConfig:

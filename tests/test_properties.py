@@ -6,15 +6,20 @@ checks the same bounded set of problems.
 The descent is monotone in the objective the iteration minimizes. With
 ``reg_epsilon`` = eps > 0 the model update minimizes the view divergences plus
 eps * LogDet(I, M), since (K S + eps I)/(K + eps) is the average of the views
-and eps copies of I. The reported trace omits that term, so only the
-augmented sum is asserted monotone; at eps = 0 the two coincide.
+and eps copies of I. The driver records that augmented sum, so its trace
+itself is asserted monotone and equal to the dense augmented objective of
+each accepted state; at eps = 0 it is the view sum.
 
 At eps = 0 an object hidden in every view leaves the zero-filled starting
 average singular, and the driver must refuse the problem.
 
-The driver imputes each view from the inverse of the model it holds; at every
-iteration its hidden blocks equal those of the dense conditional moments
-(:func:`impute_view`) computed from the previous model matrix. The drawn
+The driver imputes each view from the inverse of the point it evaluates the
+map at; at every accepted iteration its hidden blocks equal those of the dense
+conditional moments (:func:`impute_view`) computed from that point: the
+previous model for a plain step, and for an extrapolated one the point
+theta0 - 2 alpha r + alpha^2 v rebuilt from the recorded step length alpha and
+the three previous models (r = theta1 - theta0, v = theta2 - 2 theta1 + theta0,
+theta = M for fc, (W, log sigma2) for pca, (W, log psi) for fa). The drawn
 problems are too small for the low-rank pca/fa path (16 q <= ell), so both
 driver properties also run on explicit examples that take it.
 
@@ -39,8 +44,8 @@ from hypothesis import strategies as st
 
 from mkmc import matrixio
 from mkmc.cli import main
-from mkmc.engines import (METHODS, CompletionConfig, average_kernel, impute_view, objective,
-                          regularize, run_completion)
+from mkmc.engines import (METHODS, CompletionConfig, FullModel, PcaModel, average_kernel,
+                          impute_view, objective, regularize, run_completion)
 from mkmc.errors import ConfigError, NumericalError
 from mkmc.views import Fill, VisibilityPattern, apply_mask, partition, random_mask
 
@@ -119,11 +124,11 @@ def test_completion_invariants(problem):
         with pytest.raises(NumericalError, match="initial model matrix"):
             run_completion(masked, pattern, cfg)
         return
-    dense, descended = [], []
+    descended = []
 
     def record(_it, completed, model):
-        dense.append(objective(completed, model))
-        descended.append(dense[-1] + eps * objective([np.eye(pattern.ell)], model))
+        descended.append(objective(completed, model)
+                         + eps * objective([np.eye(pattern.ell)], model))
 
     result = run_completion(masked, pattern, cfg, on_iteration=record)
 
@@ -131,9 +136,10 @@ def test_completion_invariants(problem):
         vis = np.setdiff1d(np.arange(pattern.ell), h)
         assert np.array_equal(c[np.ix_(vis, vis)], given_q[np.ix_(vis, vis)])
         assert np.linalg.eigvalsh(c)[0] > 0.0
-    assert np.all(np.diff(descended) <= 1e-10 * np.maximum(1.0, np.abs(descended[:-1])))
-    assert len(dense) == result.iterations
-    for fast, ref in zip(result.trace, dense):
+    trace = np.array(result.trace)
+    assert np.all(np.diff(trace) <= 1e-10 * np.maximum(1.0, np.abs(trace[:-1])))
+    assert len(descended) == len(result.trace) == result.iterations - result.rejected
+    for fast, ref in zip(result.trace, descended):
         assert fast == pytest.approx(ref, rel=1e-10)
     if not any(pattern.hidden):
         assert result.iterations == 1 and result.converged
@@ -148,6 +154,22 @@ def assert_close(fast, ref, rel=1e-10):
     assert np.linalg.norm(fast - ref) <= rel * np.linalg.norm(ref)
 
 
+def extrapolated_point(three_models, alpha):
+    """The model matrix at theta0 - 2 alpha r + alpha^2 v of three consecutive models."""
+    def theta(model):
+        if isinstance(model, FullModel):
+            return [model.matrix]
+        noise = model.sigma2 if isinstance(model, PcaModel) else model.psi
+        return [model.W, np.log(np.atleast_1d(noise))]
+
+    t0, t1, t2 = map(theta, three_models)
+    point = [a - 2 * alpha * (b - a) + alpha ** 2 * (c - 2 * b + a) for a, b, c in zip(t0, t1, t2)]
+    if len(point) == 1:
+        return point[0]
+    w, noise = point[0], np.exp(point[1])
+    return w @ w.T + np.diag(np.broadcast_to(noise, (w.shape[0],)))
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(problems())
 @example((VisibilityPattern(ell=6, hidden=((0, 1, 2, 3, 5), (2,))), "fc", 1, 0.0, 3))
@@ -159,17 +181,21 @@ def test_driver_imputes_like_dense_oracle(problem):
     masked = masked_views(pattern, seed)
     if eps == 0.0 and hidden_everywhere(pattern):
         return  # refused; see test_completion_invariants
-    # iteration 1 imputes from the regularized average of the zero-filled views
-    models = [regularize(average_kernel(masked), pattern.n_views, eps)]
-    steps = []
+    models, steps = [], []
 
     def record(_it, completed, model):
         steps.append([c.copy() for c in completed])
-        models.append(model.materialize())
+        models.append(model)
 
     cfg = CompletionConfig(method=method, rank=rank, reg_epsilon=eps, max_iters=30)
-    run_completion(masked, pattern, cfg, on_iteration=record)
-    for completed, m_prev in zip(steps, models):
+    result = run_completion(masked, pattern, cfg, on_iteration=record)
+    for i, (completed, alpha) in enumerate(zip(steps, result.step_length)):
+        if i == 0:  # iteration 1 imputes from the regularized average of the zero-filled views
+            m_prev = regularize(average_kernel(masked), pattern.n_views, eps)
+        elif alpha is None:
+            m_prev = models[i - 1].materialize()
+        else:
+            m_prev = extrapolated_point(models[i - 3:i], alpha)
         for c, h in zip(completed, pattern.hidden):
             if h:
                 got = partition(c, h)
