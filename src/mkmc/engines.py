@@ -21,11 +21,11 @@ r = theta1 - theta0, v = theta2 - 2 theta1 + theta0 and the step length
 alpha = -||r|| / ||v|| (capped at -1), the third evaluation is F at
 theta0 - 2 alpha r + alpha^2 v. Its result is kept only if J does not rise
 above the last kept value; otherwise, or if the point cannot be factored or
-imputed from, the evaluation is rejected and alpha moves halfway to -1, and
-to -1 itself once that would leave it above -2. alpha = -1 is the plain step
-F(theta2), which always descends. Rejected evaluations count toward
-``max_iters`` but never reach the trace, the hook or the result. With
-``max_iters`` <= 3 no point is extrapolated.
+imputed from, the evaluation is rejected and the next one is the plain step
+F(theta2), which always descends and starts the next cycle. So a rejection
+costs one evaluation and is never followed by another. Rejected evaluations
+count toward ``max_iters`` but never reach the trace, the hook or the result.
+With ``max_iters`` <= 3 no point is extrapolated.
 
 The driver never factors a block of M. Let P = M_old^{-1}, the inverse of the
 model M_old that every view is imputed from in an iteration. For a view with
@@ -277,10 +277,11 @@ def average_kernel(qs: Sequence[np.ndarray]) -> np.ndarray:
     for q in qs[1:]:
         if q.shape != shape:
             raise DimensionError(f"dimension mismatch: {shape} vs {q.shape}")
-    out = np.zeros(shape)
-    for q in qs:
+    out = np.array(qs[0], dtype=float)
+    for q in qs[1:]:
         out += q
-    return out / len(qs)
+    out /= len(qs)
+    return out
 
 
 def regularize(s: np.ndarray, n_views: int, eps: float) -> np.ndarray:
@@ -290,7 +291,7 @@ def regularize(s: np.ndarray, n_views: int, eps: float) -> np.ndarray:
     if eps == 0:
         return s
     out = n_views * s
-    out[np.diag_indices_from(out)] += eps
+    out.flat[::len(out) + 1] += eps
     out /= n_views + eps
     return out
 
@@ -454,7 +455,8 @@ class _FactoredInverse:
         m = self.factors
         f_v, w_h, d_h = m.f[:, view.vis], m.w[view.hid], m.d[view.hid]
         # C_v = I + W_v^T D_v^{-1} W_v >= I, the capacitance matrix of M_vv
-        logdet_c_v, c_v_inv = logdet_and_inverse(np.eye(len(f_v)) + f_v @ m.w[view.vis])
+        c_v = symmetrize(np.eye(len(f_v)) + f_v @ m.w[view.vis])
+        logdet_c_v, c_v_inv = logdet_and_inverse(c_v)
         a = f_v.T @ c_v_inv  # D_v^{-1} W_v C_v^{-1} = M_vv^{-1} W_v
         qa = view.q_vv @ a
         q_hh = w_h @ (c_v_inv + a.T @ qa) @ w_h.T
@@ -525,11 +527,10 @@ def _sq_norm(theta: tuple[np.ndarray, ...]) -> float:
     return sum(float(np.vdot(part, part)) for part in theta)
 
 
-def _relative_change(diff: tuple[np.ndarray, ...], theta: tuple[np.ndarray, ...],
-                     theta_new: tuple[np.ndarray, ...]) -> float:
-    """||diff|| over the larger of ||theta|| and ||theta_new||; 0 when nothing moved."""
+def _relative_change(diff: tuple[np.ndarray, ...], theta_sq: float, theta_new_sq: float) -> float:
+    """||diff|| over the larger of the two norms, given squared; 0 when nothing moved."""
     dd = _sq_norm(diff)
-    return float(np.sqrt(dd / max(_sq_norm(theta), _sq_norm(theta_new)))) if dd else 0.0
+    return float(np.sqrt(dd / max(theta_sq, theta_new_sq))) if dd else 0.0
 
 
 def _step_length(r: tuple[np.ndarray, ...], v: tuple[np.ndarray, ...]) -> Optional[float]:
@@ -633,7 +634,7 @@ def run_completion(
     iter_ms: list[float] = []
     residual: list[Optional[float]] = []
     step_length: list[Optional[float]] = []
-    theta = None  # parameters of the accepted model; none before iteration 1
+    theta = theta_sq = None  # parameters of the accepted model and ||theta||^2
     diffs: list = []  # F(theta) - theta of this cycle's plain steps
     alpha: Optional[float] = None  # step length of the next evaluation, if extrapolated
     rejected, stop, t0 = 0, STOP_MAX_ITERS, None
@@ -657,22 +658,24 @@ def run_completion(
                 accepted = j <= trace[-1]
             except (NumericalError, NotPositiveDefiniteError, FloatingPointError):
                 accepted = False
-            if not accepted:  # back to the last accepted completions; alpha halfway to -1
+            if not accepted:  # back to the last accepted completions; next, the plain step
                 rejected += 1
                 for view, blocks in zip(views, saved):
                     write(view, *blocks)
-                alpha = (alpha - 1.0) / 2.0 if alpha <= -3.0 else None
+                alpha = None
                 continue
 
         model, model_inv = new, new_inv
+        point_sq = theta_sq if alpha is None else _sq_norm(point)
         step_length.append(alpha)
         alpha = None
         theta = model.parameters()
+        theta_sq = _sq_norm(theta)
         if point is None:  # iteration 1 starts from S_0, outside the parameter space
             residual.append(None)
         else:
             diff = tuple(a - b for a, b in zip(theta, point))
-            residual.append(_relative_change(diff, point, theta))
+            residual.append(_relative_change(diff, point_sq, theta_sq))
         # A cycle starts at the model of iteration 1 and after each third evaluation.
         if point is None or len(diffs) == 2:
             diffs = []

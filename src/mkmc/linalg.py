@@ -6,6 +6,8 @@ Every log det and inverse of a PD matrix is taken here, from one Cholesky factor
 of the matrix itself (:func:`logdet_and_inverse`), or, for a low-rank-plus-diagonal
 matrix W W^T + diag(d), of its q x q capacitance matrix
 (:func:`low_rank_logdet_and_inverse`, which keeps the inverse in factored form).
+LAPACK ``dpotrf`` factors A^T, a Fortran-ordered view of A when A is C-ordered, so
+every matrix factored here must be exactly symmetric.
 Eigendecompositions, full or of the top q eigenpairs only, are reserved for
 model updates and rank selection.
 """
@@ -26,7 +28,9 @@ def symmetrize(raw) -> np.ndarray:
     a = np.asarray(raw, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-    return (a + a.T) / 2.0
+    out = a + a.T
+    out *= 0.5
+    return out
 
 
 @dataclass(frozen=True)
@@ -81,21 +85,19 @@ def eigenvalues(a: np.ndarray) -> np.ndarray:
 
 
 def cholesky_lower(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor; raises if ``a`` is not positive definite."""
-    try:
-        return np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(
-            f"matrix of dim {a.shape[0]} is not positive definite"
-        ) from exc
+    """Lower Cholesky factor of an exactly symmetric ``a``; raises if it is not positive
+    definite, NaN or inf entries included (they pass the pivot test, not the finite diagonal)."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
+    chol, info = sla.lapack.dpotrf(a.T, lower=1, clean=1)
+    if info != 0 or not np.isfinite(np.diagonal(chol)).all():
+        raise NotPositiveDefiniteError(f"matrix of dim {a.shape[0]} is not positive definite")
+    return chol
 
 
 def _logdet_of_factor(chol: np.ndarray) -> float:
-    """log det of L L^T; NaN or inf entries pass the pivot test but leave it non-finite."""
-    value = float(2.0 * np.sum(np.log(np.diag(chol))))
-    if not np.isfinite(value):
-        raise NotPositiveDefiniteError(f"matrix of dim {chol.shape[0]} is not positive definite")
-    return value
+    """log det of L L^T."""
+    return float(2.0 * np.sum(np.log(np.diagonal(chol))))
 
 
 def logdet(a: np.ndarray) -> float:
@@ -104,14 +106,16 @@ def logdet(a: np.ndarray) -> float:
 
 
 def logdet_and_inverse(a: np.ndarray) -> tuple[float, np.ndarray]:
-    """log det and full symmetric inverse of a PD matrix, from one Cholesky (``dpotri``)."""
+    """log det and full symmetric inverse of a PD matrix, from one Cholesky (``dpotri``, which
+    fills only the lower triangle: the factor's upper one stays zero)."""
     chol = cholesky_lower(a)
-    inv, info = sla.lapack.dpotri(chol, lower=1)
+    value = _logdet_of_factor(chol)
+    low, info = sla.lapack.dpotri(chol, lower=1, overwrite_c=1)
     if info != 0:
         raise NumericalError(f"inverting a matrix of dim {a.shape[0]} failed (dpotri info={info})")
-    inv = np.tril(inv)
-    inv += np.tril(inv, -1).T
-    return _logdet_of_factor(chol), inv
+    inv = low + low.T
+    inv.flat[::len(inv) + 1] *= 0.5
+    return value, inv
 
 
 @dataclass(frozen=True)

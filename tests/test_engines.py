@@ -600,7 +600,7 @@ class TestAcceleration:
     def test_three_iterations_are_plain_steps(self, method):
         masked, pattern = seeded_problem(0)
         snapshots = []
-        longer = run_completion(masked, pattern, CompletionConfig(method=method, rank=2, max_iters=9),
+        longer = run_completion(masked, pattern, CompletionConfig(method=method, rank=2, max_iters=24),
                                 on_iteration=lambda _it, c, m: snapshots.append(
                                     ([x.copy() for x in c], m)))
         assert any(a is not None for a in longer.step_length[3:])
@@ -649,6 +649,28 @@ class TestAcceleration:
 
             assert distance(result.model) <= distance(plain_model), f"seed {seed}"
         assert driver_total < plain_total
+
+    @pytest.mark.parametrize("method, seed", [("fc", 0), ("fa", 2)])  # problems with a rejection
+    def test_rejection_is_followed_by_the_plain_step(self, method, seed):
+        masked, pattern = seeded_problem(seed)
+        cfg = CompletionConfig(method=method, rank=2, max_iters=300)
+        accepted = {}
+        full = run_completion(masked, pattern, cfg, on_iteration=lambda it, c, m: accepted.update(
+            {it: ([x.copy() for x in c], m)}))
+        assert full.stop == "tol" and full.rejected >= 1
+        rejected = sorted(set(range(1, full.iterations + 1)) - set(accepted))
+        assert len(rejected) == full.rejected
+        entry = {it: i for i, it in enumerate(sorted(accepted))}  # evaluation -> trace entry
+        for it in rejected:
+            assert it + 1 in accepted  # never two rejections in a row
+            assert full.step_length[entry[it + 1]] is None
+            completed, model = accepted[it - 1]
+            completed = [c.copy() for c in completed]
+            refit = plain_step(completed, pattern, model.materialize(), model, cfg)
+            for c, ref in zip(accepted[it + 1][0], completed):
+                np.testing.assert_allclose(c, ref, rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(accepted[it + 1][1].materialize(), refit.materialize(),
+                                       rtol=1e-9, atol=1e-12)
 
     @pytest.mark.parametrize("method, seed", [("fc", 0), ("fa", 2)])  # problems with a rejection
     def test_run_ending_on_a_rejection_returns_the_last_accepted_state(self, method, seed):

@@ -5,6 +5,7 @@ import pytest
 
 from mkmc.errors import DimensionError, NotPositiveDefiniteError, NumericalError
 from mkmc.linalg import (
+    cholesky_lower,
     eigenvalues,
     eigh_sorted,
     logdet,
@@ -181,6 +182,58 @@ class TestLogdetAndInverse:
     def test_non_pd_rejected(self):
         with pytest.raises(NotPositiveDefiniteError):
             logdet_and_inverse(np.diag([1.0, 0.0]))
+
+
+def _layouts(a):
+    """The symmetric matrix ``a`` as C-ordered, F-ordered, strided-view and fancy-indexed input."""
+    ell = a.shape[0]
+    spread = np.zeros((2 * ell, 2 * ell))
+    spread[::2, ::2] = a
+    order = np.arange(ell)[::-1]
+    return {"C": np.ascontiguousarray(a), "F": np.asfortranarray(a), "strided": spread[::2, ::2],
+            "fancy": a[np.ix_(order, order)][np.ix_(order, order)]}
+
+
+class TestFactorLayouts:
+    @pytest.mark.parametrize("layout", ["C", "F", "strided", "fancy"])
+    def test_every_layout_gives_the_same_factor_and_inverse(self, rng, layout):
+        for ell in (1, 2, 7, 40):
+            base = random_pd(rng, ell)
+            a = _layouts(base)[layout]
+            before = a.copy()
+            chol = cholesky_lower(a)
+            assert np.array_equal(a, before)
+            assert np.array_equal(chol, np.tril(chol))
+            assert np.linalg.norm(chol @ chol.T - base) <= 1e-12 * np.linalg.norm(base)
+            value, inv = logdet_and_inverse(a)
+            assert np.array_equal(a, before)
+            assert np.array_equal(inv, inv.T)
+            ref = np.linalg.inv(base)
+            assert np.linalg.norm(inv - ref) <= 1e-12 * np.linalg.norm(ref)
+            assert value == pytest.approx(np.linalg.slogdet(base)[1], rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided", "fancy"])
+    @pytest.mark.parametrize("call", [cholesky_lower, logdet_and_inverse],
+                             ids=["cholesky_lower", "logdet_and_inverse"])
+    @pytest.mark.parametrize("bad", ["nan", "indefinite"])
+    def test_nan_and_non_pd_rejected(self, rng, call, layout, bad):
+        a = random_pd(rng, 6)
+        if bad == "nan":
+            a[4, 1] = a[1, 4] = np.nan
+        else:
+            a[3, 3] = -1.0
+        a = _layouts(a)[layout]
+        before = a.copy()
+        with pytest.raises(NotPositiveDefiniteError, match="^matrix of dim 6 is not positive definite$"):
+            call(a)
+        assert np.array_equal(a, before, equal_nan=True)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (2, 2, 2)])
+    @pytest.mark.parametrize("call", [cholesky_lower, logdet, logdet_and_inverse],
+                             ids=["cholesky_lower", "logdet", "logdet_and_inverse"])
+    def test_non_square_rejected(self, call, shape):
+        with pytest.raises(DimensionError, match=r"^expected a square matrix, got shape"):
+            call(np.ones(shape))
 
 
 class TestLowRankLogdetAndInverse:
