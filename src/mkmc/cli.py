@@ -20,7 +20,6 @@ import numpy as np
 from . import matrixio
 from .engines import METHODS, RANK_CRITERIA, CompletionConfig, run_completion
 from .errors import ConfigError, DimensionError, MkmcError, NotPositiveDefiniteError
-from .linalg import symmetrize
 from .recovery import score_completion
 from .views import Fill, apply_mask, random_mask
 
@@ -68,11 +67,16 @@ def _output_paths(out_dir, sidecar: str, inputs) -> list[Path]:
 def _load_square_inputs(inputs) -> list[np.ndarray]:
     mats = []
     for p in inputs:
-        raw = matrixio.read_matrix(p)
-        mats.append(symmetrize(raw))  # also rejects a non-square matrix
+        raw = matrixio.read_matrix(p)  # always 2-D
+        if raw.shape[0] != raw.shape[1]:
+            raise DimensionError(f"expected a square matrix, got shape {raw.shape}")
+        t = raw.T.copy()  # one strided pass, for the symmetric part and the asymmetry
+        out = raw + t
+        out *= 0.5
+        mats.append(out)
         if raw.shape != mats[0].shape:
             raise DimensionError(f"{p}: dimension {raw.shape[0]} differs from {mats[0].shape[0]}")
-        asym = np.abs(raw - raw.T).max(initial=0.0)
+        asym = np.abs(raw - t).max(initial=0.0)
         if asym > ASYMMETRY_RTOL * np.abs(raw).max(initial=0.0):
             raise NotPositiveDefiniteError(f"{p}: not symmetric, max |A - A^T| = {asym:.3g}")
     return mats

@@ -270,7 +270,9 @@ class CompletionResult:
 
 
 def average_kernel(qs: Sequence[np.ndarray]) -> np.ndarray:
-    """Entrywise mean of K same-sized symmetric matrices."""
+    """Entrywise mean of K same-sized symmetric matrices.
+
+    The checks serve public callers (``mkmc`` exports it); the driver never trips them."""
     if len(qs) < 1:
         raise ValueError("need at least one matrix")
     shape = qs[0].shape
@@ -285,7 +287,9 @@ def average_kernel(qs: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def regularize(s: np.ndarray, n_views: int, eps: float) -> np.ndarray:
-    """Numerical-stability transform (K*S + eps*I) / (K + eps)."""
+    """Numerical-stability transform (K*S + eps*I) / (K + eps).
+
+    The eps check serves public callers (``mkmc`` exports it); the driver never trips it."""
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     if eps == 0:

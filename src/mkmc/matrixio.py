@@ -5,7 +5,9 @@ Matrices travel either as headerless CSV or as a small binary format: magic
 row-major little-endian float64 payload. The CSV writer gives each value as
 the shortest text that reads back to the same float64 (orjson's Ryū
 formatter), so ``1.0`` for one and ``nan``, ``inf`` or ``-inf`` for a
-non-finite entry; ``np.loadtxt`` reads it back exactly.
+non-finite entry. orjson reads a plain numeric CSV (digits, ``+-.eE``, commas
+and JSON whitespace; no integer ``-0``) one row of Python floats at a time;
+``np.loadtxt`` reads every other CSV. Both give the same float64 values.
 
 Masks, traces, run configs and reports are JSON, written with ``indent=2`` and
 a trailing newline. One reader parses them all and raises :class:`FormatError`
@@ -16,7 +18,9 @@ part (JSON does not tell 2 from 2.0); a bool or a string is refused.
 
 from __future__ import annotations
 
+import io
 import json
+import re
 import struct
 import warnings
 from pathlib import Path
@@ -29,6 +33,8 @@ from .views import VisibilityPattern
 MAGIC = b"MKMC"
 VERSION = 1
 _HEADER = struct.Struct("<4sBII")
+_PLAIN_CSV_BYTES = b"0123456789+-.eE, \t\r\n"
+_INTEGER_NEG_ZERO = re.compile(rb"-0(?![.0-9eE])")  # orjson reads it as +0; 1e-0 matches too
 
 RUN_CONFIG_KEYS = frozenset(
     {"method", "rank", "tol", "max_iters", "reg_epsilon", "inputs", "mask", "output_dir"}
@@ -39,8 +45,8 @@ def write_csv_matrix(path, a: np.ndarray) -> None:
     import orjson  # imported here so that ``import mkmc.cli`` stays light
 
     a = np.ascontiguousarray(np.atleast_2d(a), dtype=np.float64)
-    # [[1.0,2.0],[3.0,4.0]] -> 1.0,2.0\n3.0,4.0
-    body = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].replace(b"],[", b"\n")
+    # [1.0,2.0] -> 1.0,2.0 per row
+    body = b"\n".join(orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1] for row in a)
     nonfinite = a[~np.isfinite(a)]
     if nonfinite.size:  # orjson writes null for each, in row-major order
         parts = body.split(b"null")
@@ -50,7 +56,32 @@ def write_csv_matrix(path, a: np.ndarray) -> None:
         fh.write(b"\n")
 
 
-def read_csv_matrix(path) -> np.ndarray:
+def _parse_plain_csv(data: bytes) -> np.ndarray | None:
+    """The matrix of a plain numeric CSV, or None where ``np.loadtxt`` must read it."""
+    import orjson
+
+    body = data.strip()
+    if body.translate(None, _PLAIN_CSV_BYTES) or _INTEGER_NEG_ZERO.search(body):
+        return None
+    rows, cols = body.count(b"\n") + 1, body.split(b"\n", 1)[0].count(b",") + 1
+    if rows * cols > len(body):  # no data, or more cells than bytes: not a full table
+        return None
+    out = np.empty((rows, cols))
+    try:
+        for i, line in enumerate(io.BytesIO(body)):
+            row = orjson.loads(b"[" + line + b"]")
+            if len(row) != cols:  # a one-value row would broadcast
+                return None
+            out[i] = row
+    except (ValueError, TypeError, OverflowError):  # orjson's JSONDecodeError is a ValueError
+        return None
+    return out
+
+
+def _read_csv(path, data: bytes) -> np.ndarray:
+    out = _parse_plain_csv(data)
+    if out is not None:
+        return out
     try:
         with warnings.catch_warnings():  # a file with no data is refused below instead
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
@@ -62,6 +93,10 @@ def read_csv_matrix(path) -> np.ndarray:
     return a
 
 
+def read_csv_matrix(path) -> np.ndarray:
+    return _read_csv(path, Path(path).read_bytes())
+
+
 def write_binary_matrix(path, a: np.ndarray) -> None:
     a = np.ascontiguousarray(np.atleast_2d(a), dtype="<f8")
     with open(path, "wb") as fh:
@@ -70,7 +105,10 @@ def write_binary_matrix(path, a: np.ndarray) -> None:
 
 
 def read_binary_matrix(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
+    return _read_binary(path, Path(path).read_bytes())
+
+
+def _read_binary(path, raw: bytes) -> np.ndarray:
     if len(raw) < _HEADER.size:
         raise FormatError(f"{path}: truncated binary matrix header")
     magic, version, rows, cols = _HEADER.unpack_from(raw)
@@ -86,11 +124,8 @@ def read_binary_matrix(path) -> np.ndarray:
 
 def read_matrix(path) -> np.ndarray:
     """Sniff the format by magic bytes, falling back to CSV."""
-    with open(path, "rb") as fh:
-        head = fh.read(4)
-    if head == MAGIC:
-        return read_binary_matrix(path)
-    return read_csv_matrix(path)
+    data = Path(path).read_bytes()
+    return _read_binary(path, data) if data[:4] == MAGIC else _read_csv(path, data)
 
 
 def write_matrix(path, a: np.ndarray) -> None:

@@ -92,6 +92,21 @@ class TestMaskCommand:
             main, ["mask", "--fraction", "0.1", "--out-dir", str(tmp_path / "o"), str(bad)]
         )
         assert res.exit_code == 3
+        assert res.output.strip().splitlines() == [
+            "mkmc: error: expected a square matrix, got shape (2, 3)"
+        ]
+
+    def test_square_check_comes_before_size_check(self, runner, tmp_path):
+        bad = tmp_path / "bad.csv"
+        matrixio.write_csv_matrix(bad, np.zeros((2, 3)))
+        inputs = write_views(tmp_path, [np.eye(3)]) + [str(bad)]
+        res = runner.invoke(
+            main, ["mask", "--fraction", "0.1", "--out-dir", str(tmp_path / "o"), *inputs]
+        )
+        assert res.exit_code == 3
+        assert res.output.strip().splitlines() == [
+            "mkmc: error: expected a square matrix, got shape (2, 3)"
+        ]
 
     @pytest.mark.parametrize("fraction, code", [("1.5", 2), ("-0.1", 2), ("0.95", 3)])
     def test_bad_fraction_exits_2_or_3(self, runner, tmp_path, synthetic_inputs, fraction, code):
@@ -126,6 +141,10 @@ class TestMaskCommand:
             assert res.output.strip().splitlines() == [
                 f"mkmc: error: {bad}: not symmetric, max |A - A^T| = 100"
             ]
+        else:  # the masked copy is the symmetric part, bit for bit
+            hidden = matrixio.read_mask(tmp_path / "o" / "mask.json").hidden[0]
+            expected = apply_mask(linalg.symmetrize(q), hidden, Fill.ZERO)
+            assert matrixio.read_matrix(tmp_path / "o" / "asym.csv").tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("name", ["v.csv", "mask.json"])
     def test_output_name_collision_exits_2(self, runner, tmp_path, synthetic_inputs, name):
@@ -557,7 +576,7 @@ def test_csv_without_data_exits_2_with_one_line(tmp_path, text):
 
 
 def test_import_leaves_jsonschema_unloaded():
-    """Neither jsonschema nor orjson (imported by the CSV writer when it runs) loads with the CLI."""
+    """Neither jsonschema nor orjson (imported by the CSV reader and writer) loads with the CLI."""
     code = "import sys, mkmc.cli; print('jsonschema' in sys.modules, 'orjson' in sys.modules)"
     src = str(Path(__file__).resolve().parents[1] / "src")
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},

@@ -1,7 +1,9 @@
 import json
 import sys
+import warnings
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -75,6 +77,122 @@ class TestCsvFormat:
         zeros = expected == 0
         assert np.array_equal(np.signbit(out[zeros]), np.signbit(expected[zeros]))
         assert b"null" not in path.read_bytes()
+
+
+def loadtxt_reader(path):
+    """The CSV reader as it was before the orjson path, kept as the oracle.
+
+    Returns (matrix, None), or (None, the FormatError message).
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            a = np.loadtxt(path, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        return None, f"{path}: cannot parse as CSV matrix: {exc}"
+    if a.size == 0:
+        return None, f"{path}: cannot parse as CSV matrix: no data"
+    return a, None
+
+
+def assert_same_bits(out, expected):
+    assert out.dtype == np.float64 and out.shape == expected.shape
+    assert np.array_equal(out.view(np.int64), expected.view(np.int64))
+
+
+EDGE_FLOATS = [0.0, -0.0, 1.0, -3.0, 2.0**53, 1e16, 5e-324, -5e-324, 2.2250738585072009e-308,
+               1e-308, -1e-308, 1e308, -1e308, sys.float_info.max, -sys.float_info.max]
+
+
+@st.composite
+def numeric_csv(draw):
+    """A finite matrix and the spelling of one writer: mkmc's, or np.savetxt's."""
+    shape = (draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+    writer = draw(st.sampled_from(["mkmc", "%.18e", "%.17g", "%d"]))
+    if writer == "%d":
+        return writer, draw(hnp.arrays(np.int64, shape, elements=st.integers(-2**63, 2**63 - 1)))
+    values = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.sampled_from(EDGE_FLOATS))
+    return writer, draw(hnp.arrays(np.float64, shape, elements=values))
+
+
+class TestCsvReader:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(case=numeric_csv())
+    @example(case=("%.17g", np.array([[-0.0, 3.0], [1e16, 5e-324]])))
+    @example(case=("%.18e", np.array([[-0.0], [-5e-324], [sys.float_info.max]])))
+    @example(case=("mkmc", np.array([[-0.0, 2.0**53 + 2, -1e-308]])))
+    def test_equals_loadtxt(self, case, tmp_path_factory):
+        writer, a = case
+        path = tmp_path_factory.mktemp("csv") / "m.csv"
+        if writer == "mkmc":
+            matrixio.write_csv_matrix(path, a)
+        else:
+            np.savetxt(path, a, fmt=writer, delimiter=",")
+        expected = np.loadtxt(path, delimiter=",", ndmin=2)
+        assert_same_bits(matrixio.read_csv_matrix(path), expected)
+        assert_same_bits(matrixio.read_matrix(path), expected)
+        # every spelling but %.17g's integer -0 takes the orjson path
+        if not (writer == "%.17g" and np.signbit(a[a == 0]).any()):
+            assert_same_bits(matrixio._parse_plain_csv(path.read_bytes()), expected)
+
+    @pytest.mark.parametrize("data", [
+        b"1.5,2\r\n3,4.25\r\n", b"1.5,2\n3,4", b" 1.5 ,\t2\n3\t, 4 \n", b"1,2,3\n",
+        b"1\n2\n3\n", b"7\n", b"# kernel\n1,2\n3,4\n", b"1,2\n\n3,4\n\n", b"nan,inf\n-inf,1\n",
+        b"+1,2\n", b".5,1\n", b"1.,2\n", b"-0,1\n1,-0\n", b"1,2\n3,-0", b"-0\t,1\r\n",
+        b"1e-0,2\n", b"1e400,1\n", b"1,2\n3,4,5\n", b"1,2\n3\n", b"1\n2,3\n", b"1,2,\n",
+        b"true,1\n", b"null\n", b"[1]\n", b"1,2],[3,4\n", b"", b" \n\t\r\n",
+    ])
+    def test_fallback_table(self, data, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(data)
+        expected, message = loadtxt_reader(path)
+        if message is None:
+            assert_same_bits(matrixio.read_csv_matrix(path), expected)
+            assert_same_bits(matrixio.read_matrix(path), expected)
+        else:
+            for read in (matrixio.read_csv_matrix, matrixio.read_matrix):
+                with pytest.raises(FormatError) as exc:
+                    read(path)
+                assert str(exc.value) == message
+
+    def test_blank_lines_do_not_size_the_table(self, tmp_path):
+        # a 10^6-value row over 10^6 blank lines must not allocate a 10^6 x 10^6 table
+        path = tmp_path / "m.csv"
+        path.write_bytes(b",".join([b"1"] * 10**6) + b"\n" * 10**6 + b"2" + b",2" * (10**6 - 1))
+        expected, _ = loadtxt_reader(path)
+        assert_same_bits(matrixio.read_csv_matrix(path), expected)
+
+
+def old_csv_bytes(a):
+    """The one-call formula the writer used before it wrote row by row, kept as the oracle."""
+    a = np.ascontiguousarray(np.atleast_2d(a), dtype=np.float64)
+    body = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].replace(b"],[", b"\n")
+    nonfinite = a[~np.isfinite(a)]
+    if nonfinite.size:
+        parts = body.split(b"null")
+        body = b"".join(p + b"%.17g" % x for p, x in zip(parts, nonfinite)) + parts[-1]
+    return body + b"\n"
+
+
+class TestCsvWriterBytes:
+    @pytest.mark.parametrize("a", [
+        np.array([[2.5]]), np.array([[np.nan]]), np.array([[1.0, -0.0, np.inf, 3.0]]),
+        np.array([[1.0], [np.nan], [-np.inf], [5e-324]]),
+        np.array([[np.nan, 1.0, 2.0], [3.0, np.inf, 4.0],
+                  [5.0, 6.0, -np.inf], [np.nan, 0.0, np.nan]]),
+    ], ids=["1x1", "1x1-nan", "1xn", "nx1", "nonfinite-rows"])
+    def test_equals_old_formula(self, a, tmp_path):
+        path = tmp_path / "m.csv"
+        matrixio.write_csv_matrix(path, a)
+        assert path.read_bytes() == old_csv_bytes(a)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(a=csv_inputs())
+    def test_equals_old_formula_property(self, a, tmp_path_factory):
+        path = tmp_path_factory.mktemp("csv") / "m.csv"
+        matrixio.write_csv_matrix(path, a)
+        assert path.read_bytes() == old_csv_bytes(a)
 
 
 class TestBinaryFormat:
