@@ -118,15 +118,15 @@ def _resolve_config(config_path, **run):
     return cfg, inputs, mask, output_dir
 
 
-@main.command("complete")
+@main.command("complete", context_settings={"show_default": True})
 @click.argument("inputs", nargs=-1, type=click.Path())
-@click.option("--method", type=click.Choice(METHODS), default="fc", show_default=True)
+@click.option("--method", type=click.Choice(METHODS), default=CompletionConfig.method)
 @click.option("--rank", type=int, default=None, help="Explicit model rank q (pca/fa).")
 @click.option("--rank-criterion", type=click.Choice(RANK_CRITERIA), default=None,
               help="Pick q from the initial average kernel's spectrum.")
-@click.option("--tol", type=float, default=1e-8, show_default=True)
-@click.option("--max-iters", type=int, default=500, show_default=True)
-@click.option("--reg-epsilon", type=float, default=1e-3, show_default=True)
+@click.option("--tol", type=float, default=CompletionConfig.tol)
+@click.option("--max-iters", type=int, default=CompletionConfig.max_iters)
+@click.option("--reg-epsilon", type=float, default=CompletionConfig.reg_epsilon)
 @click.option("--mask", type=click.Path(), default=None)
 @click.option("--output-dir", type=click.Path(), default=None)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None,

@@ -93,7 +93,7 @@ import scipy.linalg as sla
 
 from .errors import ConfigError, DimensionError, NotPositiveDefiniteError, NumericalError
 from .linalg import (LowRankInverse, cholesky_lower, eigenvalues, eigh_sorted, logdet,
-                     logdet_and_inverse, logdet_divergence, low_rank_logdet_and_inverse,
+                     logdet_and_inverse, logdet_divergences, low_rank_logdet_and_inverse,
                      symmetrize)
 from .views import (Fill, PartitionedView, VisibilityPattern, apply_mask, is_integer, is_real,
                     visible_indices)
@@ -206,12 +206,12 @@ ModelParams = Union[FullModel, PcaModel, FaModel]
 
 @dataclass(frozen=True)
 class CompletionConfig:
-    """Driver settings; ``rank``/``rank_criterion`` apply to pca/fa only.
+    """Driver settings; ``rank``/``rank_criterion`` apply to pca/fa only, and at most one of
+    them may be set (with neither, the ``gk`` criterion picks the rank).
 
     Each setting is checked here, by type and value, for the library and the
     CLI alike; :func:`degrees_of_freedom` checks that ``rank`` fits the data.
-    A NaN ``tol`` never stops the run early. The driver never reads ``seed``:
-    only :func:`mkmc.recovery.compare_methods` does, as the seed of the mask it draws.
+    A NaN ``tol`` never stops the run early.
     """
 
     method: str = METHOD_FC
@@ -220,7 +220,6 @@ class CompletionConfig:
     tol: float = 1e-8
     max_iters: int = 500
     reg_epsilon: float = 1e-3
-    seed: int = 0
 
     def __post_init__(self):
         for name, valid, rule in (
@@ -228,6 +227,8 @@ class CompletionConfig:
             ("rank", self.rank is None or is_integer(self.rank), "an integer"),
             ("rank_criterion", self.rank_criterion in (None, *RANK_CRITERIA),
              f"one of {RANK_CRITERIA}"),
+            ("rank_criterion", self.rank is None or self.rank_criterion is None,
+             "None when rank is set"),
             ("tol", is_real(self.tol) and not self.tol <= 0, "a number > 0"),
             ("max_iters", is_integer(self.max_iters) and self.max_iters >= 1, "an integer >= 1"),
             ("reg_epsilon", is_real(self.reg_epsilon)
@@ -403,9 +404,8 @@ def fa_model_update(s_reg: np.ndarray, prev: FaModel,
 
 
 def objective(qs: Sequence[np.ndarray], model: ModelParams) -> float:
-    """Sum over views of LogDet(Q^(k), M) with the model matrix materialized."""
-    m = model.materialize()
-    return float(sum(logdet_divergence(q, m) for q in qs))
+    """Sum over views of LogDet(Q^(k), M) with the model matrix materialized, factored once."""
+    return float(sum(logdet_divergences(qs, model.materialize())))
 
 
 class _View(NamedTuple):

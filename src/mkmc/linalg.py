@@ -15,7 +15,7 @@ model updates and rank selection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 import scipy.linalg as sla
@@ -177,12 +177,18 @@ def low_rank_logdet_and_inverse(w: np.ndarray, d: np.ndarray) -> tuple[float, Lo
     return float(np.sum(np.log(d))) + logdet_c, inv
 
 
-def logdet_divergence(q: np.ndarray, m: np.ndarray) -> float:
-    """LogDet (Stein-type) Bregman divergence between PD matrices.
+def logdet_divergences(qs: Sequence[np.ndarray], m: np.ndarray) -> list[float]:
+    """LogDet (Stein-type) Bregman divergence of each PD Q in ``qs`` from one PD M.
 
     0.5 * (logdet M - logdet Q + <M^{-1}, Q> - ell); nonnegative, zero iff Q == M.
-    """
-    if q.shape != m.shape:
-        raise DimensionError(f"dimension mismatch: {q.shape} vs {m.shape}")
+    M is factored once: K divergences take 1 + K Cholesky factorizations."""
+    for q in qs:
+        if q.shape != m.shape:
+            raise DimensionError(f"dimension mismatch: {q.shape} vs {m.shape}")
     logdet_m, m_inv = logdet_and_inverse(m)
-    return 0.5 * (logdet_m - logdet(q) + float(np.vdot(m_inv, q)) - q.shape[0])
+    return [0.5 * (logdet_m - logdet(q) + float(np.vdot(m_inv, q)) - q.shape[0]) for q in qs]
+
+
+def logdet_divergence(q: np.ndarray, m: np.ndarray) -> float:
+    """LogDet divergence of one PD Q from a PD M (:func:`logdet_divergences`)."""
+    return logdet_divergences([q], m)[0]

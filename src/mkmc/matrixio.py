@@ -93,10 +93,6 @@ def _read_csv(path, data: bytes) -> np.ndarray:
     return a
 
 
-def read_csv_matrix(path) -> np.ndarray:
-    return _read_csv(path, Path(path).read_bytes())
-
-
 def write_binary_matrix(path, a: np.ndarray) -> None:
     a = np.ascontiguousarray(np.atleast_2d(a), dtype="<f8")
     with open(path, "wb") as fh:
@@ -104,16 +100,11 @@ def write_binary_matrix(path, a: np.ndarray) -> None:
         fh.write(a.data)
 
 
-def read_binary_matrix(path) -> np.ndarray:
-    return _read_binary(path, Path(path).read_bytes())
-
-
 def _read_binary(path, raw: bytes) -> np.ndarray:
+    """A binary matrix; :func:`read_matrix` calls this only on data that starts with MAGIC."""
     if len(raw) < _HEADER.size:
         raise FormatError(f"{path}: truncated binary matrix header")
-    magic, version, rows, cols = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise FormatError(f"{path}: bad magic bytes {magic!r}")
+    _, version, rows, cols = _HEADER.unpack_from(raw)
     if version != VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
     expected = _HEADER.size + 8 * rows * cols
@@ -202,9 +193,10 @@ def load_run_config(path) -> dict:
 
     The file holds one object with only the keys of ``RUN_CONFIG_KEYS``:
     ``inputs`` is a list of path strings, ``mask`` and ``output_dir`` are
-    strings, ``max_iters`` is an integer, and ``rank`` is an integer or
-    exactly ``{"criterion": name}``, returned as ``rank=None,
-    rank_criterion=name``. The setting values themselves are checked by
+    strings, ``max_iters`` is an integer, and ``rank`` is an integer, returned
+    as ``rank=q, rank_criterion=None``, or exactly ``{"criterion": name}``,
+    returned as ``rank=None, rank_criterion=name``; so a ``rank`` here
+    overrides either flag. The setting values themselves are checked by
     :class:`mkmc.engines.CompletionConfig`, as the flags are.
     """
     obj = _read_json(path, "run config")
@@ -228,7 +220,7 @@ def load_run_config(path) -> dict:
     if isinstance(rank, dict):
         obj["rank"], obj["rank_criterion"] = None, rank["criterion"]
     elif "rank" in obj:
-        obj["rank"] = _integer(rank, "rank", path, "run config")
+        obj["rank"], obj["rank_criterion"] = _integer(rank, "rank", path, "run config"), None
     if "max_iters" in obj:
         obj["max_iters"] = _integer(obj["max_iters"], "max_iters", path, "run config")
     return obj

@@ -140,14 +140,15 @@ def compare_methods(
     fraction: float,
     methods: Sequence[str],
     cfg: CompletionConfig,
+    seed: int = 0,
 ) -> dict[str, RecoveryReport]:
-    """Mask synthetic truth, run each method, and score hidden-block recovery.
+    """Mask synthetic truth, run each method, and score it beside the zero/mean-fill baselines.
 
-    Deterministic given ``spec.seed`` (ground truth) and ``cfg.seed`` (mask).
-    Zero- and mean-imputation baselines are reported alongside every method.
+    Deterministic given ``spec.seed`` (ground truth) and ``seed`` (mask, checked by
+    :func:`mkmc.views.random_mask`); each of ``methods`` replaces ``cfg.method``.
     """
     truths = generate_synthetic(spec)
-    pattern = random_mask(spec.ell, spec.n_views, fraction, cfg.seed)
+    pattern = random_mask(spec.ell, spec.n_views, fraction, seed)
     masked = [apply_mask(t, h, Fill.ZERO) for t, h in zip(truths, pattern.hidden)]
     reports: dict[str, RecoveryReport] = {}
     for method in methods:

@@ -20,17 +20,20 @@ from mkmc.engines import (
     CompletionConfig,
     FaModel,
     PcaModel,
+    _DenseInverse,
+    _FactoredInverse,
+    _View,
     degrees_of_freedom,
     fa_estep,
     fa_model_update,
-    impute_view,
     objective,
     pca_model_update,
     run_completion,
     select_rank,
 )
+from mkmc.linalg import logdet_and_inverse, low_rank_logdet_and_inverse
 from mkmc.recovery import SyntheticSpec, compare_methods, generate_synthetic
-from mkmc.views import Fill, apply_mask, partition, random_mask
+from mkmc.views import Fill, apply_mask, random_mask
 
 from conftest import random_pd
 
@@ -90,25 +93,36 @@ def test_criterion_2_positive_definiteness(descent_runs):
 
 
 def test_criterion_3_imputation_oracle():
+    """Both per-view steps of the driver against explicit inverses of M's blocks.
+
+    ``_DenseInverse`` imputes from P = M^{-1} of any PD M; ``_FactoredInverse``
+    from the factored inverse of a low-rank M = W W^T + diag(d). Each is given
+    M^{-1} as the driver computes it.
+    """
     rng = np.random.default_rng(303)
     worst = 0.0
-    for _ in range(50):
-        m = random_pd(rng, 6)
-        hidden = tuple(int(i) for i in rng.choice(6, size=2, replace=False))
-        mp = partition(m, hidden)
+    for i in range(100):
+        if i % 2:
+            w, d = rng.standard_normal((6, 2)), rng.uniform(0.2, 2.0, 6)
+            m = w @ w.T + np.diag(d)
+            step = _FactoredInverse(low_rank_logdet_and_inverse(w, d)[1])
+        else:
+            m = random_pd(rng, 6)
+            step = _DenseInverse(logdet_and_inverse(m)[1])
+        hid = np.sort(rng.choice(6, size=2, replace=False))
+        vis = np.setdiff1d(np.arange(6), hid)
         q_vv = random_pd(rng, 4)
-        q_vh, q_hh = impute_view(q_vv, mp)
+        logdet_p_hh, q_vh, q_hh = step.impute(_View.of(0, vis, hid, q_vv))
         # independent evaluation with explicit inverses
-        mvv_inv = np.linalg.inv(mp.q_vv)
-        exp_vh = q_vv @ mvv_inv @ mp.q_vh
-        exp_hh = (
-            mp.q_hh
-            - mp.q_vh.T @ mvv_inv @ mp.q_vh
-            + mp.q_vh.T @ mvv_inv @ q_vv @ mvv_inv @ mp.q_vh
-        )
+        m_vv, m_vh, m_hh = m[np.ix_(vis, vis)], m[np.ix_(vis, hid)], m[np.ix_(hid, hid)]
+        mvv_inv = np.linalg.inv(m_vv)
+        exp_vh = q_vv @ mvv_inv @ m_vh
+        schur = m_hh - m_vh.T @ mvv_inv @ m_vh
+        exp_hh = schur + m_vh.T @ mvv_inv @ q_vv @ mvv_inv @ m_vh
         exp_hh = (exp_hh + exp_hh.T) / 2
         worst = max(worst, float(np.max(np.abs(q_vh - exp_vh))),
-                    float(np.max(np.abs(q_hh - exp_hh))))
+                    float(np.max(np.abs(q_hh - exp_hh))),
+                    abs(logdet_p_hh + np.linalg.slogdet(schur)[1]))  # P_hh = schur^{-1}
     check(3, "imputation oracle equivalence", worst < 1e-10, f"max abs diff {worst:.3e}")
 
 
@@ -216,8 +230,8 @@ def test_criterion_7_recovery_beats_baseline():
             ell=40, n_views=4, true_rank=3, noise_sigma2=0.1,
             per_view_jitter=0.05, seed=seed,
         )
-        cfg = CompletionConfig(method="pca", rank=3, seed=seed)
-        rep = compare_methods(spec, 0.2, ["pca"], cfg)["pca"]
+        cfg = CompletionConfig(method="pca", rank=3)
+        rep = compare_methods(spec, 0.2, ["pca"], cfg, seed=seed)["pca"]
         ratio = rep.mean_relative_error / rep.baseline_errors["zero"]
         ratios.append(ratio)
         if rep.mean_relative_error <= 0.5 * rep.baseline_errors["zero"]:
@@ -292,8 +306,8 @@ def test_criterion_11_cli_pipeline_equivalence(tmp_path):
         ell=15, n_views=3, true_rank=2, noise_sigma2=0.2,
         per_view_jitter=0.05, seed=33,
     )
-    cfg = CompletionConfig(method="pca", rank=2, seed=9)
-    lib_report = compare_methods(spec, 0.2, ["pca"], cfg)["pca"]
+    cfg = CompletionConfig(method="pca", rank=2)
+    lib_report = compare_methods(spec, 0.2, ["pca"], cfg, seed=9)["pca"]
 
     runner = CliRunner()
     truths = generate_synthetic(spec)

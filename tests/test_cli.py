@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import struct
@@ -444,6 +445,40 @@ class TestCompleteCommand:
         assert res.exit_code == 2
         assert len(res.output.strip().splitlines()) == 1
         assert res.output.startswith(f"mkmc: error: {flags[0][2:].replace('-', '_')} must be")
+
+    def test_rank_and_rank_criterion_flags_exit_2(self, runner, tmp_path, synthetic_inputs,
+                                                  mask_file):
+        out = tmp_path / "o"
+        res = runner.invoke(
+            main, ["complete", "--method", "pca", "--rank", "2", "--rank-criterion", "gk",
+                   "--mask", str(mask_file), "--output-dir", str(out), *synthetic_inputs],
+        )
+        assert res.exit_code == 2
+        assert res.output == "mkmc: error: rank_criterion must be None when rank is set, got 'gk'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, rank, expected", [
+        (["--rank-criterion", "gk"], 4, 4),
+        (["--rank", "4"], {"criterion": "gk"}, 2),  # gk picks 2 on these views
+    ], ids=["integer-over-criterion-flag", "criterion-over-integer-flag"])
+    def test_config_rank_overrides_either_rank_flag(self, runner, tmp_path, synthetic_inputs,
+                                                    mask_file, flags, rank, expected):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"method": "pca", "rank": rank}))
+        out = tmp_path / "o"
+        res = runner.invoke(
+            main, ["complete", *flags, "--config", str(cfg_path), "--mask", str(mask_file),
+                   "--output-dir", str(out), *synthetic_inputs],
+        )
+        assert res.exit_code == 0, res.output
+        assert json.loads((out / "trace.json").read_text())["rank"] == expected
+
+    def test_defaults_are_the_config_defaults(self):
+        defaults = {f.name: f.default for f in dataclasses.fields(CompletionConfig)}
+        options = {p.name: p for p in main.commands["complete"].params}
+        for name in ("method", "tol", "max_iters", "reg_epsilon", "rank", "rank_criterion"):
+            assert options[name].default == defaults[name], name
+        assert set(defaults) <= set(options)  # every setting has a flag
 
     @pytest.mark.parametrize("config, code", [
         ({"method": "pca", "rank": 0}, 3),

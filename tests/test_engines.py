@@ -19,7 +19,7 @@ from mkmc.engines import (
     run_completion,
     select_rank,
 )
-from mkmc.errors import DimensionError, NotPositiveDefiniteError, NumericalError
+from mkmc.errors import ConfigError, DimensionError, NotPositiveDefiniteError, NumericalError
 from mkmc.linalg import cholesky_lower, eigh_sorted, logdet_divergence
 from mkmc.recovery import SyntheticSpec, generate_synthetic
 from mkmc.views import Fill, VisibilityPattern, apply_mask, partition, random_mask
@@ -233,6 +233,34 @@ class TestObjective:
         total = objective(qs, FullModel(matrix=m))
         expected = sum(logdet_divergence(q, m) for q in qs)
         assert total == pytest.approx(expected, abs=1e-12)
+
+    def test_model_factored_once(self, rng, monkeypatch):
+        # K views: M once, then each Q once (2K when M was factored per view)
+        qs = [random_pd(rng, 6) for _ in range(4)]
+        m = random_pd(rng, 6)
+        expected = sum(logdet_divergence(q, m) for q in qs)
+        sizes = []
+
+        def recording(a):
+            sizes.append(a.shape[0])
+            return cholesky_lower(a)
+
+        monkeypatch.setattr(linalg, "cholesky_lower", recording)
+        total = objective(qs, FullModel(matrix=m))
+        assert sizes == [6] * (1 + len(qs))
+        assert total == expected  # bit for bit
+
+
+class TestCompletionConfig:
+    def test_seed_is_not_a_setting(self):
+        with pytest.raises(TypeError, match="seed"):
+            CompletionConfig(seed=0)
+
+    @pytest.mark.parametrize("criterion", ["gk", "kaiser"])
+    def test_rank_and_criterion_contradict(self, criterion):
+        with pytest.raises(ConfigError, match=f"^rank_criterion must be None when rank is set, "
+                                              f"got '{criterion}'$"):
+            CompletionConfig(method="pca", rank=2, rank_criterion=criterion)
 
 
 class TestSelectRank:

@@ -11,6 +11,7 @@ from mkmc.linalg import (
     logdet,
     logdet_and_inverse,
     logdet_divergence,
+    logdet_divergences,
     low_rank_logdet_and_inverse,
     symmetrize,
 )
@@ -165,6 +166,15 @@ class TestLogdetDivergence:
     def test_non_pd_argument(self):
         with pytest.raises(NotPositiveDefiniteError):
             logdet_divergence(np.eye(2), np.diag([1.0, -1.0]))
+
+    def test_many_views_equal_one_at_a_time(self, rng):
+        qs = [random_pd(rng, 5) for _ in range(3)]
+        m = random_pd(rng, 5)
+        assert logdet_divergences(qs, m) == [logdet_divergence(q, m) for q in qs]
+
+    def test_any_view_of_another_dimension_is_refused(self):
+        with pytest.raises(DimensionError, match=r"^dimension mismatch: \(3, 3\) vs \(2, 2\)$"):
+            logdet_divergences([np.eye(2), np.eye(3)], np.eye(2))
 
 
 class TestLogdetAndInverse:

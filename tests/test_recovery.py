@@ -1,9 +1,10 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mkmc.engines import CompletionConfig
+from mkmc.engines import CompletionConfig, run_completion
 from mkmc.errors import ConfigError, DimensionError, NotPositiveDefiniteError
 from mkmc.linalg import eigh_sorted
 from mkmc.recovery import (
@@ -13,7 +14,7 @@ from mkmc.recovery import (
     hidden_block_error,
     score_completion,
 )
-from mkmc.views import VisibilityPattern
+from mkmc.views import Fill, VisibilityPattern, apply_mask, random_mask
 
 from conftest import random_symmetric
 
@@ -159,17 +160,29 @@ class TestCompareMethods:
         spec = SyntheticSpec(
             ell=15, n_views=3, true_rank=2, noise_sigma2=0.1, per_view_jitter=0.05, seed=3
         )
-        cfg = CompletionConfig(rank=2, seed=11, max_iters=40)
-        a = compare_methods(spec, 0.2, ["pca"], cfg)["pca"]
-        b = compare_methods(spec, 0.2, ["pca"], cfg)["pca"]
+        cfg = CompletionConfig(rank=2, max_iters=40)
+        a = compare_methods(spec, 0.2, ["pca"], cfg, seed=11)["pca"]
+        b = compare_methods(spec, 0.2, ["pca"], cfg, seed=11)["pca"]
         assert a == b
+
+    def test_seed_draws_the_mask(self):
+        spec = SyntheticSpec(ell=12, n_views=3, true_rank=2, noise_sigma2=0.2, seed=2)
+        cfg = CompletionConfig(method="fc", rank=2, max_iters=20)
+        truths = generate_synthetic(spec)
+        pattern = random_mask(12, 3, 0.25, seed=6)
+        masked = [apply_mask(t, h, Fill.ZERO) for t, h in zip(truths, pattern.hidden)]
+        result = run_completion(masked, pattern, replace(cfg, method="pca"))
+        expected = score_completion(truths, result.completed, pattern, result.trace,
+                                    result.iterations, result.converged)
+        assert compare_methods(spec, 0.25, ["pca"], cfg, seed=6)["pca"] == expected
+        assert compare_methods(spec, 0.25, ["pca"], cfg, seed=7)["pca"] != expected
 
     def test_traces_non_increasing_and_baselines_present(self):
         spec = SyntheticSpec(
             ell=15, n_views=4, true_rank=2, noise_sigma2=0.3, per_view_jitter=0.3, seed=7
         )
-        cfg = CompletionConfig(rank=2, seed=5, max_iters=60)
-        reports = compare_methods(spec, 0.2, ["fc", "pca", "fa"], cfg)
+        cfg = CompletionConfig(rank=2, max_iters=60)
+        reports = compare_methods(spec, 0.2, ["fc", "pca", "fa"], cfg, seed=5)
         for rep in reports.values():
             assert np.all(np.diff(rep.objective_trace) <= 1e-8)
             assert set(rep.baseline_errors) == {"zero", "mean"}
