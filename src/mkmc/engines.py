@@ -54,14 +54,14 @@ PD matrices used here all come from :mod:`mkmc.linalg`.
 The driver holds P in one of two forms, each with its own per-view step.
 :class:`_DenseInverse` holds the whole ell x ell P, as above: it serves ``fc``
 (O(ell^3) per iteration for M, plus O(n_h^3 + n_v^2 n_h) per view; only views
-sharing a hidden set could share that per-view work), iteration 1 of every
-method (imputed from the average kernel S_0), and ``pca``/``fa`` when
-:func:`_low_rank` fails (16 q > ell).
+sharing a hidden set could share that per-view work) and iteration 1 of every
+method (imputed from the average kernel S_0).
 
 ``pca`` and ``fa`` models are low rank plus diagonal, M = W W^T + D with
-D = diag(d) (``pca``: d = sigma2 * 1). When 16 q <= ell, :class:`_FactoredInverse`
-holds M^{-1} as W, d and the Cholesky factor of C = I + W^T D^{-1} W
-(Woodbury identity, determinant lemma; O(ell q^2)), and P is never formed.
+D = diag(d) (``pca``: d = sigma2 * 1). From iteration 1's model on,
+:class:`_FactoredInverse` holds M^{-1} as W, d and the Cholesky factor of
+C = I + W^T D^{-1} W (Woodbury identity, determinant lemma; O(ell q^2)), and
+P is never formed, whatever q is.
 For a view, C_v = I + W_v^T D_v^{-1} W_v >= I is the capacitance matrix of
 M_vv, A = D_v^{-1} W_v C_v^{-1} = M_vv^{-1} W_v, so X = A W_h^T, and the Schur
 complement is D_h + W_h C_v^{-1} W_h^T:
@@ -77,8 +77,10 @@ the model is never materialized there either;
 :func:`fa_model_update` reuses the held factorization, so after iteration 1
 an ``fa`` iteration has no O(ell^3) step. :func:`pca_model_update` computes
 only the top q eigenpairs, but their solver (LAPACK ``dsyevr``) still reduces
-S to tridiagonal form in O(ell^3). The dense path is the test oracle of the
-factored one.
+S to tridiagonal form in O(ell^3). Past about q = ell/4 the factored steps
+cost more than dense ones would (up to 2.5x per iteration at q = ell/2); no
+default rank picks such a q. The dense path, materialized from W and d, is
+the test oracle of the factored one.
 """
 
 from __future__ import annotations
@@ -110,22 +112,6 @@ RANK_CRITERIA = (CRITERION_GK, CRITERION_KAISER)
 # Relative floor keeping noise variances strictly positive in the FA update.
 PSI_FLOOR_REL = 1e-10
 
-# pca/fa take the low-rank path (factored inverse, top-q eigenpairs) when
-# LOW_RANK_RATIO * q <= ell. Time of each low-rank step over its dense
-# counterpart, on the average of 4 synthetic kernels of signal rank 5 (the
-# benchmark's), one BLAS thread, best of 6-30 calls on a 2-core Xeon:
-#
-#   ell                                         50    100   200   400   800
-#   factored inverse and trace, q = ell/16     0.55  0.22  0.08  0.07  0.07
-#   per-view step, n_h = ell/5, q = ell/16     0.79  1.06  0.50  0.41  0.35
-#   dsyevr top-q over full eigh, q = ell/16    0.57  0.60  0.45  0.53  0.54
-#   q where the top-q eigensolve ties          ~13   ~9    ~33   ~88   ~226
-#
-# The top-q eigensolve still reduces S to tridiagonal form in O(ell^3); at
-# q = 5 it takes 0.41-0.55 of a full eigh. The ratio stays at 16, so a
-# rank-40 model at ell = 400 (the benchmark's cli workload) stays dense.
-LOW_RANK_RATIO = 16
-
 
 @dataclass(frozen=True)
 class FullModel:
@@ -149,8 +135,9 @@ class FullModel:
 class PcaModel:
     """Low-rank plus isotropic noise: W W^T + sigma2 I.
 
-    The driver never materializes it when :func:`_low_rank` holds: it inverts
-    it from W and the noise diagonal alone, by the Woodbury identity.
+    The driver never materializes it: it inverts it from W and the noise
+    diagonal alone, by the Woodbury identity. :meth:`materialize` serves the
+    dense references.
     """
 
     W: np.ndarray
@@ -177,8 +164,9 @@ class PcaModel:
 class FaModel:
     """Low-rank plus diagonal noise: W W^T + diag(psi).
 
-    The driver never materializes it when :func:`_low_rank` holds: it inverts
-    it from W and the noise diagonal alone, by the Woodbury identity.
+    The driver never materializes it: it inverts it from W and the noise
+    diagonal alone, by the Woodbury identity. :meth:`materialize` serves the
+    dense references.
     """
 
     W: np.ndarray
@@ -334,31 +322,22 @@ def fc_model_update(s_reg: np.ndarray) -> FullModel:
     return FullModel(matrix=s_reg)
 
 
-def _low_rank(ell: int, q: Optional[int]) -> bool:
-    """Whether a rank-q pca/fa model of dimension ell takes the low-rank path."""
-    return q is not None and LOW_RANK_RATIO * q <= ell
-
-
 def pca_model_update(s_reg: np.ndarray, q: int) -> PcaModel:
     """Closed-form joint optimum of (W, sigma2) for the PPCA model.
 
     sigma2 is the mean of the trailing ell-q eigenvalues of the average
-    kernel; W spans the top-q eigenvectors scaled by sqrt(lambda_j - sigma2),
-    with the arbitrary rotation fixed to the identity. When :func:`_low_rank`
-    holds, only the top q eigenpairs are computed and the trailing mean is
-    (tr S - sum of the top q) / (ell - q) (Tipping & Bishop 1999).
+    kernel, taken as (tr S - sum of the top q) / (ell - q) so that only the
+    top q eigenpairs are computed; W spans the top-q eigenvectors scaled by
+    sqrt(lambda_j - sigma2), with the arbitrary rotation fixed to the identity
+    (Tipping & Bishop 1999).
     """
     ell = s_reg.shape[0]
     if not 1 <= q <= ell - 1:
         raise ValueError(f"rank q={q} out of range [1, {ell - 1}]")
-    if _low_rank(ell, q):
-        eig = eigh_sorted(s_reg, top=q)
-        sigma2 = float(np.trace(s_reg) - np.sum(eig.eigenvalues)) / (ell - q)
-    else:
-        eig = eigh_sorted(s_reg)
-        sigma2 = float(np.mean(eig.eigenvalues[q:]))
-    gap = np.clip(eig.eigenvalues[:q] - sigma2, 0.0, None)
-    w = eig.eigenvectors[:, :q] * np.sqrt(gap)
+    eig = eigh_sorted(s_reg, top=q)
+    sigma2 = float(np.trace(s_reg) - np.sum(eig.eigenvalues)) / (ell - q)
+    gap = np.clip(eig.eigenvalues - sigma2, 0.0, None)
+    w = eig.eigenvectors * np.sqrt(gap)
     return PcaModel(W=w, sigma2=sigma2)
 
 
@@ -425,7 +404,7 @@ class _View(NamedTuple):
 
 
 class _DenseInverse:
-    """P = M^{-1} held whole: fc, iteration 1 of every method, pca/fa off the low-rank path."""
+    """P = M^{-1} held whole: fc, and iteration 1 of every method (imputed from S_0)."""
 
     factors: Optional[LowRankInverse] = None  # no low-rank factorization is held
 
@@ -507,9 +486,10 @@ def degrees_of_freedom(method: str, ell: int, q: Optional[int] = None) -> int:
 
 
 def _model_logdet_and_inverse(
-        model: ModelParams, low_rank: bool) -> tuple[float, Union[_DenseInverse, _FactoredInverse]]:
-    """log det M and the held M^{-1}: factored from W and the noise diagonal when ``low_rank``."""
-    if not low_rank:
+        model: ModelParams) -> tuple[float, Union[_DenseInverse, _FactoredInverse]]:
+    """log det M and the held M^{-1}: dense for fc, factored from W and the noise diagonal
+    for pca/fa."""
+    if isinstance(model, FullModel):
         logdet_m, p = logdet_and_inverse(model.materialize())
         return logdet_m, _DenseInverse(p)
     logdet_m, factors = low_rank_logdet_and_inverse(model.W, model.noise)
@@ -597,7 +577,6 @@ def run_completion(
         rank = (int(cfg.rank) if cfg.rank is not None
                 else select_rank(s0_reg, cfg.rank_criterion or CRITERION_GK))
     dof = degrees_of_freedom(cfg.method, ell, rank)
-    low_rank = _low_rank(ell, rank)
 
     model: Optional[ModelParams] = None  # fc/pca refit from s_reg alone
     if cfg.method == METHOD_FA:
@@ -628,7 +607,7 @@ def run_completion(
             write(view, q_vh, q_hh)
         s = average_kernel(completed)
         new = _model_update(cfg.method, regularize(s, n_views, eps), rank, prev, prev_inv)
-        logdet_m, new_inv = _model_logdet_and_inverse(new, low_rank)
+        logdet_m, new_inv = _model_logdet_and_inverse(new)
         trace_term = n_views * new_inv.inner(s)  # sum_k tr(M^{-1} Q^(k))
         j = 0.5 * (n_views * (logdet_m - ell) - logdet_q + trace_term)
         j += 0.5 * eps * (logdet_m + new_inv.trace() - ell)  # eps * LogDet(I, M)
@@ -658,7 +637,7 @@ def run_completion(
                     point = _extrapolate(theta, *diffs, alpha)
                     trial = type(model).from_parameters(point)
                 with np.errstate(over="raise", invalid="raise", divide="raise"):
-                    j, new, new_inv = evaluate(trial, _model_logdet_and_inverse(trial, low_rank)[1])
+                    j, new, new_inv = evaluate(trial, _model_logdet_and_inverse(trial)[1])
                 accepted = j <= trace[-1]
             except (NumericalError, NotPositiveDefiniteError, FloatingPointError):
                 accepted = False

@@ -32,6 +32,21 @@ def augmented_objective(completed, model, eps):
     return objective(completed, model) + eps * objective([np.eye(completed[0].shape[0])], model)
 
 
+def full_eigh_pca(s, q):
+    """The PPCA optimum from the full eigendecomposition: sigma2 is the mean of the
+    trailing ell - q eigenvalues."""
+    eig = eigh_sorted(s)
+    sigma2 = float(np.mean(eig.eigenvalues[q:]))
+    gap = np.clip(eig.eigenvalues[:q] - sigma2, 0.0, None)
+    return PcaModel(W=eig.eigenvectors[:, :q] * np.sqrt(gap), sigma2=sigma2)
+
+
+def dense_logdet_and_inverse(model):
+    """The driver's held inverse of any model, taken whole from the materialized matrix."""
+    logdet_m, p = linalg.logdet_and_inverse(model.materialize())
+    return logdet_m, engines._DenseInverse(p)
+
+
 def make_instance(rng, ell, n_views, fraction, jitter=0.1):
     """Random PD views sharing a base matrix, plus a random mask."""
     base = random_pd(rng, ell)
@@ -163,15 +178,27 @@ class TestModelUpdates:
             j = objective([s], PcaModel(W=w, sigma2=sigma2))
             assert j_star <= j + 1e-6
 
-    @pytest.mark.parametrize("ell,q", [(32, 2), (48, 3), (80, 5)])
-    def test_pca_top_q_matches_full_eigendecomposition(self, rng, ell, q, monkeypatch):
+    @pytest.mark.parametrize("ell,q", [(32, 2), (48, 3), (80, 5), (20, 10), (20, 19)])
+    def test_pca_top_q_matches_full_eigendecomposition(self, rng, ell, q):
         s = random_pd(rng, ell)
-        assert engines._low_rank(ell, q)
-        model = pca_model_update(s, q)
-        monkeypatch.setattr(engines, "_low_rank", lambda ell, q: False)
-        dense = pca_model_update(s, q)
+        model, dense = pca_model_update(s, q), full_eigh_pca(s, q)
         assert model.sigma2 == pytest.approx(dense.sigma2, rel=1e-10)
         assert np.max(np.abs(model.W - dense.W)) <= 1e-10 * np.max(np.abs(dense.W))
+
+    @pytest.mark.parametrize("q", [1, 10, 19])
+    def test_pca_top_q_on_an_ill_conditioned_kernel(self, rng, q):
+        # condition number 1e10: sigma2 = (tr S - top q) / (ell - q) cancels down to the
+        # trailing eigenvalues, so both solves agree only to what eigh resolves of
+        # them, about eps * ell * lambda_1 in absolute terms. W is ill-determined for
+        # the nearly equal trailing eigenvalues; the model matrix it spans is not.
+        ell = 20
+        u = np.linalg.qr(rng.standard_normal((ell, ell)))[0]
+        spectrum = np.logspace(0, -10, ell)
+        s = linalg.symmetrize((u * spectrum) @ u.T)
+        model, dense = pca_model_update(s, q), full_eigh_pca(s, q)
+        unit = np.finfo(float).eps * ell * spectrum[0]
+        assert abs(model.sigma2 - dense.sigma2) <= unit
+        assert np.max(np.abs(model.materialize() - dense.materialize())) <= unit
 
     def test_pca_rank_out_of_range(self, rng):
         with pytest.raises(ValueError):
@@ -442,9 +469,8 @@ class TestRunCompletion:
         with pytest.raises(DimensionError):
             run_completion([random_pd(rng, 4)], pattern, CompletionConfig())
 
-    @pytest.mark.parametrize("method", ["fc", "pca", "fa"])
-    def test_no_visible_block_factored_after_setup(self, rng, method, monkeypatch):
-        # ell = 10, n_v = 7, n_h = 3 and rank 2: each size names one kind of block
+    def test_no_visible_block_factored_after_setup(self, rng, monkeypatch):
+        # fc at ell = 10, n_v = 7 and n_h = 3: each size names one kind of block
         hidden = ((1, 2, 3), (4, 5, 6), (0, 7, 8))
         base = random_pd(rng, 10)
         masked = [apply_mask(base + 0.1 * random_pd(rng, 10), h, Fill.ZERO) for h in hidden]
@@ -455,7 +481,7 @@ class TestRunCompletion:
             return cholesky_lower(a)
 
         monkeypatch.setattr(linalg, "cholesky_lower", recording)
-        cfg = CompletionConfig(method=method, rank=2, max_iters=5)
+        cfg = CompletionConfig(method="fc", max_iters=5)
         result = run_completion(masked, VisibilityPattern(ell=10, hidden=hidden), cfg)
         assert result.iterations == 5 and result.rejected == 0
         extrapolated = sum(a is not None for a in result.step_length)
@@ -465,12 +491,13 @@ class TestRunCompletion:
         # the initial model, then each M, and the extrapolated point of iteration 4
         assert sizes.count(10) == 1 + result.iterations + extrapolated
 
-    @pytest.mark.parametrize("method", ["pca", "fa"])
-    def test_low_rank_model_never_factored_at_full_size(self, rng, method, monkeypatch):
-        # ell = 48 >= 16 q: n_v = 45, n_h = 3 and rank 2, so each size names one kind of block
+    @pytest.mark.parametrize("method,ell", [("pca", 48), ("fa", 48), ("pca", 10), ("fa", 10)],
+                             ids=["pca", "fa", "pca-ell10", "fa-ell10"])
+    def test_low_rank_model_never_factored_at_full_size(self, rng, method, ell, monkeypatch):
+        # n_v = ell - 3, n_h = 3 and rank 2, so each size names one kind of block
         hidden = ((1, 2, 3), (4, 5, 6), (0, 7, 8))
-        base = random_pd(rng, 48)
-        masked = [apply_mask(base + 0.1 * random_pd(rng, 48), h, Fill.ZERO) for h in hidden]
+        base = random_pd(rng, ell)
+        masked = [apply_mask(base + 0.1 * random_pd(rng, ell), h, Fill.ZERO) for h in hidden]
         factored, inverted, marks = [], [], []
 
         def recording(a):
@@ -484,41 +511,42 @@ class TestRunCompletion:
         monkeypatch.setattr(linalg, "cholesky_lower", recording)
         monkeypatch.setattr(engines, "logdet_and_inverse", recording_inverse)
         cfg = CompletionConfig(method=method, rank=2, max_iters=5)
-        result = run_completion(masked, VisibilityPattern(ell=48, hidden=hidden), cfg,
+        result = run_completion(masked, VisibilityPattern(ell=ell, hidden=hidden), cfg,
                                 on_iteration=lambda *_: marks.append(len(factored)))
         assert result.iterations == 5 and result.rejected == 0
-        assert result.step_length[3] is not None  # iteration 4 is extrapolated
+        extrapolated = [a is not None for a in result.step_length]
+        assert extrapolated == [False, False, False, True, False]  # iteration 4 only
         # set-up and iteration 1: each view's Q_vv, the initial model S_0, each view's
-        # P_hh of S_0, and C of the new model (for fa also C of the PPCA start it refits)
+        # P_hh of S_0, then C of the new model (for fa first C of the PPCA start it refits)
         n_c = 2 if method == "fa" else 1
-        assert sorted(factored[:marks[0]]) == [2] * n_c + [3] * 3 + [45] * 3 + [48]
+        assert factored[:marks[0]] == [ell - 3] * 3 + [ell] + [3] * 3 + [2] * n_c
         # every later iteration: C of the extrapolated point if there is one, each
         # view's q x q C_v, then C of the new model
         for it, (lo, hi) in enumerate(zip(marks, marks[1:]), start=2):
-            n_point = result.step_length[it - 1] is not None
-            assert factored[lo:hi] == [2] * (n_point + 4), f"iteration {it}"
+            assert factored[lo:hi] == [2] * (extrapolated[it - 1] + 4), f"iteration {it}"
         # the only ell x ell inverse is that of S_0 and P_hh is inverted in iteration 1
         # only; later, each view inverts its C_v
-        assert inverted == [48, 3, 3, 3] + [2] * 3 * (result.iterations - 1)
+        assert inverted == [ell, 3, 3, 3] + [2] * 3 * (result.iterations - 1)
 
-    @pytest.mark.parametrize("method", ["pca", "fa"])
-    def test_low_rank_path_matches_dense_path(self, rng, method, monkeypatch):
-        ell = 48
+    @pytest.mark.parametrize("method,rank", [("pca", 3), ("fa", 3), ("pca", 12), ("fa", 12),
+                                             ("pca", 24), ("fa", 24)],
+                             ids=["pca", "fa", "pca-q12", "fa-q12", "pca-q24", "fa-q24"])
+    def test_low_rank_path_matches_dense_path(self, rng, method, rank, monkeypatch):
+        ell = 48  # q = ell/16, ell/4 and ell/2
         _, masked, pattern = make_instance(rng, ell, 3, 0.2)
         dense_objective = []
-        cfg = CompletionConfig(method=method, rank=3, max_iters=40)
+        cfg = CompletionConfig(method=method, rank=rank, max_iters=40)
 
         def record(_it, completed, model):
             dense_objective.append(augmented_objective(completed, model, cfg.reg_epsilon))
 
-        assert engines._low_rank(ell, cfg.rank)
         fast = run_completion(masked, pattern, cfg, on_iteration=record)
         assert len(dense_objective) == len(fast.trace) >= 2
         assert any(a is not None for a in fast.step_length)
         for it, (value, ref) in enumerate(zip(fast.trace, dense_objective), start=1):
             assert value == pytest.approx(ref, rel=1e-10), f"entry {it}"
 
-        monkeypatch.setattr(engines, "_low_rank", lambda ell, q: False)
+        monkeypatch.setattr(engines, "_model_logdet_and_inverse", dense_logdet_and_inverse)
         dense = run_completion(masked, pattern, cfg)
         assert dense.iterations == fast.iterations and dense.rejected == fast.rejected
         assert dense.step_length == pytest.approx(fast.step_length, rel=1e-8)

@@ -247,7 +247,7 @@ class TestFactorLayouts:
 
 
 class TestLowRankLogdetAndInverse:
-    # 16 q <= ell selects this form in the engines; the oracle covers q on both sides
+    # the engines hold every pca/fa inverse after iteration 1 in this form, whatever q is
     @pytest.mark.parametrize("ell,q", [(48, 1), (48, 3), (48, 4), (48, 12), (48, 47), (5, 1)])
     def test_matches_dense_oracle(self, rng, ell, q):
         for _ in range(5):

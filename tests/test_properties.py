@@ -20,8 +20,8 @@ previous model for a plain step, and for an extrapolated one the point
 theta0 - 2 alpha r + alpha^2 v rebuilt from the recorded step length alpha and
 the three previous models (r = theta1 - theta0, v = theta2 - 2 theta1 + theta0,
 theta = M for fc, (W, log sigma2) for pca, (W, log psi) for fa). The drawn
-problems are too small for the low-rank pca/fa path (16 q <= ell), so both
-driver properties also run on explicit examples that take it.
+problems are small (ell <= 12), so both driver properties also run on explicit
+pca/fa examples at ell = 20 and 40.
 
 A :class:`VisibilityPattern` built by a library caller obeys one integer rule:
 ``ell`` and every hidden index are integers of any integral type, numpy's
@@ -86,7 +86,7 @@ def masked_views(pattern, seed):
 
 
 def low_rank_examples():
-    """pca and fa with 16 q <= ell, eps in {0, 1e-3}, and every kind of mask."""
+    """pca and fa at ell = 20 and 40, eps in {0, 1e-3}, and every kind of mask."""
     out = []
     for i, (method, eps, kind) in enumerate(
             (m, e, k) for m in ("pca", "fa") for e in (0.0, 1e-3) for k in MASK_KINDS):
