@@ -51,8 +51,9 @@ def handle_errors(fn):
 @click.group()
 def main():
     """Mutual completion of multiple incomplete kernel matrices."""
-    level = os.environ.get("MKMC_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    # getLevelName maps a level name to its number and anything else to a string
+    level = logging.getLevelName(os.environ.get("MKMC_LOG", "WARNING").upper())
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING)
 
 
 def _output_paths(out_dir, sidecar: str, inputs) -> list[Path]:

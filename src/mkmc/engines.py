@@ -7,9 +7,12 @@ repeats it until the objective stops moving:
 
     J = sum_k LogDet(Q^(k), M) + eps LogDet(I, M),
 
-with eps = ``reg_epsilon``. The model update (K S + eps I)/(K + eps) fits the
-views and eps copies of I, so this augmented sum is what every plain step
-descends; its eps term is eps/2 (log det M + tr M^{-1} - ell).
+with eps = ``reg_epsilon``. With S the average of the completed views, the
+model update fits S_reg = (K S + eps I)/(K + eps), the views and eps copies
+of I, so this augmented sum is what every plain step descends. As
+sum_k Q^(k) + eps I = (K + eps) S_reg,
+
+    J = ((K + eps)(log det M + <M^{-1}, S_reg> - ell) - sum_k log det Q^(k)) / 2.
 
 The map converges linearly at a rate near 1, like EM, so the driver
 accelerates it by SQUAREM (Varadhan & Roland 2008, *Scand. J. Stat.*) over the
@@ -41,14 +44,12 @@ to P_hh^{-1}, hence
 
     log det Q^(k) = log det Q^(k)_vv - log det P_hh
 
-with log det Q^(k)_vv fixed for the run, and for the new model M
-
-    sum_k tr(M^{-1} Q^(k)) = K tr(M^{-1} S),  S the unregularized average.
-
-All of this holds only while P is the inverse of the model every Q^(k) was
-imputed from; each iteration therefore factors M once and keeps its inverse
-as the next P, and an extrapolated evaluation also factors its starting
-point. :func:`objective` is the dense reference. The log dets and inverses of
+with log det Q^(k)_vv fixed for the run. With the identity for J above, the
+new model M enters J only through log det M and <M^{-1}, S_reg>. All of this
+holds only while P is the inverse of the model every Q^(k) was imputed from;
+each iteration therefore factors M once and keeps its inverse as the next P,
+and an extrapolated evaluation also factors its starting point.
+:func:`objective` is the dense reference. The log dets and inverses of
 PD matrices used here all come from :mod:`mkmc.linalg`.
 
 The driver holds P in one of two forms, each with its own per-view step.
@@ -70,8 +71,8 @@ complement is D_h + W_h C_v^{-1} W_h^T:
     log det P_hh = log det C_v - log det D_h - log det C,
 
 with only q x q systems, O(n_v^2 q) per view. The trace term is
-<M^{-1}, S> = sum_i S_ii / d_i - <C^{-1}, (D^{-1} W)^T S (D^{-1} W)>, O(ell^2 q),
-and tr M^{-1} = sum_i 1 / d_i - <C^{-1} F, F> with F = W^T D^{-1}, O(ell q^2).
+<M^{-1}, S_reg> = sum_i (S_reg)_ii / d_i - <C^{-1}, (D^{-1} W)^T S_reg (D^{-1} W)>,
+O(ell^2 q).
 Extrapolating (W, log d) is O(ell q) and factoring the point O(ell q^2), so
 the model is never materialized there either;
 :func:`fa_model_update` reuses the held factorization, so after iteration 1
@@ -422,10 +423,6 @@ class _DenseInverse:
         """<M^{-1}, S>."""
         return float(np.vdot(self.p, s))
 
-    def trace(self) -> float:
-        """tr M^{-1}."""
-        return float(np.trace(self.p))
-
 
 class _FactoredInverse:
     """M^{-1} of a low-rank model W W^T + diag(d), held as W, d and chol C (module docstring)."""
@@ -450,10 +447,6 @@ class _FactoredInverse:
     def inner(self, s: np.ndarray) -> float:
         """<M^{-1}, S>, O(ell^2 q)."""
         return self.factors.inner(s)
-
-    def trace(self) -> float:
-        """tr M^{-1}, O(ell q^2)."""
-        return self.factors.trace()
 
 
 def select_rank(s: np.ndarray, criterion: str) -> int:
@@ -511,22 +504,10 @@ def _sq_norm(theta: tuple[np.ndarray, ...]) -> float:
     return sum(float(np.vdot(part, part)) for part in theta)
 
 
-def _relative_change(diff: tuple[np.ndarray, ...], theta_sq: float, theta_new_sq: float) -> float:
-    """||diff|| over the larger of the two norms, given squared; 0 when nothing moved."""
-    dd = _sq_norm(diff)
-    return float(np.sqrt(dd / max(theta_sq, theta_new_sq))) if dd else 0.0
-
-
-def _step_length(r: tuple[np.ndarray, ...], v: tuple[np.ndarray, ...]) -> Optional[float]:
-    """SQUAREM's -||r|| / ||v|| when below -1; None for -1, the plain step from theta2."""
-    rr, vv = _sq_norm(r), _sq_norm(v)
-    return -float(np.sqrt(rr / vv)) if rr > vv > 0.0 else None
-
-
-def _extrapolate(theta2, r, v, alpha: float) -> tuple[np.ndarray, ...]:
-    """theta0 - 2 alpha r + alpha^2 v, written from theta2 = theta0 + 2 r + v."""
-    return tuple(t - 2.0 * (1.0 + alpha) * a + (alpha * alpha - 1.0) * b
-                 for t, a, b in zip(theta2, r, v))
+def _relative_change(new: tuple[np.ndarray, ...], point: tuple[np.ndarray, ...]) -> float:
+    """||new - point|| / max(||point||, ||new||); 0 when nothing moved."""
+    dd = _sq_norm(tuple(a - b for a, b in zip(new, point)))
+    return float(np.sqrt(dd / max(_sq_norm(point), _sq_norm(new)))) if dd else 0.0
 
 
 def run_completion(
@@ -605,27 +586,21 @@ def run_completion(
                                      f"numerically singular: {exc}") from exc
             logdet_q -= logdet_p_hh
             write(view, q_vh, q_hh)
-        s = average_kernel(completed)
-        new = _model_update(cfg.method, regularize(s, n_views, eps), rank, prev, prev_inv)
+        s_reg = regularize(average_kernel(completed), n_views, eps)
+        new = _model_update(cfg.method, s_reg, rank, prev, prev_inv)
         logdet_m, new_inv = _model_logdet_and_inverse(new)
-        trace_term = n_views * new_inv.inner(s)  # sum_k tr(M^{-1} Q^(k))
-        j = 0.5 * (n_views * (logdet_m - ell) - logdet_q + trace_term)
-        j += 0.5 * eps * (logdet_m + new_inv.trace() - ell)  # eps * LogDet(I, M)
+        j = 0.5 * ((n_views + eps) * (logdet_m + new_inv.inner(s_reg) - ell) - logdet_q)
         return j, new, new_inv
 
     trace: list[float] = []
     iter_ms: list[float] = []
     residual: list[Optional[float]] = []
     step_length: list[Optional[float]] = []
-    theta = theta_sq = None  # parameters of the accepted model and ||theta||^2
-    diffs: list = []  # F(theta) - theta of this cycle's plain steps
+    cycle: list = []  # parameters of this cycle's accepted models: theta0, theta1, theta2
     alpha: Optional[float] = None  # step length of the next evaluation, if extrapolated
-    rejected, stop, t0 = 0, STOP_MAX_ITERS, None
+    rejected, stop, t0 = 0, STOP_MAX_ITERS, time.perf_counter()
     for it in range(1, cfg.max_iters + 1):
-        if t0 is None:  # a rejected evaluation's time goes to the next accepted one
-            t0 = time.perf_counter()
         if alpha is None:
-            point = theta
             try:
                 j, new, new_inv = evaluate(model, model_inv)
             except (NumericalError, NotPositiveDefiniteError) as exc:
@@ -633,8 +608,9 @@ def run_completion(
         else:
             saved = [(completed[view.k][view.vh], completed[view.k][view.hh]) for view in views]
             try:
-                with np.errstate(all="raise"):
-                    point = _extrapolate(theta, *diffs, alpha)
+                with np.errstate(all="raise"):  # theta0 - 2 alpha r + alpha^2 v, from theta2
+                    point = tuple(t - 2.0 * (1.0 + alpha) * a + (alpha * alpha - 1.0) * b
+                                  for t, a, b in zip(cycle[2], r, v))
                     trial = type(model).from_parameters(point)
                 with np.errstate(over="raise", invalid="raise", divide="raise"):
                     j, new, new_inv = evaluate(trial, _model_logdet_and_inverse(trial)[1])
@@ -649,30 +625,28 @@ def run_completion(
                 continue
 
         model, model_inv = new, new_inv
-        point_sq = theta_sq if alpha is None else _sq_norm(point)
+        theta = model.parameters()
+        # Iteration 1 starts from S_0, outside the parameter space; a plain step from cycle[-1].
+        if alpha is None:
+            point = cycle[-1] if cycle else None
+        residual.append(None if point is None else _relative_change(theta, point))
         step_length.append(alpha)
         alpha = None
-        theta = model.parameters()
-        theta_sq = _sq_norm(theta)
-        if point is None:  # iteration 1 starts from S_0, outside the parameter space
-            residual.append(None)
-        else:
-            diff = tuple(a - b for a, b in zip(theta, point))
-            residual.append(_relative_change(diff, point_sq, theta_sq))
         # A cycle starts at the model of iteration 1 and after each third evaluation.
-        if point is None or len(diffs) == 2:
-            diffs = []
-        else:
-            diffs.append(diff)
-            if len(diffs) == 2:
-                for r, d in zip(*diffs):
-                    d -= r  # v = (theta2 - theta1) - (theta1 - theta0)
-                alpha = _step_length(*diffs)
+        if len(cycle) == 3:
+            cycle = []
+        cycle.append(theta)
+        if len(cycle) == 3:
+            r = tuple(b - a for a, b in zip(*cycle[:2]))  # theta1 - theta0
+            v = tuple(c - b - a for a, b, c in zip(r, *cycle[1:]))  # (theta2 - theta1) - r
+            rr, vv = _sq_norm(r), _sq_norm(v)
+            if rr > vv > 0.0:  # SQUAREM's -||r|| / ||v|| when below -1; else the plain step
+                alpha = -float(np.sqrt(rr / vv))
         iter_ms.append((time.perf_counter() - t0) * 1e3)
-        t0 = None
         trace.append(j)
         if on_iteration is not None:
             on_iteration(it, completed, model)
+        t0 = time.perf_counter()  # a rejected evaluation's time goes to the next accepted one
         # With nothing hidden the imputation is vacuous: one model fit is the answer.
         if not views:
             stop = STOP_NO_HIDDEN

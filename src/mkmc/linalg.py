@@ -150,10 +150,6 @@ class LowRankInverse:
         fsf = self.f @ (s @ self.f.T)
         return float(np.sum(np.diag(s) / self.d) - np.trace(self.solve_c(fsf)))
 
-    def trace(self) -> float:
-        """tr M^{-1} = sum_i 1 / d_i - <C^{-1} F, F>, in O(ell q^2)."""
-        return float(np.sum(1.0 / self.d) - np.vdot(self.solve_c(self.f), self.f))
-
 
 def low_rank_logdet_and_inverse(w: np.ndarray, d: np.ndarray) -> tuple[float, LowRankInverse]:
     """log det and factored inverse of M = W W^T + diag(d), from one q x q Cholesky factor.

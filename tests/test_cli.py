@@ -610,6 +610,19 @@ def test_csv_without_data_exits_2_with_one_line(tmp_path, text):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("level", ["basic_format", "_styles", "foo", "info"])
+def test_mkmc_log_takes_only_level_names(tmp_path, synthetic_inputs, level):
+    """Any value of MKMC_LOG that is not a level name means WARNING (a real process, for the
+    logging set-up); the value "basic_format" names a string in ``logging``, "_styles" a dict."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-m", "mkmc.cli", "mask", "--fraction", "0.2", "--out-dir", "masked",
+         *synthetic_inputs], cwd=tmp_path, env={**os.environ, "PYTHONPATH": src, "MKMC_LOG": level},
+        capture_output=True, text=True)
+    assert out.returncode == 0 and "Traceback" not in out.stderr
+    assert ("wrote mask" in out.stderr) == (level == "info")
+
+
 def test_import_leaves_jsonschema_unloaded():
     """Neither jsonschema nor orjson (imported by the CSV reader and writer) loads with the CLI."""
     code = "import sys, mkmc.cli; print('jsonschema' in sys.modules, 'orjson' in sys.modules)"

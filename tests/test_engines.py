@@ -706,6 +706,33 @@ class TestAcceleration:
             assert distance(result.model) <= distance(plain_model), f"seed {seed}"
         assert driver_total < plain_total
 
+    @pytest.mark.parametrize("method, seed", [("fc", 0), ("pca", 0), ("fa", 0), ("fa", 2)])
+    def test_residual_is_the_relative_distance_from_the_evaluated_point(self, method, seed):
+        """||theta_new - point|| / max(||point||, ||theta_new||), recomputed from the models
+        the hook received. The point is the last accepted model for a plain step and
+        theta0 - 2 alpha r + alpha^2 v of the cycle's three models for an extrapolated one.
+        seeded_problem(0) has accepted extrapolations; ("fc", 0) and ("fa", 2) a rejection."""
+        masked, pattern = seeded_problem(seed)
+        models = []
+        result = run_completion(masked, pattern, CompletionConfig(method=method, rank=2, max_iters=300),
+                                on_iteration=lambda _it, _c, m: models.append(m))
+        assert result.stop == "tol" and any(a is not None for a in result.step_length)
+        thetas = [np.concatenate([p.ravel() for p in m.parameters()]) for m in models]
+        assert len(result.residual) == len(thetas) and result.residual[0] is None
+        for i in range(1, len(thetas)):
+            alpha = result.step_length[i]
+            if alpha is None:
+                point = thetas[i - 1]
+            else:  # a cycle starts at entry 0 and at each third entry after it
+                assert i % 3 == 0
+                t0, t1, t2 = thetas[i - 3:i]
+                r, v = t1 - t0, t2 - 2 * t1 + t0
+                assert alpha == pytest.approx(-np.linalg.norm(r) / np.linalg.norm(v), rel=1e-12)
+                point = t0 - 2 * alpha * r + alpha**2 * v
+            scale = max(np.linalg.norm(point), np.linalg.norm(thetas[i]))
+            expected = np.linalg.norm(thetas[i] - point) / scale
+            assert result.residual[i] == pytest.approx(expected, rel=1e-12), f"entry {i}"
+
     @pytest.mark.parametrize("method, seed", [("fc", 0), ("fa", 2)])  # problems with a rejection
     def test_rejection_is_followed_by_the_plain_step(self, method, seed):
         masked, pattern = seeded_problem(seed)
