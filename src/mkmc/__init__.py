@@ -17,7 +17,6 @@ from .engines import (
     fa_estep,
     fa_model_update,
     fc_model_update,
-    impute_view,
     objective,
     pca_model_update,
     regularize,
@@ -49,10 +48,8 @@ from .recovery import (
 )
 from .views import (
     Fill,
-    PartitionedView,
     VisibilityPattern,
     apply_mask,
-    partition,
     random_mask,
 )
 

@@ -57,12 +57,18 @@ def main():
 
 
 def _output_paths(out_dir, sidecar: str, inputs) -> list[Path]:
-    """``out_dir`` / ``sidecar``, then / each input's file name; two equal names are refused."""
+    """``out_dir`` / ``sidecar``, then / each input's file name; two equal names, or an output
+    that resolves to an input, are refused."""
     names = [sidecar] + [Path(p).name for p in inputs]
     for i, name in enumerate(names):
         if name in names[:i]:
             raise ConfigError(f"two outputs would be written to {Path(out_dir) / name}")
-    return [Path(out_dir) / name for name in names]
+    paths = [Path(out_dir) / name for name in names]
+    sources = {Path(p).resolve(): p for p in inputs}
+    for path in paths:
+        if path.resolve() in sources:
+            raise ConfigError(f"{path} would overwrite the input {sources[path.resolve()]}")
+    return paths
 
 
 def _load_square_inputs(inputs) -> list[np.ndarray]:

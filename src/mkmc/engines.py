@@ -38,9 +38,8 @@ visible objects v and hidden objects h, the partitioned inverse gives
 
 (the Schur complement of M_vv). One Cholesky factorization of P_hh yields
 log det P_hh and, by ``dpotri``, P_hh^{-1}; then X is one product with it,
-Q_vh = Q_vv X and Q_hh = P_hh^{-1} + X^T Q_vh. :func:`impute_view` is the
-dense reference. Imputing leaves the Schur complement of Q_vv in Q^(k) equal
-to P_hh^{-1}, hence
+Q_vh = Q_vv X and Q_hh = P_hh^{-1} + X^T Q_vh. Imputing leaves the Schur
+complement of Q_vv in Q^(k) equal to P_hh^{-1}, hence
 
     log det Q^(k) = log det Q^(k)_vv - log det P_hh
 
@@ -52,17 +51,19 @@ and an extrapolated evaluation also factors its starting point.
 :func:`objective` is the dense reference. The log dets and inverses of
 PD matrices used here all come from :mod:`mkmc.linalg`.
 
-The driver holds P in one of two forms, each with its own per-view step.
-:class:`_DenseInverse` holds the whole ell x ell P, as above: it serves ``fc``
-(O(ell^3) per iteration for M, plus O(n_h^3 + n_v^2 n_h) per view; only views
-sharing a hidden set could share that per-view work) and iteration 1 of every
-method (imputed from the average kernel S_0).
+The driver holds P as :mod:`mkmc.linalg` returns it, in one of two forms,
+and :func:`impute_view`, the per-view step, takes either;
+:func:`~mkmc.views.partition` splits each view once, at set-up. The whole
+ell x ell P, as above, serves ``fc`` (O(ell^3) per iteration for M, plus
+O(n_h^3 + n_v^2 n_h) per view; only views sharing a hidden set could share
+that per-view work) and iteration 1 of every method (imputed from the
+average kernel S_0).
 
 ``pca`` and ``fa`` models are low rank plus diagonal, M = W W^T + D with
 D = diag(d) (``pca``: d = sigma2 * 1). From iteration 1's model on,
-:class:`_FactoredInverse` holds M^{-1} as W, d and the Cholesky factor of
-C = I + W^T D^{-1} W (Woodbury identity, determinant lemma; O(ell q^2)), and
-P is never formed, whatever q is.
+:class:`~mkmc.linalg.LowRankInverse` holds M^{-1} as W, d and the Cholesky
+factor of C = I + W^T D^{-1} W (Woodbury identity, determinant lemma;
+O(ell q^2)), and P is never formed, whatever q is.
 For a view, C_v = I + W_v^T D_v^{-1} W_v >= I is the capacitance matrix of
 M_vv, A = D_v^{-1} W_v C_v^{-1} = M_vv^{-1} W_v, so X = A W_h^T, and the Schur
 complement is D_h + W_h C_v^{-1} W_h^T:
@@ -89,17 +90,15 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import ConfigError, DimensionError, NotPositiveDefiniteError, NumericalError
-from .linalg import (LowRankInverse, cholesky_lower, eigenvalues, eigh_sorted, logdet,
-                     logdet_and_inverse, logdet_divergences, low_rank_logdet_and_inverse,
-                     symmetrize)
+from .linalg import (LowRankInverse, eigenvalues, eigh_sorted, logdet, logdet_and_inverse,
+                     logdet_divergences, low_rank_logdet_and_inverse, symmetrize)
 from .views import (Fill, PartitionedView, VisibilityPattern, apply_mask, is_integer, is_real,
-                    visible_indices)
+                    partition)
 
 METHOD_FC = "fc"
 METHOD_PCA = "pca"
@@ -290,32 +289,6 @@ def regularize(s: np.ndarray, n_views: int, eps: float) -> np.ndarray:
     return out
 
 
-def impute_view(q_vv: np.ndarray, m_parts: PartitionedView) -> tuple[np.ndarray, np.ndarray]:
-    """Gaussian conditional-moment re-estimation of one view's hidden blocks.
-
-    The dense reference for the driver, which imputes from M^{-1} instead.
-    With the model blocks M_vv, M_vh, M_hh of this view:
-
-        Q_vh = Q_vv M_vv^{-1} M_vh
-        Q_hh = M_hh - M_hv M_vv^{-1} M_vh + M_hv M_vv^{-1} Q_vv M_vv^{-1} M_vh
-
-    Inverses are realized by Cholesky solves, and M_hv M_vv^{-1} Q_vv M_vv^{-1}
-    M_vh reuses Q_vh; Q_hh is symmetrized.
-    """
-    if q_vv.shape != m_parts.q_vv.shape:
-        raise DimensionError(
-            f"visible block {q_vv.shape} does not match model block {m_parts.q_vv.shape}"
-        )
-    try:
-        chol = cholesky_lower(m_parts.q_vv)
-        x = sla.cho_solve((chol, True), m_parts.q_vh)  # M_vv^{-1} M_vh
-    except NotPositiveDefiniteError as exc:
-        raise NumericalError(f"model visible block is numerically singular: {exc}") from exc
-    q_vh = q_vv @ x
-    q_hh = m_parts.q_hh - m_parts.q_vh.T @ x + x.T @ q_vh
-    return q_vh, symmetrize(q_hh)
-
-
 def fc_model_update(s_reg: np.ndarray) -> FullModel:
     """Full-covariance M-step: the model matrix is the average kernel itself.
 
@@ -388,65 +361,25 @@ def objective(qs: Sequence[np.ndarray], model: ModelParams) -> float:
     return float(sum(logdet_divergences(qs, model.materialize())))
 
 
-class _View(NamedTuple):
-    """A view hiding objects: its index, Q_vv (fixed for the run) and its blocks' indices."""
-
-    k: int
-    vis: np.ndarray
-    hid: np.ndarray
-    q_vv: np.ndarray
-    vh: tuple  # np.ix_(vis, hid)
-    hv: tuple
-    hh: tuple
-
-    @classmethod
-    def of(cls, k: int, vis: np.ndarray, hid: np.ndarray, q_vv: np.ndarray) -> "_View":
-        return cls(k, vis, hid, q_vv, np.ix_(vis, hid), np.ix_(hid, vis), np.ix_(hid, hid))
-
-
-class _DenseInverse:
-    """P = M^{-1} held whole: fc, and iteration 1 of every method (imputed from S_0)."""
-
-    factors: Optional[LowRankInverse] = None  # no low-rank factorization is held
-
-    def __init__(self, p: np.ndarray):
-        self.p = p
-
-    def impute(self, view: _View) -> tuple[float, np.ndarray, np.ndarray]:
-        """log det P_hh, Q_vh and Q_hh of one view (module docstring)."""
-        logdet_p_hh, schur = logdet_and_inverse(self.p[view.hh])
-        x = -self.p[view.vh] @ schur  # M_vv^{-1} M_vh
-        q_vh = view.q_vv @ x
-        return logdet_p_hh, q_vh, symmetrize(schur + x.T @ q_vh)
-
-    def inner(self, s: np.ndarray) -> float:
-        """<M^{-1}, S>."""
-        return float(np.vdot(self.p, s))
-
-
-class _FactoredInverse:
-    """M^{-1} of a low-rank model W W^T + diag(d), held as W, d and chol C (module docstring)."""
-
-    def __init__(self, factors: LowRankInverse):
-        self.factors: Optional[LowRankInverse] = factors
-
-    def impute(self, view: _View) -> tuple[float, np.ndarray, np.ndarray]:
-        """log det P_hh, Q_vh and Q_hh of one view from q x q systems, O(n_v^2 q)."""
-        m = self.factors
-        f_v, w_h, d_h = m.f[:, view.vis], m.w[view.hid], m.d[view.hid]
+def impute_view(inverse: Union[np.ndarray, LowRankInverse],
+                view: PartitionedView) -> tuple[float, np.ndarray, np.ndarray]:
+    """log det P_hh, Q_vh and Q_hh of one view, imputed from the held M^{-1} (module docstring):
+    the whole P, or a low-rank model's factors, from q x q systems in O(n_v^2 q)."""
+    if isinstance(inverse, LowRankInverse):
+        f_v, w_h, d_h = inverse.f[:, view.vis], inverse.w[view.hid], inverse.d[view.hid]
         # C_v = I + W_v^T D_v^{-1} W_v >= I, the capacitance matrix of M_vv
-        c_v = symmetrize(np.eye(len(f_v)) + f_v @ m.w[view.vis])
+        c_v = symmetrize(np.eye(len(f_v)) + f_v @ inverse.w[view.vis])
         logdet_c_v, c_v_inv = logdet_and_inverse(c_v)
         a = f_v.T @ c_v_inv  # D_v^{-1} W_v C_v^{-1} = M_vv^{-1} W_v
         qa = view.q_vv @ a
         q_hh = w_h @ (c_v_inv + a.T @ qa) @ w_h.T
         q_hh.flat[::len(d_h) + 1] += d_h
-        logdet_p_hh = logdet_c_v - float(np.sum(np.log(d_h))) - m.logdet_c
+        logdet_p_hh = logdet_c_v - float(np.sum(np.log(d_h))) - inverse.logdet_c
         return logdet_p_hh, qa @ w_h.T, symmetrize(q_hh)
-
-    def inner(self, s: np.ndarray) -> float:
-        """<M^{-1}, S>, O(ell^2 q)."""
-        return self.factors.inner(s)
+    logdet_p_hh, schur = logdet_and_inverse(inverse[view.hh])
+    x = -inverse[view.vh] @ schur  # M_vv^{-1} M_vh
+    q_vh = view.q_vv @ x
+    return logdet_p_hh, q_vh, symmetrize(schur + x.T @ q_vh)
 
 
 def select_rank(s: np.ndarray, criterion: str) -> int:
@@ -479,25 +412,23 @@ def degrees_of_freedom(method: str, ell: int, q: Optional[int] = None) -> int:
 
 
 def _model_logdet_and_inverse(
-        model: ModelParams) -> tuple[float, Union[_DenseInverse, _FactoredInverse]]:
+        model: ModelParams) -> tuple[float, Union[np.ndarray, LowRankInverse]]:
     """log det M and the held M^{-1}: dense for fc, factored from W and the noise diagonal
     for pca/fa."""
     if isinstance(model, FullModel):
-        logdet_m, p = logdet_and_inverse(model.materialize())
-        return logdet_m, _DenseInverse(p)
-    logdet_m, factors = low_rank_logdet_and_inverse(model.W, model.noise)
-    return logdet_m, _FactoredInverse(factors)
+        return logdet_and_inverse(model.materialize())
+    return low_rank_logdet_and_inverse(model.W, model.noise)
 
 
 def _model_update(method: str, s_reg: np.ndarray, q: Optional[int],
                   prev: Optional[ModelParams],
-                  prev_inv: Union[_DenseInverse, _FactoredInverse]) -> ModelParams:
+                  prev_inv: Union[np.ndarray, LowRankInverse]) -> ModelParams:
     if method == METHOD_FC:
         return fc_model_update(s_reg)
     if method == METHOD_PCA:
         return pca_model_update(s_reg, q)
-    # The factorization the driver holds, if any, is always that of prev.
-    return fa_model_update(s_reg, prev, prev_inv.factors)
+    # A held factorization is always that of prev; iteration 1 holds the dense P of S_0.
+    return fa_model_update(s_reg, prev, prev_inv if isinstance(prev_inv, LowRankInverse) else None)
 
 
 def _sq_norm(theta: tuple[np.ndarray, ...]) -> float:
@@ -536,19 +467,18 @@ def run_completion(
 
     # Zero-initialize hidden blocks (also validates the visible blocks).
     completed = [apply_mask(q, h, Fill.ZERO) for q, h in zip(qs_masked, pattern.hidden)]
-    # Fixed for the run: sum_k log det Q^(k)_vv, and each view hiding objects
+    # Fixed for the run: sum_k log det Q^(k)_vv, and (k, split) of each view hiding objects
     logdet_vv = 0.0
     views = []
     for k, (c, h) in enumerate(zip(completed, pattern.hidden)):
-        vis, hid = visible_indices(ell, h), np.array(h, dtype=int)
-        q_vv = c[np.ix_(vis, vis)]
+        view = partition(c, h)
         try:
-            logdet_vv += logdet(q_vv)
+            logdet_vv += logdet(view.q_vv)
         except NotPositiveDefiniteError as exc:
             raise NotPositiveDefiniteError(
                 f"view {k}: visible block is not positive definite") from exc
-        if hid.size:
-            views.append(_View.of(k, vis, hid, q_vv))
+        if h:
+            views.append((k, view))
 
     s0 = average_kernel(completed)
     s0_reg = regularize(s0, n_views, eps)
@@ -565,12 +495,12 @@ def run_completion(
         pca = pca_model_update(s0_reg, rank)
         model = FaModel(W=pca.W, psi=np.full(ell, pca.sigma2))
     try:  # Algorithm start: model matrix = average kernel
-        model_inv = _DenseInverse(logdet_and_inverse(s0_reg)[1])
+        model_inv = logdet_and_inverse(s0_reg)[1]
     except NotPositiveDefiniteError as exc:
         raise NumericalError(f"initial model matrix: {exc}") from exc
 
-    def write(view: _View, q_vh: np.ndarray, q_hh: np.ndarray) -> None:
-        c = completed[view.k]
+    def write(k: int, view: PartitionedView, q_vh: np.ndarray, q_hh: np.ndarray) -> None:
+        c = completed[k]
         c[view.vh] = q_vh
         c[view.hv] = q_vh.T
         c[view.hh] = q_hh
@@ -578,18 +508,20 @@ def run_completion(
     def evaluate(prev: Optional[ModelParams], prev_inv):
         """F at ``prev`` (inverse ``prev_inv``): impute every view, refit; J of the result."""
         logdet_q = logdet_vv  # sum_k log det Q^(k) after imputing from prev
-        for view in views:
+        for k, view in views:
             try:
-                logdet_p_hh, q_vh, q_hh = prev_inv.impute(view)
+                logdet_p_hh, q_vh, q_hh = impute_view(prev_inv, view)
             except NotPositiveDefiniteError as exc:
-                raise NumericalError(f"view {view.k}: hidden block of the model inverse is "
+                raise NumericalError(f"view {k}: hidden block of the model inverse is "
                                      f"numerically singular: {exc}") from exc
             logdet_q -= logdet_p_hh
-            write(view, q_vh, q_hh)
+            write(k, view, q_vh, q_hh)
         s_reg = regularize(average_kernel(completed), n_views, eps)
         new = _model_update(cfg.method, s_reg, rank, prev, prev_inv)
         logdet_m, new_inv = _model_logdet_and_inverse(new)
-        j = 0.5 * ((n_views + eps) * (logdet_m + new_inv.inner(s_reg) - ell) - logdet_q)
+        inner = (new_inv.inner(s_reg) if isinstance(new_inv, LowRankInverse)
+                 else float(np.vdot(new_inv, s_reg)))  # <M^{-1}, S_reg>
+        j = 0.5 * ((n_views + eps) * (logdet_m + inner - ell) - logdet_q)
         return j, new, new_inv
 
     trace: list[float] = []
@@ -606,7 +538,7 @@ def run_completion(
             except (NumericalError, NotPositiveDefiniteError) as exc:
                 raise NumericalError(f"iteration {it}: {exc}") from exc
         else:
-            saved = [(completed[view.k][view.vh], completed[view.k][view.hh]) for view in views]
+            saved = [(completed[k][view.vh], completed[k][view.hh]) for k, view in views]
             try:
                 with np.errstate(all="raise"):  # theta0 - 2 alpha r + alpha^2 v, from theta2
                     point = tuple(t - 2.0 * (1.0 + alpha) * a + (alpha * alpha - 1.0) * b
@@ -619,8 +551,8 @@ def run_completion(
                 accepted = False
             if not accepted:  # back to the last accepted completions; next, the plain step
                 rejected += 1
-                for view, blocks in zip(views, saved):
-                    write(view, *blocks)
+                for (k, view), blocks in zip(views, saved):
+                    write(k, view, *blocks)
                 alpha = None
                 continue
 

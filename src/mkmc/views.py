@@ -1,9 +1,9 @@
 """Per-view visibility bookkeeping and artificial missingness.
 
-A view with hidden objects is handled through its sorted visible and hidden
-index arrays: the blocks are read, and imputed blocks written back, by direct
-fancy indexing. Masks are generated with a seeded PCG64 generator so they are
-bit-reproducible.
+:func:`partition` splits a view into its sorted visible and hidden index
+arrays and the ``np.ix_`` tuples through which its blocks are read, and
+imputed blocks written back, by direct fancy indexing. Masks are generated
+with a seeded PCG64 generator so they are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -87,11 +87,15 @@ class VisibilityPattern:
 
 @dataclass(frozen=True)
 class PartitionedView:
-    """Visible/hidden blocks of a symmetric matrix for one view."""
+    """One view's split: its visible and hidden indices, its visible block Q_vv and the
+    ``np.ix_`` index tuples of its vh, hv and hh blocks."""
 
+    vis: np.ndarray
+    hid: np.ndarray
     q_vv: np.ndarray
-    q_vh: np.ndarray
-    q_hh: np.ndarray
+    vh: tuple
+    hv: tuple
+    hh: tuple
 
 
 def visible_indices(ell: int, hidden) -> np.ndarray:
@@ -100,17 +104,14 @@ def visible_indices(ell: int, hidden) -> np.ndarray:
 
 
 def partition(full: np.ndarray, hidden) -> PartitionedView:
-    """Extract the visible/hidden blocks of ``full`` for one view."""
+    """Split ``full`` by the hidden objects of one view."""
     ell = full.shape[0]
     if full.shape != (ell, ell):
         raise DimensionError(f"expected square matrix, got {full.shape}")
     hid = np.array(_validate_hidden(ell, hidden), dtype=int)
     vis = visible_indices(ell, hid)
-    return PartitionedView(
-        q_vv=full[np.ix_(vis, vis)],
-        q_vh=full[np.ix_(vis, hid)],
-        q_hh=full[np.ix_(hid, hid)],
-    )
+    return PartitionedView(vis, hid, full[np.ix_(vis, vis)], np.ix_(vis, hid), np.ix_(hid, vis),
+                           np.ix_(hid, hid))
 
 
 def random_mask(

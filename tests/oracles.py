@@ -1,0 +1,30 @@
+"""Dense references for the tests: formulas that work from the model matrix M itself.
+
+A run imputes each view from M^{-1} or its factors (:func:`mkmc.engines.impute_view`);
+:func:`impute_from_model` is the plain conditional-moment formula that step is checked
+against.
+"""
+
+import numpy as np
+import scipy.linalg as sla
+
+from mkmc.linalg import cholesky_lower, symmetrize
+from mkmc.views import partition
+
+
+def impute_from_model(q_vv: np.ndarray, m: np.ndarray, hidden) -> tuple[np.ndarray, np.ndarray]:
+    """Gaussian conditional-moment re-estimation of the hidden blocks of one view.
+
+    With the blocks M_vv, M_vh, M_hh of M for the view hiding ``hidden``:
+
+        Q_vh = Q_vv M_vv^{-1} M_vh
+        Q_hh = M_hh - M_hv M_vv^{-1} M_vh + M_hv M_vv^{-1} Q_vv M_vv^{-1} M_vh
+
+    Inverses are realized by Cholesky solves, and M_hv M_vv^{-1} Q_vv M_vv^{-1}
+    M_vh reuses Q_vh; Q_hh is symmetrized.
+    """
+    view = partition(m, hidden)
+    m_vh = m[view.vh]
+    x = sla.cho_solve((cholesky_lower(view.q_vv), True), m_vh)  # M_vv^{-1} M_vh
+    q_vh = q_vv @ x
+    return q_vh, symmetrize(m[view.hh] - m_vh.T @ x + x.T @ q_vh)

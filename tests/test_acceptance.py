@@ -20,12 +20,10 @@ from mkmc.engines import (
     CompletionConfig,
     FaModel,
     PcaModel,
-    _DenseInverse,
-    _FactoredInverse,
-    _View,
     degrees_of_freedom,
     fa_estep,
     fa_model_update,
+    impute_view,
     objective,
     pca_model_update,
     run_completion,
@@ -33,7 +31,7 @@ from mkmc.engines import (
 )
 from mkmc.linalg import logdet_and_inverse, low_rank_logdet_and_inverse
 from mkmc.recovery import SyntheticSpec, compare_methods, generate_synthetic
-from mkmc.views import Fill, apply_mask, random_mask
+from mkmc.views import Fill, apply_mask, partition, random_mask
 
 from conftest import random_pd
 
@@ -93,11 +91,11 @@ def test_criterion_2_positive_definiteness(descent_runs):
 
 
 def test_criterion_3_imputation_oracle():
-    """Both per-view steps of the driver against explicit inverses of M's blocks.
+    """The driver's per-view step against explicit inverses of M's blocks.
 
-    ``_DenseInverse`` imputes from P = M^{-1} of any PD M; ``_FactoredInverse``
-    from the factored inverse of a low-rank M = W W^T + diag(d). Each is given
-    M^{-1} as the driver computes it.
+    ``impute_view`` imputes from P = M^{-1} of any PD M, and from the factored
+    inverse of a low-rank M = W W^T + diag(d); each is given M^{-1} as the driver
+    computes it, and the view as the driver splits a zero-filled input.
     """
     rng = np.random.default_rng(303)
     worst = 0.0
@@ -105,14 +103,16 @@ def test_criterion_3_imputation_oracle():
         if i % 2:
             w, d = rng.standard_normal((6, 2)), rng.uniform(0.2, 2.0, 6)
             m = w @ w.T + np.diag(d)
-            step = _FactoredInverse(low_rank_logdet_and_inverse(w, d)[1])
+            inverse = low_rank_logdet_and_inverse(w, d)[1]
         else:
             m = random_pd(rng, 6)
-            step = _DenseInverse(logdet_and_inverse(m)[1])
+            inverse = logdet_and_inverse(m)[1]
         hid = np.sort(rng.choice(6, size=2, replace=False))
         vis = np.setdiff1d(np.arange(6), hid)
         q_vv = random_pd(rng, 4)
-        logdet_p_hh, q_vh, q_hh = step.impute(_View.of(0, vis, hid, q_vv))
+        q = np.zeros((6, 6))
+        q[np.ix_(vis, vis)] = q_vv
+        logdet_p_hh, q_vh, q_hh = impute_view(inverse, partition(q, hid))
         # independent evaluation with explicit inverses
         m_vv, m_vh, m_hh = m[np.ix_(vis, vis)], m[np.ix_(vis, hid)], m[np.ix_(hid, hid)]
         mvv_inv = np.linalg.inv(m_vv)

@@ -158,6 +158,19 @@ class TestMaskCommand:
         ]
         assert not out.exists()
 
+    def test_output_over_an_input_exits_2(self, runner, tmp_path, synthetic_inputs, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        names = [Path(p).name for p in synthetic_inputs]
+        before = [Path(p).read_bytes() for p in synthetic_inputs]
+        res = runner.invoke(main, ["mask", "--fraction", "0.25", "--seed", "1", "--out-dir", ".",
+                                   *names])
+        assert res.exit_code == 2
+        assert res.output.strip().splitlines() == [
+            f"mkmc: error: {names[0]} would overwrite the input {names[0]}"
+        ]
+        assert [Path(p).read_bytes() for p in synthetic_inputs] == before
+        assert not (tmp_path / "mask.json").exists()
+
     def test_unreadable_input_exits_2(self, runner, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("not,a\nmatrix,at,all\n")
@@ -521,6 +534,24 @@ class TestCompleteCommand:
             f"mkmc: error: two outputs would be written to {out / name}"
         ]
         assert not out.exists()
+
+    def test_output_over_an_input_exits_2(self, runner, tmp_path, synthetic_inputs):
+        masked = tmp_path / "masked"
+        res = runner.invoke(main, ["mask", "--fraction", "0.25", "--out-dir", str(masked),
+                                   *synthetic_inputs])
+        assert res.exit_code == 0
+        inputs = sorted(str(p) for p in masked.glob("*.csv"))
+        before = [Path(p).read_bytes() for p in inputs]
+        # the same directory, spelled through a sibling: only the resolved paths are equal
+        out = f"{tmp_path / 'other' / '..' / 'masked'}/"
+        res = runner.invoke(main, ["complete", "--mask", str(masked / "mask.json"),
+                                   "--output-dir", out, *inputs])
+        assert res.exit_code == 2
+        assert res.output.strip().splitlines() == [
+            f"mkmc: error: {Path(out) / Path(inputs[0]).name} would overwrite the input {inputs[0]}"
+        ]
+        assert [Path(p).read_bytes() for p in inputs] == before
+        assert not (masked / "trace.json").exists()
 
     @pytest.mark.parametrize("method", ["fc", "pca", "fa"])
     def test_outputs_equal_library_completion(self, runner, tmp_path, method):

@@ -15,7 +15,7 @@ average singular, and the driver must refuse the problem.
 
 The driver imputes each view from the inverse of the point it evaluates the
 map at; at every accepted iteration its hidden blocks equal those of the dense
-conditional moments (:func:`impute_view`) computed from that point: the
+conditional moments (``oracles.impute_from_model``) computed from that point: the
 previous model for a plain step, and for an extrapolated one the point
 theta0 - 2 alpha r + alpha^2 v rebuilt from the recorded step length alpha and
 the three previous models (r = theta1 - theta0, v = theta2 - 2 theta1 + theta0,
@@ -45,11 +45,12 @@ from hypothesis import strategies as st
 from mkmc import matrixio
 from mkmc.cli import main
 from mkmc.engines import (METHODS, CompletionConfig, FullModel, PcaModel, average_kernel,
-                          impute_view, objective, regularize, run_completion)
+                          objective, regularize, run_completion)
 from mkmc.errors import ConfigError, NumericalError
 from mkmc.views import Fill, VisibilityPattern, apply_mask, partition, random_mask
 
 from conftest import random_pd
+from oracles import impute_from_model
 
 MASK_KINDS = ("empty", "correlated", "single-visible-object", "independent")
 
@@ -199,9 +200,9 @@ def test_driver_imputes_like_dense_oracle(problem):
         for c, h in zip(completed, pattern.hidden):
             if h:
                 got = partition(c, h)
-                q_vh, q_hh = impute_view(got.q_vv, partition(m_prev, h))
-                assert_close(got.q_vh, q_vh)
-                assert_close(got.q_hh, q_hh)
+                q_vh, q_hh = impute_from_model(got.q_vv, m_prev, h)
+                assert_close(c[got.vh], q_vh)
+                assert_close(c[got.hh], q_hh)
 
 
 @pytest.mark.parametrize("ell, hidden", [

@@ -53,14 +53,17 @@ class TestPartition:
         a = random_symmetric(rng, 4)
         view = partition(a, ())
         assert np.array_equal(view.q_vv, a)
-        assert view.q_vh.shape == (4, 0)
-        assert view.q_hh.shape == (0, 0)
+        assert a[view.vh].shape == (4, 0)
+        assert a[view.hh].shape == (0, 0)
 
     def test_diagonal_hand_case(self):
-        view = partition(np.diag([1.0, 2.0, 3.0]), (1,))
+        a = np.diag([1.0, 2.0, 3.0])
+        view = partition(a, (1,))
+        assert np.array_equal(view.vis, [0, 2]) and np.array_equal(view.hid, [1])
         assert np.array_equal(view.q_vv, np.diag([1.0, 3.0]))
-        assert np.array_equal(view.q_hh, [[2.0]])
-        assert np.array_equal(view.q_vh, [[0.0], [0.0]])
+        assert np.array_equal(a[view.hh], [[2.0]])
+        assert np.array_equal(a[view.vh], [[0.0], [0.0]])
+        assert np.array_equal(a[view.hv], [[0.0, 0.0]])
 
     def test_round_trip_exact(self, rng):
         for _ in range(100):
@@ -71,15 +74,17 @@ class TestPartition:
             hid = np.sort(hidden)
             vis = np.setdiff1d(np.arange(ell), hid)
             view = partition(a, hidden)
+            assert np.array_equal(view.vis, vis) and np.array_equal(view.hid, hid)
             assert np.array_equal(view.q_vv, a[np.ix_(vis, vis)])
-            assert np.array_equal(view.q_vh, a[np.ix_(vis, hid)])
-            assert np.array_equal(view.q_hh, a[np.ix_(hid, hid)])
+            assert np.array_equal(a[view.vh], a[np.ix_(vis, hid)])
+            assert np.array_equal(a[view.hv], a[np.ix_(hid, vis)])
+            assert np.array_equal(a[view.hh], a[np.ix_(hid, hid)])
 
     def test_two_by_two_layout(self):
         a = np.array([[1.0, 2.0], [2.0, 3.0]])
         view = partition(a, (1,))
         assert np.array_equal(
-            np.block([[view.q_vv, view.q_vh], [view.q_vh.T, view.q_hh]]), a
+            np.block([[view.q_vv, a[view.vh]], [a[view.hv], a[view.hh]]]), a
         )
 
     def test_out_of_range_index(self):
