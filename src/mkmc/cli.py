@@ -56,15 +56,16 @@ def main():
     logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING)
 
 
-def _output_paths(out_dir, sidecar: str, inputs) -> list[Path]:
+def _output_paths(out_dir, sidecar: str, inputs, reads=()) -> list[Path]:
     """``out_dir`` / ``sidecar``, then / each input's file name; two equal names, or an output
-    that resolves to an input, are refused."""
+    that resolves to an input or to another file the command ``reads`` (None: no file), are
+    refused."""
     names = [sidecar] + [Path(p).name for p in inputs]
     for i, name in enumerate(names):
         if name in names[:i]:
             raise ConfigError(f"two outputs would be written to {Path(out_dir) / name}")
     paths = [Path(out_dir) / name for name in names]
-    sources = {Path(p).resolve(): p for p in inputs}
+    sources = {Path(p).resolve(): p for p in (*inputs, *reads) if p is not None}
     for path in paths:
         if path.resolve() in sources:
             raise ConfigError(f"{path} would overwrite the input {sources[path.resolve()]}")
@@ -142,7 +143,8 @@ def _resolve_config(config_path, **run):
 def cmd_complete(config_path, **run):
     """Complete the masked kernels and write them with a trace JSON."""
     cfg, inputs, mask_path, output_dir = _resolve_config(config_path, **run)
-    trace_path, *out_paths = _output_paths(output_dir, "trace.json", inputs)
+    trace_path, *out_paths = _output_paths(output_dir, "trace.json", inputs,
+                                           (mask_path, config_path))
     pattern = matrixio.read_mask(mask_path)
     result = run_completion(_load_square_inputs(inputs), pattern, cfg)
 
@@ -170,6 +172,8 @@ def cmd_complete(config_path, **run):
 @handle_errors
 def cmd_evaluate(mask_path, truth_paths, completed_paths, name, trace_path, out_path):
     """Score hidden-block recovery of completed kernels against ground truth."""
+    out_path, = _output_paths(Path(out_path).parent, Path(out_path).name, (),
+                              (mask_path, *truth_paths, *completed_paths, trace_path))
     pattern = matrixio.read_mask(mask_path)
     truths = _load_square_inputs(truth_paths)
     completed = _load_square_inputs(completed_paths)

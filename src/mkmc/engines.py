@@ -25,10 +25,12 @@ alpha = -||r|| / ||v|| (capped at -1), the third evaluation is F at
 theta0 - 2 alpha r + alpha^2 v. Its result is kept only if J does not rise
 above the last kept value; otherwise, or if the point cannot be factored or
 imputed from, the evaluation is rejected and the next one is the plain step
-F(theta2), which always descends and starts the next cycle. So a rejection
-costs one evaluation and is never followed by another. Rejected evaluations
-count toward ``max_iters`` but never reach the trace, the hook or the result.
-With ``max_iters`` <= 3 no point is extrapolated.
+F(theta2), which always descends, re-imputes every hidden block and starts the
+next cycle. So a rejection costs one evaluation and is never followed by
+another. Rejected evaluations count toward ``max_iters`` but never reach the
+trace, the hook or the result. The last evaluation ``max_iters`` allows is
+always a plain step, so a run never ends on a rejection, and with
+``max_iters`` <= 4 no point is extrapolated.
 
 The driver never factors a block of M. Let P = M_old^{-1}, the inverse of the
 model M_old that every view is imputed from in an iteration. For a view with
@@ -51,13 +53,13 @@ and an extrapolated evaluation also factors its starting point.
 :func:`objective` is the dense reference. The log dets and inverses of
 PD matrices used here all come from :mod:`mkmc.linalg`.
 
-The driver holds P as :mod:`mkmc.linalg` returns it, in one of two forms,
-and :func:`impute_view`, the per-view step, takes either;
-:func:`~mkmc.views.partition` splits each view once, at set-up. The whole
-ell x ell P, as above, serves ``fc`` (O(ell^3) per iteration for M, plus
-O(n_h^3 + n_v^2 n_h) per view; only views sharing a hidden set could share
-that per-view work) and iteration 1 of every method (imputed from the
-average kernel S_0).
+Each model factors itself (``logdet_and_inverse``), and the driver holds P as
+:mod:`mkmc.linalg` returns it, in one of two forms; :func:`impute_view`, the
+per-view step, takes either, and :func:`~mkmc.views.partition` splits each
+view once, at set-up. The whole ell x ell P, as above, serves ``fc``
+(O(ell^3) per iteration for M, plus O(n_h^3 + n_v^2 n_h) per view; only views
+sharing a hidden set could share that per-view work) and iteration 1 of every
+method (imputed from the average kernel S_0).
 
 ``pca`` and ``fa`` models are low rank plus diagonal, M = W W^T + D with
 D = diag(d) (``pca``: d = sigma2 * 1). From iteration 1's model on,
@@ -122,6 +124,10 @@ class FullModel:
     def materialize(self) -> np.ndarray:
         return self.matrix
 
+    def logdet_and_inverse(self) -> tuple[float, np.ndarray]:
+        """log det M and the whole M^{-1}."""
+        return logdet_and_inverse(self.matrix)
+
     def parameters(self) -> tuple[np.ndarray, ...]:
         """The point the driver extrapolates: M itself (a reference)."""
         return (self.matrix,)
@@ -135,21 +141,20 @@ class FullModel:
 class PcaModel:
     """Low-rank plus isotropic noise: W W^T + sigma2 I.
 
-    The driver never materializes it: it inverts it from W and the noise
-    diagonal alone, by the Woodbury identity. :meth:`materialize` serves the
-    dense references.
+    The driver never materializes it: :meth:`logdet_and_inverse` factors it
+    from W and the noise diagonal alone, by the Woodbury identity.
+    :meth:`materialize` serves the dense references.
     """
 
     W: np.ndarray
     sigma2: float
 
-    @property
-    def noise(self) -> np.ndarray:
-        """The noise diagonal, sigma2 * 1."""
-        return np.full(self.W.shape[0], self.sigma2)
-
     def materialize(self) -> np.ndarray:
         return symmetrize(self.W @ self.W.T + self.sigma2 * np.eye(self.W.shape[0]))
+
+    def logdet_and_inverse(self) -> tuple[float, LowRankInverse]:
+        """log det M and M^{-1} factored from W and sigma2 * 1."""
+        return low_rank_logdet_and_inverse(self.W, np.full(self.W.shape[0], self.sigma2))
 
     def parameters(self) -> tuple[np.ndarray, ...]:
         """The point the driver extrapolates: W and log sigma2."""
@@ -164,21 +169,20 @@ class PcaModel:
 class FaModel:
     """Low-rank plus diagonal noise: W W^T + diag(psi).
 
-    The driver never materializes it: it inverts it from W and the noise
-    diagonal alone, by the Woodbury identity. :meth:`materialize` serves the
-    dense references.
+    The driver never materializes it: :meth:`logdet_and_inverse` factors it
+    from W and the noise diagonal alone, by the Woodbury identity.
+    :meth:`materialize` serves the dense references.
     """
 
     W: np.ndarray
     psi: np.ndarray
 
-    @property
-    def noise(self) -> np.ndarray:
-        """The noise diagonal, psi."""
-        return self.psi
-
     def materialize(self) -> np.ndarray:
         return symmetrize(self.W @ self.W.T + np.diag(self.psi))
+
+    def logdet_and_inverse(self) -> tuple[float, LowRankInverse]:
+        """log det M and M^{-1} factored from W and psi."""
+        return low_rank_logdet_and_inverse(self.W, self.psi)
 
     def parameters(self) -> tuple[np.ndarray, ...]:
         """The point the driver extrapolates: W and log psi."""
@@ -411,15 +415,6 @@ def degrees_of_freedom(method: str, ell: int, q: Optional[int] = None) -> int:
     raise ValueError(f"unknown method {method!r}")
 
 
-def _model_logdet_and_inverse(
-        model: ModelParams) -> tuple[float, Union[np.ndarray, LowRankInverse]]:
-    """log det M and the held M^{-1}: dense for fc, factored from W and the noise diagonal
-    for pca/fa."""
-    if isinstance(model, FullModel):
-        return logdet_and_inverse(model.materialize())
-    return low_rank_logdet_and_inverse(model.W, model.noise)
-
-
 def _model_update(method: str, s_reg: np.ndarray, q: Optional[int],
                   prev: Optional[ModelParams],
                   prev_inv: Union[np.ndarray, LowRankInverse]) -> ModelParams:
@@ -499,12 +494,6 @@ def run_completion(
     except NotPositiveDefiniteError as exc:
         raise NumericalError(f"initial model matrix: {exc}") from exc
 
-    def write(k: int, view: PartitionedView, q_vh: np.ndarray, q_hh: np.ndarray) -> None:
-        c = completed[k]
-        c[view.vh] = q_vh
-        c[view.hv] = q_vh.T
-        c[view.hh] = q_hh
-
     def evaluate(prev: Optional[ModelParams], prev_inv):
         """F at ``prev`` (inverse ``prev_inv``): impute every view, refit; J of the result."""
         logdet_q = logdet_vv  # sum_k log det Q^(k) after imputing from prev
@@ -515,10 +504,11 @@ def run_completion(
                 raise NumericalError(f"view {k}: hidden block of the model inverse is "
                                      f"numerically singular: {exc}") from exc
             logdet_q -= logdet_p_hh
-            write(k, view, q_vh, q_hh)
+            c = completed[k]
+            c[view.vh], c[view.hv], c[view.hh] = q_vh, q_vh.T, q_hh
         s_reg = regularize(average_kernel(completed), n_views, eps)
         new = _model_update(cfg.method, s_reg, rank, prev, prev_inv)
-        logdet_m, new_inv = _model_logdet_and_inverse(new)
+        logdet_m, new_inv = new.logdet_and_inverse()
         inner = (new_inv.inner(s_reg) if isinstance(new_inv, LowRankInverse)
                  else float(np.vdot(new_inv, s_reg)))  # <M^{-1}, S_reg>
         j = 0.5 * ((n_views + eps) * (logdet_m + inner - ell) - logdet_q)
@@ -538,21 +528,18 @@ def run_completion(
             except (NumericalError, NotPositiveDefiniteError) as exc:
                 raise NumericalError(f"iteration {it}: {exc}") from exc
         else:
-            saved = [(completed[k][view.vh], completed[k][view.hh]) for k, view in views]
             try:
                 with np.errstate(all="raise"):  # theta0 - 2 alpha r + alpha^2 v, from theta2
                     point = tuple(t - 2.0 * (1.0 + alpha) * a + (alpha * alpha - 1.0) * b
                                   for t, a, b in zip(cycle[2], r, v))
                     trial = type(model).from_parameters(point)
                 with np.errstate(over="raise", invalid="raise", divide="raise"):
-                    j, new, new_inv = evaluate(trial, _model_logdet_and_inverse(trial)[1])
+                    j, new, new_inv = evaluate(trial, trial.logdet_and_inverse()[1])
                 accepted = j <= trace[-1]
             except (NumericalError, NotPositiveDefiniteError, FloatingPointError):
                 accepted = False
-            if not accepted:  # back to the last accepted completions; next, the plain step
+            if not accepted:  # next, the plain step, which re-imputes every hidden block
                 rejected += 1
-                for (k, view), blocks in zip(views, saved):
-                    write(k, view, *blocks)
                 alpha = None
                 continue
 
@@ -568,7 +555,7 @@ def run_completion(
         if len(cycle) == 3:
             cycle = []
         cycle.append(theta)
-        if len(cycle) == 3:
+        if len(cycle) == 3 and it + 1 < cfg.max_iters:  # the last evaluation is plain
             r = tuple(b - a for a, b in zip(*cycle[:2]))  # theta1 - theta0
             v = tuple(c - b - a for a, b, c in zip(r, *cycle[1:]))  # (theta2 - theta1) - r
             rr, vv = _sq_norm(r), _sq_norm(v)

@@ -8,14 +8,14 @@ matrix W W^T + diag(d), of its q x q capacitance matrix
 (:func:`low_rank_logdet_and_inverse`, which keeps the inverse in factored form).
 LAPACK ``dpotrf`` factors A^T, a Fortran-ordered view of A when A is C-ordered, so
 every matrix factored here must be exactly symmetric.
-Eigendecompositions, full or of the top q eigenpairs only, are reserved for
-model updates and rank selection.
+Eigendecompositions, of the top q eigenpairs only or of the eigenvalues only, are
+reserved for model updates and rank selection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg as sla
@@ -35,7 +35,7 @@ def symmetrize(raw) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Spectral decomposition with eigenvalues sorted non-increasing.
+    """Leading eigenpairs with eigenvalues sorted non-increasing.
 
     Columns of ``eigenvectors`` are orthonormal and aligned with
     ``eigenvalues``; each column's largest-magnitude entry is positive so the
@@ -53,18 +53,14 @@ def _eigensolver_failed(a: np.ndarray) -> NumericalError:
     )
 
 
-def eigh_sorted(a: np.ndarray, top: Optional[int] = None) -> EigenDecomposition:
-    """Symmetric eigendecomposition, eigenvalues sorted descending.
+def eigh_sorted(a: np.ndarray, top: int) -> EigenDecomposition:
+    """The ``top`` = q largest eigenpairs of a symmetric matrix, eigenvalues sorted descending.
 
-    With ``top`` = q, only the q largest eigenpairs are computed (LAPACK ``dsyevr``
-    on an index range), under the same sort and sign rule.
+    Only those q are computed (LAPACK ``dsyevr`` on an index range).
     """
+    ell = a.shape[0]
     try:
-        if top is None:
-            vals, vecs = np.linalg.eigh(a)
-        else:
-            ell = a.shape[0]
-            vals, vecs = sla.eigh(a, subset_by_index=(ell - top, ell - 1))
+        vals, vecs = sla.eigh(a, subset_by_index=(ell - top, ell - 1))
     except (np.linalg.LinAlgError, ValueError) as exc:  # scipy refuses NaN and inf
         raise _eigensolver_failed(a) from exc
     vals = vals[::-1].copy()

@@ -2,7 +2,8 @@
 
 A run imputes each view from M^{-1} or its factors (:func:`mkmc.engines.impute_view`);
 :func:`impute_from_model` is the plain conditional-moment formula that step is checked
-against.
+against. :func:`eigh_descending` is every eigenpair, from numpy's solver rather than the
+top-q one a run uses.
 """
 
 import numpy as np
@@ -28,3 +29,13 @@ def impute_from_model(q_vv: np.ndarray, m: np.ndarray, hidden) -> tuple[np.ndarr
     x = sla.cho_solve((cholesky_lower(view.q_vv), True), m_vh)  # M_vv^{-1} M_vh
     q_vh = q_vv @ x
     return q_vh, symmetrize(m[view.hh] - m_vh.T @ x + x.T @ q_vh)
+
+
+def eigh_descending(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every eigenpair of a symmetric ``a`` by ``np.linalg.eigh``, under the sort and sign
+    rule of :func:`mkmc.linalg.eigh_sorted`: eigenvalues descending, and each eigenvector's
+    largest-magnitude entry positive."""
+    vals, vecs = np.linalg.eigh(a)
+    vecs = vecs[:, ::-1]
+    lead = np.argmax(np.abs(vecs), axis=0)
+    return vals[::-1], vecs * np.sign(vecs[lead, np.arange(vecs.shape[1])])

@@ -553,6 +553,35 @@ class TestCompleteCommand:
         assert [Path(p).read_bytes() for p in inputs] == before
         assert not (masked / "trace.json").exists()
 
+    def test_output_over_the_mask_exits_2(self, runner, tmp_path, synthetic_inputs, mask_file):
+        out = tmp_path / "o"
+        out.mkdir()
+        mask = out / "trace.json"
+        mask.write_bytes(mask_file.read_bytes())
+        res = runner.invoke(main, ["complete", "--mask", str(mask), "--output-dir", f"{out}/",
+                                   *synthetic_inputs])
+        assert res.exit_code == 2
+        assert res.output.strip().splitlines() == [
+            f"mkmc: error: {mask} would overwrite the input {mask}"
+        ]
+        assert mask.read_bytes() == mask_file.read_bytes()
+        assert sorted(out.iterdir()) == [mask]
+
+    def test_output_over_the_config_exits_2(self, runner, tmp_path, synthetic_inputs, mask_file):
+        out = tmp_path / "o2"
+        out.mkdir()
+        config = out / "trace.json"
+        config.write_text(json.dumps({"inputs": synthetic_inputs, "mask": str(mask_file),
+                                      "output_dir": str(out)}))
+        before = config.read_bytes()
+        res = runner.invoke(main, ["complete", "--config", str(config)])
+        assert res.exit_code == 2
+        assert res.output.strip().splitlines() == [
+            f"mkmc: error: {config} would overwrite the input {config}"
+        ]
+        assert config.read_bytes() == before
+        assert sorted(out.iterdir()) == [config]
+
     @pytest.mark.parametrize("method", ["fc", "pca", "fa"])
     def test_outputs_equal_library_completion(self, runner, tmp_path, method):
         """CSV and binary outputs read back bit for bit as ``run_completion``'s matrices."""
@@ -741,6 +770,29 @@ class TestEvaluateCommand:
         report = json.loads((tmp_path / "r.json").read_text())["methods"]["method"]
         assert report["iterations"] == 3 and type(report["iterations"]) is int
         assert report["objective_trace"] == [2.0, 1.5, 1.0] and report["converged"] is True
+
+    @pytest.mark.parametrize("role", ["mask", "truth", "completed", "trace"])
+    def test_report_over_an_input_exits_2(self, runner, tmp_path, synthetic_inputs, mask_file,
+                                          role):
+        trace = tmp_path / "trace.json"
+        trace.write_text('{"objective": [1.0]}')
+        truths = [str(tmp_path / f"t{k}.csv") for k in range(3)]
+        for path, view in zip(truths, synthetic_inputs):
+            Path(path).write_bytes(Path(view).read_bytes())
+        out = {"mask": str(mask_file), "truth": truths[0], "completed": synthetic_inputs[1],
+               "trace": str(trace)}[role]
+        before = Path(out).read_bytes()
+        res = runner.invoke(
+            main,
+            ["evaluate", "--mask", str(mask_file), "--trace", str(trace), "--out", out,
+             *[a for p in truths for a in ("--truth", p)],
+             *[a for p in synthetic_inputs for a in ("--completed", p)]],
+        )
+        assert res.exit_code == 2
+        assert res.output.strip().splitlines() == [
+            f"mkmc: error: {out} would overwrite the input {out}"
+        ]
+        assert Path(out).read_bytes() == before
 
     @pytest.mark.parametrize("n_truth, n_completed, what", [
         (3, 2, "2 completed matrices"), (2, 3, "2 truth matrices"), (2, 2, "2 truth matrices"),

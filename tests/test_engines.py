@@ -19,12 +19,12 @@ from mkmc.engines import (
     select_rank,
 )
 from mkmc.errors import ConfigError, DimensionError, NotPositiveDefiniteError, NumericalError
-from mkmc.linalg import cholesky_lower, eigh_sorted, logdet_divergence
+from mkmc.linalg import cholesky_lower, logdet_divergence
 from mkmc.recovery import SyntheticSpec, generate_synthetic
 from mkmc.views import Fill, VisibilityPattern, apply_mask, partition, random_mask
 
 from conftest import random_pd
-from oracles import impute_from_model
+from oracles import eigh_descending, impute_from_model
 
 
 def augmented_objective(completed, model, eps):
@@ -35,14 +35,14 @@ def augmented_objective(completed, model, eps):
 def full_eigh_pca(s, q):
     """The PPCA optimum from the full eigendecomposition: sigma2 is the mean of the
     trailing ell - q eigenvalues."""
-    eig = eigh_sorted(s)
-    sigma2 = float(np.mean(eig.eigenvalues[q:]))
-    gap = np.clip(eig.eigenvalues[:q] - sigma2, 0.0, None)
-    return PcaModel(W=eig.eigenvectors[:, :q] * np.sqrt(gap), sigma2=sigma2)
+    vals, vecs = eigh_descending(s)
+    sigma2 = float(np.mean(vals[q:]))
+    gap = np.clip(vals[:q] - sigma2, 0.0, None)
+    return PcaModel(W=vecs[:, :q] * np.sqrt(gap), sigma2=sigma2)
 
 
 def dense_logdet_and_inverse(model):
-    """The driver's held inverse of any model, taken whole from the materialized matrix."""
+    """A model's log det and inverse, taken whole from the materialized matrix."""
     return linalg.logdet_and_inverse(model.materialize())
 
 
@@ -238,6 +238,24 @@ class TestModelUpdates:
         assert np.max(np.abs(s_xz - s_xz_ind)) < 1e-12
         assert np.max(np.abs(s_zz - s_zz_ind)) < 1e-12
 
+    @pytest.mark.parametrize("kind", ["fc", "pca", "fa"])
+    def test_model_factors_itself_like_its_dense_matrix(self, rng, kind):
+        """log det M and <M^{-1}, S> from each model's own factorization (whole for fc,
+        Woodbury for pca/fa) against those of the materialized matrix."""
+        ell, q = 30, 4
+        w = rng.standard_normal((ell, q))
+        model = {"fc": FullModel(matrix=random_pd(rng, ell)),
+                 "pca": PcaModel(W=w, sigma2=0.3),
+                 "fa": FaModel(W=w, psi=rng.uniform(0.5, 2.0, size=ell))}[kind]
+        s = random_pd(rng, ell)
+        logdet_m, inverse = model.logdet_and_inverse()
+        ref_logdet, ref_inverse = linalg.logdet_and_inverse(model.materialize())
+        factored = isinstance(inverse, linalg.LowRankInverse)
+        assert factored == (kind != "fc")
+        inner = inverse.inner(s) if factored else float(np.vdot(inverse, s))
+        assert logdet_m == pytest.approx(ref_logdet, rel=1e-10)
+        assert inner == pytest.approx(float(np.vdot(ref_inverse, s)), rel=1e-10)
+
 
 class TestObjective:
     def test_zero_when_equal(self, rng):
@@ -310,7 +328,7 @@ class TestSelectRank:
     def test_matches_full_decomposition_count(self, criterion):
         # the synthetic data of the acceptance and CLI tests, masked and averaged
         def full_count(s):
-            vals = eigh_sorted(s).eigenvalues
+            vals = np.linalg.eigvalsh(s)
             raw = np.sum(vals > (np.mean(vals) if criterion == "gk" else 1.0))
             return max(1, min(int(raw), len(vals) - 1))
 
@@ -544,7 +562,8 @@ class TestRunCompletion:
         for it, (value, ref) in enumerate(zip(fast.trace, dense_objective), start=1):
             assert value == pytest.approx(ref, rel=1e-10), f"entry {it}"
 
-        monkeypatch.setattr(engines, "_model_logdet_and_inverse", dense_logdet_and_inverse)
+        model_class = {"pca": PcaModel, "fa": FaModel}[method]
+        monkeypatch.setattr(model_class, "logdet_and_inverse", dense_logdet_and_inverse)
         dense = run_completion(masked, pattern, cfg)
         assert dense.iterations == fast.iterations and dense.rejected == fast.rejected
         assert dense.step_length == pytest.approx(fast.step_length, rel=1e-8)
@@ -683,12 +702,21 @@ class TestAcceleration:
                                 on_iteration=lambda _it, c, m: snapshots.append(
                                     ([x.copy() for x in c], m)))
         assert any(a is not None for a in longer.step_length[3:])
-        for max_iters in (1, 2, 3):
+        for max_iters in (1, 2, 3, 4):
             cfg = CompletionConfig(method=method, rank=2, max_iters=max_iters)
             result = run_completion(masked, pattern, cfg)
             assert result.step_length == [None] * max_iters
             assert result.iterations == max_iters and result.rejected == 0
             assert result.stop == "max_iters"
+            if max_iters == 4:  # the longer run extrapolates here; this one refits from model 3
+                completed, model = snapshots[2]
+                completed = [c.copy() for c in completed]
+                refit = plain_step(completed, pattern, model.materialize(), model, cfg)
+                for c, ref in zip(result.completed, completed):
+                    np.testing.assert_allclose(c, ref, rtol=1e-9, atol=1e-12)
+                np.testing.assert_allclose(result.model.materialize(), refit.materialize(),
+                                           rtol=1e-9, atol=1e-12)
+                continue
             completed, model = snapshots[max_iters - 1]
             for c, ref in zip(result.completed, completed):
                 assert np.array_equal(c, ref)
@@ -779,19 +807,36 @@ class TestAcceleration:
                                        rtol=1e-9, atol=1e-12)
 
     @pytest.mark.parametrize("method, seed", [("fc", 0), ("fa", 2)])  # problems with a rejection
-    def test_run_ending_on_a_rejection_returns_the_last_accepted_state(self, method, seed):
+    def test_run_capped_at_a_rejection_ends_with_the_plain_step(self, method, seed):
+        """Capped at the full run's first rejected evaluation r, the run makes evaluation r
+        the plain step the full run makes at r + 1, so it ends in that step's state."""
         masked, pattern = seeded_problem(seed)
         cfg = CompletionConfig(method=method, rank=2, max_iters=300)
         accepted = {}
         full = run_completion(masked, pattern, cfg, on_iteration=lambda it, c, m: accepted.update(
             {it: ([x.copy() for x in c], m)}))
         assert full.rejected >= 1
-        first_rejected = min(set(range(1, full.iterations + 1)) - set(accepted))
-        stopped = run_completion(masked, pattern, CompletionConfig(
-            method=method, rank=2, max_iters=first_rejected))
-        assert stopped.stop == "max_iters" and stopped.rejected == 1
-        assert stopped.trace == full.trace[:first_rejected - 1]
-        completed, model = accepted[first_rejected - 1]
-        for c, ref in zip(stopped.completed, completed):
+        r = min(set(range(1, full.iterations + 1)) - set(accepted))
+        capped = run_completion(masked, pattern, CompletionConfig(method=method, rank=2,
+                                                                  max_iters=r))
+        assert capped.stop == "max_iters" and capped.iterations == r and capped.rejected == 0
+        assert capped.trace == full.trace[:r] and capped.step_length[-1] is None
+        completed, model = accepted[r + 1]
+        for c, ref in zip(capped.completed, completed):
             assert np.array_equal(c, ref)
-        assert np.array_equal(stopped.model.materialize(), model.materialize())
+        for part, ref in zip(capped.model.parameters(), model.parameters()):
+            assert np.array_equal(part, ref)
+
+    @pytest.mark.parametrize("method", ["fc", "pca", "fa"])
+    def test_run_capped_at_an_accepted_extrapolation_ends_with_a_plain_step(self, method):
+        masked, pattern = seeded_problem(0)
+        evaluations = []
+        full = run_completion(masked, pattern, CompletionConfig(method=method, rank=2, max_iters=300),
+                              on_iteration=lambda it, _c, _m: evaluations.append(it))
+        entry = next(i for i, a in enumerate(full.step_length) if a is not None)
+        capped = run_completion(masked, pattern, CompletionConfig(
+            method=method, rank=2, max_iters=evaluations[entry]))
+        assert capped.stop == "max_iters" and capped.iterations == evaluations[entry]
+        assert capped.trace[:-1] == full.trace[:entry] and len(capped.trace) == entry + 1
+        assert capped.step_length[:-1] == full.step_length[:entry]
+        assert capped.step_length[-1] is None
