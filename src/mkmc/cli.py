@@ -21,7 +21,7 @@ from . import matrixio
 from .engines import METHODS, RANK_CRITERIA, CompletionConfig, run_completion
 from .errors import ConfigError, DimensionError, MkmcError, NotPositiveDefiniteError
 from .recovery import score_completion
-from .views import Fill, apply_mask, random_mask
+from .views import apply_mask, random_mask
 
 log = logging.getLogger("mkmc")
 
@@ -94,20 +94,18 @@ def _load_square_inputs(inputs) -> list[np.ndarray]:
 @click.argument("inputs", nargs=-1, required=True, type=click.Path(exists=True))
 @click.option("--fraction", type=float, required=True, help="Fraction of objects to hide per view.")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--fill", type=click.Choice(["zero", "mean"]), default="zero", show_default=True)
-@click.option("--correlated", is_flag=True, help="Hide the same objects in every view.")
 @click.option("--out-dir", type=click.Path(), required=True)
 @handle_errors
-def cmd_mask(inputs, fraction, seed, fill, correlated, out_dir):
-    """Hide random rows/columns of each input kernel and write masked copies."""
+def cmd_mask(inputs, fraction, seed, out_dir):
+    """Hide random rows/columns of each input kernel and write zero-filled copies."""
     mask_path, *out_paths = _output_paths(out_dir, "mask.json", inputs)
     mats = _load_square_inputs(inputs)
     ell = mats[0].shape[0]
-    pattern = random_mask(ell, len(mats), fraction, seed, correlated=correlated)
+    pattern = random_mask(ell, len(mats), fraction, seed)
     mask_path.parent.mkdir(parents=True, exist_ok=True)
     matrixio.write_mask(mask_path, pattern)
     for out_path, mat, hidden in zip(out_paths, mats, pattern.hidden):
-        matrixio.write_matrix(out_path, apply_mask(mat, hidden, Fill(fill)))
+        matrixio.write_matrix(out_path, apply_mask(mat, hidden))
     log.info("wrote mask and %d masked matrices to %s", len(mats), out_dir)
 
 

@@ -14,6 +14,12 @@ sum_k Q^(k) + eps I = (K + eps) S_reg,
 
     J = ((K + eps)(log det M + <M^{-1}, S_reg> - ell) - sum_k log det Q^(k)) / 2.
 
+The descent starts at the model fitted to S_0, the regularized average of the
+zero-filled views (``fc``: S_0; ``pca``: its PPCA optimum; ``fa``: that optimum's
+W with psi = diag(S_0 - W W^T), floored as in :func:`fa_model_update`), so
+iteration 1 is a plain step; for ``pca``/``fa`` the paper's start, model matrix
+= S_0, is not a model of their kind. Objects no view sees are refused.
+
 The map converges linearly at a rate near 1, like EM, so the driver
 accelerates it by SQUAREM (Varadhan & Roland 2008, *Scand. J. Stat.*) over the
 model parameters theta: M for ``fc``, (W, log sigma2) for ``pca`` and
@@ -56,13 +62,12 @@ PD matrices used here all come from :mod:`mkmc.linalg`.
 Each model factors itself (``logdet_and_inverse``), and the driver holds P as
 :mod:`mkmc.linalg` returns it, in one of two forms; :func:`impute_view`, the
 per-view step, takes either, and :func:`~mkmc.views.partition` splits each
-view once, at set-up. The whole ell x ell P, as above, serves ``fc``
+view once, at set-up. The whole ell x ell P, as above, serves ``fc`` only
 (O(ell^3) per iteration for M, plus O(n_h^3 + n_v^2 n_h) per view; only views
-sharing a hidden set could share that per-view work) and iteration 1 of every
-method (imputed from the average kernel S_0).
+sharing a hidden set could share that per-view work).
 
 ``pca`` and ``fa`` models are low rank plus diagonal, M = W W^T + D with
-D = diag(d) (``pca``: d = sigma2 * 1). From iteration 1's model on,
+D = diag(d) (``pca``: d = sigma2 * 1). From the start model on,
 :class:`~mkmc.linalg.LowRankInverse` holds M^{-1} as W, d and the Cholesky
 factor of C = I + W^T D^{-1} W (Woodbury identity, determinant lemma;
 O(ell q^2)), and P is never formed, whatever q is.
@@ -77,13 +82,13 @@ with only q x q systems, O(n_v^2 q) per view. The trace term is
 <M^{-1}, S_reg> = sum_i (S_reg)_ii / d_i - <C^{-1}, (D^{-1} W)^T S_reg (D^{-1} W)>,
 O(ell^2 q).
 Extrapolating (W, log d) is O(ell q) and factoring the point O(ell q^2), so
-the model is never materialized there either;
-:func:`fa_model_update` reuses the held factorization, so after iteration 1
-an ``fa`` iteration has no O(ell^3) step. :func:`pca_model_update` computes
-only the top q eigenpairs, but their solver (LAPACK ``dsyevr``) still reduces
-S to tridiagonal form in O(ell^3). Past about q = ell/4 the factored steps
-cost more than dense ones would (up to 2.5x per iteration at q = ell/2); no
-default rank picks such a q. The dense path, materialized from W and d, is
+the model is never materialized there either, and a ``pca``/``fa`` run
+factors no ell x ell matrix at all. :func:`fa_model_update` reuses the held
+factorization, so an ``fa`` iteration has no O(ell^3) step.
+:func:`pca_model_update` computes only the top q eigenpairs, but their solver
+(LAPACK ``dsyevr``) still reduces S to tridiagonal form in O(ell^3). Past about
+q = ell/4 the factored steps cost more than dense ones would (up to 2.5x per
+iteration at q = ell/2); no default rank picks such a q. The dense path, materialized from W and d, is
 the test oracle of the factored one.
 """
 
@@ -242,7 +247,8 @@ class CompletionResult:
     ``iterations`` counts map evaluations, rejected ones included; ``trace``,
     ``iter_ms``, ``residual`` and ``step_length`` hold one entry per accepted
     evaluation, so each has ``iterations - rejected`` entries. ``residual`` is
-    None for iteration 1 and ``step_length`` None for a plain step.
+    measured from the evaluated point, for iteration 1 the start model;
+    ``step_length`` is None for a plain step.
     """
 
     completed: list[np.ndarray]
@@ -253,7 +259,7 @@ class CompletionResult:
     dof: int
     rank: Optional[int] = None
     iter_ms: list[float] = field(default_factory=list)
-    residual: list[Optional[float]] = field(default_factory=list)
+    residual: list[float] = field(default_factory=list)
     step_length: list[Optional[float]] = field(default_factory=list)
     rejected: int = 0
 
@@ -348,16 +354,18 @@ def fa_model_update(s_reg: np.ndarray, prev: FaModel,
     """
     if np.any(prev.psi <= 0):
         raise ValueError("previous noise variances must be positive")
-    ell = s_reg.shape[0]
     s_xz, s_zz = fa_estep(s_reg, prev.W, prev.psi, inverse)
     try:
         w_new = np.linalg.solve(s_zz.T, s_xz.T).T  # S_xz S_zz^{-1}
     except np.linalg.LinAlgError as exc:
         raise NumericalError("FA M-step latent covariance is singular") from exc
-    psi_new = np.diag(s_reg) - np.einsum("ij,ij->i", s_xz, w_new)
-    floor = PSI_FLOOR_REL * np.trace(s_reg) / ell
-    psi_new = np.maximum(psi_new, floor)
-    return FaModel(W=w_new, psi=psi_new)
+    return FaModel(W=w_new, psi=_fa_noise(s_reg, s_xz, w_new))
+
+
+def _fa_noise(s_reg: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """diag(S - X W^T), floored at PSI_FLOOR_REL times the mean of diag S to stay positive."""
+    psi = np.diag(s_reg) - np.einsum("ij,ij->i", x, w)
+    return np.maximum(psi, PSI_FLOOR_REL * np.trace(s_reg) / len(psi))
 
 
 def objective(qs: Sequence[np.ndarray], model: ModelParams) -> float:
@@ -368,7 +376,7 @@ def objective(qs: Sequence[np.ndarray], model: ModelParams) -> float:
 def impute_view(inverse: Union[np.ndarray, LowRankInverse],
                 view: PartitionedView) -> tuple[float, np.ndarray, np.ndarray]:
     """log det P_hh, Q_vh and Q_hh of one view, imputed from the held M^{-1} (module docstring):
-    the whole P, or a low-rank model's factors, from q x q systems in O(n_v^2 q)."""
+    the whole P (``fc``), or a low-rank model's factors, from q x q systems in O(n_v^2 q)."""
     if isinstance(inverse, LowRankInverse):
         f_v, w_h, d_h = inverse.f[:, view.vis], inverse.w[view.hid], inverse.d[view.hid]
         # C_v = I + W_v^T D_v^{-1} W_v >= I, the capacitance matrix of M_vv
@@ -415,17 +423,6 @@ def degrees_of_freedom(method: str, ell: int, q: Optional[int] = None) -> int:
     raise ValueError(f"unknown method {method!r}")
 
 
-def _model_update(method: str, s_reg: np.ndarray, q: Optional[int],
-                  prev: Optional[ModelParams],
-                  prev_inv: Union[np.ndarray, LowRankInverse]) -> ModelParams:
-    if method == METHOD_FC:
-        return fc_model_update(s_reg)
-    if method == METHOD_PCA:
-        return pca_model_update(s_reg, q)
-    # A held factorization is always that of prev; iteration 1 holds the dense P of S_0.
-    return fa_model_update(s_reg, prev, prev_inv if isinstance(prev_inv, LowRankInverse) else None)
-
-
 def _sq_norm(theta: tuple[np.ndarray, ...]) -> float:
     return sum(float(np.vdot(part, part)) for part in theta)
 
@@ -444,12 +441,13 @@ def run_completion(
 ) -> CompletionResult:
     """Block coordinate descent completing all K views against one model, SQUAREM-accelerated.
 
-    Hidden blocks are zero-initialized, the model starts from the (regularized)
-    average kernel, and each map evaluation imputes every view from one model
-    matrix before a single model update. From the model after iteration 1 on,
-    the evaluations run in cycles of three (module docstring): two plain steps,
-    then one from the extrapolated point, kept only if the objective does not
-    rise. Stops when the relative change of the objective drops below
+    Refuses a pattern with an object hidden in every view (``DimensionError``).
+    Hidden blocks are zero-initialized, the model starts as the one fitted to the
+    regularized average of the views (module docstring), and each map evaluation
+    imputes every view from one model before a single model update. From the
+    model after iteration 1 on, the evaluations run in cycles of three: two plain
+    steps, then one from the extrapolated point, kept only if the objective does
+    not rise. Stops when the relative change of the objective drops below
     ``cfg.tol``, after ``cfg.max_iters`` evaluations, or after the first
     iteration when nothing is hidden. Visible entries of the inputs are never
     modified. ``on_iteration`` is invoked after every accepted evaluation with
@@ -457,6 +455,8 @@ def run_completion(
     evaluations, rejected ones included.
     """
     pattern.check(qs_masked)
+    if pattern.unobserved:
+        raise DimensionError(f"objects {list(pattern.unobserved)} are hidden in every view")
     n_views, ell = pattern.n_views, pattern.ell
     eps = cfg.reg_epsilon
 
@@ -484,17 +484,18 @@ def run_completion(
                 else select_rank(s0_reg, cfg.rank_criterion or CRITERION_GK))
     dof = degrees_of_freedom(cfg.method, ell, rank)
 
-    model: Optional[ModelParams] = None  # fc/pca refit from s_reg alone
+    # The start: the model fitted to S_0. FA has no closed-form fit; it takes the PPCA
+    # loadings and, as noise, what they leave of each variance.
+    model = FullModel(matrix=s0_reg) if cfg.method == METHOD_FC else pca_model_update(s0_reg, rank)
     if cfg.method == METHOD_FA:
-        # FA has no closed-form fit; seed its EM with the PPCA optimum.
-        pca = pca_model_update(s0_reg, rank)
-        model = FaModel(W=pca.W, psi=np.full(ell, pca.sigma2))
-    try:  # Algorithm start: model matrix = average kernel
-        model_inv = logdet_and_inverse(s0_reg)[1]
+        model = FaModel(W=model.W, psi=_fa_noise(s0_reg, model.W, model.W))
+    try:
+        model_inv = model.logdet_and_inverse()[1]
     except NotPositiveDefiniteError as exc:
         raise NumericalError(f"initial model matrix: {exc}") from exc
+    theta = model.parameters()
 
-    def evaluate(prev: Optional[ModelParams], prev_inv):
+    def evaluate(prev: ModelParams, prev_inv):
         """F at ``prev`` (inverse ``prev_inv``): impute every view, refit; J of the result."""
         logdet_q = logdet_vv  # sum_k log det Q^(k) after imputing from prev
         for k, view in views:
@@ -507,7 +508,12 @@ def run_completion(
             c = completed[k]
             c[view.vh], c[view.hv], c[view.hh] = q_vh, q_vh.T, q_hh
         s_reg = regularize(average_kernel(completed), n_views, eps)
-        new = _model_update(cfg.method, s_reg, rank, prev, prev_inv)
+        if cfg.method == METHOD_FC:
+            new = fc_model_update(s_reg)
+        elif cfg.method == METHOD_PCA:
+            new = pca_model_update(s_reg, rank)
+        else:  # prev_inv is prev's LowRankInverse, which the E-step reuses
+            new = fa_model_update(s_reg, prev, prev_inv)
         logdet_m, new_inv = new.logdet_and_inverse()
         inner = (new_inv.inner(s_reg) if isinstance(new_inv, LowRankInverse)
                  else float(np.vdot(new_inv, s_reg)))  # <M^{-1}, S_reg>
@@ -516,13 +522,14 @@ def run_completion(
 
     trace: list[float] = []
     iter_ms: list[float] = []
-    residual: list[Optional[float]] = []
+    residual: list[float] = []
     step_length: list[Optional[float]] = []
     cycle: list = []  # parameters of this cycle's accepted models: theta0, theta1, theta2
     alpha: Optional[float] = None  # step length of the next evaluation, if extrapolated
     rejected, stop, t0 = 0, STOP_MAX_ITERS, time.perf_counter()
     for it in range(1, cfg.max_iters + 1):
         if alpha is None:
+            point = theta
             try:
                 j, new, new_inv = evaluate(model, model_inv)
             except (NumericalError, NotPositiveDefiniteError) as exc:
@@ -545,13 +552,10 @@ def run_completion(
 
         model, model_inv = new, new_inv
         theta = model.parameters()
-        # Iteration 1 starts from S_0, outside the parameter space; a plain step from cycle[-1].
-        if alpha is None:
-            point = cycle[-1] if cycle else None
-        residual.append(None if point is None else _relative_change(theta, point))
+        residual.append(_relative_change(theta, point))
         step_length.append(alpha)
         alpha = None
-        # A cycle starts at the model of iteration 1 and after each third evaluation.
+        # A cycle starts at the model of iteration 1, not the start, and after each third one.
         if len(cycle) == 3:
             cycle = []
         cycle.append(theta)

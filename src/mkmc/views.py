@@ -84,6 +84,11 @@ class VisibilityPattern:
     def n_views(self) -> int:
         return len(self.hidden)
 
+    @property
+    def unobserved(self) -> tuple[int, ...]:
+        """The objects hidden in every view, sorted: no view carries any information on them."""
+        return tuple(sorted(set.intersection(*map(set, self.hidden))))
+
 
 @dataclass(frozen=True)
 class PartitionedView:
@@ -114,18 +119,16 @@ def partition(full: np.ndarray, hidden) -> PartitionedView:
                            np.ix_(hid, hid))
 
 
-def random_mask(
-    ell: int,
-    n_views: int,
-    fraction: float,
-    seed: int,
-    correlated: bool = False,
-) -> VisibilityPattern:
-    """Draw hidden index sets for each view without replacement.
+def random_mask(ell: int, n_views: int, fraction: float, seed: int) -> VisibilityPattern:
+    """Draw floor(fraction * ell) hidden objects per view, independently, without replacement.
 
-    Uses numpy's PCG64 generator seeded with ``seed`` (>= 0); the same arguments
-    always produce the same pattern. With ``correlated=True`` all views share
-    a single draw instead of independent ones.
+    A draw uses numpy's PCG64 generator seeded with ``seed`` (>= 0). A draw that
+    hides some object in every view is refused (:attr:`VisibilityPattern.unobserved`),
+    and the next seed is drawn, up to ``seed + 63``; the first draw that leaves every
+    object seen is returned, so the same arguments always give the same pattern.
+    When none of the 64 does, DimensionError is raised: so it is for one view hiding
+    anything, and for two views that each hide many objects (``random_mask(50, 2, 0.3,
+    seed=1)``), which overlap in every draw.
     """
     for name, value in (("ell", ell), ("n_views", n_views), ("seed", seed)):
         if not is_integer(value):
@@ -137,10 +140,15 @@ def random_mask(
     if fraction * ell > ell - 1:
         raise DimensionError(f"fraction {fraction} would leave no visible object (ell={ell})")
     n_hidden = math.floor(fraction * ell)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    draws = [tuple(int(i) for i in np.sort(rng.choice(ell, size=n_hidden, replace=False)))
-             for _ in range(1 if correlated else n_views)]
-    return VisibilityPattern(ell=ell, hidden=draws * n_views if correlated else draws)
+    for draw in range(seed, seed + 64):
+        rng = np.random.Generator(np.random.PCG64(draw))
+        pattern = VisibilityPattern(ell=ell, hidden=[
+            tuple(int(i) for i in np.sort(rng.choice(ell, size=n_hidden, replace=False)))
+            for _ in range(n_views)])
+        if not pattern.unobserved:
+            return pattern
+    raise DimensionError(f"no mask drawn from seeds {seed} to {seed + 63} leaves every object "
+                         f"visible in some view (ell={ell}, {n_views} views, fraction {fraction})")
 
 
 def apply_mask(full: np.ndarray, hidden, fill: Fill = Fill.ZERO) -> np.ndarray:

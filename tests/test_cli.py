@@ -45,9 +45,9 @@ def synthetic_inputs(tmp_path):
 
 @pytest.fixture
 def mask_file(tmp_path):
-    """Mask for the three synthetic views, each hiding object 0."""
+    """Mask for the three synthetic views: the first two hide object 0, the third sees it."""
     path = tmp_path / "mask.json"
-    path.write_text(json.dumps({"ell": 12, "views": [{"hidden": [0]}] * 3}))
+    path.write_text(json.dumps({"ell": 12, "views": [{"hidden": [0]}] * 2 + [{"hidden": []}]}))
     return path
 
 
@@ -119,6 +119,24 @@ class TestMaskCommand:
         assert len(res.output.strip().splitlines()) == 1
         assert res.output.startswith("mkmc: error: ")
 
+    @pytest.mark.parametrize("option", [["--fill", "zero"], ["--correlated"]])
+    def test_fill_and_correlated_options_removed(self, runner, tmp_path, synthetic_inputs, option):
+        res = runner.invoke(main, ["mask", "--fraction", "0.2", *option, "--out-dir",
+                                   str(tmp_path / "o"), *synthetic_inputs])
+        assert res.exit_code == 2 and "No such option" in res.output
+        assert not (tmp_path / "o").exists()
+
+    def test_mask_that_hides_an_object_in_every_view_is_never_drawn(self, runner, tmp_path,
+                                                                    synthetic_inputs):
+        # one view: every draw that hides anything hides it in every view
+        res = runner.invoke(main, ["mask", "--fraction", "0.2", "--seed", "3", "--out-dir",
+                                   str(tmp_path / "o"), synthetic_inputs[0]])
+        assert res.exit_code == 3
+        assert res.output.strip().splitlines() == [
+            "mkmc: error: no mask drawn from seeds 3 to 66 leaves every object visible in some "
+            "view (ell=12, 1 views, fraction 0.2)"]
+        assert not (tmp_path / "o").exists()
+
     def test_negative_seed_exits_2(self, runner, tmp_path, synthetic_inputs):
         res = runner.invoke(
             main, ["mask", "--fraction", "0.2", "--seed", "-1", "--out-dir", str(tmp_path / "o"),
@@ -134,9 +152,9 @@ class TestMaskCommand:
         assert q[0, 1] != q[1, 0]
         bad = tmp_path / "asym.csv"
         matrixio.write_csv_matrix(bad, q)
-        res = runner.invoke(
-            main, ["mask", "--fraction", "0.2", "--out-dir", str(tmp_path / "o"), str(bad)]
-        )
+        # beside two other views: no draw of a single view hiding objects is valid
+        res = runner.invoke(main, ["mask", "--fraction", "0.2", "--out-dir", str(tmp_path / "o"),
+                                   str(bad), *synthetic_inputs[1:]])
         assert res.exit_code == code, res.output
         if code:
             assert res.output.strip().splitlines() == [
@@ -255,7 +273,8 @@ class TestCompleteCommand:
         entries = trace["iterations"] - trace["rejected"]
         for key in ("objective", "iter_ms", "residual", "step_length"):
             assert len(trace[key]) == entries, key
-        assert trace["residual"][0] is None and trace["step_length"][:3] == [None] * 3
+        # iteration 1 is a plain step from the start model, so it has a residual too
+        assert trace["residual"][0] > 0 and trace["step_length"][:3] == [None] * 3
 
     def test_max_iters_hit_is_not_an_error(self, runner, tmp_path, synthetic_inputs):
         masked_dir = tmp_path / "masked"
@@ -279,12 +298,14 @@ class TestCompleteCommand:
     def test_non_pd_visible_block_exits_4(self, runner, tmp_path):
         bad = tmp_path / "bad.csv"
         matrixio.write_csv_matrix(bad, np.diag([1.0, -1.0, 1.0]))
-        mask = tmp_path / "mask.json"
-        mask.write_text('{"ell": 3, "views": [{"hidden": [2]}]}')
+        good = tmp_path / "good.csv"
+        matrixio.write_csv_matrix(good, np.eye(3))
+        mask = tmp_path / "mask.json"  # the second view sees object 2
+        mask.write_text('{"ell": 3, "views": [{"hidden": [2]}, {"hidden": []}]}')
         res = runner.invoke(
             main,
             ["complete", "--method", "fc", "--mask", str(mask),
-             "--output-dir", str(tmp_path / "o"), str(bad)],
+             "--output-dir", str(tmp_path / "o"), str(bad), str(good)],
         )
         assert res.exit_code == 4
 
@@ -293,12 +314,14 @@ class TestCompleteCommand:
         q[0, 1] = q[1, 0] = np.nan
         bad = tmp_path / "bad.csv"
         matrixio.write_csv_matrix(bad, q)
-        mask = tmp_path / "mask.json"
-        mask.write_text('{"ell": 4, "views": [{"hidden": [3]}]}')
+        good = tmp_path / "good.csv"
+        matrixio.write_csv_matrix(good, random_pd(rng, 4))
+        mask = tmp_path / "mask.json"  # the second view sees object 3
+        mask.write_text('{"ell": 4, "views": [{"hidden": [3]}, {"hidden": []}]}')
         res = runner.invoke(
             main,
             ["complete", "--method", "fc", "--mask", str(mask),
-             "--output-dir", str(tmp_path / "o"), str(bad)],
+             "--output-dir", str(tmp_path / "o"), str(bad), str(good)],
         )
         assert res.exit_code == 4
         assert res.output.strip().splitlines() == [
@@ -366,6 +389,22 @@ class TestCompleteCommand:
              *synthetic_inputs],
         )
         assert res.exit_code == 3
+
+    @pytest.mark.parametrize("method", ["fc", "pca", "fa"])
+    @pytest.mark.parametrize("eps", ["0", "1e-3"])
+    def test_object_hidden_in_every_view_exits_3(self, runner, tmp_path, synthetic_inputs,
+                                                 method, eps):
+        mask = tmp_path / "mask.json"
+        mask.write_text('{"ell": 12, "views": [{"hidden": [3]}, {"hidden": [3, 5]}, '
+                        '{"hidden": [7, 3]}]}')
+        out = tmp_path / "o"
+        res = runner.invoke(main, ["complete", "--method", method, "--rank", "2",
+                                   "--reg-epsilon", eps, "--mask", str(mask),
+                                   "--output-dir", str(out), *synthetic_inputs])
+        assert res.exit_code == 3
+        assert res.output.strip().splitlines() == [
+            "mkmc: error: objects [3] are hidden in every view"]
+        assert not out.exists()
 
     def test_seed_option_removed(self, runner):
         res = runner.invoke(main, ["complete", "--seed", "1"])

@@ -24,7 +24,7 @@ from mkmc.recovery import SyntheticSpec, generate_synthetic
 from mkmc.views import Fill, VisibilityPattern, apply_mask, partition, random_mask
 
 from conftest import random_pd
-from oracles import eigh_descending, impute_from_model
+from oracles import eigh_descending, impute_from_model, start_model
 
 
 def augmented_objective(completed, model, eps):
@@ -370,11 +370,13 @@ class TestRunCompletion:
         assert result.iterations <= 2
 
     def test_fc_single_view_fixed_point(self, rng):
+        # view 0's fixed point; view 1 sees objects 1 and 4, since a pattern that hides an
+        # object in every view is refused
         q = random_pd(rng, 6)
-        pattern = VisibilityPattern(ell=6, hidden=((1, 4),))
-        masked = apply_mask(q, (1, 4), Fill.ZERO)
+        pattern = VisibilityPattern(ell=6, hidden=((1, 4), (0,)))
+        masked = [apply_mask(q, h, Fill.ZERO) for h in pattern.hidden]
         cfg = CompletionConfig(method="fc", tol=1e-13, max_iters=20000)
-        result = run_completion([masked], pattern, cfg)
+        result = run_completion(masked, pattern, cfg)
         assert result.converged
         # the converged hidden blocks reproduce themselves under one more
         # imputation from the final model matrix (convergence toward the
@@ -450,6 +452,10 @@ class TestRunCompletion:
         masked = [apply_mask(q, h, Fill.ZERO) for q, h in zip(qs, pattern.hidden)]
         dense = []
         cfg = CompletionConfig(method=method, rank=2, max_iters=30)
+        if pattern.unobserved:  # correlated: objects no view sees are refused
+            with pytest.raises(DimensionError, match=r"^objects \[1, 4, 7\] are hidden in every view$"):
+                run_completion(masked, pattern, cfg)
+            return
 
         def record(_it, completed, model):
             dense.append(augmented_objective(completed, model, cfg.reg_epsilon))
@@ -459,11 +465,24 @@ class TestRunCompletion:
         for it, (fast, ref) in enumerate(zip(result.trace, dense), start=1):
             assert fast == pytest.approx(ref, rel=1e-10), f"entry {it}"
 
+    @pytest.mark.parametrize("method", ["fc", "pca", "fa"])
+    @pytest.mark.parametrize("eps", [0.0, 1e-3])
+    def test_objects_no_view_sees_are_refused(self, rng, method, eps):
+        hidden = ((2, 5), (5, 1, 2), (0, 2, 5))
+        masked = [apply_mask(random_pd(rng, 8), h, Fill.ZERO) for h in hidden]
+        calls = []
+        with pytest.raises(DimensionError) as info:
+            run_completion(masked, VisibilityPattern(ell=8, hidden=hidden),
+                           CompletionConfig(method=method, rank=2, reg_epsilon=eps),
+                           on_iteration=lambda *args: calls.append(args))
+        assert str(info.value) == "objects [2, 5] are hidden in every view"
+        assert info.value.exit_code == 3 and not calls
+
     def test_non_pd_visible_block_rejected(self):
         q = np.diag([1.0, -1.0, 1.0])
-        pattern = VisibilityPattern(ell=3, hidden=((2,),))
+        pattern = VisibilityPattern(ell=3, hidden=((2,), ()))  # view 1 sees object 2
         with pytest.raises(NotPositiveDefiniteError, match="view 0"):
-            run_completion([q], pattern, CompletionConfig(method="fc"))
+            run_completion([q, np.eye(3)], pattern, CompletionConfig(method="fc"))
 
     def test_non_finite_visible_block_rejected(self, rng):
         # NaN passes through the Cholesky factorization without an error
@@ -476,8 +495,9 @@ class TestRunCompletion:
     def test_nan_in_hidden_rows_is_overwritten(self, rng):
         q = random_pd(rng, 5)
         q[3, :] = q[:, 3] = np.nan
-        pattern = VisibilityPattern(ell=5, hidden=((3,),))
-        result = run_completion([q], pattern, CompletionConfig(method="fc", max_iters=5))
+        pattern = VisibilityPattern(ell=5, hidden=((3,), ()))  # view 1 sees object 3
+        result = run_completion([q, random_pd(rng, 5)], pattern,
+                                CompletionConfig(method="fc", max_iters=5))
         assert np.isfinite(result.completed[0]).all()
 
     def test_view_count_mismatch(self, rng):
@@ -526,23 +546,22 @@ class TestRunCompletion:
 
         monkeypatch.setattr(linalg, "cholesky_lower", recording)
         monkeypatch.setattr(engines, "logdet_and_inverse", recording_inverse)
-        cfg = CompletionConfig(method=method, rank=2, max_iters=5)
+        cfg = CompletionConfig(method=method, rank=2, max_iters=8)
         result = run_completion(masked, VisibilityPattern(ell=ell, hidden=hidden), cfg,
                                 on_iteration=lambda *_: marks.append(len(factored)))
-        assert result.iterations == 5 and result.rejected == 0
+        assert result.iterations == 8 and result.rejected == 0
         extrapolated = [a is not None for a in result.step_length]
-        assert extrapolated == [False, False, False, True, False]  # iteration 4 only
-        # set-up and iteration 1: each view's Q_vv, the initial model S_0, each view's
-        # P_hh of S_0, then C of the new model (for fa first C of the PPCA start it refits)
-        n_c = 2 if method == "fa" else 1
-        assert factored[:marks[0]] == [ell - 3] * 3 + [ell] + [3] * 3 + [2] * n_c
-        # every later iteration: C of the extrapolated point if there is one, each
-        # view's q x q C_v, then C of the new model
-        for it, (lo, hi) in enumerate(zip(marks, marks[1:]), start=2):
+        assert any(extrapolated[3::3]) and not any(extrapolated[:3])  # iteration 4 or 7
+        setup = [ell - 3] * 3 + [2]  # each view's Q_vv, then C of the start model
+        assert factored[:len(setup)] == setup
+        # every iteration: C of the extrapolated point if there is one, each view's
+        # q x q C_v, then C of the new model (fa's E-step reuses the held C)
+        for it, (lo, hi) in enumerate(zip([len(setup)] + marks, marks), start=1):
             assert factored[lo:hi] == [2] * (extrapolated[it - 1] + 4), f"iteration {it}"
-        # the only ell x ell inverse is that of S_0 and P_hh is inverted in iteration 1
-        # only; later, each view inverts its C_v
-        assert inverted == [ell, 3, 3, 3] + [2] * 3 * (result.iterations - 1)
+        # no ell x ell matrix is factored or inverted, set-up included: each view inverts
+        # its C_v, and no P_hh is ever formed
+        assert ell not in factored
+        assert inverted == [2] * 3 * result.iterations
 
     @pytest.mark.parametrize("method,rank", [("pca", 3), ("fa", 3), ("pca", 12), ("fa", 12),
                                              ("pca", 24), ("fa", 24)],
@@ -564,6 +583,9 @@ class TestRunCompletion:
 
         model_class = {"pca": PcaModel, "fa": FaModel}[method]
         monkeypatch.setattr(model_class, "logdet_and_inverse", dense_logdet_and_inverse)
+        if method == "fa":  # the E-step factors the model itself, never the dense held inverse
+            update = engines.fa_model_update
+            monkeypatch.setattr(engines, "fa_model_update", lambda s, prev, _inv: update(s, prev))
         dense = run_completion(masked, pattern, cfg)
         assert dense.iterations == fast.iterations and dense.rejected == fast.rejected
         assert dense.step_length == pytest.approx(fast.step_length, rel=1e-8)
@@ -578,12 +600,31 @@ class TestRunCompletion:
     def test_non_positive_noise_ends_the_run(self, rng, method, model, monkeypatch):
         hidden = ((0,), (1, 2), ())
         masked = [apply_mask(random_pd(rng, 48), h, Fill.ZERO) for h in hidden]
-        monkeypatch.setattr(engines, f"{method}_model_update", lambda *_: model)
+        # the update of iteration 1 returns the model; pca's start, its first call, does not
+        update, calls = getattr(engines, f"{method}_model_update"), []
+
+        def failing(*args):
+            calls.append(args)
+            return update(*args) if method == "pca" and len(calls) == 1 else model
+
+        monkeypatch.setattr(engines, f"{method}_model_update", failing)
         with pytest.raises(NumericalError) as info:
             run_completion(masked, VisibilityPattern(ell=48, hidden=hidden),
                            CompletionConfig(method=method, rank=2))
         assert str(info.value) == (
             "iteration 1: matrix of dim 48 has a diagonal part that is not positive")
+        assert info.value.exit_code == 5
+
+    def test_non_positive_start_model_ends_the_run(self, rng, monkeypatch):
+        hidden = ((0,), (1, 2), ())
+        masked = [apply_mask(random_pd(rng, 48), h, Fill.ZERO) for h in hidden]
+        start = PcaModel(W=np.ones((48, 2)), sigma2=0.0)
+        monkeypatch.setattr(engines, "pca_model_update", lambda *_: start)
+        with pytest.raises(NumericalError) as info:
+            run_completion(masked, VisibilityPattern(ell=48, hidden=hidden),
+                           CompletionConfig(method="pca", rank=2))
+        assert str(info.value) == (
+            "initial model matrix: matrix of dim 48 has a diagonal part that is not positive")
         assert info.value.exit_code == 5
 
     @pytest.mark.parametrize("method", ["fc", "pca", "fa"])
@@ -645,19 +686,14 @@ class TestRunCompletion:
 
 
 def plain_loop(masked, pattern, cfg):
-    """The map without extrapolation, iterated from the public functions under the
-    driver's stop rule: (map evaluations, final model)."""
-    eps, ell = cfg.reg_epsilon, pattern.ell
+    """The map without extrapolation, iterated from the public functions and the documented
+    start under the driver's stop rule: (map evaluations, final model)."""
+    eps = cfg.reg_epsilon
     completed = [apply_mask(q, h, Fill.ZERO) for q, h in zip(masked, pattern.hidden)]
-    m = regularize(average_kernel(completed), pattern.n_views, eps)
-    model = None
-    if cfg.method == "fa":
-        start = pca_model_update(m, cfg.rank)
-        model = FaModel(W=start.W, psi=np.full(ell, start.sigma2))
+    model = start_model(masked, pattern, cfg.method, cfg.rank, eps)
     trace = []
     for it in range(1, cfg.max_iters + 1):
-        model = plain_step(completed, pattern, m, model, cfg)
-        m = model.materialize()
+        model = plain_step(completed, pattern, model.materialize(), model, cfg)
         trace.append(augmented_objective(completed, model, eps))
         if len(trace) >= 2 and abs(trace[-1] - trace[-2]) / max(1.0, abs(trace[-2])) < cfg.tol:
             break
@@ -680,20 +716,29 @@ def plain_step(completed, pattern, m, model, cfg):
 
 
 def seeded_problem(seed, ell=16, n_views=3):
-    """Synthetic views and independent masks, redrawn until every object is seen in some
-    view: the map creeps toward the fixed point at a rate near 1 when one is not."""
+    """Synthetic views and independent masks, in which random_mask leaves every object
+    seen in some view."""
     spec = SyntheticSpec(ell=ell, n_views=n_views, true_rank=3, noise_sigma2=0.1,
                          per_view_jitter=0.05, seed=seed)
-    draw = seed
-    pattern = random_mask(ell, n_views, 0.25, seed=draw)
-    while set.intersection(*map(set, pattern.hidden)):
-        draw += 1000
-        pattern = random_mask(ell, n_views, 0.25, seed=draw)
+    pattern = random_mask(ell, n_views, 0.25, seed=seed)
     truths = generate_synthetic(spec)
     return [apply_mask(t, h, Fill.ZERO) for t, h in zip(truths, pattern.hidden)], pattern
 
 
 class TestAcceleration:
+    @pytest.mark.parametrize("method", ["fc", "pca", "fa"])
+    def test_iteration_1_is_a_plain_step_from_the_start_model(self, method):
+        masked, pattern = seeded_problem(1)
+        cfg = CompletionConfig(method=method, rank=2, max_iters=1)
+        result = run_completion(masked, pattern, cfg)
+        start = start_model(masked, pattern, method, 2, cfg.reg_epsilon)
+        completed = [apply_mask(q, h, Fill.ZERO) for q, h in zip(masked, pattern.hidden)]
+        refit = plain_step(completed, pattern, start.materialize(), start, cfg)
+        for c, ref in zip(result.completed, completed):
+            assert np.linalg.norm(c - ref) <= 1e-10 * np.linalg.norm(ref)
+        for part, ref in zip(result.model.parameters(), refit.parameters()):
+            assert np.linalg.norm(part - ref) <= 1e-10 * np.linalg.norm(ref)
+
     @pytest.mark.parametrize("method", ["fc", "pca", "fa"])
     def test_three_iterations_are_plain_steps(self, method):
         masked, pattern = seeded_problem(0)
@@ -759,29 +804,30 @@ class TestAcceleration:
 
     @pytest.mark.parametrize("method, seed", [("fc", 0), ("pca", 0), ("fa", 0), ("fa", 2)])
     def test_residual_is_the_relative_distance_from_the_evaluated_point(self, method, seed):
-        """||theta_new - point|| / max(||point||, ||theta_new||), recomputed from the models
-        the hook received. The point is the last accepted model for a plain step and
-        theta0 - 2 alpha r + alpha^2 v of the cycle's three models for an extrapolated one.
-        seeded_problem(0) has accepted extrapolations; ("fc", 0) and ("fa", 2) a rejection."""
+        """||theta_new - point|| / max(||point||, ||theta_new||), recomputed from the start
+        model and the models the hook received. The point is the start model for entry 0,
+        the last accepted model for a later plain step and theta0 - 2 alpha r + alpha^2 v
+        of the cycle's three models for an extrapolated one. seeded_problem(0) has accepted
+        extrapolations; ("fc", 0) and ("fa", 2) a rejection."""
         masked, pattern = seeded_problem(seed)
-        models = []
+        models = [start_model(masked, pattern, method, 2, 1e-3)]
         result = run_completion(masked, pattern, CompletionConfig(method=method, rank=2, max_iters=300),
                                 on_iteration=lambda _it, _c, m: models.append(m))
         assert result.stop == "tol" and any(a is not None for a in result.step_length)
         thetas = [np.concatenate([p.ravel() for p in m.parameters()]) for m in models]
-        assert len(result.residual) == len(thetas) and result.residual[0] is None
-        for i in range(1, len(thetas)):
+        assert len(result.residual) == len(thetas) - 1  # thetas[i + 1] is entry i's model
+        for i in range(len(result.residual)):
             alpha = result.step_length[i]
             if alpha is None:
-                point = thetas[i - 1]
-            else:  # a cycle starts at entry 0 and at each third entry after it
+                point = thetas[i]
+            else:  # a cycle starts at entry 0, not the start, and at each third entry after it
                 assert i % 3 == 0
-                t0, t1, t2 = thetas[i - 3:i]
+                t0, t1, t2 = thetas[i - 2:i + 1]
                 r, v = t1 - t0, t2 - 2 * t1 + t0
                 assert alpha == pytest.approx(-np.linalg.norm(r) / np.linalg.norm(v), rel=1e-12)
                 point = t0 - 2 * alpha * r + alpha**2 * v
-            scale = max(np.linalg.norm(point), np.linalg.norm(thetas[i]))
-            expected = np.linalg.norm(thetas[i] - point) / scale
+            scale = max(np.linalg.norm(point), np.linalg.norm(thetas[i + 1]))
+            expected = np.linalg.norm(thetas[i + 1] - point) / scale
             assert result.residual[i] == pytest.approx(expected, rel=1e-12), f"entry {i}"
 
     @pytest.mark.parametrize("method, seed", [("fc", 0), ("fa", 2)])  # problems with a rejection

@@ -262,7 +262,7 @@ class TestTraceFile:
                   "step_length": result.step_length, "stop": result.stop,
                   "rejected": result.rejected}
         assert path.read_text() == json.dumps(layout, indent=2) + "\n"
-        assert result.stop == "tol" and result.residual[0] is None
+        assert result.stop == "tol" and all(type(r) is float for r in result.residual)
         assert len(result.residual) == len(result.step_length) == len(result.trace)
 
 

@@ -10,13 +10,15 @@ and eps copies of I. The driver records that augmented sum, so its trace
 itself is asserted monotone and equal to the dense augmented objective of
 each accepted state; at eps = 0 it is the view sum.
 
-At eps = 0 an object hidden in every view leaves the zero-filled starting
-average singular, and the driver must refuse the problem.
+An object hidden in every view carries no information, and the driver refuses
+every problem with one, for every method and eps (``DimensionError``), so
+``correlated`` masks that hide anything are refusal cases.
 
 The driver imputes each view from the inverse of the point it evaluates the
 map at; at every accepted iteration its hidden blocks equal those of the dense
 conditional moments (``oracles.impute_from_model``) computed from that point: the
-previous model for a plain step, and for an extrapolated one the point
+start model (``oracles.start_model``) for iteration 1, the previous model for a
+later plain step, and for an extrapolated one the point
 theta0 - 2 alpha r + alpha^2 v rebuilt from the recorded step length alpha and
 the three previous models (r = theta1 - theta0, v = theta2 - 2 theta1 + theta0,
 theta = M for fc, (W, log sigma2) for pca, (W, log psi) for fa). The drawn
@@ -44,13 +46,12 @@ from hypothesis import strategies as st
 
 from mkmc import matrixio
 from mkmc.cli import main
-from mkmc.engines import (METHODS, CompletionConfig, FullModel, PcaModel, average_kernel,
-                          objective, regularize, run_completion)
-from mkmc.errors import ConfigError, NumericalError
+from mkmc.engines import METHODS, CompletionConfig, FullModel, PcaModel, objective, run_completion
+from mkmc.errors import ConfigError, DimensionError
 from mkmc.views import Fill, VisibilityPattern, apply_mask, partition, random_mask
 
 from conftest import random_pd
-from oracles import impute_from_model
+from oracles import impute_from_model, start_model
 
 MASK_KINDS = ("empty", "correlated", "single-visible-object", "independent")
 
@@ -110,10 +111,6 @@ def with_low_rank_examples(test):
     return test
 
 
-def hidden_everywhere(pattern) -> bool:
-    return bool(set.intersection(*map(set, pattern.hidden)))
-
-
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(problems())
 @with_low_rank_examples
@@ -121,9 +118,11 @@ def test_completion_invariants(problem):
     pattern, method, rank, eps, seed = problem
     masked = masked_views(pattern, seed)
     cfg = CompletionConfig(method=method, rank=rank, reg_epsilon=eps, max_iters=30)
-    if eps == 0.0 and hidden_everywhere(pattern):
-        with pytest.raises(NumericalError, match="initial model matrix"):
+    unobserved = set.intersection(*map(set, pattern.hidden))
+    if unobserved:
+        with pytest.raises(DimensionError, match=r"^objects \[.*\] are hidden in every view$") as info:
             run_completion(masked, pattern, cfg)
+        assert str(info.value) == f"objects {sorted(unobserved)} are hidden in every view"
         return
     descended = []
 
@@ -173,14 +172,14 @@ def extrapolated_point(three_models, alpha):
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(problems())
-@example((VisibilityPattern(ell=6, hidden=((0, 1, 2, 3, 5), (2,))), "fc", 1, 0.0, 3))
+@example((VisibilityPattern(ell=6, hidden=((0, 1, 2, 3, 5), (4,))), "fc", 1, 0.0, 3))
 @example((VisibilityPattern(ell=6, hidden=((1, 2, 3, 4, 5), (0, 4), ())), "fa", 2, 1e-3, 4))
 @example((VisibilityPattern(ell=5, hidden=((), ())), "pca", 2, 0.0, 5))
 @with_low_rank_examples
 def test_driver_imputes_like_dense_oracle(problem):
     pattern, method, rank, eps, seed = problem
     masked = masked_views(pattern, seed)
-    if eps == 0.0 and hidden_everywhere(pattern):
+    if pattern.unobserved:
         return  # refused; see test_completion_invariants
     models, steps = [], []
 
@@ -191,8 +190,8 @@ def test_driver_imputes_like_dense_oracle(problem):
     cfg = CompletionConfig(method=method, rank=rank, reg_epsilon=eps, max_iters=30)
     result = run_completion(masked, pattern, cfg, on_iteration=record)
     for i, (completed, alpha) in enumerate(zip(steps, result.step_length)):
-        if i == 0:  # iteration 1 imputes from the regularized average of the zero-filled views
-            m_prev = regularize(average_kernel(masked), pattern.n_views, eps)
+        if i == 0:  # iteration 1 imputes from the start model
+            m_prev = start_model(masked, pattern, method, rank, eps).materialize()
         elif alpha is None:
             m_prev = models[i - 1].materialize()
         else:

@@ -34,6 +34,14 @@ class TestVisibilityPattern:
         with pytest.raises(DimensionError, match="at least one view"):
             VisibilityPattern(ell=3, hidden=())
 
+    @pytest.mark.parametrize("hidden, unobserved", [
+        (((), (1,)), ()),
+        (((3, 1), (1, 2, 3), (0, 3, 1)), (1, 3)),
+        (((4, 2),), (2, 4)),
+    ])
+    def test_unobserved(self, hidden, unobserved):
+        assert VisibilityPattern(ell=5, hidden=hidden).unobserved == unobserved
+
     @pytest.mark.parametrize("matrices, message", [
         ([np.eye(3)] * 2, "2 matrices but pattern has 3 views"),
         ([np.eye(3)] * 4, "4 matrices but pattern has 3 views"),
@@ -104,7 +112,32 @@ class TestRandomMask:
         assert all(len(h) == 2 for h in a.hidden)
 
     def test_different_seeds_differ(self):
-        assert random_mask(50, 2, 0.3, seed=1) != random_mask(50, 2, 0.3, seed=2)
+        # the first draw of each seed leaves every object seen, so none is redrawn
+        assert random_mask(50, 3, 0.2, seed=1) != random_mask(50, 3, 0.2, seed=2)
+
+    def test_two_views_at_a_high_fraction_find_no_draw(self):
+        # 15 of 50 objects hidden per view: the two views overlap in all 64 draws
+        with pytest.raises(DimensionError, match="^no mask drawn from seeds 1 to 64 leaves every "
+                                                 "object visible in some view"):
+            random_mask(50, 2, 0.3, seed=1)
+
+    def test_a_single_view_hiding_objects_finds_no_draw(self):
+        with pytest.raises(DimensionError, match="seeds 5 to 68"):
+            random_mask(8, 1, 0.25, seed=5)
+        assert random_mask(8, 1, 0.0, seed=5).hidden == ((),)
+
+    def test_refused_draw_is_redrawn_from_the_next_seed(self):
+        # the first draws of seeds 0, 1 and 2 each hide an object in both views; seed 3's
+        # does not, so all four seeds give seed 3's draw
+        pattern = random_mask(10, 2, 0.3, seed=0)
+        assert pattern == random_mask(10, 2, 0.3, seed=2) == random_mask(10, 2, 0.3, seed=3)
+        assert not pattern.unobserved
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_every_object_is_seen(self, seed):
+        pattern = random_mask(12, 3, 0.3, seed=seed)
+        assert pattern.unobserved == ()
+        assert all(len(h) == 3 for h in pattern.hidden)
 
     def test_no_visible_object_left(self):
         with pytest.raises(ValueError):
@@ -124,9 +157,10 @@ class TestRandomMask:
         with pytest.raises(DimensionError):
             random_mask(8, 0, 0.25, seed=1)
 
-    def test_correlated_shares_one_draw(self):
-        pat = random_mask(20, 4, 0.25, seed=3, correlated=True)
-        assert len(set(pat.hidden)) == 1
+    def test_correlated_draws_are_gone(self):
+        # one draw shared by every view would hide each of its objects in every view
+        with pytest.raises(TypeError, match="correlated"):
+            random_mask(20, 4, 0.25, seed=3, correlated=True)
 
 
 class TestApplyMask:
