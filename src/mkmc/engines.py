@@ -85,8 +85,13 @@ Extrapolating (W, log d) is O(ell q) and factoring the point O(ell q^2), so
 the model is never materialized there either, and a ``pca``/``fa`` run
 factors no ell x ell matrix at all. :func:`fa_model_update` reuses the held
 factorization, so an ``fa`` iteration has no O(ell^3) step.
-:func:`pca_model_update` computes only the top q eigenpairs, but their solver
-(LAPACK ``dsyevr``) still reduces S to tridiagonal form in O(ell^3). Past about
+:func:`pca_model_update` computes only the top q eigenpairs. In an iteration it
+starts from the W being refit (for an extrapolated point, the point's W) and runs
+subspace iteration, O(ell^2 q) per step, whose pairs are kept only when certified
+to be the top q (:func:`~mkmc.linalg.eigh_warm`); otherwise, and for the start
+model, which has no start, LAPACK ``dsyevr`` reduces S to tridiagonal form in
+O(ell^3). With a rank criterion one ``dsyevr`` over the eigenvalues above its
+threshold gives both the rank and the start model's pairs. Past about
 q = ell/4 the factored steps cost more than dense ones would (up to 2.5x per
 iteration at q = ell/2); no default rank picks such a q. The dense path, materialized from W and d, is
 the test oracle of the factored one.
@@ -102,8 +107,9 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import ConfigError, DimensionError, NotPositiveDefiniteError, NumericalError
-from .linalg import (LowRankInverse, eigenvalues, eigh_sorted, logdet, logdet_and_inverse,
-                     logdet_divergences, low_rank_logdet_and_inverse, symmetrize)
+from .linalg import (EigenDecomposition, LowRankInverse, eigh_sorted, eigh_warm, logdet,
+                     logdet_and_inverse, logdet_divergences, low_rank_logdet_and_inverse,
+                     symmetrize)
 from .views import (Fill, PartitionedView, VisibilityPattern, apply_mask, is_integer, is_real,
                     partition)
 
@@ -306,7 +312,7 @@ def fc_model_update(s_reg: np.ndarray) -> FullModel:
     return FullModel(matrix=s_reg)
 
 
-def pca_model_update(s_reg: np.ndarray, q: int) -> PcaModel:
+def pca_model_update(s_reg: np.ndarray, q: int, start: Optional[np.ndarray] = None) -> PcaModel:
     """Closed-form joint optimum of (W, sigma2) for the PPCA model.
 
     sigma2 is the mean of the trailing ell-q eigenvalues of the average
@@ -314,15 +320,29 @@ def pca_model_update(s_reg: np.ndarray, q: int) -> PcaModel:
     top q eigenpairs are computed; W spans the top-q eigenvectors scaled by
     sqrt(lambda_j - sigma2), with the arbitrary rotation fixed to the identity
     (Tipping & Bishop 1999).
+
+    Without ``start`` the pairs come from LAPACK ``dsyevr``, which reduces S to
+    tridiagonal form in O(ell^3). With ``start``, the ell x q W of the model being
+    refit, they come from :func:`~mkmc.linalg.eigh_warm`: subspace iteration from its
+    span, O(ell^2 q) per step, returned only when certified to be the top q, and
+    ``dsyevr`` otherwise.
     """
     ell = s_reg.shape[0]
     if not 1 <= q <= ell - 1:
         raise ValueError(f"rank q={q} out of range [1, {ell - 1}]")
-    eig = eigh_sorted(s_reg, top=q)
+    if start is None:
+        return _pca_fit(s_reg, eigh_sorted(s_reg, top=q))
+    if start.shape != (ell, q):
+        raise ValueError(f"start must have shape {(ell, q)}, got {start.shape}")
+    return _pca_fit(s_reg, eigh_warm(s_reg, start))
+
+
+def _pca_fit(s_reg: np.ndarray, eig: EigenDecomposition) -> PcaModel:
+    """The PPCA optimum from the top q eigenpairs of ``s_reg`` (:func:`pca_model_update`)."""
+    ell, q = eig.eigenvectors.shape
     sigma2 = float(np.trace(s_reg) - np.sum(eig.eigenvalues)) / (ell - q)
     gap = np.clip(eig.eigenvalues - sigma2, 0.0, None)
-    w = eig.eigenvectors * np.sqrt(gap)
-    return PcaModel(W=w, sigma2=sigma2)
+    return PcaModel(W=eig.eigenvectors * np.sqrt(gap), sigma2=sigma2)
 
 
 def fa_estep(s: np.ndarray, w: np.ndarray, psi: np.ndarray,
@@ -395,19 +415,30 @@ def impute_view(inverse: Union[np.ndarray, LowRankInverse],
 
 
 def select_rank(s: np.ndarray, criterion: str) -> int:
-    """Guttman-Kaiser (above the spectrum mean) or Kaiser (above one) count.
+    """Guttman-Kaiser (above the spectrum mean, tr S / ell) or Kaiser (above one) count.
 
     The raw count is clamped into [1, ell-1].
     """
-    vals = eigenvalues(s)
-    ell = len(vals)
+    return _rank_and_eigenpairs(s, criterion)[0]
+
+
+def _rank_and_eigenpairs(s: np.ndarray, criterion: str) -> tuple[int, EigenDecomposition]:
+    """:func:`select_rank`'s count q and the top q eigenpairs of ``s``, from one ``dsyevr``
+    over the eigenvalues above the criterion's threshold (over the top one instead when
+    there are none)."""
+    ell = s.shape[0]
     if criterion == CRITERION_GK:
-        count = int(np.sum(vals > np.mean(vals)))
+        threshold = float(np.trace(s)) / ell
     elif criterion == CRITERION_KAISER:
-        count = int(np.sum(vals > 1.0))
+        threshold = 1.0
     else:
         raise ValueError(f"unknown rank criterion {criterion!r}")
-    return max(1, min(count, ell - 1))
+    eig = eigh_sorted(s, above=threshold)
+    count = len(eig.eigenvalues)
+    if count == 0:
+        return 1, eigh_sorted(s, top=1)
+    q = max(1, min(count, ell - 1))
+    return q, EigenDecomposition(eig.eigenvalues[:q], eig.eigenvectors[:, :q])
 
 
 def degrees_of_freedom(method: str, ell: int, q: Optional[int] = None) -> int:
@@ -479,14 +510,20 @@ def run_completion(
     s0_reg = regularize(s0, n_views, eps)
 
     rank: Optional[int] = None
+    eig = None  # with a rank criterion, the top eigenpairs its count came from
     if cfg.method in (METHOD_PCA, METHOD_FA):
-        rank = (int(cfg.rank) if cfg.rank is not None
-                else select_rank(s0_reg, cfg.rank_criterion or CRITERION_GK))
+        if cfg.rank is not None:
+            rank = int(cfg.rank)
+        else:
+            rank, eig = _rank_and_eigenpairs(s0_reg, cfg.rank_criterion or CRITERION_GK)
     dof = degrees_of_freedom(cfg.method, ell, rank)
 
     # The start: the model fitted to S_0. FA has no closed-form fit; it takes the PPCA
     # loadings and, as noise, what they leave of each variance.
-    model = FullModel(matrix=s0_reg) if cfg.method == METHOD_FC else pca_model_update(s0_reg, rank)
+    if cfg.method == METHOD_FC:
+        model = FullModel(matrix=s0_reg)
+    else:
+        model = pca_model_update(s0_reg, rank) if eig is None else _pca_fit(s0_reg, eig)
     if cfg.method == METHOD_FA:
         model = FaModel(W=model.W, psi=_fa_noise(s0_reg, model.W, model.W))
     try:
@@ -511,7 +548,7 @@ def run_completion(
         if cfg.method == METHOD_FC:
             new = fc_model_update(s_reg)
         elif cfg.method == METHOD_PCA:
-            new = pca_model_update(s_reg, rank)
+            new = pca_model_update(s_reg, rank, prev.W)
         else:  # prev_inv is prev's LowRankInverse, which the E-step reuses
             new = fa_model_update(s_reg, prev, prev_inv)
         logdet_m, new_inv = new.logdet_and_inverse()

@@ -19,7 +19,7 @@ from mkmc.engines import (
     select_rank,
 )
 from mkmc.errors import ConfigError, DimensionError, NotPositiveDefiniteError, NumericalError
-from mkmc.linalg import cholesky_lower, logdet_divergence
+from mkmc.linalg import cholesky_lower, logdet_divergence, symmetrize
 from mkmc.recovery import SyntheticSpec, generate_synthetic
 from mkmc.views import Fill, VisibilityPattern, apply_mask, partition, random_mask
 
@@ -201,6 +201,8 @@ class TestModelUpdates:
     def test_pca_rank_out_of_range(self, rng):
         with pytest.raises(ValueError):
             pca_model_update(random_pd(rng, 4), 4)
+        with pytest.raises(ValueError, match=r"^start must have shape \(4, 2\), got \(4, 3\)$"):
+            pca_model_update(random_pd(rng, 4), 2, np.ones((4, 3)))
 
     def test_fa_fixed_point_zero_loadings(self):
         s = np.diag([2.0, 3.0, 5.0])
@@ -323,6 +325,53 @@ class TestSelectRank:
     def test_unknown_criterion(self):
         with pytest.raises(ValueError):
             select_rank(np.eye(2), "aic")
+
+    @pytest.mark.parametrize("criterion,spectrum", [("gk", [3.0, 2.0, 1.0]),
+                                                    ("kaiser", [2.0, 1.0, 0.5])])
+    def test_tie_at_the_threshold(self, criterion, spectrum):
+        """An eigenvalue equal to the threshold is not above it. Off the diagonal the tie holds
+        only to rounding, so either count may come out; a run's start is then the PPCA fit of
+        whichever count the one set-up eigensolve gave."""
+        assert select_rank(np.diag(spectrum), criterion) == 1
+        basis = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))[0]
+        s = symmetrize(basis @ np.diag(spectrum) @ basis.T)
+        rank = select_rank(s, criterion)
+        assert rank in (1, 2)
+        # one view, nothing hidden and eps = 0: S_0 is s, and the run's one refit is its fit
+        result = run_completion([s], VisibilityPattern(ell=3, hidden=((),)), CompletionConfig(
+            method="pca", rank_criterion=criterion, reg_epsilon=0.0))
+        assert result.rank == rank and result.stop == "no_hidden"
+        ref = pca_model_update(s, rank).materialize()
+        assert np.linalg.norm(result.model.materialize() - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("criterion", ["gk", "kaiser"])
+    def test_rank_and_start_fit_take_one_eigensolve(self, criterion, monkeypatch):
+        masked, pattern = seeded_problem(1)
+        zero_filled = [apply_mask(q, h, Fill.ZERO) for q, h in zip(masked, pattern.hidden)]
+        rank = select_rank(regularize(average_kernel(zero_filled), 3, 1e-3), criterion)
+        original, step, calls = linalg.eigh_sorted, engines.impute_view, []
+
+        def counting(*args, **kwargs):
+            calls.append(sorted(kwargs))
+            return original(*args, **kwargs)
+
+        def stepping(*args):
+            calls.append("impute")
+            return step(*args)
+
+        for module in (linalg, engines):
+            monkeypatch.setattr(module, "eigh_sorted", counting)
+        monkeypatch.setattr(engines, "impute_view", stepping)
+        cfg = CompletionConfig(method="pca", rank_criterion=criterion, max_iters=1)
+        result = run_completion(masked, pattern, cfg)
+        monkeypatch.undo()
+        assert result.rank == rank and 1 <= rank <= 15
+        assert calls[:calls.index("impute")] == [["above"]]  # the count and the start's pairs
+        start = start_model(masked, pattern, "pca", rank, cfg.reg_epsilon)
+        refit = plain_step(zero_filled, pattern, start.materialize(), start,
+                           CompletionConfig(method="pca", rank=rank))
+        for part, ref in zip(result.model.parameters(), refit.parameters()):
+            assert np.linalg.norm(part - ref) <= 1e-10 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("criterion", ["gk", "kaiser"])
     def test_matches_full_decomposition_count(self, criterion):
@@ -592,6 +641,36 @@ class TestRunCompletion:
         for c_fast, c_dense in zip(fast.completed, dense.completed):
             assert np.linalg.norm(c_fast - c_dense) <= 1e-9 * np.linalg.norm(c_dense)
         assert np.allclose(fast.trace, dense.trace, rtol=1e-10, atol=0)
+
+    def test_pca_refits_warm_after_setup(self, monkeypatch):
+        """Only the start model's fit calls ``eigh_sorted``: every refit after it is the warm
+        solve from the W being refit, and matches the cold dense refit and the plain step."""
+        masked, pattern = seeded_problem(0)  # true rank 3, well gapped
+        cfg = CompletionConfig(method="pca", rank=3, max_iters=300)
+        original, calls, snapshots = linalg.eigh_sorted, [], []
+
+        def counting(*args, **kwargs):
+            calls.append(len(snapshots))
+            return original(*args, **kwargs)
+
+        for module in (linalg, engines):
+            monkeypatch.setattr(module, "eigh_sorted", counting)
+        result = run_completion(masked, pattern, cfg, on_iteration=lambda _it, c, m: snapshots.append(
+            ([x.copy() for x in c], m)))
+        monkeypatch.undo()
+        assert result.stop == "tol" and any(a is not None for a in result.step_length)
+        assert calls == [0]  # set-up only
+        models = [start_model(masked, pattern, "pca", 3, cfg.reg_epsilon)] + [m for _, m in snapshots]
+        for i, (completed, model) in enumerate(snapshots):
+            cold = pca_model_update(regularize(average_kernel(completed), 3, cfg.reg_epsilon), 3)
+            refits = [cold]
+            if result.step_length[i] is None:  # from the last accepted model
+                previous = [c.copy() for c in snapshots[i - 1][0]] if i else [
+                    apply_mask(q, h, Fill.ZERO) for q, h in zip(masked, pattern.hidden)]
+                refits.append(plain_step(previous, pattern, models[i].materialize(), models[i], cfg))
+            for ref in refits:
+                for part, expected in zip(model.parameters(), ref.parameters()):
+                    assert np.linalg.norm(part - expected) <= 1e-10 * np.linalg.norm(expected), i
 
     @pytest.mark.parametrize("method,model", [
         ("pca", PcaModel(W=np.ones((48, 2)), sigma2=0.0)),
