@@ -61,8 +61,9 @@ PD matrices used here all come from :mod:`mkmc.linalg`.
 
 Each model factors itself (``logdet_and_inverse``), and the driver holds P as
 :mod:`mkmc.linalg` returns it, in one of two forms; :func:`impute_view`, the
-per-view step, takes either, and :func:`~mkmc.views.partition` splits each
-view once, at set-up. The whole ell x ell P, as above, serves ``fc`` only
+per-view step, takes either (and for ``fa`` returns the hidden blocks in factors,
+below), and :func:`~mkmc.views.partition` splits each view once, at set-up. The
+whole ell x ell P, as above, serves ``fc`` only
 (O(ell^3) per iteration for M, plus O(n_h^3 + n_v^2 n_h) per view; only views
 sharing a hidden set could share that per-view work).
 
@@ -95,6 +96,28 @@ threshold gives both the rank and the start model's pairs. Past about
 q = ell/4 the factored steps cost more than dense ones would (up to 2.5x per
 iteration at q = ell/2); no default rank picks such a q. The dense path, materialized from W and d, is
 the test oracle of the factored one.
+
+An ``fa`` evaluation writes, averages and regularizes no ell x ell matrix either. Its
+refit reads S_reg only as S_reg B^T (B = W^T M^{-1}) and diag S_reg, and the trace term
+only as S_reg F^T and diag S_reg. The set-up's S_0_reg, the regularized average of the
+zero-filled views, is kept for the run, and the hidden blocks stay in the per-view
+step's factors, stacked over the views that hide objects:
+
+    S_reg = S_0_reg + (Z Y^T + Y Z^T + Y G Y^T + diag(d o n)) / (K + eps),
+
+with Z_k = Q_vv A on view k's visible rows and Y_k = W (the imputing model's) on its
+hidden rows, both zero elsewhere, G = diag(G_k), G_k = C_v^{-1} + A^T Q_vv A, and n_i the
+number of views hiding object i. So S_reg X is S_0_reg X plus a fixed handful of BLAS
+calls whatever K is, O(ell^2 p + ell K q p) for an ell x p X, and diag S_reg costs
+O(ell K q^2). The completed views are written from the last accepted evaluation's
+factors once, at the end, and also after every accepted evaluation when
+``on_iteration`` is set: a hooked run (the benchmark's traced runs) pays those writes.
+At large q the stacked products cost more than writing: O(ell K q^2) against O(K ell^2).
+At ell = 400, K = 8 and half of the objects hidden (one BLAS thread), an evaluation's
+products and diagonal took 4.3 ms against 18 ms for writing and averaging at q = 40, but
+24-29 against 20 ms at q = 100 and 88 against 25 ms at q = 200. ``fc`` keeps writing and
+averaging the views, as its model is S_reg itself, and so does ``pca``: the certificate
+of its warm refit reads ||S||_F^2, and its ``dsyevr`` fallback reads the whole S.
 """
 
 from __future__ import annotations
@@ -351,7 +374,7 @@ def fa_estep(s: np.ndarray, w: np.ndarray, psi: np.ndarray,
 
     W^T M^{-1} comes from the factored inverse of M = W W^T + diag(psi), so
     only a q x q system is factored; ``inverse`` is that factorization when
-    the caller already holds it.
+    the caller already holds it. ``s`` is read only as the product S (W^T M^{-1})^T.
     """
     if inverse is None:
         try:
@@ -370,7 +393,8 @@ def fa_model_update(s_reg: np.ndarray, prev: FaModel,
 
     W_new = S_xz S_zz^{-1}, psi_new = diag(S - S_xz S_zz^{-1} S_xz^T); the
     noise variances are floored to stay strictly positive. ``inverse`` is
-    passed on to :func:`fa_estep`.
+    passed on to :func:`fa_estep`. ``s_reg`` is read only through ``s_reg @ x``
+    and ``s_reg.diagonal()``, so the driver passes it implicitly (``_ImputedAverage``).
     """
     if np.any(prev.psi <= 0):
         raise ValueError("previous noise variances must be positive")
@@ -384,8 +408,9 @@ def fa_model_update(s_reg: np.ndarray, prev: FaModel,
 
 def _fa_noise(s_reg: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """diag(S - X W^T), floored at PSI_FLOOR_REL times the mean of diag S to stay positive."""
-    psi = np.diag(s_reg) - np.einsum("ij,ij->i", x, w)
-    return np.maximum(psi, PSI_FLOOR_REL * np.trace(s_reg) / len(psi))
+    diag = s_reg.diagonal()
+    psi = diag - np.einsum("ij,ij->i", x, w)
+    return np.maximum(psi, PSI_FLOOR_REL * diag.sum() / len(psi))
 
 
 def objective(qs: Sequence[np.ndarray], model: ModelParams) -> float:
@@ -393,25 +418,95 @@ def objective(qs: Sequence[np.ndarray], model: ModelParams) -> float:
     return float(sum(logdet_divergences(qs, model.materialize())))
 
 
-def impute_view(inverse: Union[np.ndarray, LowRankInverse],
-                view: PartitionedView) -> tuple[float, np.ndarray, np.ndarray]:
+def impute_view(inverse: Union[np.ndarray, LowRankInverse], view: PartitionedView,
+                factored: bool = False) -> tuple[float, np.ndarray, np.ndarray]:
     """log det P_hh, Q_vh and Q_hh of one view, imputed from the held M^{-1} (module docstring):
-    the whole P (``fc``), or a low-rank model's factors, from q x q systems in O(n_v^2 q)."""
+    the whole P (``fc``), or a low-rank model's factors, from q x q systems in O(n_v^2 q).
+
+    With ``factored`` (a low-rank inverse only) the blocks stay in factors: log det P_hh, Q_vv A
+    and G = C_v^{-1} + A^T Q_vv A, from which :func:`_hidden_blocks` writes them."""
     if isinstance(inverse, LowRankInverse):
-        f_v, w_h, d_h = inverse.f[:, view.vis], inverse.w[view.hid], inverse.d[view.hid]
+        f_v = inverse.f[:, view.vis]
         # C_v = I + W_v^T D_v^{-1} W_v >= I, the capacitance matrix of M_vv
         c_v = symmetrize(np.eye(len(f_v)) + f_v @ inverse.w[view.vis])
         logdet_c_v, c_v_inv = logdet_and_inverse(c_v)
         a = f_v.T @ c_v_inv  # D_v^{-1} W_v C_v^{-1} = M_vv^{-1} W_v
         qa = view.q_vv @ a
-        q_hh = w_h @ (c_v_inv + a.T @ qa) @ w_h.T
-        q_hh.flat[::len(d_h) + 1] += d_h
+        g = c_v_inv + a.T @ qa
+        d_h = inverse.d[view.hid]
         logdet_p_hh = logdet_c_v - float(np.sum(np.log(d_h))) - inverse.logdet_c
-        return logdet_p_hh, qa @ w_h.T, symmetrize(q_hh)
+        if factored:
+            return logdet_p_hh, qa, g
+        return (logdet_p_hh, *_hidden_blocks(qa, g, inverse.w[view.hid], d_h))
     logdet_p_hh, schur = logdet_and_inverse(inverse[view.hh])
     x = -inverse[view.vh] @ schur  # M_vv^{-1} M_vh
     q_vh = view.q_vv @ x
     return logdet_p_hh, q_vh, symmetrize(schur + x.T @ q_vh)
+
+
+def _hidden_blocks(qa: np.ndarray, g: np.ndarray, w_h: np.ndarray,
+                   d_h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Q_vh = (Q_vv A) W_h^T and Q_hh = D_h + W_h G W_h^T of a view imputed from a low-rank model."""
+    q_hh = w_h @ g @ w_h.T
+    q_hh.flat[::len(d_h) + 1] += d_h
+    return qa @ w_h.T, symmetrize(q_hh)
+
+
+def _write(c: np.ndarray, view: PartitionedView, q_vh: np.ndarray, q_hh: np.ndarray) -> None:
+    """Write one view's imputed hidden blocks into its completed matrix ``c``."""
+    c[view.vh], c[view.hv], c[view.hh] = q_vh, q_vh.T, q_hh
+
+
+class _ImputedAverage:
+    """S_reg of an ``fa`` evaluation, held as the fixed S_0_reg plus the imputed blocks in factors.
+
+    Over the m views that hide objects, stacked (module docstring),
+
+        S_reg = S_0_reg + (Z Y^T + Y Z^T + Y G Y^T + diag(d o n)) / (K + eps):
+
+    Z_k is Q_vv A on the view's visible rows, Y_k the imputing model's W on its hidden rows
+    (both zero elsewhere), G = diag(G_k) and n_i the number of views hiding object i. It offers
+    what the ``fa`` refit and the trace term read of S_reg: ``s @ x`` for an ell x p ``x``, in
+    a fixed number of BLAS calls whatever K is, and :meth:`diagonal`, O(ell K q^2). ``write``
+    puts the dense blocks into the completed views.
+    """
+
+    def __init__(self, s0_reg: np.ndarray, denom: float, views: list,
+                 inverse: LowRankInverse, factors: list):
+        self.s0_reg, self.denom, self.views, self.inverse, self.factors = (
+            s0_reg, denom, views, inverse, factors)
+        w, d = inverse.w, inverse.d
+        ell, q = w.shape
+        m = len(views)
+        zy = np.zeros((ell, 2, m, q))
+        n_hiding = np.zeros(ell)
+        for i, ((_, view), (qa, _)) in enumerate(zip(views, factors)):
+            zy[view.vis, 0, i] = qa
+            zy[view.hid, 1, i] = w[view.hid]
+            n_hiding[view.hid] += 1.0
+        self.zy = zy.reshape(ell, 2 * m * q)  # [Z, Y]
+        self.g = np.array([g for _, g in factors]).reshape(m, q, q)
+        self.delta = d * n_hiding
+        y = zy[:, 1]
+        # diag(Z Y^T) = 0, as Z_k and Y_k share no nonzero row
+        y_g_y = np.einsum("kia,ika->i", np.matmul(y.transpose(1, 0, 2), self.g), y)
+        self._diagonal = s0_reg.diagonal() + (y_g_y + self.delta) / denom
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        m, q = self.g.shape[:2]
+        p = x.shape[1]
+        t_z, t_y = (self.zy.T @ x).reshape(2, m, q, p)  # Z^T x, Y^T x
+        core = np.concatenate([t_y, t_z + self.g @ t_y]).reshape(2 * m * q, p)
+        return self.s0_reg @ x + (self.zy @ core + self.delta[:, None] * x) / self.denom
+
+    def diagonal(self) -> np.ndarray:
+        return self._diagonal
+
+    def write(self, completed: list[np.ndarray]) -> None:
+        """Write each view's dense Q_vh and Q_hh into ``completed``."""
+        w, d = self.inverse.w, self.inverse.d
+        for (k, view), (qa, g) in zip(self.views, self.factors):
+            _write(completed[k], view, *_hidden_blocks(qa, g, w[view.hid], d[view.hid]))
 
 
 def select_rank(s: np.ndarray, criterion: str) -> int:
@@ -532,19 +627,29 @@ def run_completion(
         raise NumericalError(f"initial model matrix: {exc}") from exc
     theta = model.parameters()
 
+    # fa reads S_reg only through products and its diagonal, so it holds it implicitly and
+    # writes the views only when they are read: after an accepted evaluation with a hook, and
+    # at the end. fc and pca write every evaluation's views and average them.
+    factored = cfg.method == METHOD_FA
+
     def evaluate(prev: ModelParams, prev_inv):
-        """F at ``prev`` (inverse ``prev_inv``): impute every view, refit; J of the result."""
+        """F at ``prev`` (inverse ``prev_inv``): impute every view, refit; J of the result, the
+        new model, its inverse and S_reg."""
         logdet_q = logdet_vv  # sum_k log det Q^(k) after imputing from prev
+        factors = []  # fa: each view's (Q_vv A, G)
         for k, view in views:
             try:
-                logdet_p_hh, q_vh, q_hh = impute_view(prev_inv, view)
+                logdet_p_hh, *blocks = impute_view(prev_inv, view, factored)
             except NotPositiveDefiniteError as exc:
                 raise NumericalError(f"view {k}: hidden block of the model inverse is "
                                      f"numerically singular: {exc}") from exc
             logdet_q -= logdet_p_hh
-            c = completed[k]
-            c[view.vh], c[view.hv], c[view.hh] = q_vh, q_vh.T, q_hh
-        s_reg = regularize(average_kernel(completed), n_views, eps)
+            if factored:
+                factors.append(blocks)
+            else:
+                _write(completed[k], view, *blocks)
+        s_reg = (_ImputedAverage(s0_reg, n_views + eps, views, prev_inv, factors) if factored
+                 else regularize(average_kernel(completed), n_views, eps))
         if cfg.method == METHOD_FC:
             new = fc_model_update(s_reg)
         elif cfg.method == METHOD_PCA:
@@ -555,7 +660,7 @@ def run_completion(
         inner = (new_inv.inner(s_reg) if isinstance(new_inv, LowRankInverse)
                  else float(np.vdot(new_inv, s_reg)))  # <M^{-1}, S_reg>
         j = 0.5 * ((n_views + eps) * (logdet_m + inner - ell) - logdet_q)
-        return j, new, new_inv
+        return j, new, new_inv, s_reg
 
     trace: list[float] = []
     iter_ms: list[float] = []
@@ -568,7 +673,7 @@ def run_completion(
         if alpha is None:
             point = theta
             try:
-                j, new, new_inv = evaluate(model, model_inv)
+                j, new, new_inv, s_reg = evaluate(model, model_inv)
             except (NumericalError, NotPositiveDefiniteError) as exc:
                 raise NumericalError(f"iteration {it}: {exc}") from exc
         else:
@@ -578,7 +683,7 @@ def run_completion(
                                   for t, a, b in zip(cycle[2], r, v))
                     trial = type(model).from_parameters(point)
                 with np.errstate(over="raise", invalid="raise", divide="raise"):
-                    j, new, new_inv = evaluate(trial, trial.logdet_and_inverse()[1])
+                    j, new, new_inv, s_reg = evaluate(trial, trial.logdet_and_inverse()[1])
                 accepted = j <= trace[-1]
             except (NumericalError, NotPositiveDefiniteError, FloatingPointError):
                 accepted = False
@@ -587,7 +692,7 @@ def run_completion(
                 alpha = None
                 continue
 
-        model, model_inv = new, new_inv
+        model, model_inv, accepted_s_reg = new, new_inv, s_reg
         theta = model.parameters()
         residual.append(_relative_change(theta, point))
         step_length.append(alpha)
@@ -605,6 +710,8 @@ def run_completion(
         iter_ms.append((time.perf_counter() - t0) * 1e3)
         trace.append(j)
         if on_iteration is not None:
+            if factored:
+                accepted_s_reg.write(completed)
             on_iteration(it, completed, model)
         t0 = time.perf_counter()  # a rejected evaluation's time goes to the next accepted one
         # With nothing hidden the imputation is vacuous: one model fit is the answer.
@@ -614,6 +721,8 @@ def run_completion(
         if len(trace) >= 2 and abs(j - trace[-2]) / max(1.0, abs(trace[-2])) < cfg.tol:
             stop = STOP_TOL
             break
+    if factored and on_iteration is None:
+        accepted_s_reg.write(completed)
 
     return CompletionResult(
         completed=completed,

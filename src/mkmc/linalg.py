@@ -199,10 +199,11 @@ class LowRankInverse:
         """W^T M^{-1} = F - (F W) C^{-1} F, in O(ell q^2)."""
         return self.f - self.fw @ self.solve_c(self.f)
 
-    def inner(self, s: np.ndarray) -> float:
-        """<M^{-1}, S> = sum_i S_ii / d_i - <C^{-1}, F S F^T>, in O(ell^2 q)."""
+    def inner(self, s) -> float:
+        """<M^{-1}, S> = sum_i S_ii / d_i - <C^{-1}, F S F^T>, in O(ell^2 q); ``s`` is read only
+        through ``s @ x`` and ``s.diagonal()``."""
         fsf = self.f @ (s @ self.f.T)
-        return float(np.sum(np.diag(s) / self.d) - np.trace(self.solve_c(fsf)))
+        return float(np.sum(s.diagonal() / self.d) - np.trace(self.solve_c(fsf)))
 
 
 def low_rank_logdet_and_inverse(w: np.ndarray, d: np.ndarray) -> tuple[float, LowRankInverse]:

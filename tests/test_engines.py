@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -39,11 +41,6 @@ def full_eigh_pca(s, q):
     sigma2 = float(np.mean(vals[q:]))
     gap = np.clip(vals[:q] - sigma2, 0.0, None)
     return PcaModel(W=vecs[:, :q] * np.sqrt(gap), sigma2=sigma2)
-
-
-def dense_logdet_and_inverse(model):
-    """A model's log det and inverse, taken whole from the materialized matrix."""
-    return linalg.logdet_and_inverse(model.materialize())
 
 
 def make_instance(rng, ell, n_views, fraction, jitter=0.1):
@@ -615,7 +612,7 @@ class TestRunCompletion:
     @pytest.mark.parametrize("method,rank", [("pca", 3), ("fa", 3), ("pca", 12), ("fa", 12),
                                              ("pca", 24), ("fa", 24)],
                              ids=["pca", "fa", "pca-q12", "fa-q12", "pca-q24", "fa-q24"])
-    def test_low_rank_path_matches_dense_path(self, rng, method, rank, monkeypatch):
+    def test_low_rank_path_matches_dense_path(self, rng, method, rank):
         ell = 48  # q = ell/16, ell/4 and ell/2
         _, masked, pattern = make_instance(rng, ell, 3, 0.2)
         dense_objective = []
@@ -630,12 +627,7 @@ class TestRunCompletion:
         for it, (value, ref) in enumerate(zip(fast.trace, dense_objective), start=1):
             assert value == pytest.approx(ref, rel=1e-10), f"entry {it}"
 
-        model_class = {"pca": PcaModel, "fa": FaModel}[method]
-        monkeypatch.setattr(model_class, "logdet_and_inverse", dense_logdet_and_inverse)
-        if method == "fa":  # the E-step factors the model itself, never the dense held inverse
-            update = engines.fa_model_update
-            monkeypatch.setattr(engines, "fa_model_update", lambda s, prev, _inv: update(s, prev))
-        dense = run_completion(masked, pattern, cfg)
+        dense = dense_loop(masked, pattern, cfg)
         assert dense.iterations == fast.iterations and dense.rejected == fast.rejected
         assert dense.step_length == pytest.approx(fast.step_length, rel=1e-8)
         for c_fast, c_dense in zip(fast.completed, dense.completed):
@@ -731,6 +723,27 @@ class TestRunCompletion:
         assert result.iterations == 3 and result.rejected == 0
         assert counts == {"partition": 4, "impute_view": 3 * 3}
 
+    def test_fa_averages_the_views_only_at_setup(self, monkeypatch):
+        """``fa`` reads S_reg through products and its diagonal, so a run averages and
+        regularizes the views once, for S_0, hook or not."""
+        calls = []
+
+        def bind(name, original):
+            def counting(*args):
+                calls.append(name)
+                return original(*args)
+            monkeypatch.setattr(engines, name, counting)
+
+        for name in ("average_kernel", "regularize"):
+            bind(name, getattr(engines, name))
+        masked, pattern = seeded_problem(0)
+        for hook in (None, lambda *_: None):
+            calls.clear()
+            result = run_completion(masked, pattern, CompletionConfig(
+                method="fa", rank=2, max_iters=300), on_iteration=hook)
+            assert result.stop == "tol" and result.iterations > 3
+            assert calls == ["average_kernel", "regularize"]
+
     def test_numerical_error_names_the_view(self, rng, monkeypatch):
         # only view 1 hides two objects, so only its P_hh has dimension 2
         hidden = ((0,), (1, 2), ())
@@ -792,6 +805,50 @@ def plain_step(completed, pattern, m, model, cfg):
     if cfg.method == "pca":
         return pca_model_update(s_reg, cfg.rank)
     return fa_model_update(s_reg, model)
+
+
+def dense_loop(masked, pattern, cfg):
+    """The driver's accelerated loop rebuilt from the dense oracles: every evaluation is
+    plain_step from the materialized point (the documented start, the last accepted model, or
+    theta0 - 2 alpha r + alpha^2 v of the cycle's three models), and J is augmented_objective
+    of its result. Returns the completions, the trace, the step lengths and the counts."""
+    eps = cfg.reg_epsilon
+    completed = [apply_mask(q, h, Fill.ZERO) for q, h in zip(masked, pattern.hidden)]
+    model = start_model(masked, pattern, cfg.method, cfg.rank, eps)
+    trace, step_length, cycle, alpha, rejected = [], [], [], None, 0
+    for it in range(1, cfg.max_iters + 1):
+        point = model
+        if alpha is not None:  # as theta2 - 2(1 + alpha) r + (alpha^2 - 1) v
+            point = type(model).from_parameters(tuple(
+                t - 2.0 * (1.0 + alpha) * a + (alpha * alpha - 1.0) * b
+                for t, a, b in zip(cycle[2], r, v)))
+        trial = [c.copy() for c in completed]
+        try:
+            new = plain_step(trial, pattern, point.materialize(), point, cfg)
+            j = augmented_objective(trial, new, eps)
+        except (NotPositiveDefiniteError, NumericalError):
+            if alpha is None:
+                raise
+            j = np.inf
+        if alpha is not None and not j <= trace[-1]:
+            rejected, alpha = rejected + 1, None
+            continue
+        completed, model = trial, new
+        step_length.append(alpha)
+        alpha = None
+        cycle = cycle if len(cycle) < 3 else []
+        cycle.append(model.parameters())
+        if len(cycle) == 3 and it + 1 < cfg.max_iters:
+            r = [b - a for a, b in zip(*cycle[:2])]
+            v = [c - b - a for a, b, c in zip(r, *cycle[1:])]  # (theta2 - theta1) - r
+            rr, vv = (sum(float(np.vdot(x, x)) for x in parts) for parts in (r, v))
+            if rr > vv > 0.0:
+                alpha = -float(np.sqrt(rr / vv))
+        trace.append(j)
+        if len(trace) >= 2 and abs(j - trace[-2]) / max(1.0, abs(trace[-2])) < cfg.tol:
+            break
+    return SimpleNamespace(completed=completed, trace=trace, step_length=step_length,
+                           iterations=it, rejected=rejected)
 
 
 def seeded_problem(seed, ell=16, n_views=3):
@@ -908,6 +965,24 @@ class TestAcceleration:
             scale = max(np.linalg.norm(point), np.linalg.norm(thetas[i + 1]))
             expected = np.linalg.norm(thetas[i + 1] - point) / scale
             assert result.residual[i] == pytest.approx(expected, rel=1e-12), f"entry {i}"
+
+    @pytest.mark.parametrize("method, seed", [("fc", 0), ("pca", 0), ("fa", 0), ("fa", 2)])
+    def test_a_hook_changes_nothing(self, method, seed):
+        """A run with ``on_iteration`` returns bit for bit what one without returns, though
+        ``fa`` then writes its views after every accepted evaluation instead of once at the end.
+        ("fc", 0) and ("fa", 2) reject an extrapolation."""
+        masked, pattern = seeded_problem(seed)
+        cfg = CompletionConfig(method=method, rank=2, max_iters=300)
+        hooked = run_completion(masked, pattern, cfg, on_iteration=lambda *_: None)
+        plain = run_completion(masked, pattern, cfg)
+        assert hooked.stop == "tol" and (hooked.rejected >= 1) == ((method, seed) in (
+            ("fc", 0), ("fa", 2)))
+        for c_hooked, c_plain in zip(hooked.completed, plain.completed):
+            assert np.array_equal(c_hooked, c_plain)
+        for p_hooked, p_plain in zip(hooked.model.parameters(), plain.model.parameters()):
+            assert np.array_equal(p_hooked, p_plain)
+        for name in ("trace", "residual", "step_length", "rejected", "iterations"):
+            assert getattr(hooked, name) == getattr(plain, name), name
 
     @pytest.mark.parametrize("method, seed", [("fc", 0), ("fa", 2)])  # problems with a rejection
     def test_rejection_is_followed_by_the_plain_step(self, method, seed):

@@ -23,7 +23,9 @@ theta0 - 2 alpha r + alpha^2 v rebuilt from the recorded step length alpha and
 the three previous models (r = theta1 - theta0, v = theta2 - 2 theta1 + theta0,
 theta = M for fc, (W, log sigma2) for pca, (W, log psi) for fa). The drawn
 problems are small (ell <= 12), so both driver properties also run on explicit
-pca/fa examples at ell = 20 and 40.
+pca/fa examples at ell = 20 and 40. ``fa`` never averages the completed views in an
+iteration: it holds S_reg as S_0_reg plus the imputed blocks in factors, whose products and
+diagonal equal those of the dense average of the written views.
 
 A :class:`VisibilityPattern` built by a library caller obeys one integer rule:
 ``ell`` and every hidden index are integers of any integral type, numpy's
@@ -44,10 +46,12 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mkmc import matrixio
+from mkmc import engines, matrixio
 from mkmc.cli import main
-from mkmc.engines import METHODS, CompletionConfig, FullModel, PcaModel, objective, run_completion
+from mkmc.engines import (METHODS, CompletionConfig, FullModel, PcaModel, average_kernel,
+                          impute_view, objective, regularize, run_completion)
 from mkmc.errors import ConfigError, DimensionError
+from mkmc.linalg import low_rank_logdet_and_inverse
 from mkmc.views import Fill, VisibilityPattern, apply_mask, partition, random_mask
 
 from conftest import random_pd
@@ -202,6 +206,46 @@ def test_driver_imputes_like_dense_oracle(problem):
                 q_vh, q_hh = impute_from_model(got.q_vv, m_prev, h)
                 assert_close(c[got.vh], q_vh)
                 assert_close(c[got.hh], q_hh)
+
+
+@st.composite
+def imputed_states(draw):
+    """A zero-filled problem with unequal hidden sets, some views hiding nothing, and a random
+    low-rank model of any rank 1..ell-1 to impute from."""
+    ell = draw(st.integers(3, 12))
+    n_views = draw(st.integers(1, 4))
+    subset = st.lists(st.integers(0, ell - 1), unique=True, max_size=ell - 1).map(tuple)
+    hidden = [draw(subset) for _ in range(n_views)]
+    if draw(st.booleans()):  # the first view sees a single object
+        keep = draw(st.integers(0, ell - 1))
+        hidden[0] = tuple(i for i in range(ell) if i != keep)
+    rank = draw(st.integers(1, ell - 1))
+    eps = draw(st.sampled_from([0.0, 1e-3]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return VisibilityPattern(ell=ell, hidden=tuple(hidden)), rank, eps, seed
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(imputed_states())
+@example((VisibilityPattern(ell=6, hidden=((), ())), 2, 0.0, 1))
+@example((VisibilityPattern(ell=7, hidden=((0, 1, 2, 3, 4, 5), (6,), (), (2, 3))), 6, 1e-3, 2))
+def test_imputed_average_matches_the_dense_average(state):
+    """``fa``'s S_reg held as S_0_reg plus the imputed blocks in factors gives the products and
+    the diagonal of regularize(average_kernel(completed)) once its views are written."""
+    pattern, rank, eps, seed = state
+    rng = np.random.default_rng(seed)
+    completed = masked_views(pattern, seed)
+    views = [(k, partition(c, h)) for k, (c, h) in enumerate(zip(completed, pattern.hidden)) if h]
+    s0_reg = regularize(average_kernel(completed), pattern.n_views, eps)
+    inverse = low_rank_logdet_and_inverse(rng.standard_normal((pattern.ell, rank)),
+                                          rng.uniform(0.1, 2.0, pattern.ell))[1]
+    factors = [impute_view(inverse, view, True)[1:] for _, view in views]
+    s_reg = engines._ImputedAverage(s0_reg, pattern.n_views + eps, views, inverse, factors)
+    s_reg.write(completed)
+    dense = regularize(average_kernel(completed), pattern.n_views, eps)
+    x = rng.standard_normal((pattern.ell, rank))
+    assert_close(s_reg @ x, dense @ x, rel=1e-12)
+    assert_close(s_reg.diagonal(), np.diag(dense), rel=1e-12)
 
 
 @pytest.mark.parametrize("ell, hidden", [
