@@ -61,7 +61,7 @@ PD matrices used here all come from :mod:`mkmc.linalg`.
 
 Each model factors itself (``logdet_and_inverse``), and the driver holds P as
 :mod:`mkmc.linalg` returns it, in one of two forms; :func:`impute_view`, the
-per-view step, takes either (and for ``fa`` returns the hidden blocks in factors,
+per-view step, takes either (and for ``pca``/``fa`` returns the hidden blocks in factors,
 below), and :func:`~mkmc.views.partition` splits each view once, at set-up. The
 whole ell x ell P, as above, serves ``fc`` only
 (O(ell^3) per iteration for M, plus O(n_h^3 + n_v^2 n_h) per view; only views
@@ -86,38 +86,44 @@ Extrapolating (W, log d) is O(ell q) and factoring the point O(ell q^2), so
 the model is never materialized there either, and a ``pca``/``fa`` run
 factors no ell x ell matrix at all. :func:`fa_model_update` reuses the held
 factorization, so an ``fa`` iteration has no O(ell^3) step.
-:func:`pca_model_update` computes only the top q eigenpairs. In an iteration it
-starts from the W being refit (for an extrapolated point, the point's W) and runs
-subspace iteration, O(ell^2 q) per step, whose pairs are kept only when certified
-to be the top q (:func:`~mkmc.linalg.eigh_warm`); otherwise, and for the start
-model, which has no start, LAPACK ``dsyevr`` reduces S to tridiagonal form in
-O(ell^3). With a rank criterion one ``dsyevr`` over the eigenvalues above its
-threshold gives both the rank and the start model's pairs. Past about
+:func:`pca_model_update` computes only the top q eigenpairs, by subspace iteration from a
+start, O(ell^2 q) per step, whose pairs are kept only when certified to be the top q
+(:func:`~mkmc.linalg.eigh_warm`); otherwise LAPACK ``dsyevr`` reduces S to tridiagonal form
+in O(ell^3). In an iteration the start is the W being refit (for an extrapolated point, the
+point's W); for the start model with a given rank it is S_0's columns at its q largest
+diagonal entries, in index order. With a rank criterion one ``dsyevr`` over the eigenvalues
+above its threshold gives both the rank and the start model's pairs. Past about
 q = ell/4 the factored steps cost more than dense ones would (up to 2.5x per
 iteration at q = ell/2); no default rank picks such a q. The dense path, materialized from W and d, is
 the test oracle of the factored one.
 
-An ``fa`` evaluation writes, averages and regularizes no ell x ell matrix either. Its
-refit reads S_reg only as S_reg B^T (B = W^T M^{-1}) and diag S_reg, and the trace term
-only as S_reg F^T and diag S_reg. The set-up's S_0_reg, the regularized average of the
-zero-filled views, is kept for the run, and the hidden blocks stay in the per-view
-step's factors, stacked over the views that hide objects:
+A ``pca`` or ``fa`` evaluation writes and averages no view. The set-up's S_0_reg, the
+regularized average of the zero-filled views, is kept for the run, and the hidden blocks
+stay in the per-view step's factors, stacked over the views that hide objects
+(:class:`_ImputedAverage`):
 
     S_reg = S_0_reg + (Z Y^T + Y Z^T + Y G Y^T + diag(d o n)) / (K + eps),
 
 with Z_k = Q_vv A on view k's visible rows and Y_k = W (the imputing model's) on its
 hidden rows, both zero elsewhere, G = diag(G_k), G_k = C_v^{-1} + A^T Q_vv A, and n_i the
-number of views hiding object i. So S_reg X is S_0_reg X plus a fixed handful of BLAS
-calls whatever K is, O(ell^2 p + ell K q p) for an ell x p X, and diag S_reg costs
-O(ell K q^2). The completed views are written from the last accepted evaluation's
-factors once, at the end, and also after every accepted evaluation when
-``on_iteration`` is set: a hooked run (the benchmark's traced runs) pays those writes.
-At large q the stacked products cost more than writing: O(ell K q^2) against O(K ell^2).
-At ell = 400, K = 8 and half of the objects hidden (one BLAS thread), an evaluation's
-products and diagonal took 4.3 ms against 18 ms for writing and averaging at q = 40, but
-24-29 against 20 ms at q = 100 and 88 against 25 ms at q = 200. ``fc`` keeps writing and
-averaging the views, as its model is S_reg itself, and so does ``pca``: the certificate
-of its warm refit reads ||S||_F^2, and its ``dsyevr`` fallback reads the whole S.
+number of views hiding object i. The ``fa`` refit reads S_reg only as S_reg B^T
+(B = W^T M^{-1}) and diag S_reg, and the trace term only as S_reg F^T and diag S_reg: S_reg X
+is S_0_reg X plus a fixed handful of BLAS calls whatever K is, O(ell^2 p + ell K q p) for an
+ell x p X, and diag S_reg costs O(ell K q^2). ``pca`` reads the whole S_reg: the certificate
+of its warm refit reads ||S_reg||_F^2, and its ``dsyevr`` fallback all of it. With
+Z~_k = Z_k + Y_k G_k / 2 the imputed part is Z~ Y^T + Y Z~^T, so S_reg is assembled by one
+BLAS-3 product, O(ell^2 K q), and comes out exactly symmetric. The completed views are
+written from the last accepted evaluation's factors once, at the end, and also after every
+accepted evaluation when ``on_iteration`` is set: a hooked run (the benchmark's traced runs)
+pays those writes. At large q both cost more than writing, O(K ell^2): the products,
+O(ell K q^2), and the assembly once K q nears ell to 2 ell. Per evaluation, best
+of 7 on one BLAS thread in two sessions on a shared host, ``fa``'s two products and diagonal,
+``pca``'s assembly and writing and averaging took, at ell = 400, K = 8 and half of the
+objects hidden, 3.4, 3.7-6.2 and 6.7-8.0 ms at q = 40; 22, 9.5-21 and 9.7-14 ms at q = 100;
+and 88, 22-38 and 14-20 ms at q = 200; at ell = 800, K = 8 and a fifth hidden, 1.8, 3.6-3.7
+and 18-19 ms at q = 5, and 33, 28-35 and 23-24 ms at q = 100. No default rank reaches
+such a q, and no size rule picks a path. ``fc`` keeps writing and averaging the views, as
+its model is S_reg itself.
 """
 
 from __future__ import annotations
@@ -132,7 +138,7 @@ import numpy as np
 from .errors import ConfigError, DimensionError, NotPositiveDefiniteError, NumericalError
 from .linalg import (EigenDecomposition, LowRankInverse, eigh_sorted, eigh_warm, logdet,
                      logdet_and_inverse, logdet_divergences, low_rank_logdet_and_inverse,
-                     symmetrize)
+                     symmetric_update, symmetrize)
 from .views import (Fill, PartitionedView, VisibilityPattern, apply_mask, is_integer, is_real,
                     partition)
 
@@ -345,10 +351,12 @@ def pca_model_update(s_reg: np.ndarray, q: int, start: Optional[np.ndarray] = No
     (Tipping & Bishop 1999).
 
     Without ``start`` the pairs come from LAPACK ``dsyevr``, which reduces S to
-    tridiagonal form in O(ell^3). With ``start``, the ell x q W of the model being
-    refit, they come from :func:`~mkmc.linalg.eigh_warm`: subspace iteration from its
+    tridiagonal form in O(ell^3). With an ell x q ``start`` (the driver passes the W of the
+    model being refit, or, for the start model, S_0_reg's columns at its q largest diagonal
+    entries) they come from :func:`~mkmc.linalg.eigh_warm`: subspace iteration from its
     span, O(ell^2 q) per step, returned only when certified to be the top q, and
-    ``dsyevr`` otherwise.
+    ``dsyevr`` otherwise. ``s_reg`` is a plain array; the driver assembles it for ``pca``
+    (``_ImputedAverage.dense``).
     """
     ell = s_reg.shape[0]
     if not 1 <= q <= ell - 1:
@@ -458,7 +466,8 @@ def _write(c: np.ndarray, view: PartitionedView, q_vh: np.ndarray, q_hh: np.ndar
 
 
 class _ImputedAverage:
-    """S_reg of an ``fa`` evaluation, held as the fixed S_0_reg plus the imputed blocks in factors.
+    """S_reg of a ``pca``/``fa`` evaluation, held as the fixed S_0_reg plus the imputed blocks in
+    factors.
 
     Over the m views that hide objects, stacked (module docstring),
 
@@ -467,8 +476,9 @@ class _ImputedAverage:
     Z_k is Q_vv A on the view's visible rows, Y_k the imputing model's W on its hidden rows
     (both zero elsewhere), G = diag(G_k) and n_i the number of views hiding object i. It offers
     what the ``fa`` refit and the trace term read of S_reg: ``s @ x`` for an ell x p ``x``, in
-    a fixed number of BLAS calls whatever K is, and :meth:`diagonal`, O(ell K q^2). ``write``
-    puts the dense blocks into the completed views.
+    a fixed number of BLAS calls whatever K is, and :meth:`diagonal`, O(ell K q^2) at its first
+    call. :meth:`dense` assembles S_reg itself for ``pca``, in O(ell^2 K q). ``write`` puts the
+    dense blocks into the completed views.
     """
 
     def __init__(self, s0_reg: np.ndarray, denom: float, views: list,
@@ -485,12 +495,10 @@ class _ImputedAverage:
             zy[view.hid, 1, i] = w[view.hid]
             n_hiding[view.hid] += 1.0
         self.zy = zy.reshape(ell, 2 * m * q)  # [Z, Y]
+        self.z, self.y = zy[:, 0], zy[:, 1]  # ell x m x q views
         self.g = np.array([g for _, g in factors]).reshape(m, q, q)
         self.delta = d * n_hiding
-        y = zy[:, 1]
-        # diag(Z Y^T) = 0, as Z_k and Y_k share no nonzero row
-        y_g_y = np.einsum("kia,ika->i", np.matmul(y.transpose(1, 0, 2), self.g), y)
-        self._diagonal = s0_reg.diagonal() + (y_g_y + self.delta) / denom
+        self._diagonal = None
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         m, q = self.g.shape[:2]
@@ -500,7 +508,22 @@ class _ImputedAverage:
         return self.s0_reg @ x + (self.zy @ core + self.delta[:, None] * x) / self.denom
 
     def diagonal(self) -> np.ndarray:
+        if self._diagonal is None:
+            # diag(Z Y^T) = 0, as Z_k and Y_k share no nonzero row
+            y_g_y = np.einsum("kia,ika->i", np.matmul(self.y.transpose(1, 0, 2), self.g), self.y)
+            self._diagonal = self.s0_reg.diagonal() + (y_g_y + self.delta) / self.denom
         return self._diagonal
+
+    def dense(self) -> np.ndarray:
+        """S_reg as an exactly symmetric ell x ell array, with no view written: with
+        Z~_k = Z_k + Y_k G_k / 2, the imputed part Z Y^T + Y Z^T + Y G Y^T is Z~ Y^T + Y Z~^T,
+        one BLAS-3 product (:func:`~mkmc.linalg.symmetric_update`)."""
+        ell, m, q = self.y.shape
+        half_yg = 0.5 * np.matmul(self.y.transpose(1, 0, 2), self.g).transpose(1, 0, 2)
+        z_tilde = ((self.z + half_yg) / self.denom).reshape(ell, m * q)
+        s_reg = symmetric_update(self.s0_reg, z_tilde, self.y.reshape(ell, m * q))
+        s_reg.flat[::ell + 1] += self.delta / self.denom
+        return s_reg
 
     def write(self, completed: list[np.ndarray]) -> None:
         """Write each view's dense Q_vh and Q_hh into ``completed``."""
@@ -614,11 +637,15 @@ def run_completion(
     dof = degrees_of_freedom(cfg.method, ell, rank)
 
     # The start: the model fitted to S_0. FA has no closed-form fit; it takes the PPCA
-    # loadings and, as noise, what they leave of each variance.
+    # loadings and, as noise, what they leave of each variance. With a given rank the PPCA
+    # fit is warm, from S_0's columns at its q largest variances (in index order).
     if cfg.method == METHOD_FC:
         model = FullModel(matrix=s0_reg)
+    elif eig is None:
+        top = np.sort(np.argsort(-s0_reg.diagonal(), kind="stable")[:rank])
+        model = pca_model_update(s0_reg, rank, s0_reg[:, top])
     else:
-        model = pca_model_update(s0_reg, rank) if eig is None else _pca_fit(s0_reg, eig)
+        model = _pca_fit(s0_reg, eig)
     if cfg.method == METHOD_FA:
         model = FaModel(W=model.W, psi=_fa_noise(s0_reg, model.W, model.W))
     try:
@@ -627,16 +654,16 @@ def run_completion(
         raise NumericalError(f"initial model matrix: {exc}") from exc
     theta = model.parameters()
 
-    # fa reads S_reg only through products and its diagonal, so it holds it implicitly and
-    # writes the views only when they are read: after an accepted evaluation with a hook, and
-    # at the end. fc and pca write every evaluation's views and average them.
-    factored = cfg.method == METHOD_FA
+    # pca and fa hold S_reg as S_0_reg plus the imputed blocks in factors, and write the views
+    # only when they are read: after an accepted evaluation with a hook, and at the end. fc
+    # writes every evaluation's views and averages them.
+    factored = cfg.method != METHOD_FC
 
     def evaluate(prev: ModelParams, prev_inv):
         """F at ``prev`` (inverse ``prev_inv``): impute every view, refit; J of the result, the
-        new model, its inverse and S_reg."""
+        new model, its inverse and the :class:`_ImputedAverage` (None for ``fc``)."""
         logdet_q = logdet_vv  # sum_k log det Q^(k) after imputing from prev
-        factors = []  # fa: each view's (Q_vv A, G)
+        factors = []  # pca/fa: each view's (Q_vv A, G)
         for k, view in views:
             try:
                 logdet_p_hh, *blocks = impute_view(prev_inv, view, factored)
@@ -648,8 +675,11 @@ def run_completion(
                 factors.append(blocks)
             else:
                 _write(completed[k], view, *blocks)
-        s_reg = (_ImputedAverage(s0_reg, n_views + eps, views, prev_inv, factors) if factored
-                 else regularize(average_kernel(completed), n_views, eps))
+        if factored:  # fa reads S_reg through products, pca whole
+            imputed = _ImputedAverage(s0_reg, n_views + eps, views, prev_inv, factors)
+            s_reg = imputed.dense() if cfg.method == METHOD_PCA else imputed
+        else:
+            imputed, s_reg = None, regularize(average_kernel(completed), n_views, eps)
         if cfg.method == METHOD_FC:
             new = fc_model_update(s_reg)
         elif cfg.method == METHOD_PCA:
@@ -660,7 +690,7 @@ def run_completion(
         inner = (new_inv.inner(s_reg) if isinstance(new_inv, LowRankInverse)
                  else float(np.vdot(new_inv, s_reg)))  # <M^{-1}, S_reg>
         j = 0.5 * ((n_views + eps) * (logdet_m + inner - ell) - logdet_q)
-        return j, new, new_inv, s_reg
+        return j, new, new_inv, imputed
 
     trace: list[float] = []
     iter_ms: list[float] = []
@@ -673,7 +703,7 @@ def run_completion(
         if alpha is None:
             point = theta
             try:
-                j, new, new_inv, s_reg = evaluate(model, model_inv)
+                j, new, new_inv, imputed = evaluate(model, model_inv)
             except (NumericalError, NotPositiveDefiniteError) as exc:
                 raise NumericalError(f"iteration {it}: {exc}") from exc
         else:
@@ -683,7 +713,7 @@ def run_completion(
                                   for t, a, b in zip(cycle[2], r, v))
                     trial = type(model).from_parameters(point)
                 with np.errstate(over="raise", invalid="raise", divide="raise"):
-                    j, new, new_inv, s_reg = evaluate(trial, trial.logdet_and_inverse()[1])
+                    j, new, new_inv, imputed = evaluate(trial, trial.logdet_and_inverse()[1])
                 accepted = j <= trace[-1]
             except (NumericalError, NotPositiveDefiniteError, FloatingPointError):
                 accepted = False
@@ -692,7 +722,7 @@ def run_completion(
                 alpha = None
                 continue
 
-        model, model_inv, accepted_s_reg = new, new_inv, s_reg
+        model, model_inv, accepted_imputed = new, new_inv, imputed
         theta = model.parameters()
         residual.append(_relative_change(theta, point))
         step_length.append(alpha)
@@ -711,7 +741,7 @@ def run_completion(
         trace.append(j)
         if on_iteration is not None:
             if factored:
-                accepted_s_reg.write(completed)
+                accepted_imputed.write(completed)
             on_iteration(it, completed, model)
         t0 = time.perf_counter()  # a rejected evaluation's time goes to the next accepted one
         # With nothing hidden the imputation is vacuous: one model fit is the answer.
@@ -722,7 +752,7 @@ def run_completion(
             stop = STOP_TOL
             break
     if factored and on_iteration is None:
-        accepted_s_reg.write(completed)
+        accepted_imputed.write(completed)
 
     return CompletionResult(
         completed=completed,

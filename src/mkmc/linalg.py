@@ -1,7 +1,8 @@
 """Dense symmetric-matrix primitives.
 
 Everything downstream (views, completion engines, evaluation) works with
-plain float64 ndarrays that are kept exactly symmetric via :func:`symmetrize`.
+plain float64 ndarrays that are kept exactly symmetric via :func:`symmetrize`, or, for
+a symmetric rank-2p update, :func:`symmetric_update`.
 Every log det and inverse of a PD matrix is taken here, from one Cholesky factor:
 of the matrix itself (:func:`logdet_and_inverse`), or, for a low-rank-plus-diagonal
 matrix W W^T + diag(d), of its q x q capacitance matrix
@@ -32,6 +33,16 @@ def symmetrize(raw) -> np.ndarray:
     out = a + a.T
     out *= 0.5
     return out
+
+
+def symmetric_update(s: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """S + X Y^T + Y X^T as a new, exactly symmetric array, for an exactly symmetric ell x ell
+    ``s`` and ell x p ``x`` and ``y``: C = S/2 + X Y^T by one BLAS ``dgemm``, O(ell^2 p), then
+    C + C^T."""
+    c = s * 0.5
+    # C^T += Y X^T: C^T is C's memory in Fortran order, so dgemm writes it in place
+    c = sla.blas.dgemm(1.0, y, x, beta=1.0, c=c.T, trans_b=1, overwrite_c=1)
+    return c + c.T
 
 
 @dataclass(frozen=True)

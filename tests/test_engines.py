@@ -664,6 +664,72 @@ class TestRunCompletion:
                 for part, expected in zip(model.parameters(), ref.parameters()):
                     assert np.linalg.norm(part - expected) <= 1e-10 * np.linalg.norm(expected), i
 
+    @staticmethod
+    def start_fit(masked, pattern, cfg, monkeypatch):
+        """Run ``cfg`` counting ``eigh_sorted`` calls; (calls before the first per-view step,
+        calls in all, the factors W and d of the model iteration 1 imputes from)."""
+        original, step, calls, start = linalg.eigh_sorted, engines.impute_view, [], []
+
+        def counting(*args, **kwargs):
+            calls.append("eigh")
+            return original(*args, **kwargs)
+
+        def stepping(inverse, *args):
+            if not start:
+                start.extend([calls.count("eigh"), inverse.w, inverse.d])
+            return step(inverse, *args)
+
+        for module in (linalg, engines):
+            monkeypatch.setattr(module, "eigh_sorted", counting)
+        monkeypatch.setattr(engines, "impute_view", stepping)
+        run_completion(masked, pattern, cfg)
+        monkeypatch.undo()
+        return start[0], len(calls), start[1], start[2]
+
+    @pytest.mark.parametrize("method", ["pca", "fa"])
+    def test_setup_fit_is_warm_when_certified(self, method, monkeypatch):
+        """With a given rank the start's PPCA fit is the certified warm solve from S_0's
+        columns at its q largest variances: on a well-gapped planted problem no ``dsyevr``
+        runs at all, and the start is the documented one (``dsyevr``'s) to rounding."""
+        spec = SyntheticSpec(ell=200, n_views=3, true_rank=3, noise_sigma2=0.1,
+                             per_view_jitter=0.05, seed=3)
+        pattern = random_mask(200, 3, 0.2, seed=3)
+        masked = [apply_mask(t, h, Fill.ZERO) for t, h in zip(generate_synthetic(spec), pattern.hidden)]
+        cfg = CompletionConfig(method=method, rank=3, max_iters=5)
+        at_setup, total, w, d = self.start_fit(masked, pattern, cfg, monkeypatch)
+        assert at_setup == total == 0
+        ref = start_model(masked, pattern, method, 3, cfg.reg_epsilon).materialize()
+        assert np.linalg.norm(w @ w.T + np.diag(d) - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("method", ["pca", "fa"])
+    def test_setup_fit_falls_back_on_a_dependent_start(self, method, monkeypatch):
+        """With object 1 made a copy of object 0 (up to a relative 2e-15 on the diagonal), and
+        eps = 0, the two have the largest variances and the start's first two columns are
+        dependent to rounding: the warm solve refuses them, and the start is ``dsyevr``'s, bit
+        for bit. Without the copy the same problem's start is certified."""
+        ell, hidden = 40, ((5, 9, 17), (2, 9, 30, 31), (11, 12))
+        pattern = VisibilityPattern(ell=ell, hidden=hidden)
+        cfg = CompletionConfig(method=method, rank=3, reg_epsilon=0.0, max_iters=1)
+        for copy in (False, True):
+            rng = np.random.default_rng(12345)
+            x = rng.standard_normal((ell, 3))
+            x[0] *= 3.0
+            objects = np.r_[0, 0, 2:ell] if copy else np.arange(ell)
+            masked = []
+            for h in hidden:
+                view = (x @ x.T + 0.1 * np.eye(ell) + 0.05 * random_pd(rng, ell) / ell)[
+                    np.ix_(objects, objects)]
+                view[[0, 1], [0, 1]] *= 1.0 + 2e-15 * copy
+                masked.append(apply_mask(view, h, Fill.ZERO))
+            at_setup, _, w, d = self.start_fit(masked, pattern, cfg, monkeypatch)
+            assert at_setup == copy  # with the copy, the fallback
+        ref = start_model(masked, pattern, method, 3, 0.0)  # the problem with the copy
+        assert np.array_equal(w, ref.W)
+        if method == "pca":
+            assert np.array_equal(d, np.full(ell, ref.sigma2))
+        else:  # the oracle's psi = diag(S_0 - W W^T) sums in another order
+            np.testing.assert_allclose(d, ref.psi, rtol=1e-12, atol=0)
+
     @pytest.mark.parametrize("method,model", [
         ("pca", PcaModel(W=np.ones((48, 2)), sigma2=0.0)),
         ("fa", FaModel(W=np.ones((48, 2)), psi=np.r_[np.ones(47), -1e-3])),
@@ -723,9 +789,11 @@ class TestRunCompletion:
         assert result.iterations == 3 and result.rejected == 0
         assert counts == {"partition": 4, "impute_view": 3 * 3}
 
-    def test_fa_averages_the_views_only_at_setup(self, monkeypatch):
-        """``fa`` reads S_reg through products and its diagonal, so a run averages and
-        regularizes the views once, for S_0, hook or not."""
+    @pytest.mark.parametrize("method", ["pca", "fa"])
+    def test_averages_the_views_only_at_setup(self, method, monkeypatch):
+        """``fa`` reads S_reg through products and its diagonal, and ``pca`` assembles it from
+        S_0_reg and the imputed blocks in factors, so a run averages and regularizes the views
+        once, for S_0, hook or not."""
         calls = []
 
         def bind(name, original):
@@ -740,7 +808,7 @@ class TestRunCompletion:
         for hook in (None, lambda *_: None):
             calls.clear()
             result = run_completion(masked, pattern, CompletionConfig(
-                method="fa", rank=2, max_iters=300), on_iteration=hook)
+                method=method, rank=2, max_iters=300), on_iteration=hook)
             assert result.stop == "tol" and result.iterations > 3
             assert calls == ["average_kernel", "regularize"]
 

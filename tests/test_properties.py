@@ -23,9 +23,10 @@ theta0 - 2 alpha r + alpha^2 v rebuilt from the recorded step length alpha and
 the three previous models (r = theta1 - theta0, v = theta2 - 2 theta1 + theta0,
 theta = M for fc, (W, log sigma2) for pca, (W, log psi) for fa). The drawn
 problems are small (ell <= 12), so both driver properties also run on explicit
-pca/fa examples at ell = 20 and 40. ``fa`` never averages the completed views in an
-iteration: it holds S_reg as S_0_reg plus the imputed blocks in factors, whose products and
-diagonal equal those of the dense average of the written views.
+pca/fa examples at ell = 20 and 40. ``pca`` and ``fa`` never average the completed views in
+an iteration: they hold S_reg as S_0_reg plus the imputed blocks in factors, whose products
+and diagonal (``fa``) and assembled matrix (``pca``) equal those of the dense average of the
+written views.
 
 A :class:`VisibilityPattern` built by a library caller obeys one integer rule:
 ``ell`` and every hidden index are integers of any integral type, numpy's
@@ -230,8 +231,9 @@ def imputed_states(draw):
 @example((VisibilityPattern(ell=6, hidden=((), ())), 2, 0.0, 1))
 @example((VisibilityPattern(ell=7, hidden=((0, 1, 2, 3, 4, 5), (6,), (), (2, 3))), 6, 1e-3, 2))
 def test_imputed_average_matches_the_dense_average(state):
-    """``fa``'s S_reg held as S_0_reg plus the imputed blocks in factors gives the products and
-    the diagonal of regularize(average_kernel(completed)) once its views are written."""
+    """S_reg held as S_0_reg plus the imputed blocks in factors gives the products and the
+    diagonal (``fa``) and the whole matrix (``pca``, exactly symmetric and assembled before any
+    view is written) of regularize(average_kernel(completed)) once its views are written."""
     pattern, rank, eps, seed = state
     rng = np.random.default_rng(seed)
     completed = masked_views(pattern, seed)
@@ -241,11 +243,14 @@ def test_imputed_average_matches_the_dense_average(state):
                                           rng.uniform(0.1, 2.0, pattern.ell))[1]
     factors = [impute_view(inverse, view, True)[1:] for _, view in views]
     s_reg = engines._ImputedAverage(s0_reg, pattern.n_views + eps, views, inverse, factors)
+    assembled = s_reg.dense()
     s_reg.write(completed)
     dense = regularize(average_kernel(completed), pattern.n_views, eps)
     x = rng.standard_normal((pattern.ell, rank))
     assert_close(s_reg @ x, dense @ x, rel=1e-12)
     assert_close(s_reg.diagonal(), np.diag(dense), rel=1e-12)
+    assert_close(assembled, dense, rel=1e-12)
+    assert np.array_equal(assembled, assembled.T)
 
 
 @pytest.mark.parametrize("ell, hidden", [
