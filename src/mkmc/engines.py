@@ -20,6 +20,11 @@ W with psi = diag(S_0 - W W^T), floored as in :func:`fa_model_update`), so
 iteration 1 is a plain step; for ``pca``/``fa`` the paper's start, model matrix
 = S_0, is not a model of their kind. Objects no view sees are refused.
 
+The set-up makes one pass per view, in view order, while the view is in cache: it zero-fills
+the view's hidden rows and columns, adds it into S_0's sum, splits it once for the run
+(:func:`~mkmc.views.partition`) and factors Q_vv for the fixed log det Q^(k)_vv; S_0 is then
+averaged and regularized in place. That is O(K ell^2) memory passes plus sum_k n_v^3/3 flops.
+
 The map converges linearly at a rate near 1, like EM, so the driver
 accelerates it by SQUAREM (Varadhan & Roland 2008, *Scand. J. Stat.*) over the
 model parameters theta: M for ``fc``, (W, log sigma2) for ``pca`` and
@@ -59,13 +64,10 @@ and an extrapolated evaluation also factors its starting point.
 :func:`objective` is the dense reference. The log dets and inverses of
 PD matrices used here all come from :mod:`mkmc.linalg`.
 
-Each model factors itself (``logdet_and_inverse``), and the driver holds P as
-:mod:`mkmc.linalg` returns it, in one of two forms; :func:`impute_view`, the
-per-view step, takes either (and for ``pca``/``fa`` returns the hidden blocks in factors,
-below), and :func:`~mkmc.views.partition` splits each view once, at set-up. The
-whole ell x ell P, as above, serves ``fc`` only
-(O(ell^3) per iteration for M, plus O(n_h^3 + n_v^2 n_h) per view; only views
-sharing a hidden set could share that per-view work).
+Each model factors itself (``logdet_and_inverse``), and the driver holds P in the form
+:mod:`mkmc.linalg` returns; :func:`impute_view`, the per-view step, takes either form. The
+whole ell x ell P, as above, serves ``fc`` only: O(ell^3) per iteration for M, plus
+O(n_h^3 + n_v^2 n_h) per view.
 
 ``pca`` and ``fa`` models are low rank plus diagonal, M = W W^T + D with
 D = diag(d) (``pca``: d = sigma2 * 1). From the start model on,
@@ -92,10 +94,8 @@ start, O(ell^2 q) per step, whose pairs are kept only when certified to be the t
 in O(ell^3). In an iteration the start is the W being refit (for an extrapolated point, the
 point's W); for the start model with a given rank it is S_0's columns at its q largest
 diagonal entries, in index order. With a rank criterion one ``dsyevr`` over the eigenvalues
-above its threshold gives both the rank and the start model's pairs. Past about
-q = ell/4 the factored steps cost more than dense ones would (up to 2.5x per
-iteration at q = ell/2); no default rank picks such a q. The dense path, materialized from W and d, is
-the test oracle of the factored one.
+above its threshold gives both the rank and the start model's pairs. The dense path,
+materialized from W and d, is the test oracle of the factored one.
 
 A ``pca`` or ``fa`` evaluation writes and averages no view. The set-up's S_0_reg, the
 regularized average of the zero-filled views, is kept for the run, and the hidden blocks
@@ -116,14 +116,9 @@ BLAS-3 product, O(ell^2 K q), and comes out exactly symmetric. The completed vie
 written from the last accepted evaluation's factors once, at the end, and also after every
 accepted evaluation when ``on_iteration`` is set: a hooked run (the benchmark's traced runs)
 pays those writes. At large q both cost more than writing, O(K ell^2): the products,
-O(ell K q^2), and the assembly once K q nears ell to 2 ell. Per evaluation, best
-of 7 on one BLAS thread in two sessions on a shared host, ``fa``'s two products and diagonal,
-``pca``'s assembly and writing and averaging took, at ell = 400, K = 8 and half of the
-objects hidden, 3.4, 3.7-6.2 and 6.7-8.0 ms at q = 40; 22, 9.5-21 and 9.7-14 ms at q = 100;
-and 88, 22-38 and 14-20 ms at q = 200; at ell = 800, K = 8 and a fifth hidden, 1.8, 3.6-3.7
-and 18-19 ms at q = 5, and 33, 28-35 and 23-24 ms at q = 100. No default rank reaches
-such a q, and no size rule picks a path. ``fc`` keeps writing and averaging the views, as
-its model is S_reg itself.
+O(ell K q^2), and the assembly once K q nears ell to 2 ell (README gives the timings). No
+default rank reaches such a q, and no size rule picks a path. ``fc`` keeps writing and
+averaging the views, as its model is S_reg itself.
 """
 
 from __future__ import annotations
@@ -283,7 +278,8 @@ class CompletionResult:
     ``iter_ms``, ``residual`` and ``step_length`` hold one entry per accepted
     evaluation, so each has ``iterations - rejected`` entries. ``residual`` is
     measured from the evaluated point, for iteration 1 the start model;
-    ``step_length`` is None for a plain step.
+    ``step_length`` is None for a plain step. ``setup_ms`` is the wall time from entry until
+    the start model is factored, where iteration 1's ``iter_ms`` clock starts.
     """
 
     completed: list[np.ndarray]
@@ -297,6 +293,7 @@ class CompletionResult:
     residual: list[float] = field(default_factory=list)
     step_length: list[Optional[float]] = field(default_factory=list)
     rejected: int = 0
+    setup_ms: float = 0.0
 
     @property
     def converged(self) -> bool:
@@ -590,31 +587,28 @@ def run_completion(
 ) -> CompletionResult:
     """Block coordinate descent completing all K views against one model, SQUAREM-accelerated.
 
-    Refuses a pattern with an object hidden in every view (``DimensionError``).
-    Hidden blocks are zero-initialized, the model starts as the one fitted to the
-    regularized average of the views (module docstring), and each map evaluation
-    imputes every view from one model before a single model update. From the
-    model after iteration 1 on, the evaluations run in cycles of three: two plain
-    steps, then one from the extrapolated point, kept only if the objective does
-    not rise. Stops when the relative change of the objective drops below
-    ``cfg.tol``, after ``cfg.max_iters`` evaluations, or after the first
-    iteration when nothing is hidden. Visible entries of the inputs are never
-    modified. ``on_iteration`` is invoked after every accepted evaluation with
-    (iteration, completed matrices, model) for inspection; iteration counts
-    evaluations, rejected ones included.
+    Refuses a pattern with an object hidden in every view (``DimensionError``). The module
+    docstring gives the set-up, the start and the SQUAREM cycles. Stops when the relative
+    change of the objective drops below ``cfg.tol``, after ``cfg.max_iters`` evaluations, or
+    after the first iteration when nothing is hidden. No input is written or aliased.
+    ``on_iteration`` is invoked after every accepted evaluation with (iteration, completed
+    matrices, model) for inspection; iteration counts evaluations, rejected ones included.
     """
+    t_entry = time.perf_counter()
     pattern.check(qs_masked)
     if pattern.unobserved:
         raise DimensionError(f"objects {list(pattern.unobserved)} are hidden in every view")
     n_views, ell = pattern.n_views, pattern.ell
     eps = cfg.reg_epsilon
 
-    # Zero-initialize hidden blocks (also validates the visible blocks).
-    completed = [apply_mask(q, h, Fill.ZERO) for q, h in zip(qs_masked, pattern.hidden)]
-    # Fixed for the run: sum_k log det Q^(k)_vv, and (k, split) of each view hiding objects
-    logdet_vv = 0.0
-    views = []
-    for k, (c, h) in enumerate(zip(completed, pattern.hidden)):
+    # One pass per view, while it is in cache: zero-fill it (which validates its visible block),
+    # add it into S_0's sum in average_kernel's order, split it and factor Q_vv. Fixed for the
+    # run: sum_k log det Q^(k)_vv, and (k, split) of each view hiding objects.
+    completed, views, logdet_vv = [], [], 0.0
+    for k, (q, h) in enumerate(zip(qs_masked, pattern.hidden)):
+        c = apply_mask(q, h, Fill.ZERO)
+        completed.append(c)
+        s0_reg = c.copy() if k == 0 else np.add(s0_reg, c, out=s0_reg)
         view = partition(c, h)
         try:
             logdet_vv += logdet(view.q_vv)
@@ -623,9 +617,11 @@ def run_completion(
                 f"view {k}: visible block is not positive definite") from exc
         if h:
             views.append((k, view))
-
-    s0 = average_kernel(completed)
-    s0_reg = regularize(s0, n_views, eps)
+    s0_reg /= n_views  # S_0, then S_0_reg in place, by average_kernel's and regularize's steps
+    if eps != 0:
+        s0_reg *= n_views
+        s0_reg.flat[::ell + 1] += eps
+        s0_reg /= n_views + eps
 
     rank: Optional[int] = None
     eig = None  # with a rank criterion, the top eigenpairs its count came from
@@ -652,6 +648,7 @@ def run_completion(
         model_inv = model.logdet_and_inverse()[1]
     except NotPositiveDefiniteError as exc:
         raise NumericalError(f"initial model matrix: {exc}") from exc
+    setup_ms = (time.perf_counter() - t_entry) * 1e3
     theta = model.parameters()
 
     # pca and fa hold S_reg as S_0_reg plus the imputed blocks in factors, and write the views
@@ -766,4 +763,5 @@ def run_completion(
         residual=residual,
         step_length=step_length,
         rejected=rejected,
+        setup_ms=setup_ms,
     )

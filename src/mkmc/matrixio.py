@@ -166,7 +166,7 @@ def write_trace(path, result) -> None:
                        "converged": result.converged, "dof": result.dof, "rank": result.rank,
                        "iter_ms": result.iter_ms, "residual": result.residual,
                        "step_length": result.step_length, "stop": result.stop,
-                       "rejected": result.rejected})
+                       "rejected": result.rejected, "setup_ms": result.setup_ms})
 
 
 def read_trace(path) -> dict:

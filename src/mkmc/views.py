@@ -115,8 +115,9 @@ def partition(full: np.ndarray, hidden) -> PartitionedView:
         raise DimensionError(f"expected square matrix, got {full.shape}")
     hid = np.array(_validate_hidden(ell, hidden), dtype=int)
     vis = visible_indices(ell, hid)
-    return PartitionedView(vis, hid, full[np.ix_(vis, vis)], np.ix_(vis, hid), np.ix_(hid, vis),
-                           np.ix_(hid, hid))
+    # two takes gather Q_vv faster than full[np.ix_(vis, vis)] does, with the same values
+    return PartitionedView(vis, hid, full.take(vis, 0).take(vis, 1), np.ix_(vis, hid),
+                           np.ix_(hid, vis), np.ix_(hid, hid))
 
 
 def random_mask(ell: int, n_views: int, fraction: float, seed: int) -> VisibilityPattern:

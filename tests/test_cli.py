@@ -276,6 +276,36 @@ class TestCompleteCommand:
         # iteration 1 is a plain step from the start model, so it has a residual too
         assert trace["residual"][0] > 0 and trace["step_length"][:3] == [None] * 3
 
+    def test_setup_ms_in_trace_and_evaluate_reads_it(self, runner, tmp_path, synthetic_inputs):
+        masked_dir = tmp_path / "masked"
+        runner.invoke(
+            main,
+            ["mask", "--fraction", "0.2", "--seed", "5", "--out-dir", str(masked_dir),
+             *synthetic_inputs],
+        )
+        out = tmp_path / "completed"
+        completed = [str(out / Path(p).name) for p in synthetic_inputs]
+        res = runner.invoke(
+            main,
+            ["complete", "--method", "pca", "--rank", "2",
+             "--mask", str(masked_dir / "mask.json"), "--output-dir", str(out),
+             *[str(masked_dir / Path(p).name) for p in synthetic_inputs]],
+        )
+        assert res.exit_code == 0, res.output
+        trace = json.loads((out / "trace.json").read_text())
+        assert type(trace["setup_ms"]) is float and 0 <= trace["setup_ms"] < float("inf")
+        report = tmp_path / "report.json"
+        res = runner.invoke(
+            main,
+            ["evaluate", "--mask", str(masked_dir / "mask.json"), "--trace", str(out / "trace.json"),
+             "--out", str(report), *[a for p in synthetic_inputs for a in ("--truth", p)],
+             *[a for p in completed for a in ("--completed", p)]],
+        )
+        assert res.exit_code == 0, res.output
+        obj = json.loads(report.read_text())["methods"]["method"]
+        assert obj["objective_trace"] == trace["objective"]
+        assert obj["iterations"] == trace["iterations"]
+
     def test_max_iters_hit_is_not_an_error(self, runner, tmp_path, synthetic_inputs):
         masked_dir = tmp_path / "masked"
         runner.invoke(

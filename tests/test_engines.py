@@ -1,3 +1,5 @@
+import time
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,6 +16,7 @@ from mkmc.engines import (
     fa_estep,
     fa_model_update,
     fc_model_update,
+    impute_view,
     objective,
     pca_model_update,
     regularize,
@@ -792,8 +795,8 @@ class TestRunCompletion:
     @pytest.mark.parametrize("method", ["pca", "fa"])
     def test_averages_the_views_only_at_setup(self, method, monkeypatch):
         """``fa`` reads S_reg through products and its diagonal, and ``pca`` assembles it from
-        S_0_reg and the imputed blocks in factors, so a run averages and regularizes the views
-        once, for S_0, hook or not."""
+        S_0_reg and the imputed blocks in factors, so after the first per-view step a run
+        neither averages nor regularizes any view, hook or not."""
         calls = []
 
         def bind(name, original):
@@ -802,7 +805,7 @@ class TestRunCompletion:
                 return original(*args)
             monkeypatch.setattr(engines, name, counting)
 
-        for name in ("average_kernel", "regularize"):
+        for name in ("average_kernel", "regularize", "impute_view"):
             bind(name, getattr(engines, name))
         masked, pattern = seeded_problem(0)
         for hook in (None, lambda *_: None):
@@ -810,7 +813,8 @@ class TestRunCompletion:
             result = run_completion(masked, pattern, CompletionConfig(
                 method=method, rank=2, max_iters=300), on_iteration=hook)
             assert result.stop == "tol" and result.iterations > 3
-            assert calls == ["average_kernel", "regularize"]
+            first = calls.index("impute_view")
+            assert set(calls[first:]) == {"impute_view"}
 
     def test_numerical_error_names_the_view(self, rng, monkeypatch):
         # only view 1 hides two objects, so only its P_hh has dimension 2
@@ -1108,3 +1112,71 @@ class TestAcceleration:
         assert capped.trace[:-1] == full.trace[:entry] and len(capped.trace) == entry + 1
         assert capped.step_length[:-1] == full.step_length[:entry]
         assert capped.step_length[-1] is None
+
+
+def setup_problem(case):
+    """Masked views and a pattern for the set-up tests: seeded_problem's, one with a view that
+    hides nothing, or one view with nothing hidden."""
+    if case == "seeded":
+        return seeded_problem(0)
+    spec = SyntheticSpec(ell=10, n_views=3, true_rank=3, noise_sigma2=0.1,
+                         per_view_jitter=0.05, seed=4)
+    hidden = ((0, 3, 7), (), (1, 3, 8)) if case == "one-view-hides-nothing" else ((),)
+    truths = generate_synthetic(spec)[:len(hidden)]
+    return ([apply_mask(t, h, Fill.ZERO) for t, h in zip(truths, hidden)],
+            VisibilityPattern(ell=10, hidden=hidden))
+
+
+class TestSetUp:
+    @pytest.mark.parametrize("method", ["fc", "pca", "fa"])
+    def test_inputs_are_neither_written_nor_aliased(self, method):
+        """The set-up zero-fills, sums and regularizes in place, but only in its own arrays:
+        every input, NaN in its hidden rows included, keeps its bytes, and no completed view
+        or model parameter shares memory with one."""
+        masked, pattern = seeded_problem(2)
+        for q, h in zip(masked, pattern.hidden):
+            q[list(h), :] = q[:, list(h)] = np.nan
+        before = [q.copy() for q in masked]
+        for hook in (None, lambda *_: None):
+            result = run_completion(masked, pattern, CompletionConfig(
+                method=method, rank=2, max_iters=6), on_iteration=hook)
+            assert all(np.isfinite(c).all() for c in result.completed)
+            for q, ref in zip(masked, before):
+                assert q.dtype == ref.dtype and q.tobytes() == ref.tobytes()
+            for out in (*result.completed, *result.model.parameters()):
+                assert not any(np.shares_memory(out, q) for q in masked)
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-3])
+    @pytest.mark.parametrize("case", ["seeded", "one-view-hides-nothing", "one-view-nothing-hidden"])
+    def test_same_s0_bit_for_bit(self, case, eps):
+        """One ``fc`` evaluation from the one-pass set-up equals, bit for bit, the same step
+        from the set-up's reference sequence: zero-fill every view, average, regularize,
+        factor S_0_reg, impute each view from its inverse with Q_vv gathered by ``np.ix_``,
+        write it, and average and regularize again."""
+        masked, pattern = setup_problem(case)
+        result = run_completion(masked, pattern, CompletionConfig(
+            method="fc", max_iters=1, reg_epsilon=eps))
+        completed = [apply_mask(q, h, Fill.ZERO) for q, h in zip(masked, pattern.hidden)]
+        s0_reg = regularize(average_kernel(completed), pattern.n_views, eps)
+        _, inverse = linalg.logdet_and_inverse(s0_reg)
+        for c, h in zip(completed, pattern.hidden):
+            if h:
+                view = partition(c, h)
+                view = replace(view, q_vv=c[np.ix_(view.vis, view.vis)])
+                _, q_vh, q_hh = impute_view(inverse, view)
+                c[view.vh], c[view.hv], c[view.hh] = q_vh, q_vh.T, q_hh
+        assert np.array_equal(result.model.matrix,
+                              regularize(average_kernel(completed), pattern.n_views, eps))
+        for c, ref in zip(result.completed, completed):
+            assert np.array_equal(c, ref)
+
+    @pytest.mark.parametrize("method", ["fc", "pca", "fa"])
+    def test_setup_ms_is_recorded(self, method):
+        """The set-up's wall time is finite, positive, and disjoint from the iterations'."""
+        masked, pattern = seeded_problem(1)
+        t0 = time.perf_counter()
+        result = run_completion(masked, pattern, CompletionConfig(method=method, rank=2,
+                                                                  max_iters=3))
+        elapsed_ms = (time.perf_counter() - t0) * 1e3
+        assert type(result.setup_ms) is float and np.isfinite(result.setup_ms)
+        assert 0 < result.setup_ms and result.setup_ms + sum(result.iter_ms) <= elapsed_ms

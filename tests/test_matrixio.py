@@ -260,7 +260,7 @@ class TestTraceFile:
                   "converged": result.converged, "dof": result.dof, "rank": 1,
                   "iter_ms": result.iter_ms, "residual": result.residual,
                   "step_length": result.step_length, "stop": result.stop,
-                  "rejected": result.rejected}
+                  "rejected": result.rejected, "setup_ms": result.setup_ms}
         assert path.read_text() == json.dumps(layout, indent=2) + "\n"
         assert result.stop == "tol" and all(type(r) is float for r in result.residual)
         assert len(result.residual) == len(result.step_length) == len(result.trace)
