@@ -50,14 +50,15 @@ visible objects v and hidden objects h, the partitioned inverse gives
     X := M_vv^{-1} M_vh = -P_vh P_hh^{-1},    M_hh - M_hv M_vv^{-1} M_vh = P_hh^{-1}
 
 (the Schur complement of M_vv). One Cholesky factorization of P_hh yields
-log det P_hh and, by ``dpotri``, P_hh^{-1}; then X is one product with it,
-Q_vh = Q_vv X and Q_hh = P_hh^{-1} + X^T Q_vh. Imputing leaves the Schur
+log det P_hh and, by ``dpotri``, P_hh^{-1}; then X^T = -P_hh^{-1} P_hv is one product
+with it, Q_hv = X^T Q_vv and Q_hh = P_hh^{-1} + Q_hv X. Imputing leaves the Schur
 complement of Q_vv in Q^(k) equal to P_hh^{-1}, hence
 
     log det Q^(k) = log det Q^(k)_vv - log det P_hh
 
 with log det Q^(k)_vv fixed for the run. With the identity for J above, the
-new model M enters J only through log det M and <M^{-1}, S_reg>. All of this
+new model M enters J only through log det M and <M^{-1}, S_reg>; for ``fc``, M = S_reg, so
+<M^{-1}, S_reg> = ell and J = ((K + eps) log det S_reg - sum_k log det Q^(k)) / 2. All of this
 holds only while P is the inverse of the model every Q^(k) was imputed from;
 each iteration therefore factors M once and keeps its inverse as the next P,
 and an extrapolated evaluation also factors its starting point.
@@ -66,8 +67,8 @@ PD matrices used here all come from :mod:`mkmc.linalg`.
 
 Each model factors itself (``logdet_and_inverse``), and the driver holds P in the form
 :mod:`mkmc.linalg` returns; :func:`impute_view`, the per-view step, takes either form. The
-whole ell x ell P, as above, serves ``fc`` only: O(ell^3) per iteration for M, plus
-O(n_h^3 + n_v^2 n_h) per view.
+whole ell x ell P serves ``fc`` only, read through its n_h hidden rows (P_hv = P_vh^T, as P
+is symmetric): O(ell^3) per iteration for M, plus O(n_h^3 + n_v^2 n_h) per view.
 
 ``pca`` and ``fa`` models are low rank plus diagonal, M = W W^T + D with
 D = diag(d) (``pca``: d = sigma2 * 1). From the start model on,
@@ -97,10 +98,14 @@ diagonal entries, in index order. With a rank criterion one ``dsyevr`` over the 
 above its threshold gives both the rank and the start model's pairs. The dense path,
 materialized from W and d, is the test oracle of the factored one.
 
-A ``pca`` or ``fa`` evaluation writes and averages no view. The set-up's S_0_reg, the
-regularized average of the zero-filled views, is kept for the run, and the hidden blocks
-stay in the per-view step's factors, stacked over the views that hide objects
-(:class:`_ImputedAverage`):
+No evaluation writes or averages a view. The set-up's S_0_reg, the regularized average of
+the zero-filled views, is kept for the run, and S_reg is S_0_reg plus the views' imputed
+blocks over K + eps (:class:`_ImputedAverage`). ``fc`` sums its dense blocks straight into
+S_reg: with U zero but in each hiding view's hidden rows, which gain the row block
+[Q_hv | Q_hh / 2] at the visible | hidden columns, the imputed part is U + U^T, and
+S_reg = C + C^T with C = S_0_reg / 2 + U / (K + eps), exactly symmetric, in
+O(ell^2 + sum_k n_h ell). ``pca`` and ``fa`` keep the blocks in the per-view step's
+factors, stacked over the views that hide objects (:class:`_FactoredAverage`):
 
     S_reg = S_0_reg + (Z Y^T + Y Z^T + Y G Y^T + diag(d o n)) / (K + eps),
 
@@ -112,13 +117,12 @@ is S_0_reg X plus a fixed handful of BLAS calls whatever K is, O(ell^2 p + ell K
 ell x p X, and diag S_reg costs O(ell K q^2). ``pca`` reads the whole S_reg: the certificate
 of its warm refit reads ||S_reg||_F^2, and its ``dsyevr`` fallback all of it. With
 Z~_k = Z_k + Y_k G_k / 2 the imputed part is Z~ Y^T + Y Z~^T, so S_reg is assembled by one
-BLAS-3 product, O(ell^2 K q), and comes out exactly symmetric. The completed views are
-written from the last accepted evaluation's factors once, at the end, and also after every
-accepted evaluation when ``on_iteration`` is set: a hooked run (the benchmark's traced runs)
-pays those writes. At large q both cost more than writing, O(K ell^2): the products,
-O(ell K q^2), and the assembly once K q nears ell to 2 ell (README gives the timings). No
-default rank reaches such a q, and no size rule picks a path. ``fc`` keeps writing and
-averaging the views, as its model is S_reg itself.
+BLAS-3 product, O(ell^2 K q), and comes out exactly symmetric. At large q the factored forms
+cost more than writing, O(K ell^2): the products, O(ell K q^2), and the assembly once K q
+nears ell to 2 ell (README gives the timings). No default rank reaches such a q, and no size
+rule picks a path. For every method the completed views are written from the last accepted
+evaluation's blocks once, at the end, and also after every accepted evaluation when
+``on_iteration`` is set: a hooked run (the benchmark's traced runs) pays those writes.
 """
 
 from __future__ import annotations
@@ -425,8 +429,12 @@ def objective(qs: Sequence[np.ndarray], model: ModelParams) -> float:
 
 def impute_view(inverse: Union[np.ndarray, LowRankInverse], view: PartitionedView,
                 factored: bool = False) -> tuple[float, np.ndarray, np.ndarray]:
-    """log det P_hh, Q_vh and Q_hh of one view, imputed from the held M^{-1} (module docstring):
-    the whole P (``fc``), or a low-rank model's factors, from q x q systems in O(n_v^2 q).
+    """log det P_hh, Q_vh and Q_hh of one view, imputed from the held M^{-1} (module docstring).
+
+    From the whole P (``fc``), row-wise: X^T = -P_hh^{-1} P_hv, gathered with P_hh from P's
+    hidden rows, Q_hv = X^T Q_vv and Q_hh = P_hh^{-1} + Q_hv X, in O(n_h^3 + n_v^2 n_h); Q_vh
+    is Q_hv^T, a view, and the driver sums the rows [Q_hv | Q_hh / 2] into S_reg in O(n_h ell)
+    (:class:`_ImputedAverage`). From a low-rank model's factors, q x q systems in O(n_v^2 q).
 
     With ``factored`` (a low-rank inverse only) the blocks stay in factors: log det P_hh, Q_vv A
     and G = C_v^{-1} + A^T Q_vv A, from which :func:`_hidden_blocks` writes them."""
@@ -443,10 +451,11 @@ def impute_view(inverse: Union[np.ndarray, LowRankInverse], view: PartitionedVie
         if factored:
             return logdet_p_hh, qa, g
         return (logdet_p_hh, *_hidden_blocks(qa, g, inverse.w[view.hid], d_h))
-    logdet_p_hh, schur = logdet_and_inverse(inverse[view.hh])
-    x = -inverse[view.vh] @ schur  # M_vv^{-1} M_vh
-    q_vh = view.q_vv @ x
-    return logdet_p_hh, q_vh, symmetrize(schur + x.T @ q_vh)
+    p_h = inverse.take(view.hid, 0)  # P's hidden rows: P_hv = P_vh^T, as P is symmetric
+    logdet_p_hh, schur = logdet_and_inverse(p_h.take(view.hid, 1))
+    x_t = -schur @ p_h.take(view.vis, 1)  # X^T = (M_vv^{-1} M_vh)^T
+    q_hv = x_t @ view.q_vv
+    return logdet_p_hh, q_hv.T, symmetrize(schur + q_hv @ x_t.T)
 
 
 def _hidden_blocks(qa: np.ndarray, g: np.ndarray, w_h: np.ndarray,
@@ -463,25 +472,41 @@ def _write(c: np.ndarray, view: PartitionedView, q_vh: np.ndarray, q_hh: np.ndar
 
 
 class _ImputedAverage:
-    """S_reg of a ``pca``/``fa`` evaluation, held as the fixed S_0_reg plus the imputed blocks in
-    factors.
+    """S_reg of an evaluation as the fixed S_0_reg plus each hiding view's imputed blocks, which
+    :meth:`write` puts into the completed views. It holds ``fc``'s dense (Q_vh, Q_hh);
+    :class:`_FactoredAverage` holds ``pca``'s and ``fa``'s factors."""
 
-    Over the m views that hide objects, stacked (module docstring),
+    def __init__(self, s0_reg: np.ndarray, denom: float, views: list, blocks: list):
+        self.s0_reg, self.denom, self.views, self.blocks = s0_reg, denom, views, blocks
 
-        S_reg = S_0_reg + (Z Y^T + Y Z^T + Y G Y^T + diag(d o n)) / (K + eps):
+    def dense(self) -> np.ndarray:
+        """S_reg = C + C^T, exactly symmetric, with C = S_0_reg / 2 + U / (K + eps): each view's
+        hidden rows of U gain [Q_hv | Q_hh / 2] (module docstring), O(ell^2 + sum_k n_h ell)."""
+        c = self.s0_reg * 0.5
+        for (_, view), (q_vh, q_hh) in zip(self.views, self.blocks):
+            row = np.empty((len(view.hid), len(c)))
+            row[:, view.vis], row[:, view.hid] = q_vh.T, 0.5 * q_hh
+            c[view.hid] += row / self.denom
+        return c + c.T
 
-    Z_k is Q_vv A on the view's visible rows, Y_k the imputing model's W on its hidden rows
-    (both zero elsewhere), G = diag(G_k) and n_i the number of views hiding object i. It offers
-    what the ``fa`` refit and the trace term read of S_reg: ``s @ x`` for an ell x p ``x``, in
-    a fixed number of BLAS calls whatever K is, and :meth:`diagonal`, O(ell K q^2) at its first
-    call. :meth:`dense` assembles S_reg itself for ``pca``, in O(ell^2 K q). ``write`` puts the
-    dense blocks into the completed views.
+    def write(self, completed: list[np.ndarray]) -> None:
+        """Write each view's dense Q_vh and Q_hh into ``completed``."""
+        for (k, view), blocks in zip(self.views, self.blocks):
+            _write(completed[k], view, *blocks)
+
+
+class _FactoredAverage(_ImputedAverage):
+    """S_reg of a ``pca``/``fa`` evaluation, with the imputed blocks in the per-view step's
+    factors, stacked as Z, Y, G and n (module docstring). It offers what the ``fa`` refit and
+    the trace term read of S_reg: ``s @ x`` for an ell x p ``x``, in a fixed number of BLAS
+    calls whatever K is, and :meth:`diagonal`, O(ell K q^2) at its first call. :meth:`dense`
+    assembles S_reg itself for ``pca``, in O(ell^2 K q).
     """
 
     def __init__(self, s0_reg: np.ndarray, denom: float, views: list,
                  inverse: LowRankInverse, factors: list):
-        self.s0_reg, self.denom, self.views, self.inverse, self.factors = (
-            s0_reg, denom, views, inverse, factors)
+        super().__init__(s0_reg, denom, views, factors)
+        self.inverse = inverse
         w, d = inverse.w, inverse.d
         ell, q = w.shape
         m = len(views)
@@ -523,9 +548,8 @@ class _ImputedAverage:
         return s_reg
 
     def write(self, completed: list[np.ndarray]) -> None:
-        """Write each view's dense Q_vh and Q_hh into ``completed``."""
         w, d = self.inverse.w, self.inverse.d
-        for (k, view), (qa, g) in zip(self.views, self.factors):
+        for (k, view), (qa, g) in zip(self.views, self.blocks):
             _write(completed[k], view, *_hidden_blocks(qa, g, w[view.hid], d[view.hid]))
 
 
@@ -651,32 +675,24 @@ def run_completion(
     setup_ms = (time.perf_counter() - t_entry) * 1e3
     theta = model.parameters()
 
-    # pca and fa hold S_reg as S_0_reg plus the imputed blocks in factors, and write the views
-    # only when they are read: after an accepted evaluation with a hook, and at the end. fc
-    # writes every evaluation's views and averages them.
-    factored = cfg.method != METHOD_FC
+    factored = cfg.method != METHOD_FC  # pca/fa: the imputed blocks stay in factors
 
     def evaluate(prev: ModelParams, prev_inv):
         """F at ``prev`` (inverse ``prev_inv``): impute every view, refit; J of the result, the
-        new model, its inverse and the :class:`_ImputedAverage` (None for ``fc``)."""
+        new model, its inverse and the :class:`_ImputedAverage`."""
         logdet_q = logdet_vv  # sum_k log det Q^(k) after imputing from prev
-        factors = []  # pca/fa: each view's (Q_vv A, G)
+        blocks = []  # each view's (Q_vh, Q_hh), or for pca/fa (Q_vv A, G)
         for k, view in views:
             try:
-                logdet_p_hh, *blocks = impute_view(prev_inv, view, factored)
+                logdet_p_hh, *view_blocks = impute_view(prev_inv, view, factored)
             except NotPositiveDefiniteError as exc:
                 raise NumericalError(f"view {k}: hidden block of the model inverse is "
                                      f"numerically singular: {exc}") from exc
             logdet_q -= logdet_p_hh
-            if factored:
-                factors.append(blocks)
-            else:
-                _write(completed[k], view, *blocks)
-        if factored:  # fa reads S_reg through products, pca whole
-            imputed = _ImputedAverage(s0_reg, n_views + eps, views, prev_inv, factors)
-            s_reg = imputed.dense() if cfg.method == METHOD_PCA else imputed
-        else:
-            imputed, s_reg = None, regularize(average_kernel(completed), n_views, eps)
+            blocks.append(view_blocks)
+        imputed = (_FactoredAverage(s0_reg, n_views + eps, views, prev_inv, blocks) if factored
+                   else _ImputedAverage(s0_reg, n_views + eps, views, blocks))
+        s_reg = imputed if cfg.method == METHOD_FA else imputed.dense()  # fa reads products
         if cfg.method == METHOD_FC:
             new = fc_model_update(s_reg)
         elif cfg.method == METHOD_PCA:
@@ -684,9 +700,9 @@ def run_completion(
         else:  # prev_inv is prev's LowRankInverse, which the E-step reuses
             new = fa_model_update(s_reg, prev, prev_inv)
         logdet_m, new_inv = new.logdet_and_inverse()
-        inner = (new_inv.inner(s_reg) if isinstance(new_inv, LowRankInverse)
-                 else float(np.vdot(new_inv, s_reg)))  # <M^{-1}, S_reg>
-        j = 0.5 * ((n_views + eps) * (logdet_m + inner - ell) - logdet_q)
+        # <M^{-1}, S_reg> - ell, which is 0 for fc, as its M is S_reg
+        trace_term = new_inv.inner(s_reg) - ell if factored else 0.0
+        j = 0.5 * ((n_views + eps) * (logdet_m + trace_term) - logdet_q)
         return j, new, new_inv, imputed
 
     trace: list[float] = []
@@ -737,8 +753,7 @@ def run_completion(
         iter_ms.append((time.perf_counter() - t0) * 1e3)
         trace.append(j)
         if on_iteration is not None:
-            if factored:
-                accepted_imputed.write(completed)
+            accepted_imputed.write(completed)
             on_iteration(it, completed, model)
         t0 = time.perf_counter()  # a rejected evaluation's time goes to the next accepted one
         # With nothing hidden the imputation is vacuous: one model fit is the answer.
@@ -748,7 +763,7 @@ def run_completion(
         if len(trace) >= 2 and abs(j - trace[-2]) / max(1.0, abs(trace[-2])) < cfg.tol:
             stop = STOP_TOL
             break
-    if factored and on_iteration is None:
+    if on_iteration is None:
         accepted_imputed.write(completed)
 
     return CompletionResult(

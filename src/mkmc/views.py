@@ -1,9 +1,9 @@
 """Per-view visibility bookkeeping and artificial missingness.
 
-:func:`partition` splits a view into its sorted visible and hidden index
-arrays and the ``np.ix_`` tuples through which its blocks are read, and
-imputed blocks written back, by direct fancy indexing. Masks are generated
-with a seeded PCG64 generator so they are bit-reproducible.
+:func:`partition` splits a view into its sorted visible and hidden index arrays, its
+visible block and the ``np.ix_`` tuples through which imputed blocks are written back;
+the model inverse's blocks are gathered by ``take`` on the index arrays. Masks are
+generated with a seeded PCG64 generator so they are bit-reproducible.
 """
 
 from __future__ import annotations

@@ -792,29 +792,37 @@ class TestRunCompletion:
         assert result.iterations == 3 and result.rejected == 0
         assert counts == {"partition": 4, "impute_view": 3 * 3}
 
-    @pytest.mark.parametrize("method", ["pca", "fa"])
+    @pytest.mark.parametrize("method", ["fc", "pca", "fa"])
     def test_averages_the_views_only_at_setup(self, method, monkeypatch):
-        """``fa`` reads S_reg through products and its diagonal, and ``pca`` assembles it from
-        S_0_reg and the imputed blocks in factors, so after the first per-view step a run
-        neither averages nor regularizes any view, hook or not."""
-        calls = []
+        """Every method holds S_reg as S_0_reg plus the imputed blocks (``fc`` accumulates
+        them, ``pca`` assembles S_reg from factors and ``fa`` reads it through products), so
+        after the first per-view step a run neither averages nor regularizes any view, hook or
+        not. It writes each view that hides objects once at the end, or, with a hook, once
+        after every accepted evaluation."""
+        calls, written = [], []
 
         def bind(name, original):
             def counting(*args):
                 calls.append(name)
+                if name == "_write":
+                    written.append(id(args[0]))
                 return original(*args)
             monkeypatch.setattr(engines, name, counting)
 
-        for name in ("average_kernel", "regularize", "impute_view"):
+        for name in ("average_kernel", "regularize", "impute_view", "_write"):
             bind(name, getattr(engines, name))
         masked, pattern = seeded_problem(0)
         for hook in (None, lambda *_: None):
             calls.clear()
+            written.clear()
             result = run_completion(masked, pattern, CompletionConfig(
                 method=method, rank=2, max_iters=300), on_iteration=hook)
             assert result.stop == "tol" and result.iterations > 3
             first = calls.index("impute_view")
-            assert set(calls[first:]) == {"impute_view"}
+            assert set(calls[first:]) == {"impute_view", "_write"}
+            writes = 1 if hook is None else result.iterations - result.rejected
+            hiding = [id(c) for c, h in zip(result.completed, pattern.hidden) if h]
+            assert sorted(written) == sorted(hiding * writes)
 
     def test_numerical_error_names_the_view(self, rng, monkeypatch):
         # only view 1 hides two objects, so only its P_hh has dimension 2
@@ -1149,10 +1157,12 @@ class TestSetUp:
     @pytest.mark.parametrize("eps", [0.0, 1e-3])
     @pytest.mark.parametrize("case", ["seeded", "one-view-hides-nothing", "one-view-nothing-hidden"])
     def test_same_s0_bit_for_bit(self, case, eps):
-        """One ``fc`` evaluation from the one-pass set-up equals, bit for bit, the same step
-        from the set-up's reference sequence: zero-fill every view, average, regularize,
-        factor S_0_reg, impute each view from its inverse with Q_vv gathered by ``np.ix_``,
-        write it, and average and regularize again."""
+        """One ``fc`` evaluation from the one-pass set-up gives, bit for bit, the completed
+        views of the same step from the set-up's reference sequence: zero-fill every view,
+        average, regularize, factor S_0_reg, impute each view from its inverse with Q_vv
+        gathered by ``np.ix_`` and write it. Its model, S_reg accumulated from the imputed
+        blocks with no view written, is exactly symmetric and matches averaging and
+        regularizing the written views at round-off."""
         masked, pattern = setup_problem(case)
         result = run_completion(masked, pattern, CompletionConfig(
             method="fc", max_iters=1, reg_epsilon=eps))
@@ -1165,8 +1175,10 @@ class TestSetUp:
                 view = replace(view, q_vv=c[np.ix_(view.vis, view.vis)])
                 _, q_vh, q_hh = impute_view(inverse, view)
                 c[view.vh], c[view.hv], c[view.hh] = q_vh, q_vh.T, q_hh
-        assert np.array_equal(result.model.matrix,
-                              regularize(average_kernel(completed), pattern.n_views, eps))
+        s_reg, ref_s_reg = result.model.matrix, regularize(average_kernel(completed),
+                                                           pattern.n_views, eps)
+        assert np.max(np.abs(s_reg - ref_s_reg)) <= 1e-15 * np.max(np.abs(ref_s_reg))
+        assert np.array_equal(s_reg, s_reg.T)
         for c, ref in zip(result.completed, completed):
             assert np.array_equal(c, ref)
 

@@ -231,26 +231,39 @@ def imputed_states(draw):
 @example((VisibilityPattern(ell=6, hidden=((), ())), 2, 0.0, 1))
 @example((VisibilityPattern(ell=7, hidden=((0, 1, 2, 3, 4, 5), (6,), (), (2, 3))), 6, 1e-3, 2))
 def test_imputed_average_matches_the_dense_average(state):
-    """S_reg held as S_0_reg plus the imputed blocks in factors gives the products and the
-    diagonal (``fa``) and the whole matrix (``pca``, exactly symmetric and assembled before any
-    view is written) of regularize(average_kernel(completed)) once its views are written."""
+    """S_reg held as S_0_reg plus the imputed blocks, assembled before any view is written,
+    matches regularize(average_kernel(completed)) once the views are written from the per-view
+    step's blocks, and is exactly symmetric: as dense blocks imputed from a whole P (``fc``,
+    accumulated row-wise) and in factors from a low-rank model (``pca``), whose products and
+    diagonal (``fa``) match too. Each holder's ``write`` writes those same views."""
     pattern, rank, eps, seed = state
     rng = np.random.default_rng(seed)
     completed = masked_views(pattern, seed)
     views = [(k, partition(c, h)) for k, (c, h) in enumerate(zip(completed, pattern.hidden)) if h]
     s0_reg = regularize(average_kernel(completed), pattern.n_views, eps)
+    denom = pattern.n_views + eps
     inverse = low_rank_logdet_and_inverse(rng.standard_normal((pattern.ell, rank)),
                                           rng.uniform(0.1, 2.0, pattern.ell))[1]
-    factors = [impute_view(inverse, view, True)[1:] for _, view in views]
-    s_reg = engines._ImputedAverage(s0_reg, pattern.n_views + eps, views, inverse, factors)
-    assembled = s_reg.dense()
-    s_reg.write(completed)
-    dense = regularize(average_kernel(completed), pattern.n_views, eps)
-    x = rng.standard_normal((pattern.ell, rank))
-    assert_close(s_reg @ x, dense @ x, rel=1e-12)
-    assert_close(s_reg.diagonal(), np.diag(dense), rel=1e-12)
-    assert_close(assembled, dense, rel=1e-12)
-    assert np.array_equal(assembled, assembled.T)
+    whole_p = random_pd(rng, pattern.ell)
+    full = engines._ImputedAverage(s0_reg, denom, views,
+                                   [impute_view(whole_p, view)[1:] for _, view in views])
+    factored = engines._FactoredAverage(s0_reg, denom, views, inverse,
+                                        [impute_view(inverse, view, True)[1:] for _, view in views])
+    for imputed, p in ((full, whole_p), (factored, inverse)):
+        assembled = imputed.dense()
+        written = [c.copy() for c in completed]
+        for k, view in views:
+            _, q_vh, q_hh = impute_view(p, view)
+            written[k][view.vh], written[k][view.hv], written[k][view.hh] = q_vh, q_vh.T, q_hh
+        dense = regularize(average_kernel(written), pattern.n_views, eps)
+        assert_close(assembled, dense, rel=1e-12)
+        assert np.array_equal(assembled, assembled.T)
+        by_write = [c.copy() for c in completed]
+        imputed.write(by_write)
+        assert all(np.array_equal(got, ref) for got, ref in zip(by_write, written))
+    x = rng.standard_normal((pattern.ell, rank))  # dense is the factored holder's S_reg here
+    assert_close(factored @ x, dense @ x, rel=1e-12)
+    assert_close(factored.diagonal(), np.diag(dense), rel=1e-12)
 
 
 @pytest.mark.parametrize("ell, hidden", [
