@@ -1,128 +1,59 @@
-"""Completion engines: full-covariance, PPCA, and factor-analysis models.
+"""Completion engines: full-covariance (``fc``), PPCA (``pca``) and factor-analysis (``fa``) models.
 
-All three share the same block coordinate descent driver. One map evaluation
-F (an "iteration") imputes the hidden blocks of every view from one model
-matrix, averages the completed kernels and refits the model. The driver
-repeats it until the objective stops moving:
+One block coordinate descent driver, :func:`run_completion`, serves all three. A map
+evaluation F imputes the hidden blocks of every view Q^(k) from one model M, then refits M to
+S_reg = (K S + eps I)/(K + eps), with S the average of the completed views and
+eps = ``reg_epsilon``. That refit fits the views and eps copies of I, so a plain step descends
 
-    J = sum_k LogDet(Q^(k), M) + eps LogDet(I, M),
+    J = sum_k LogDet(Q^(k), M) + eps LogDet(I, M)
+      = ((K + eps)(log det M + <M^{-1}, S_reg> - ell) - sum_k log det Q^(k)) / 2,
 
-with eps = ``reg_epsilon``. With S the average of the completed views, the
-model update fits S_reg = (K S + eps I)/(K + eps), the views and eps copies
-of I, so this augmented sum is what every plain step descends. As
-sum_k Q^(k) + eps I = (K + eps) S_reg,
+as sum_k Q^(k) + eps I = (K + eps) S_reg. For ``fc``, M = S_reg, so <M^{-1}, S_reg> = ell.
 
-    J = ((K + eps)(log det M + <M^{-1}, S_reg> - ell) - sum_k log det Q^(k)) / 2.
+Imputation. Let P = M^{-1}. For a view with visible objects v and hidden objects h, the
+partitioned inverse gives X := M_vv^{-1} M_vh = -P_vh P_hh^{-1}, and the Schur complement of
+M_vv in M is P_hh^{-1}. The imputed Q_vh = Q_vv X and Q_hh = P_hh^{-1} + X^T Q_vv X leave the
+Schur complement of Q_vv in Q^(k) equal to P_hh^{-1}, so
 
-The descent starts at the model fitted to S_0, the regularized average of the
-zero-filled views (``fc``: S_0; ``pca``: its PPCA optimum; ``fa``: that optimum's
-W with psi = diag(S_0 - W W^T), floored as in :func:`fa_model_update`), so
-iteration 1 is a plain step; for ``pca``/``fa`` the paper's start, model matrix
-= S_0, is not a model of their kind. Objects no view sees are refused.
+    log det Q^(k) = log det Q^(k)_vv - log det P_hh,
 
-The set-up makes one pass per view, in view order, while the view is in cache: it zero-fills
-the view's hidden rows and columns, adds it into S_0's sum, splits it once for the run
-(:func:`~mkmc.views.partition`) and factors Q_vv for the fixed log det Q^(k)_vv; S_0 is then
-averaged and regularized in place. That is O(K ell^2) memory passes plus sum_k n_v^3/3 flops.
+with log det Q^(k)_vv fixed for the run; one Cholesky factor of P_hh gives log det P_hh and
+P_hh^{-1}. This holds only while P is the inverse of the model every view was imputed from,
+so each evaluation factors its new model once and keeps the inverse as the next P. ``fc``
+holds P whole: O(ell^3) per evaluation for M, plus O(n_h^3 + n_v^2 n_h) per view. ``pca``
+and ``fa`` hold M^{-1} of M = W W^T + D, D = diag(d), in Woodbury form
+(:class:`~mkmc.linalg.LowRankInverse`, O(ell q^2)). With C_v = I + W_v^T D_v^{-1} W_v, the
+capacitance matrix of M_vv, and A = D_v^{-1} W_v C_v^{-1} = M_vv^{-1} W_v, X = A W_h^T and
 
-The map converges linearly at a rate near 1, like EM, so the driver
-accelerates it by SQUAREM (Varadhan & Roland 2008, *Scand. J. Stat.*) over the
-model parameters theta: M for ``fc``, (W, log sigma2) for ``pca`` and
-(W, log psi) for ``fa`` (the logs keep the noise positive). From the model
-after iteration 1 on, evaluations run in cycles. From theta0, two plain
-steps give theta1 = F(theta0) and theta2 = F(theta1); with
-r = theta1 - theta0, v = theta2 - 2 theta1 + theta0 and the step length
-alpha = -||r|| / ||v|| (capped at -1), the third evaluation is F at
-theta0 - 2 alpha r + alpha^2 v. Its result is kept only if J does not rise
-above the last kept value; otherwise, or if the point cannot be factored or
-imputed from, the evaluation is rejected and the next one is the plain step
-F(theta2), which always descends, re-imputes every hidden block and starts the
-next cycle. So a rejection costs one evaluation and is never followed by
-another. Rejected evaluations count toward ``max_iters`` but never reach the
-trace, the hook or the result. The last evaluation ``max_iters`` allows is
-always a plain step, so a run never ends on a rejection, and with
-``max_iters`` <= 4 no point is extrapolated.
-
-The driver never factors a block of M. Let P = M_old^{-1}, the inverse of the
-model M_old that every view is imputed from in an iteration. For a view with
-visible objects v and hidden objects h, the partitioned inverse gives
-
-    X := M_vv^{-1} M_vh = -P_vh P_hh^{-1},    M_hh - M_hv M_vv^{-1} M_vh = P_hh^{-1}
-
-(the Schur complement of M_vv). One Cholesky factorization of P_hh yields
-log det P_hh and, by ``dpotri``, P_hh^{-1}; then X^T = -P_hh^{-1} P_hv is one product
-with it, Q_hv = X^T Q_vv and Q_hh = P_hh^{-1} + Q_hv X. Imputing leaves the Schur
-complement of Q_vv in Q^(k) equal to P_hh^{-1}, hence
-
-    log det Q^(k) = log det Q^(k)_vv - log det P_hh
-
-with log det Q^(k)_vv fixed for the run. With the identity for J above, the
-new model M enters J only through log det M and <M^{-1}, S_reg>; for ``fc``, M = S_reg, so
-<M^{-1}, S_reg> = ell and J = ((K + eps) log det S_reg - sum_k log det Q^(k)) / 2. All of this
-holds only while P is the inverse of the model every Q^(k) was imputed from;
-each iteration therefore factors M once and keeps its inverse as the next P,
-and an extrapolated evaluation also factors its starting point.
-:func:`objective` is the dense reference. The log dets and inverses of
-PD matrices used here all come from :mod:`mkmc.linalg`.
-
-Each model factors itself (``logdet_and_inverse``), and the driver holds P in the form
-:mod:`mkmc.linalg` returns; :func:`impute_view`, the per-view step, takes either form. The
-whole ell x ell P serves ``fc`` only, read through its n_h hidden rows (P_hv = P_vh^T, as P
-is symmetric): O(ell^3) per iteration for M, plus O(n_h^3 + n_v^2 n_h) per view.
-
-``pca`` and ``fa`` models are low rank plus diagonal, M = W W^T + D with
-D = diag(d) (``pca``: d = sigma2 * 1). From the start model on,
-:class:`~mkmc.linalg.LowRankInverse` holds M^{-1} as W, d and the Cholesky
-factor of C = I + W^T D^{-1} W (Woodbury identity, determinant lemma;
-O(ell q^2)), and P is never formed, whatever q is.
-For a view, C_v = I + W_v^T D_v^{-1} W_v >= I is the capacitance matrix of
-M_vv, A = D_v^{-1} W_v C_v^{-1} = M_vv^{-1} W_v, so X = A W_h^T, and the Schur
-complement is D_h + W_h C_v^{-1} W_h^T:
-
-    Q_vh = (Q_vv A) W_h^T,    Q_hh = D_h + W_h (C_v^{-1} + A^T Q_vv A) W_h^T,
+    Q_vh = (Q_vv A) W_h^T,    Q_hh = D_h + W_h G_v W_h^T,    G_v = C_v^{-1} + A^T Q_vv A,
     log det P_hh = log det C_v - log det D_h - log det C,
 
-with only q x q systems, O(n_v^2 q) per view. The trace term is
-<M^{-1}, S_reg> = sum_i (S_reg)_ii / d_i - <C^{-1}, (D^{-1} W)^T S_reg (D^{-1} W)>,
-O(ell^2 q).
-Extrapolating (W, log d) is O(ell q) and factoring the point O(ell q^2), so
-the model is never materialized there either, and a ``pca``/``fa`` run
-factors no ell x ell matrix at all. :func:`fa_model_update` reuses the held
-factorization, so an ``fa`` iteration has no O(ell^3) step.
-:func:`pca_model_update` computes only the top q eigenpairs, by subspace iteration from a
-start, O(ell^2 q) per step, whose pairs are kept only when certified to be the top q
-(:func:`~mkmc.linalg.eigh_warm`); otherwise LAPACK ``dsyevr`` reduces S to tridiagonal form
-in O(ell^3). In an iteration the start is the W being refit (for an extrapolated point, the
-point's W); for the start model with a given rank it is S_0's columns at its q largest
-diagonal entries, in index order. With a rank criterion one ``dsyevr`` over the eigenvalues
-above its threshold gives both the rank and the start model's pairs. The dense path,
-materialized from W and d, is the test oracle of the factored one.
+O(n_v^2 q) per view, so a ``pca``/``fa`` run factors no ell x ell matrix.
 
-No evaluation writes or averages a view. The set-up's S_0_reg, the regularized average of
-the zero-filled views, is kept for the run, and S_reg is S_0_reg plus the views' imputed
-blocks over K + eps (:class:`_ImputedAverage`). ``fc`` sums its dense blocks straight into
-S_reg: with U zero but in each hiding view's hidden rows, which gain the row block
-[Q_hv | Q_hh / 2] at the visible | hidden columns, the imputed part is U + U^T, and
+S_reg. No evaluation writes or averages a view: S_reg is the set-up's S_0_reg, the same
+transform of the zero-filled views' average, plus the imputed blocks over K + eps. ``fc``
+adds each hiding view's row block [Q_hv | Q_hh / 2] into the hidden rows of a zero U:
 S_reg = C + C^T with C = S_0_reg / 2 + U / (K + eps), exactly symmetric, in
-O(ell^2 + sum_k n_h ell). ``pca`` and ``fa`` keep the blocks in the per-view step's
-factors, stacked over the views that hide objects (:class:`_FactoredAverage`):
+O(ell^2 + sum_k n_h ell). ``pca`` and ``fa`` stack the factors over the hiding views:
 
     S_reg = S_0_reg + (Z Y^T + Y Z^T + Y G Y^T + diag(d o n)) / (K + eps),
 
-with Z_k = Q_vv A on view k's visible rows and Y_k = W (the imputing model's) on its
-hidden rows, both zero elsewhere, G = diag(G_k), G_k = C_v^{-1} + A^T Q_vv A, and n_i the
-number of views hiding object i. The ``fa`` refit reads S_reg only as S_reg B^T
-(B = W^T M^{-1}) and diag S_reg, and the trace term only as S_reg F^T and diag S_reg: S_reg X
-is S_0_reg X plus a fixed handful of BLAS calls whatever K is, O(ell^2 p + ell K q p) for an
-ell x p X, and diag S_reg costs O(ell K q^2). ``pca`` reads the whole S_reg: the certificate
-of its warm refit reads ||S_reg||_F^2, and its ``dsyevr`` fallback all of it. With
-Z~_k = Z_k + Y_k G_k / 2 the imputed part is Z~ Y^T + Y Z~^T, so S_reg is assembled by one
-BLAS-3 product, O(ell^2 K q), and comes out exactly symmetric. At large q the factored forms
-cost more than writing, O(K ell^2): the products, O(ell K q^2), and the assembly once K q
-nears ell to 2 ell (README gives the timings). No default rank reaches such a q, and no size
-rule picks a path. For every method the completed views are written from the last accepted
-evaluation's blocks once, at the end, and also after every accepted evaluation when
-``on_iteration`` is set: a hooked run (the benchmark's traced runs) pays those writes.
+with Z_k = Q_vv A on view k's visible rows and Y_k = W on its hidden rows, both zero
+elsewhere, G = diag(G_k) and n_i the number of views hiding object i. The ``fa`` refit and
+the trace term read S_reg only as products S_reg X, O(ell^2 p + ell K q p) for an ell x p X,
+and diag S_reg, O(ell K q^2). ``pca`` reads all of it: with Z~_k = Z_k + Y_k G_k / 2 the
+imputed part is Z~ Y^T + Y Z~^T, one BLAS-3 product, O(ell^2 K q).
+
+SQUAREM (Varadhan & Roland 2008, *Scand. J. Stat.*). F converges linearly at a rate near 1,
+like EM. From the model of evaluation 1 on, evaluations run in cycles over the parameters
+theta: M for ``fc``, (W, log sigma2) for ``pca``, (W, log psi) for ``fa``, the logs keeping
+the noise positive. Two plain steps give theta1 = F(theta0) and theta2 = F(theta1); with
+r = theta1 - theta0, v = theta2 - 2 theta1 + theta0 and alpha = -||r|| / ||v|| (extrapolated
+only below -1), the third evaluates F at theta0 - 2 alpha r + alpha^2 v: O(ell^2) for ``fc``
+and O(ell q) otherwise, plus factoring the point. The safeguard keeps its result only if J
+does not rise above the last kept value; otherwise, or if the point cannot be factored or
+imputed from, the evaluation is rejected and the next is the plain step F(theta2), which
+always descends.
 """
 
 from __future__ import annotations
@@ -178,12 +109,7 @@ class FullModel:
 
 @dataclass(frozen=True)
 class PcaModel:
-    """Low-rank plus isotropic noise: W W^T + sigma2 I.
-
-    The driver never materializes it: :meth:`logdet_and_inverse` factors it
-    from W and the noise diagonal alone, by the Woodbury identity.
-    :meth:`materialize` serves the dense references.
-    """
+    """Low-rank plus isotropic noise: W W^T + sigma2 I; :meth:`materialize` serves the tests."""
 
     W: np.ndarray
     sigma2: float
@@ -206,12 +132,7 @@ class PcaModel:
 
 @dataclass(frozen=True)
 class FaModel:
-    """Low-rank plus diagonal noise: W W^T + diag(psi).
-
-    The driver never materializes it: :meth:`logdet_and_inverse` factors it
-    from W and the noise diagonal alone, by the Woodbury identity.
-    :meth:`materialize` serves the dense references.
-    """
+    """Low-rank plus diagonal noise: W W^T + diag(psi); :meth:`materialize` serves the tests."""
 
     W: np.ndarray
     psi: np.ndarray
@@ -276,15 +197,8 @@ STOP_NO_HIDDEN = "no_hidden"
 
 @dataclass
 class CompletionResult:
-    """What :func:`run_completion` returns.
-
-    ``iterations`` counts map evaluations, rejected ones included; ``trace``,
-    ``iter_ms``, ``residual`` and ``step_length`` hold one entry per accepted
-    evaluation, so each has ``iterations - rejected`` entries. ``residual`` is
-    measured from the evaluated point, for iteration 1 the start model;
-    ``step_length`` is None for a plain step. ``setup_ms`` is the wall time from entry until
-    the start model is factored, where iteration 1's ``iter_ms`` clock starts.
-    """
+    """What :func:`run_completion` returns: the completed views, the model and the fields of
+    README's trace file, with ``trace`` for its ``objective`` and None for its ``null``."""
 
     completed: list[np.ndarray]
     model: ModelParams
@@ -343,21 +257,13 @@ def fc_model_update(s_reg: np.ndarray) -> FullModel:
 
 
 def pca_model_update(s_reg: np.ndarray, q: int, start: Optional[np.ndarray] = None) -> PcaModel:
-    """Closed-form joint optimum of (W, sigma2) for the PPCA model.
+    """Closed-form joint optimum of (W, sigma2) for the PPCA model (Tipping & Bishop 1999).
 
-    sigma2 is the mean of the trailing ell-q eigenvalues of the average
-    kernel, taken as (tr S - sum of the top q) / (ell - q) so that only the
-    top q eigenpairs are computed; W spans the top-q eigenvectors scaled by
-    sqrt(lambda_j - sigma2), with the arbitrary rotation fixed to the identity
-    (Tipping & Bishop 1999).
-
-    Without ``start`` the pairs come from LAPACK ``dsyevr``, which reduces S to
-    tridiagonal form in O(ell^3). With an ell x q ``start`` (the driver passes the W of the
-    model being refit, or, for the start model, S_0_reg's columns at its q largest diagonal
-    entries) they come from :func:`~mkmc.linalg.eigh_warm`: subspace iteration from its
-    span, O(ell^2 q) per step, returned only when certified to be the top q, and
-    ``dsyevr`` otherwise. ``s_reg`` is a plain array; the driver assembles it for ``pca``
-    (``_ImputedAverage.dense``).
+    sigma2 = (tr S - sum of the top q eigenvalues) / (ell - q), the mean of the trailing ones,
+    and W = U_q diag(sqrt(lambda_j - sigma2)), the rotation fixed to the identity. The top q
+    pairs come from ``dsyevr``, O(ell^3), or, from an ell x q ``start``, from
+    :func:`~mkmc.linalg.eigh_warm`, O(ell^2 q) per step. In an evaluation the driver passes the
+    W being refit as ``start`` and an ``s_reg`` from :meth:`_FactoredAverage.dense`.
     """
     ell = s_reg.shape[0]
     if not 1 <= q <= ell - 1:
@@ -379,11 +285,10 @@ def _pca_fit(s_reg: np.ndarray, eig: EigenDecomposition) -> PcaModel:
 
 def fa_estep(s: np.ndarray, w: np.ndarray, psi: np.ndarray,
              inverse: Optional[LowRankInverse] = None) -> tuple[np.ndarray, np.ndarray]:
-    """Latent second moments (S_xz, S_zz) given current FA parameters.
+    """Latent second moments S_xz = S B^T and S_zz = I - B W + B S_xz, B = W^T M^{-1}.
 
-    W^T M^{-1} comes from the factored inverse of M = W W^T + diag(psi), so
-    only a q x q system is factored; ``inverse`` is that factorization when
-    the caller already holds it. ``s`` is read only as the product S (W^T M^{-1})^T.
+    B comes from the Woodbury form of M = W W^T + diag(psi) (``inverse``, when the caller
+    holds it), so ``s`` is read only through one product: O(ell^2 q + ell q^2).
     """
     if inverse is None:
         try:
@@ -398,12 +303,11 @@ def fa_estep(s: np.ndarray, w: np.ndarray, psi: np.ndarray,
 
 def fa_model_update(s_reg: np.ndarray, prev: FaModel,
                     inverse: Optional[LowRankInverse] = None) -> FaModel:
-    """One EM step for the factor-analysis model.
+    """One EM step for the factor-analysis model, O(ell^2 q + ell q^2).
 
-    W_new = S_xz S_zz^{-1}, psi_new = diag(S - S_xz S_zz^{-1} S_xz^T); the
-    noise variances are floored to stay strictly positive. ``inverse`` is
-    passed on to :func:`fa_estep`. ``s_reg`` is read only through ``s_reg @ x``
-    and ``s_reg.diagonal()``, so the driver passes it implicitly (``_ImputedAverage``).
+    W_new = S_xz S_zz^{-1} and psi_new = diag(S - S_xz W_new^T), floored (:func:`_fa_noise`).
+    ``s_reg`` is read only through ``s_reg @ x`` and ``s_reg.diagonal()``; the driver passes a
+    :class:`_FactoredAverage`.
     """
     if np.any(prev.psi <= 0):
         raise ValueError("previous noise variances must be positive")
@@ -431,13 +335,9 @@ def impute_view(inverse: Union[np.ndarray, LowRankInverse], view: PartitionedVie
                 factored: bool = False) -> tuple[float, np.ndarray, np.ndarray]:
     """log det P_hh, Q_vh and Q_hh of one view, imputed from the held M^{-1} (module docstring).
 
-    From the whole P (``fc``), row-wise: X^T = -P_hh^{-1} P_hv, gathered with P_hh from P's
-    hidden rows, Q_hv = X^T Q_vv and Q_hh = P_hh^{-1} + Q_hv X, in O(n_h^3 + n_v^2 n_h); Q_vh
-    is Q_hv^T, a view, and the driver sums the rows [Q_hv | Q_hh / 2] into S_reg in O(n_h ell)
-    (:class:`_ImputedAverage`). From a low-rank model's factors, q x q systems in O(n_v^2 q).
-
-    With ``factored`` (a low-rank inverse only) the blocks stay in factors: log det P_hh, Q_vv A
-    and G = C_v^{-1} + A^T Q_vv A, from which :func:`_hidden_blocks` writes them."""
+    From the whole P (``fc``) row-wise, X^T = -P_hh^{-1} P_hv from P's hidden rows,
+    O(n_h^3 + n_v^2 n_h); Q_vh is a view of Q_hv. From a :class:`~mkmc.linalg.LowRankInverse`,
+    O(n_v^2 q); with ``factored`` it returns log det P_hh, Q_vv A and G_v instead."""
     if isinstance(inverse, LowRankInverse):
         f_v = inverse.f[:, view.vis]
         # C_v = I + W_v^T D_v^{-1} W_v >= I, the capacitance matrix of M_vv
@@ -472,16 +372,13 @@ def _write(c: np.ndarray, view: PartitionedView, q_vh: np.ndarray, q_hh: np.ndar
 
 
 class _ImputedAverage:
-    """S_reg of an evaluation as the fixed S_0_reg plus each hiding view's imputed blocks, which
-    :meth:`write` puts into the completed views. It holds ``fc``'s dense (Q_vh, Q_hh);
-    :class:`_FactoredAverage` holds ``pca``'s and ``fa``'s factors."""
+    """S_reg of an ``fc`` evaluation: S_0_reg and each hiding view's dense (Q_vh, Q_hh)."""
 
     def __init__(self, s0_reg: np.ndarray, denom: float, views: list, blocks: list):
         self.s0_reg, self.denom, self.views, self.blocks = s0_reg, denom, views, blocks
 
     def dense(self) -> np.ndarray:
-        """S_reg = C + C^T, exactly symmetric, with C = S_0_reg / 2 + U / (K + eps): each view's
-        hidden rows of U gain [Q_hv | Q_hh / 2] (module docstring), O(ell^2 + sum_k n_h ell)."""
+        """S_reg = C + C^T (module docstring), O(ell^2 + sum_k n_h ell)."""
         c = self.s0_reg * 0.5
         for (_, view), (q_vh, q_hh) in zip(self.views, self.blocks):
             row = np.empty((len(view.hid), len(c)))
@@ -496,12 +393,8 @@ class _ImputedAverage:
 
 
 class _FactoredAverage(_ImputedAverage):
-    """S_reg of a ``pca``/``fa`` evaluation, with the imputed blocks in the per-view step's
-    factors, stacked as Z, Y, G and n (module docstring). It offers what the ``fa`` refit and
-    the trace term read of S_reg: ``s @ x`` for an ell x p ``x``, in a fixed number of BLAS
-    calls whatever K is, and :meth:`diagonal`, O(ell K q^2) at its first call. :meth:`dense`
-    assembles S_reg itself for ``pca``, in O(ell^2 K q).
-    """
+    """S_reg of a ``pca``/``fa`` evaluation from the stacked Z, Y, G and n (module docstring):
+    ``s @ x``, :meth:`diagonal` and :meth:`dense`."""
 
     def __init__(self, s0_reg: np.ndarray, denom: float, views: list,
                  inverse: LowRankInverse, factors: list):
@@ -537,9 +430,7 @@ class _FactoredAverage(_ImputedAverage):
         return self._diagonal
 
     def dense(self) -> np.ndarray:
-        """S_reg as an exactly symmetric ell x ell array, with no view written: with
-        Z~_k = Z_k + Y_k G_k / 2, the imputed part Z Y^T + Y Z^T + Y G Y^T is Z~ Y^T + Y Z~^T,
-        one BLAS-3 product (:func:`~mkmc.linalg.symmetric_update`)."""
+        """S_reg as an exactly symmetric ell x ell array, O(ell^2 K q) (module docstring)."""
         ell, m, q = self.y.shape
         half_yg = 0.5 * np.matmul(self.y.transpose(1, 0, 2), self.g).transpose(1, 0, 2)
         z_tilde = ((self.z + half_yg) / self.denom).reshape(ell, m * q)
@@ -562,9 +453,8 @@ def select_rank(s: np.ndarray, criterion: str) -> int:
 
 
 def _rank_and_eigenpairs(s: np.ndarray, criterion: str) -> tuple[int, EigenDecomposition]:
-    """:func:`select_rank`'s count q and the top q eigenpairs of ``s``, from one ``dsyevr``
-    over the eigenvalues above the criterion's threshold (over the top one instead when
-    there are none)."""
+    """:func:`select_rank`'s q and the top q eigenpairs of ``s``, from one value-range
+    ``dsyevr``."""
     ell = s.shape[0]
     if criterion == CRITERION_GK:
         threshold = float(np.trace(s)) / ell
@@ -582,6 +472,8 @@ def _rank_and_eigenpairs(s: np.ndarray, criterion: str) -> tuple[int, EigenDecom
 
 def degrees_of_freedom(method: str, ell: int, q: Optional[int] = None) -> int:
     """Parameter count of each covariance model."""
+    if q is not None and not is_integer(q):
+        raise ConfigError(f"rank q must be an integer, got {q!r}")
     if method == METHOD_FC:
         return (ell + 1) * ell // 2
     if q is None or not 1 <= q <= ell - 1:
@@ -611,12 +503,10 @@ def run_completion(
 ) -> CompletionResult:
     """Block coordinate descent completing all K views against one model, SQUAREM-accelerated.
 
-    Refuses a pattern with an object hidden in every view (``DimensionError``). The module
-    docstring gives the set-up, the start and the SQUAREM cycles. Stops when the relative
-    change of the objective drops below ``cfg.tol``, after ``cfg.max_iters`` evaluations, or
-    after the first iteration when nothing is hidden. No input is written or aliased.
-    ``on_iteration`` is invoked after every accepted evaluation with (iteration, completed
-    matrices, model) for inspection; iteration counts evaluations, rejected ones included.
+    The set-up, O(K ell^2) memory passes plus sum_k n_v^3 / 3 flops, fixes S_0_reg and each
+    view's split and log det Q_vv. README gives the start, the stop rule and what is refused.
+    No input is written or aliased. ``on_iteration(it, completed, model)`` runs after every
+    accepted evaluation; ``it`` counts evaluations, rejected ones included.
     """
     t_entry = time.perf_counter()
     pattern.check(qs_masked)
@@ -625,9 +515,7 @@ def run_completion(
     n_views, ell = pattern.n_views, pattern.ell
     eps = cfg.reg_epsilon
 
-    # One pass per view, while it is in cache: zero-fill it (which validates its visible block),
-    # add it into S_0's sum in average_kernel's order, split it and factor Q_vv. Fixed for the
-    # run: sum_k log det Q^(k)_vv, and (k, split) of each view hiding objects.
+    # One pass per view, while it is in cache; the sum runs in average_kernel's order.
     completed, views, logdet_vv = [], [], 0.0
     for k, (q, h) in enumerate(zip(qs_masked, pattern.hidden)):
         c = apply_mask(q, h, Fill.ZERO)
@@ -656,9 +544,8 @@ def run_completion(
             rank, eig = _rank_and_eigenpairs(s0_reg, cfg.rank_criterion or CRITERION_GK)
     dof = degrees_of_freedom(cfg.method, ell, rank)
 
-    # The start: the model fitted to S_0. FA has no closed-form fit; it takes the PPCA
-    # loadings and, as noise, what they leave of each variance. With a given rank the PPCA
-    # fit is warm, from S_0's columns at its q largest variances (in index order).
+    # The start: the model fitted to S_0. FA takes the PPCA loadings and, as noise, what they
+    # leave of each variance. A given rank's fit is warm, from S_0's top-variance columns.
     if cfg.method == METHOD_FC:
         model = FullModel(matrix=s0_reg)
     elif eig is None:
@@ -678,8 +565,7 @@ def run_completion(
     factored = cfg.method != METHOD_FC  # pca/fa: the imputed blocks stay in factors
 
     def evaluate(prev: ModelParams, prev_inv):
-        """F at ``prev`` (inverse ``prev_inv``): impute every view, refit; J of the result, the
-        new model, its inverse and the :class:`_ImputedAverage`."""
+        """F at ``prev``: J, the new model, its inverse and the :class:`_ImputedAverage`."""
         logdet_q = logdet_vv  # sum_k log det Q^(k) after imputing from prev
         blocks = []  # each view's (Q_vh, Q_hh), or for pca/fa (Q_vv A, G)
         for k, view in views:

@@ -1,17 +1,9 @@
-"""Dense symmetric-matrix primitives.
+"""Dense symmetric-matrix primitives on float64 arrays kept exactly symmetric.
 
-Everything downstream (views, completion engines, evaluation) works with
-plain float64 ndarrays that are kept exactly symmetric via :func:`symmetrize`, or, for
-a symmetric rank-2p update, :func:`symmetric_update`.
-Every log det and inverse of a PD matrix is taken here, from one Cholesky factor:
-of the matrix itself (:func:`logdet_and_inverse`), or, for a low-rank-plus-diagonal
-matrix W W^T + diag(d), of its q x q capacitance matrix
-(:func:`low_rank_logdet_and_inverse`, which keeps the inverse in factored form).
-LAPACK ``dpotrf`` factors A^T, a Fortran-ordered view of A when A is C-ordered, so
-every matrix factored here must be exactly symmetric.
-Eigenpairs, the top q or those above a threshold, are reserved for model updates and
-rank selection: from LAPACK ``dsyevr`` (:func:`eigh_sorted`), or, for the top q from a
-start, by certified subspace iteration (:func:`eigh_warm`).
+Every log det and inverse of a PD matrix is taken here, from one Cholesky factor: of the
+matrix itself, or of the q x q capacitance matrix of W W^T + diag(d). LAPACK ``dpotrf``
+factors A^T, a Fortran-ordered view of A when A is C-ordered, so every matrix factored here
+must be exactly symmetric. Eigenpairs come from ``dsyevr`` or certified subspace iteration.
 """
 
 from __future__ import annotations
@@ -102,19 +94,15 @@ def eigh_warm(a: np.ndarray, start: np.ndarray) -> EigenDecomposition:
     Each step makes one product Y = A V, O(ell^2 q), takes the Rayleigh-Ritz pairs
     (theta_j, x_j) of V^T Y and orthonormalizes the rotated Y by QR (Saad, *Numerical Methods
     for Large Eigenvalue Problems*, ch. 5). It stops when every residual ||A x_j - theta_j x_j||
-    is at most ``WARM_TOL`` |theta_1|. The pairs are then certified to be the top q: with R the
-    residual block, the compression B of A to the complement of the Ritz vectors has
-    ||B||_2 <= ||B||_F <= beta = sqrt(||A||_F^2 - sum_j theta_j^2 + ell eps ||A||_F^2) (the last
-    term allows for rounding), so by Weyl's theorem each Ritz value is within ||R|| of an
-    eigenvalue of A and every other eigenvalue is at most beta + ||R||. They are returned only
-    if theta_q - ||R||_F > beta + ||R||_F.
+    is at most ``WARM_TOL`` |theta_1|. With R the residual block, the compression B of A to the
+    complement of the Ritz vectors has ||B||_2 <= beta = sqrt(||A||_F^2 - sum_j theta_j^2
+    + ell eps ||A||_F^2) (the last term allows for rounding), so by Weyl's theorem the pairs
+    are the top q if theta_q - ||R||_F > beta + ||R||_F.
 
-    Otherwise the answer is :func:`eigh_sorted`'s: when A or the start is not finite, when the
-    start's columns are zero or linearly dependent, when the last step's contraction of the
-    residual predicts more steps than the budget, or when the certificate fails. The budget,
-    max(12, ell / (3 q)) steps, is what a ``dsyevr`` costs: about ell / (3 q) steps by flop
-    count, and 12-50 measured at the benchmark's shapes, since its tridiagonal reduction runs
-    at matrix-vector speed (one BLAS thread).
+    Otherwise the answer is :func:`eigh_sorted`'s: when A or the start is not finite or the
+    start's columns are dependent, when the residual's contraction predicts more steps than
+    the budget, or when the certificate fails. The budget, max(12, ell / (3 q)) steps, is what
+    one ``dsyevr`` costs (README).
     """
     ell, q = start.shape
     eps = np.finfo(float).eps

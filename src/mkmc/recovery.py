@@ -79,11 +79,12 @@ def hidden_block_error(truth: np.ndarray, completed: np.ndarray, hidden) -> floa
 
     A truth with a NaN or infinite entry is not positive definite, and neither
     is a completion with one in a hidden row or column, nor a truth whose hidden
-    rows are all zero. (The mean-fill baseline reads the truth's visible block.)
+    rows are all zero. (The mean-fill baseline reads the truth's visible block.) ``hidden``
+    must pass :class:`~mkmc.views.VisibilityPattern`'s rule for one view's indices.
     """
     if truth.shape != completed.shape:
         raise DimensionError(f"dimension mismatch: {truth.shape} vs {completed.shape}")
-    hid = np.asarray(sorted(set(int(i) for i in hidden)), dtype=int)
+    hid = np.asarray(VisibilityPattern(ell=len(truth), hidden=(hidden,)).hidden[0], dtype=int)
     if hid.size == 0:
         return 0.0
     mask = np.zeros(truth.shape, dtype=bool)

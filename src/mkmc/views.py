@@ -1,10 +1,5 @@
-"""Per-view visibility bookkeeping and artificial missingness.
-
-:func:`partition` splits a view into its sorted visible and hidden index arrays, its
-visible block and the ``np.ix_`` tuples through which imputed blocks are written back;
-the model inverse's blocks are gathered by ``take`` on the index arrays. Masks are
-generated with a seeded PCG64 generator so they are bit-reproducible.
-"""
+"""Per-view visibility bookkeeping (:class:`VisibilityPattern`, :func:`partition`) and
+seeded, bit-reproducible masks (:func:`random_mask`)."""
 
 from __future__ import annotations
 

@@ -400,10 +400,16 @@ class TestDegreesOfFreedom:
         assert degrees_of_freedom("fc", 4) == 10
         assert degrees_of_freedom("pca", 4, 2) == 8
         assert degrees_of_freedom("fa", 4, 2) == 11
+        assert degrees_of_freedom("pca", 4, np.int64(2)) == 8
 
     def test_invalid_rank(self):
         with pytest.raises(ValueError):
             degrees_of_freedom("pca", 4, 4)
+
+    @pytest.mark.parametrize("q", [2.5, True, 2.0, "2"], ids=["fraction", "bool", "float", "str"])
+    def test_rank_must_be_an_integer(self, q):
+        with pytest.raises(ConfigError, match="^rank q must be an integer, got "):
+            degrees_of_freedom("pca", 5, q)
 
 
 class TestRunCompletion:

@@ -118,6 +118,18 @@ class TestHiddenBlockError:
         a = random_symmetric(rng, 4)
         assert hidden_block_error(a, a + 1.0, ()) == 0.0
 
+    @pytest.mark.parametrize("hidden, error, message", [
+        ([1.5], ConfigError, "^hidden indices must be integers"),
+        ([True], ConfigError, "^hidden indices must be integers"),
+        ([-1], DimensionError, "^hidden index out of range"),
+        ([4], DimensionError, "^hidden index out of range"),
+        ([1, 1], DimensionError, "^hidden index set contains duplicates$"),
+    ], ids=["fraction", "bool", "negative", "past-end", "duplicate"])
+    def test_hidden_checked_like_a_pattern(self, hidden, error, message):
+        a = np.eye(4)
+        with pytest.raises(error, match=message):
+            hidden_block_error(a, a, hidden)
+
     def test_matches_two_loop_oracle(self, rng):
         truth = random_symmetric(rng, 7)
         completed = random_symmetric(rng, 7)
