@@ -17,7 +17,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import matrixio
+from . import linalg, matrixio
 from .engines import METHODS, RANK_CRITERIA, CompletionConfig, run_completion
 from .errors import ConfigError, DimensionError, MkmcError, NotPositiveDefiniteError
 from .recovery import score_completion
@@ -73,18 +73,16 @@ def _output_paths(out_dir, sidecar: str, inputs, reads=()) -> list[Path]:
 
 
 def _load_square_inputs(inputs) -> list[np.ndarray]:
+    """The matrices as read; the library's ``apply_mask`` takes each one's symmetric part."""
     mats = []
     for p in inputs:
         raw = matrixio.read_matrix(p)  # always 2-D
         if raw.shape[0] != raw.shape[1]:
             raise DimensionError(f"expected a square matrix, got shape {raw.shape}")
-        t = raw.T.copy()  # one strided pass, for the symmetric part and the asymmetry
-        out = raw + t
-        out *= 0.5
-        mats.append(out)
+        mats.append(raw)
         if raw.shape != mats[0].shape:
             raise DimensionError(f"{p}: dimension {raw.shape[0]} differs from {mats[0].shape[0]}")
-        asym = np.abs(raw - t).max(initial=0.0)
+        asym = np.abs(raw - raw.T).max(initial=0.0)
         if asym > ASYMMETRY_RTOL * np.abs(raw).max(initial=0.0):
             raise NotPositiveDefiniteError(f"{p}: not symmetric, max |A - A^T| = {asym:.3g}")
     return mats
@@ -173,8 +171,8 @@ def cmd_evaluate(mask_path, truth_paths, completed_paths, name, trace_path, out_
     out_path, = _output_paths(Path(out_path).parent, Path(out_path).name, (),
                               (mask_path, *truth_paths, *completed_paths, trace_path))
     pattern = matrixio.read_mask(mask_path)
-    truths = _load_square_inputs(truth_paths)
-    completed = _load_square_inputs(completed_paths)
+    truths = [linalg.symmetrize(m) for m in _load_square_inputs(truth_paths)]
+    completed = [linalg.symmetrize(m) for m in _load_square_inputs(completed_paths)]
     trace = matrixio.read_trace(trace_path) if trace_path is not None else {}
     report = score_completion(truths, completed, pattern, **trace)
     matrixio.write_report(out_path, {name: report})

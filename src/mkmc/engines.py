@@ -221,7 +221,8 @@ class CompletionResult:
 def average_kernel(qs: Sequence[np.ndarray]) -> np.ndarray:
     """Entrywise mean of K same-sized symmetric matrices.
 
-    The checks serve public callers (``mkmc`` exports it); the driver never trips them."""
+    The tests' oracle of the set-up's in-loop sum, which adds the views in this order; the
+    checks serve public callers (``mkmc`` exports it)."""
     if len(qs) < 1:
         raise ValueError("need at least one matrix")
     shape = qs[0].shape
@@ -236,11 +237,11 @@ def average_kernel(qs: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def regularize(s: np.ndarray, n_views: int, eps: float) -> np.ndarray:
-    """Numerical-stability transform (K*S + eps*I) / (K + eps).
+    """Numerical-stability transform (K*S + eps*I) / (K + eps), a new array unless eps is 0.
 
-    The eps check serves public callers (``mkmc`` exports it); the driver never trips it."""
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    The set-up calls it on S_0; ``eps`` follows :class:`CompletionConfig`'s ``reg_epsilon`` rule."""
+    if not (is_real(eps) and 0 <= eps <= sys.float_info.max):
+        raise ConfigError(f"eps must be a finite number >= 0, got {eps!r}")
     if eps == 0:
         return s
     out = n_views * s
@@ -266,8 +267,7 @@ def pca_model_update(s_reg: np.ndarray, q: int, start: Optional[np.ndarray] = No
     W being refit as ``start`` and an ``s_reg`` from :meth:`_FactoredAverage.dense`.
     """
     ell = s_reg.shape[0]
-    if not 1 <= q <= ell - 1:
-        raise ValueError(f"rank q={q} out of range [1, {ell - 1}]")
+    degrees_of_freedom(METHOD_PCA, ell, q)  # the rank rule
     if start is None:
         return _pca_fit(s_reg, eigh_sorted(s_reg, top=q))
     if start.shape != (ell, q):
@@ -529,11 +529,8 @@ def run_completion(
                 f"view {k}: visible block is not positive definite") from exc
         if h:
             views.append((k, view))
-    s0_reg /= n_views  # S_0, then S_0_reg in place, by average_kernel's and regularize's steps
-    if eps != 0:
-        s0_reg *= n_views
-        s0_reg.flat[::ell + 1] += eps
-        s0_reg /= n_views + eps
+    s0_reg /= n_views  # S_0, then S_0_reg
+    s0_reg = regularize(s0_reg, n_views, eps)
 
     rank: Optional[int] = None
     eig = None  # with a rank criterion, the top eigenpairs its count came from

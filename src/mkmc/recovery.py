@@ -82,6 +82,8 @@ def hidden_block_error(truth: np.ndarray, completed: np.ndarray, hidden) -> floa
     rows are all zero. (The mean-fill baseline reads the truth's visible block.) ``hidden``
     must pass :class:`~mkmc.views.VisibilityPattern`'s rule for one view's indices.
     """
+    if truth.ndim != 2 or truth.shape[0] != truth.shape[1]:
+        raise DimensionError(f"expected a square matrix, got shape {truth.shape}")
     if truth.shape != completed.shape:
         raise DimensionError(f"dimension mismatch: {truth.shape} vs {completed.shape}")
     hid = np.asarray(VisibilityPattern(ell=len(truth), hidden=(hidden,)).hidden[0], dtype=int)

@@ -107,7 +107,7 @@ def partition(full: np.ndarray, hidden) -> PartitionedView:
     """Split ``full`` by the hidden objects of one view."""
     ell = full.shape[0]
     if full.shape != (ell, ell):
-        raise DimensionError(f"expected square matrix, got {full.shape}")
+        raise DimensionError(f"expected a square matrix, got shape {full.shape}")
     hid = np.array(_validate_hidden(ell, hidden), dtype=int)
     vis = visible_indices(ell, hid)
     # two takes gather Q_vv faster than full[np.ix_(vis, vis)] does, with the same values
@@ -129,7 +129,7 @@ def random_mask(ell: int, n_views: int, fraction: float, seed: int) -> Visibilit
     for name, value in (("ell", ell), ("n_views", n_views), ("seed", seed)):
         if not is_integer(value):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if not 0.0 <= fraction < 1.0:
+    if not (is_real(fraction) and 0.0 <= fraction < 1.0):
         raise ConfigError(f"fraction must be in [0, 1), got {fraction!r}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed!r}")

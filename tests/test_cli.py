@@ -306,6 +306,51 @@ class TestCompleteCommand:
         assert obj["objective_trace"] == trace["objective"]
         assert obj["iterations"] == trace["iterations"]
 
+    def test_tolerated_asymmetry_reads_as_the_symmetric_part(self, runner, tmp_path,
+                                                             synthetic_inputs):
+        """An input moved off symmetry by 1e-12 max|A|, which is tolerated, gives byte for
+        byte the completions and the report of its exact symmetric part: ``complete`` and
+        ``evaluate`` read each input's symmetric part. The masked view is moved in its
+        visible block, the truth and the completion in a hidden row, which is scored."""
+        masked_dir = tmp_path / "masked"
+        runner.invoke(main, ["mask", "--fraction", "0.2", "--seed", "5", "--out-dir",
+                             str(masked_dir), *synthetic_inputs])
+        mask = str(masked_dir / "mask.json")
+        hidden = matrixio.read_mask(mask).hidden[0]
+        vis = [i for i in range(12) if i not in hidden]
+        names = [Path(p).name for p in synthetic_inputs]
+
+        def moved(path, case, entry):
+            q = matrixio.read_matrix(path)
+            q[entry] += 1e-12 * np.abs(q).max()
+            dest = tmp_path / case / f"moved-{Path(path).parent.name}" / Path(path).name
+            dest.parent.mkdir(parents=True, exist_ok=True)
+            matrixio.write_csv_matrix(dest, q if case == "asym" else linalg.symmetrize(q))
+            back = matrixio.read_matrix(dest)
+            assert (back[entry] != back.T[entry]) == (case == "asym")
+            return str(dest)
+
+        results = {}
+        for case in ("asym", "sym"):
+            out = tmp_path / case / "completed"
+            masked = [moved(masked_dir / names[0], case, (vis[0], vis[1])),
+                      *(str(masked_dir / n) for n in names[1:])]
+            res = runner.invoke(main, ["complete", "--method", "pca", "--rank-criterion", "gk",
+                                       "--mask", mask, "--output-dir", str(out), *masked])
+            assert res.exit_code == 0, res.output
+            truths = [moved(synthetic_inputs[0], case, (hidden[0], vis[0])),
+                      *synthetic_inputs[1:]]
+            completed = [moved(out / names[0], case, (hidden[0], vis[0])),
+                         *(str(out / n) for n in names[1:])]
+            report = tmp_path / case / "report.json"
+            res = runner.invoke(main, ["evaluate", "--mask", mask,
+                                       "--trace", str(out / "trace.json"), "--out", str(report),
+                                       *[a for p in truths for a in ("--truth", p)],
+                                       *[a for p in completed for a in ("--completed", p)]])
+            assert res.exit_code == 0, res.output
+            results[case] = [(out / n).read_bytes() for n in names] + [report.read_bytes()]
+        assert results["asym"] == results["sym"]
+
     def test_max_iters_hit_is_not_an_error(self, runner, tmp_path, synthetic_inputs):
         masked_dir = tmp_path / "masked"
         runner.invoke(

@@ -1,3 +1,4 @@
+import re
 import time
 from dataclasses import replace
 from types import SimpleNamespace
@@ -83,6 +84,15 @@ class TestAverageAndRegularize:
         out = regularize(np.diag([0.0, 1.0]), 2, 1e-3)
         assert out[0, 0] == pytest.approx(1e-3 / 2.001, rel=1e-12)
         assert out[1, 1] == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("eps", [-1e-3, np.nan, np.inf, "0.001", None, True])
+    def test_regularize_eps_rule(self, eps):
+        """``eps`` follows ``CompletionConfig.reg_epsilon``'s rule: a finite number >= 0."""
+        with pytest.raises(ConfigError, match=re.escape(
+                f"eps must be a finite number >= 0, got {eps!r}")):
+            regularize(np.eye(3), 2, eps)
+        with pytest.raises(ConfigError, match="^reg_epsilon must be a finite number >= 0"):
+            CompletionConfig(reg_epsilon=eps)
 
 
 class TestImputeView:
@@ -197,6 +207,22 @@ class TestModelUpdates:
         unit = np.finfo(float).eps * ell * spectrum[0]
         assert abs(model.sigma2 - dense.sigma2) <= unit
         assert np.max(np.abs(model.materialize() - dense.materialize())) <= unit
+
+    @pytest.mark.parametrize("q, error, message", [
+        (True, ConfigError, "rank q must be an integer, got True"),
+        (2.0, ConfigError, "rank q must be an integer, got 2.0"),
+        (2.5, ConfigError, "rank q must be an integer, got 2.5"),
+        (0, DimensionError, "rank q=0 out of range [1, 3]"),
+        (4, DimensionError, "rank q=4 out of range [1, 3]"),
+    ])
+    def test_pca_rank_rule_is_degrees_of_freedom(self, rng, q, error, message):
+        """q is checked by :func:`degrees_of_freedom`, warm start or not."""
+        s = random_pd(rng, 4)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            degrees_of_freedom("pca", 4, q)
+        for start in (None, np.ones((4, 2))):
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                pca_model_update(s, q, start)
 
     def test_pca_rank_out_of_range(self, rng):
         with pytest.raises(ValueError):
@@ -803,8 +829,9 @@ class TestRunCompletion:
         """Every method holds S_reg as S_0_reg plus the imputed blocks (``fc`` accumulates
         them, ``pca`` assembles S_reg from factors and ``fa`` reads it through products), so
         after the first per-view step a run neither averages nor regularizes any view, hook or
-        not. It writes each view that hides objects once at the end, or, with a hook, once
-        after every accepted evaluation."""
+        not. Before it, the set-up sums the views in its own pass and gets S_0_reg from one
+        ``regularize`` call. A run writes each view that hides objects once at the end, or,
+        with a hook, once after every accepted evaluation."""
         calls, written = [], []
 
         def bind(name, original):
@@ -825,6 +852,7 @@ class TestRunCompletion:
                 method=method, rank=2, max_iters=300), on_iteration=hook)
             assert result.stop == "tol" and result.iterations > 3
             first = calls.index("impute_view")
+            assert calls[:first] == ["regularize"]
             assert set(calls[first:]) == {"impute_view", "_write"}
             writes = 1 if hook is None else result.iterations - result.rejected
             hiding = [id(c) for c, h in zip(result.completed, pattern.hidden) if h]
@@ -1144,7 +1172,7 @@ def setup_problem(case):
 class TestSetUp:
     @pytest.mark.parametrize("method", ["fc", "pca", "fa"])
     def test_inputs_are_neither_written_nor_aliased(self, method):
-        """The set-up zero-fills, sums and regularizes in place, but only in its own arrays:
+        """The set-up zero-fills and sums in place, but only in its own arrays:
         every input, NaN in its hidden rows included, keeps its bytes, and no completed view
         or model parameter shares memory with one."""
         masked, pattern = seeded_problem(2)

@@ -118,6 +118,14 @@ class TestHiddenBlockError:
         a = random_symmetric(rng, 4)
         assert hidden_block_error(a, a + 1.0, ()) == 0.0
 
+    @pytest.mark.parametrize("truth, hidden", [
+        (np.ones((2, 3)), (1,)), (np.ones(3), ()), (np.ones(3), (1,)),
+    ], ids=["2x3", "1-d-nothing-hidden", "1-d-one-hidden"])
+    def test_truth_must_be_square(self, truth, hidden):
+        with pytest.raises(DimensionError, match=re.escape(
+                f"expected a square matrix, got shape {truth.shape}")):
+            hidden_block_error(truth, truth.copy(), hidden)
+
     @pytest.mark.parametrize("hidden, error, message", [
         ([1.5], ConfigError, "^hidden indices must be integers"),
         ([True], ConfigError, "^hidden indices must be integers"),
@@ -166,6 +174,13 @@ class TestCompareMethods:
         reports = compare_methods(spec, 0.0, ["fc", "pca"], cfg)
         for rep in reports.values():
             assert rep.mean_relative_error == 0.0
+
+    @pytest.mark.parametrize("fraction", ["0.2", None])
+    def test_fraction_checked_by_random_mask(self, fraction):
+        spec = SyntheticSpec(ell=6, n_views=2, true_rank=2, noise_sigma2=0.2, seed=1)
+        with pytest.raises(ConfigError, match=re.escape(
+                f"fraction must be in [0, 1), got {fraction!r}")):
+            compare_methods(spec, fraction, ["fc"], CompletionConfig())
 
     def test_deterministic(self):
         spec = SyntheticSpec(

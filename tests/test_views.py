@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,12 @@ class TestPartition:
         with pytest.raises(DimensionError):
             partition(np.eye(3), (4,))
 
+    @pytest.mark.parametrize("full", [np.ones(3), np.ones((2, 3))], ids=["1-d", "2x3"])
+    def test_not_square(self, full):
+        with pytest.raises(DimensionError, match=re.escape(
+                f"expected a square matrix, got shape {full.shape}")):
+            partition(full, ())
+
 
 class TestRandomMask:
     def test_fraction_zero(self):
@@ -156,6 +164,12 @@ class TestRandomMask:
     def test_zero_views(self):
         with pytest.raises(DimensionError):
             random_mask(8, 0, 0.25, seed=1)
+
+    @pytest.mark.parametrize("fraction", ["0.2", None, True, np.nan, 1.0, -0.1])
+    def test_fraction_rule(self, fraction):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"fraction must be in [0, 1), got {fraction!r}")):
+            random_mask(6, 2, fraction, 0)
 
     def test_correlated_draws_are_gone(self):
         # one draw shared by every view would hide each of its objects in every view
