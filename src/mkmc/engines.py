@@ -367,8 +367,12 @@ def _hidden_blocks(qa: np.ndarray, g: np.ndarray, w_h: np.ndarray,
 
 
 def _write(c: np.ndarray, view: PartitionedView, q_vh: np.ndarray, q_hh: np.ndarray) -> None:
-    """Write one view's imputed hidden blocks into its completed matrix ``c``."""
-    c[view.vh], c[view.hv], c[view.hh] = q_vh, q_vh.T, q_hh
+    """Write one view's imputed hidden blocks into its completed matrix ``c``: the hidden rows
+    [Q_hv | Q_hh] as one row block, then Q_vh into the visible rows."""
+    row = np.empty((len(view.hid), len(c)))
+    row[:, view.vis], row[:, view.hid] = q_vh.T, q_hh
+    c[view.hid] = row
+    c[view.vh] = q_vh
 
 
 class _ImputedAverage:

@@ -4,6 +4,10 @@ Every log det and inverse of a PD matrix is taken here, from one Cholesky factor
 matrix itself, or of the q x q capacitance matrix of W W^T + diag(d). LAPACK ``dpotrf``
 factors A^T, a Fortran-ordered view of A when A is C-ordered, so every matrix factored here
 must be exactly symmetric. Eigenpairs come from ``dsyevr`` or certified subspace iteration.
+
+``scipy.linalg`` is imported inside the functions that call LAPACK or BLAS, not here: only a
+solve factors or eigensolves, so ``import mkmc``, ``mkmc mask``, ``mkmc evaluate`` and
+``mkmc --help`` never load scipy, and a solve loads it at its first factorization.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import DimensionError, NotPositiveDefiniteError, NumericalError
 
@@ -31,6 +34,8 @@ def symmetric_update(s: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """S + X Y^T + Y X^T as a new, exactly symmetric array, for an exactly symmetric ell x ell
     ``s`` and ell x p ``x`` and ``y``: C = S/2 + X Y^T by one BLAS ``dgemm``, O(ell^2 p), then
     C + C^T."""
+    import scipy.linalg as sla
+
     c = s * 0.5
     # C^T += Y X^T: C^T is C's memory in Fortran order, so dgemm writes it in place
     c = sla.blas.dgemm(1.0, y, x, beta=1.0, c=c.T, trans_b=1, overwrite_c=1)
@@ -73,6 +78,8 @@ def eigh_sorted(a: np.ndarray, top: Optional[int] = None, *,
     Only those are computed (LAPACK ``dsyevr`` on an index or a value range); the tridiagonal
     reduction costs O(ell^3) either way.
     """
+    import scipy.linalg as sla
+
     ell = a.shape[0]
     subset = ({"subset_by_index": (ell - top, ell - 1)} if above is None
               else {"subset_by_value": (above, np.inf)})
@@ -142,6 +149,8 @@ def cholesky_lower(a: np.ndarray) -> np.ndarray:
     definite, NaN or inf entries included (they pass the pivot test, not the finite diagonal)."""
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
+    import scipy.linalg as sla
+
     chol, info = sla.lapack.dpotrf(a.T, lower=1, clean=1)
     if info != 0 or not np.isfinite(np.diagonal(chol)).all():
         raise NotPositiveDefiniteError(f"matrix of dim {a.shape[0]} is not positive definite")
@@ -161,6 +170,8 @@ def logdet(a: np.ndarray) -> float:
 def logdet_and_inverse(a: np.ndarray) -> tuple[float, np.ndarray]:
     """log det and full symmetric inverse of a PD matrix, from one Cholesky (``dpotri``, which
     fills only the lower triangle: the factor's upper one stays zero)."""
+    import scipy.linalg as sla
+
     chol = cholesky_lower(a)
     value = _logdet_of_factor(chol)
     low, info = sla.lapack.dpotri(chol, lower=1, overwrite_c=1)
@@ -192,6 +203,8 @@ class LowRankInverse:
 
     def solve_c(self, b: np.ndarray) -> np.ndarray:
         """C^{-1} b, by LAPACK ``dpotrs`` on L."""
+        import scipy.linalg as sla
+
         return sla.lapack.dpotrs(self.chol, b, lower=1)[0]
 
     def w_t_inverse(self) -> np.ndarray:

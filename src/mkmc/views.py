@@ -33,9 +33,10 @@ def is_real(value) -> bool:
 
 def _validate_hidden(ell: int, hidden) -> tuple[int, ...]:
     idx = tuple(hidden)
-    if not all(map(is_integer, idx)):
-        raise ConfigError(f"hidden indices must be integers, got {idx!r}")
-    idx = tuple(map(int, idx))
+    if not all(type(i) is int for i in idx):  # plain ints skip the slower ABC check
+        if not all(map(is_integer, idx)):
+            raise ConfigError(f"hidden indices must be integers, got {idx!r}")
+        idx = tuple(map(int, idx))
     if any(i < 0 or i >= ell for i in idx):
         raise DimensionError(f"hidden index out of range [0, {ell})")
     if len(set(idx)) != len(idx):

@@ -797,13 +797,49 @@ def test_mkmc_log_takes_only_level_names(tmp_path, synthetic_inputs, level):
     assert ("wrote mask" in out.stderr) == (level == "info")
 
 
-def test_import_leaves_jsonschema_unloaded():
-    """Neither jsonschema nor orjson (imported by the CSV reader and writer) loads with the CLI."""
-    code = "import sys, mkmc.cli; print('jsonschema' in sys.modules, 'orjson' in sys.modules)"
+def run_fresh(code: str) -> str:
+    """The standard output of ``code`` run by a new interpreter on this tree's ``src``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False False"
+    return out.stdout.strip()
+
+
+def test_import_leaves_jsonschema_unloaded():
+    """Neither jsonschema, orjson (imported by the CSV reader and writer) nor scipy (imported by
+    the ``linalg`` functions that call LAPACK or BLAS) loads with the CLI."""
+    code = ("import sys, mkmc.cli; "
+            "print('jsonschema' in sys.modules, 'orjson' in sys.modules, 'scipy' in sys.modules)")
+    assert run_fresh(code) == "False False False"
+
+
+def test_only_complete_loads_scipy(tmp_path, synthetic_inputs, mask_file):
+    """``mask``, ``evaluate`` and ``--help`` run in a new process without loading scipy, and
+    ``complete`` loads it when it factors and writes its completions."""
+    masked, completed = tmp_path / "masked", tmp_path / "completed"
+    commands = [
+        ["mask", "--fraction", "0.2", "--out-dir", str(masked), *synthetic_inputs],
+        ["evaluate", "--mask", str(mask_file), "--out", str(tmp_path / "report.json"),
+         *[a for p in synthetic_inputs for a in ("--truth", p, "--completed", p)]],
+        ["--help"],
+        ["complete", "--mask", str(mask_file), "--output-dir", str(completed), *synthetic_inputs],
+    ]
+    code = f"""
+import sys
+from click.testing import CliRunner
+from mkmc.cli import main
+for args in {commands!r}:
+    res = CliRunner().invoke(main, args)
+    print(args[0], res.exit_code, 'scipy' in sys.modules)
+"""
+    assert run_fresh(code).splitlines() == [
+        "mask 0 False", "evaluate 0 False", "--help 0 False", "complete 0 True"]
+    assert (tmp_path / "report.json").exists()
+    result = run_completion([matrixio.read_matrix(p) for p in synthetic_inputs],
+                            matrixio.read_mask(mask_file), CompletionConfig())
+    for p, want in zip(synthetic_inputs, result.completed):
+        assert (masked / Path(p).name).exists()
+        np.testing.assert_array_equal(matrixio.read_matrix(completed / Path(p).name), want)
 
 
 class TestEvaluateCommand:

@@ -38,6 +38,7 @@ documented exit codes, and codes 3-5, like every error of ``evaluate``, print
 exactly one ``mkmc: error:`` line.
 """
 
+import itertools
 import json
 import math
 
@@ -277,12 +278,19 @@ def test_imputed_average_matches_the_dense_average(state):
     (5, ((np.bool_(True),),)),
     (5, ((None,),)),
     (5, ("12",)),
+    (5, ((1, True),)),
+    (5, ((0, 2.0),)),
 ], ids=["ell-fraction", "ell-float", "ell-string", "ell-bool", "index-fraction-and-bool",
-        "index-float", "index-numpy-float", "index-numpy-bool", "index-none", "hidden-string"])
+        "index-float", "index-numpy-float", "index-numpy-bool", "index-none", "hidden-string",
+        "index-int-and-bool", "index-int-and-float"])
 def test_pattern_refuses_non_integers(ell, hidden):
     with pytest.raises(ConfigError, match="must be (an integer|integers), got") as info:
         VisibilityPattern(ell=ell, hidden=hidden)
     assert info.value.exit_code == 2
+    if type(ell) is int:  # the per-view checks apply the same rule to each view's indices
+        for check, h in itertools.product((apply_mask, partition), hidden):
+            with pytest.raises(ConfigError, match="^hidden indices must be integers, got"):
+                check(np.eye(ell), h)
 
 
 def test_pattern_accepts_every_integral_type(tmp_path):
@@ -294,6 +302,10 @@ def test_pattern_accepts_every_integral_type(tmp_path):
     assert matrixio.read_mask(tmp_path / "mask.json") == pattern
     drawn = random_mask(np.int64(9), 3, 0.4, seed=np.uint32(2))
     assert VisibilityPattern(ell=drawn.ell, hidden=drawn.hidden) == drawn
+    a = np.arange(25.0).reshape(5, 5)
+    numpy_ints = (np.int32(3), np.uint8(1))
+    assert np.array_equal(apply_mask(a, numpy_ints), apply_mask(a, (1, 3)))
+    assert partition(a, numpy_ints).hid.tolist() == [1, 3]
 
 
 FLAG_TEXT = {
