@@ -125,7 +125,7 @@ def _resolve_config(config_path, **run):
 @main.command("complete", context_settings={"show_default": True})
 @click.argument("inputs", nargs=-1, type=click.Path())
 @click.option("--method", type=click.Choice(METHODS), default=CompletionConfig.method)
-@click.option("--rank", type=int, default=None, help="Explicit model rank q (pca/fa).")
+@click.option("--rank", type=int, default=None, help="Rank q of the start and the pca/fa model.")
 @click.option("--rank-criterion", type=click.Choice(RANK_CRITERIA), default=None,
               help="Pick q from the initial average kernel's spectrum.")
 @click.option("--tol", type=float, default=CompletionConfig.tol)

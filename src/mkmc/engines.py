@@ -30,6 +30,9 @@ capacitance matrix of M_vv, and A = D_v^{-1} W_v C_v^{-1} = M_vv^{-1} W_v, X = A
 
 O(n_v^2 q) per view, so a ``pca``/``fa`` run factors no ell x ell matrix.
 
+Start. Every method starts at the PPCA fit of S_0_reg, so iteration 1 imputes in Woodbury
+form and no set-up factors an ell x ell matrix; ``fc``'s refit then makes M whole.
+
 S_reg. No evaluation writes or averages a view: S_reg is the set-up's S_0_reg, the same
 transform of the zero-filled views' average, plus the imputed blocks over K + eps. ``fc``
 adds each hiding view's row block [Q_hv | Q_hh / 2] into the hidden rows of a zero U:
@@ -109,7 +112,8 @@ class FullModel:
 
 @dataclass(frozen=True)
 class PcaModel:
-    """Low-rank plus isotropic noise: W W^T + sigma2 I; :meth:`materialize` serves the tests."""
+    """Low-rank plus isotropic noise: W W^T + sigma2 I; :meth:`materialize` gives ``fc``'s
+    start as the point of its first residual."""
 
     W: np.ndarray
     sigma2: float
@@ -158,8 +162,8 @@ ModelParams = Union[FullModel, PcaModel, FaModel]
 
 @dataclass(frozen=True)
 class CompletionConfig:
-    """Driver settings; ``rank``/``rank_criterion`` apply to pca/fa only, and at most one of
-    them may be set (with neither, the ``gk`` criterion picks the rank).
+    """Driver settings; ``rank``/``rank_criterion`` fix q of every method's start and of the
+    pca/fa model, and at most one of them may be set (with neither, ``gk`` picks the rank).
 
     Each setting is checked here, by type and value, for the library and the
     CLI alike; :func:`degrees_of_freedom` checks that ``rank`` fits the data.
@@ -206,7 +210,7 @@ class CompletionResult:
     iterations: int
     stop: str
     dof: int
-    rank: Optional[int] = None
+    rank: int
     iter_ms: list[float] = field(default_factory=list)
     residual: list[float] = field(default_factory=list)
     step_length: list[Optional[float]] = field(default_factory=list)
@@ -335,9 +339,9 @@ def impute_view(inverse: Union[np.ndarray, LowRankInverse], view: PartitionedVie
                 factored: bool = False) -> tuple[float, np.ndarray, np.ndarray]:
     """log det P_hh, Q_vh and Q_hh of one view, imputed from the held M^{-1} (module docstring).
 
-    From the whole P (``fc``) row-wise, X^T = -P_hh^{-1} P_hv from P's hidden rows,
-    O(n_h^3 + n_v^2 n_h); Q_vh is a view of Q_hv. From a :class:`~mkmc.linalg.LowRankInverse`,
-    O(n_v^2 q); with ``factored`` it returns log det P_hh, Q_vv A and G_v instead."""
+    From the whole P (``fc`` from iteration 2) row-wise, X^T = -P_hh^{-1} P_hv from P's
+    hidden rows, O(n_h^3 + n_v^2 n_h); Q_vh is a view of Q_hv. From a ``LowRankInverse``
+    (every start), O(n_v^2 q); with ``factored`` it returns log det P_hh, Q_vv A and G_v."""
     if isinstance(inverse, LowRankInverse):
         f_v = inverse.f[:, view.vis]
         # C_v = I + W_v^T D_v^{-1} W_v >= I, the capacitance matrix of M_vv
@@ -475,13 +479,13 @@ def _rank_and_eigenpairs(s: np.ndarray, criterion: str) -> tuple[int, EigenDecom
 
 
 def degrees_of_freedom(method: str, ell: int, q: Optional[int] = None) -> int:
-    """Parameter count of each covariance model."""
+    """Parameter count of each covariance model; ``fc``'s needs no q, but a given q is checked."""
     if q is not None and not is_integer(q):
         raise ConfigError(f"rank q must be an integer, got {q!r}")
+    if q is None and method != METHOD_FC or q is not None and not 1 <= q <= ell - 1:
+        raise DimensionError(f"rank q={q} out of range [1, {ell - 1}]")
     if method == METHOD_FC:
         return (ell + 1) * ell // 2
-    if q is None or not 1 <= q <= ell - 1:
-        raise DimensionError(f"rank q={q} out of range [1, {ell - 1}]")
     if method == METHOD_PCA:
         return ell * q + 1 - (q - 1) * q // 2
     if method == METHOD_FA:
@@ -536,20 +540,17 @@ def run_completion(
     s0_reg /= n_views  # S_0, then S_0_reg
     s0_reg = regularize(s0_reg, n_views, eps)
 
-    rank: Optional[int] = None
     eig = None  # with a rank criterion, the top eigenpairs its count came from
-    if cfg.method in (METHOD_PCA, METHOD_FA):
-        if cfg.rank is not None:
-            rank = int(cfg.rank)
-        else:
-            rank, eig = _rank_and_eigenpairs(s0_reg, cfg.rank_criterion or CRITERION_GK)
+    if cfg.rank is not None:
+        rank = int(cfg.rank)
+    else:
+        rank, eig = _rank_and_eigenpairs(s0_reg, cfg.rank_criterion or CRITERION_GK)
     dof = degrees_of_freedom(cfg.method, ell, rank)
 
-    # The start: the model fitted to S_0. FA takes the PPCA loadings and, as noise, what they
-    # leave of each variance. A given rank's fit is warm, from S_0's top-variance columns.
-    if cfg.method == METHOD_FC:
-        model = FullModel(matrix=s0_reg)
-    elif eig is None:
+    # The start: the PPCA fit to S_0, for every method. FA takes its loadings and, as noise,
+    # what they leave of each variance. A given rank's fit is warm, from S_0's top-variance
+    # columns.
+    if eig is None:
         top = np.sort(np.argsort(-s0_reg.diagonal(), kind="stable")[:rank])
         model = pca_model_update(s0_reg, rank, s0_reg[:, top])
     else:
@@ -560,8 +561,9 @@ def run_completion(
         model_inv = model.logdet_and_inverse()[1]
     except NotPositiveDefiniteError as exc:
         raise NumericalError(f"initial model matrix: {exc}") from exc
+    # fc's iteration-1 residual compares its M with the start's, materialised, O(ell^2 q)
+    theta = (model.materialize(),) if cfg.method == METHOD_FC else model.parameters()
     setup_ms = (time.perf_counter() - t_entry) * 1e3
-    theta = model.parameters()
 
     factored = cfg.method != METHOD_FC  # pca/fa: the imputed blocks stay in factors
 

@@ -89,14 +89,12 @@ class VisibilityPattern:
 @dataclass(frozen=True)
 class PartitionedView:
     """One view's split: its visible and hidden indices, its visible block Q_vv and the
-    ``np.ix_`` index tuples of its vh, hv and hh blocks."""
+    ``np.ix_`` index tuple of its vh block."""
 
     vis: np.ndarray
     hid: np.ndarray
     q_vv: np.ndarray
     vh: tuple
-    hv: tuple
-    hh: tuple
 
 
 def visible_indices(ell: int, hidden) -> np.ndarray:
@@ -112,8 +110,7 @@ def partition(full: np.ndarray, hidden) -> PartitionedView:
     hid = np.array(_validate_hidden(ell, hidden), dtype=int)
     vis = visible_indices(ell, hid)
     # two takes gather Q_vv faster than full[np.ix_(vis, vis)] does, with the same values
-    return PartitionedView(vis, hid, full.take(vis, 0).take(vis, 1), np.ix_(vis, hid),
-                           np.ix_(hid, vis), np.ix_(hid, hid))
+    return PartitionedView(vis, hid, full.take(vis, 0).take(vis, 1), np.ix_(vis, hid))
 
 
 def random_mask(ell: int, n_views: int, fraction: float, seed: int) -> VisibilityPattern:

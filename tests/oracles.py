@@ -10,8 +10,7 @@ run uses.
 import numpy as np
 import scipy.linalg as sla
 
-from mkmc.engines import (PSI_FLOOR_REL, FaModel, FullModel, average_kernel, pca_model_update,
-                          regularize)
+from mkmc.engines import PSI_FLOOR_REL, FaModel, average_kernel, pca_model_update, regularize
 from mkmc.linalg import cholesky_lower, symmetrize
 from mkmc.views import Fill, apply_mask, partition
 
@@ -31,20 +30,18 @@ def impute_from_model(q_vv: np.ndarray, m: np.ndarray, hidden) -> tuple[np.ndarr
     m_vh = m[view.vh]
     x = sla.cho_solve((cholesky_lower(view.q_vv), True), m_vh)  # M_vv^{-1} M_vh
     q_vh = q_vv @ x
-    return q_vh, symmetrize(m[view.hh] - m_vh.T @ x + x.T @ q_vh)
+    return q_vh, symmetrize(m[np.ix_(view.hid, view.hid)] - m_vh.T @ x + x.T @ q_vh)
 
 
 def start_model(masked, pattern, method: str, rank: int, eps: float):
     """The documented start: the model fitted to S_0, the regularized average of the
-    zero-filled views. ``fc``: S_0 itself; ``pca``: the PPCA optimum for S_0; ``fa``: that
-    optimum's loadings W with noise diag(S_0 - W W^T), floored at PSI_FLOOR_REL times the
-    mean of diag S_0."""
+    zero-filled views. ``fc`` and ``pca``: the PPCA optimum for S_0; ``fa``: that optimum's
+    loadings W with noise diag(S_0 - W W^T), floored at PSI_FLOOR_REL times the mean of
+    diag S_0."""
     zero_filled = [apply_mask(q, h, Fill.ZERO) for q, h in zip(masked, pattern.hidden)]
     s0 = regularize(average_kernel(zero_filled), pattern.n_views, eps)
-    if method == "fc":
-        return FullModel(matrix=s0)
     pca = pca_model_update(s0, rank)
-    if method == "pca":
+    if method in ("fc", "pca"):
         return pca
     psi = np.diag(s0) - np.sum(pca.W ** 2, axis=1)
     return FaModel(W=pca.W, psi=np.maximum(psi, PSI_FLOOR_REL * np.mean(np.diag(s0))))

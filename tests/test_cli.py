@@ -419,6 +419,31 @@ class TestCompleteCommand:
         assert res.exit_code == 3
         assert res.output.strip().splitlines() == ["mkmc: error: rank q=50 out of range [1, 11]"]
 
+    @pytest.mark.parametrize("rank", ["0", "12"])
+    def test_fc_rank_out_of_range_exits_3(self, runner, tmp_path, synthetic_inputs, mask_file,
+                                          rank):
+        res = runner.invoke(
+            main,
+            ["complete", "--method", "fc", "--rank", rank, "--mask", str(mask_file),
+             "--output-dir", str(tmp_path / "o"), *synthetic_inputs],
+        )
+        assert res.exit_code == 3
+        assert res.output.strip().splitlines() == [
+            f"mkmc: error: rank q={rank} out of range [1, 11]"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("method", ["fc", "pca", "fa"])
+    def test_single_object_exits_3(self, runner, tmp_path, method):
+        """At ell = 1 nothing can be hidden, and no rank fits [1, ell - 1] for the start."""
+        inputs = write_views(tmp_path, [np.array([[2.0]])])
+        mask = tmp_path / "mask.json"
+        mask.write_text(json.dumps({"ell": 1, "views": [{"hidden": []}]}))
+        res = runner.invoke(main, ["complete", "--method", method, "--mask", str(mask),
+                                   "--output-dir", str(tmp_path / "o"), *inputs])
+        assert res.exit_code == 3
+        assert res.output.strip().splitlines() == ["mkmc: error: rank q=1 out of range [1, 0]"]
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("text", [
         '{"ell": "abc", "views": [{"hidden": [1]}]}',
         '{"ell": 1e400, "views": [{"hidden": [1]}]}',
@@ -517,16 +542,21 @@ class TestCompleteCommand:
              *synthetic_inputs],
         )
 
-        # ell = 12 and fraction 0.2 hide two objects per view; fail each 2 x 2 P_hh
+        # At rank 2 the set-up factors the start's 2 x 2 capacitance matrix, then iteration 1
+        # each view's 2 x 2 C_v: fail each 2 x 2 after the start's
+        twos = []
+
         def singular(a):
             if a.shape[0] == 2:
-                raise NotPositiveDefiniteError("matrix of dim 2 is not positive definite")
+                twos.append(a)
+                if len(twos) > 1:
+                    raise NotPositiveDefiniteError("matrix of dim 2 is not positive definite")
             return cholesky_lower(a)
 
         monkeypatch.setattr(linalg, "cholesky_lower", singular)
         res = runner.invoke(
             main,
-            ["complete", "--method", "fc", "--mask", str(masked_dir / "mask.json"),
+            ["complete", "--method", "fc", "--rank", "2", "--mask", str(masked_dir / "mask.json"),
              "--output-dir", str(tmp_path / "out"),
              *[str(masked_dir / Path(p).name) for p in synthetic_inputs]],
         )

@@ -110,7 +110,7 @@ class TestImputeView:
         m = random_pd(rng, 5)
         view = partition(m, (1, 3))
         q_vh, q_hh = impute_from_model(view.q_vv, m, (1, 3))
-        assert np.allclose(q_hh, m[view.hh], atol=1e-12)
+        assert np.allclose(q_hh, m[np.ix_(view.hid, view.hid)], atol=1e-12)
 
     def test_matches_explicit_inverse_oracle(self, rng):
         for _ in range(50):
@@ -123,7 +123,7 @@ class TestImputeView:
             mvv_inv = np.linalg.inv(view.q_vv)
             exp_vh = q_vv @ mvv_inv @ m_vh
             exp_hh = (
-                m[view.hh]
+                m[np.ix_(view.hid, view.hid)]
                 - m_vh.T @ mvv_inv @ m_vh
                 + m_vh.T @ mvv_inv @ q_vv @ mvv_inv @ m_vh
             )
@@ -422,6 +422,14 @@ class TestSelectRank:
 
 
 class TestDegreesOfFreedom:
+    def test_fc_checks_a_given_rank(self):
+        """fc's count needs no q, but the q its start is fitted at must fit [1, ell - 1]."""
+        assert degrees_of_freedom("fc", 4, 3) == degrees_of_freedom("fc", 4) == 10
+        for ell, q in ((4, 0), (4, 4), (1, 1)):
+            message = rf"^rank q={q} out of range \[1, {ell - 1}\]$"
+            with pytest.raises(DimensionError, match=message):
+                degrees_of_freedom("fc", ell, q)
+
     def test_spot_values(self):
         assert degrees_of_freedom("fc", 4) == 10
         assert degrees_of_freedom("pca", 4, 2) == 8
@@ -450,6 +458,18 @@ class TestRunCompletion:
         assert result.converged
         assert result.iterations <= 2
 
+    @pytest.mark.parametrize("method", ["fc", "pca", "fa"])
+    def test_single_object_is_refused(self, method):
+        """At ell = 1 nothing can be hidden, and no rank fits [1, ell - 1] for the start."""
+        with pytest.raises(DimensionError, match=r"^rank q=1 out of range \[1, 0\]$"):
+            run_completion([np.array([[2.0]])], VisibilityPattern(ell=1, hidden=((),)),
+                           CompletionConfig(method=method))
+
+    def test_fc_rank_zero_is_refused(self):
+        masked, pattern = seeded_problem(1)
+        with pytest.raises(DimensionError, match=r"^rank q=0 out of range \[1, 15\]$"):
+            run_completion(masked, pattern, CompletionConfig(method="fc", rank=0))
+
     def test_fc_single_view_fixed_point(self, rng):
         # view 0's fixed point; view 1 sees objects 1 and 4, since a pattern that hides an
         # object in every view is refused
@@ -466,7 +486,7 @@ class TestRunCompletion:
         view = partition(c, (1, 4))
         q_vh, q_hh = impute_from_model(view.q_vv, result.model.materialize(), (1, 4))
         assert np.max(np.abs(q_vh - c[view.vh])) < 1e-5
-        assert np.max(np.abs(q_hh - c[view.hh])) < 1e-4
+        assert np.max(np.abs(q_hh - c[np.ix_(view.hid, view.hid)])) < 1e-4
 
     @pytest.mark.parametrize("method", ["fc", "pca", "fa"])
     def test_monotone_trace_and_pd(self, rng, method):
@@ -587,7 +607,7 @@ class TestRunCompletion:
             run_completion([random_pd(rng, 4)], pattern, CompletionConfig())
 
     def test_no_visible_block_factored_after_setup(self, rng, monkeypatch):
-        # fc at ell = 10, n_v = 7 and n_h = 3: each size names one kind of block
+        # fc at ell = 10, n_v = 7, n_h = 3 and rank 2: each size names one kind of block
         hidden = ((1, 2, 3), (4, 5, 6), (0, 7, 8))
         base = random_pd(rng, 10)
         masked = [apply_mask(base + 0.1 * random_pd(rng, 10), h, Fill.ZERO) for h in hidden]
@@ -598,15 +618,17 @@ class TestRunCompletion:
             return cholesky_lower(a)
 
         monkeypatch.setattr(linalg, "cholesky_lower", recording)
-        cfg = CompletionConfig(method="fc", max_iters=5)
+        cfg = CompletionConfig(method="fc", rank=2, max_iters=5)
         result = run_completion(masked, VisibilityPattern(ell=10, hidden=hidden), cfg)
         assert result.iterations == 5 and result.rejected == 0
         extrapolated = sum(a is not None for a in result.step_length)
         assert result.step_length[3] is not None and extrapolated == 1  # iteration 4 only
         assert sizes.count(7) == 3  # each view's Q_vv, once, in the set-up
-        assert sizes.count(3) == 3 * result.iterations  # each view's P_hh, every iteration
-        # the initial model, then each M, and the extrapolated point of iteration 4
-        assert sizes.count(10) == 1 + result.iterations + extrapolated
+        # the start's capacitance matrix, then each view's C_v in iteration 1
+        assert sizes.count(2) == 1 + 3
+        assert sizes.count(3) == 3 * (result.iterations - 1)  # each view's P_hh, from then on
+        # each M, and the extrapolated point of iteration 4
+        assert sizes.count(10) == result.iterations + extrapolated
 
     @pytest.mark.parametrize("method,ell", [("pca", 48), ("fa", 48), ("pca", 10), ("fa", 10)],
                              ids=["pca", "fa", "pca-ell10", "fa-ell10"])
@@ -859,7 +881,8 @@ class TestRunCompletion:
             assert sorted(written) == sorted(hiding * writes)
 
     def test_numerical_error_names_the_view(self, rng, monkeypatch):
-        # only view 1 hides two objects, so only its P_hh has dimension 2
+        # only view 1 hides two objects, so only its P_hh has dimension 2; at rank 3 no
+        # capacitance matrix does, and P_hh is first factored in iteration 2
         hidden = ((0,), (1, 2), ())
         masked = [apply_mask(random_pd(rng, 6), h, Fill.ZERO) for h in hidden]
 
@@ -871,9 +894,9 @@ class TestRunCompletion:
         monkeypatch.setattr(linalg, "cholesky_lower", failing)
         with pytest.raises(NumericalError) as info:
             run_completion(masked, VisibilityPattern(ell=6, hidden=hidden),
-                           CompletionConfig(method="fc"))
+                           CompletionConfig(method="fc", rank=3))
         assert str(info.value) == (
-            "iteration 1: view 1: hidden block of the model inverse is numerically singular: "
+            "iteration 2: view 1: hidden block of the model inverse is numerically singular: "
             "matrix of dim 2 is not positive definite"
         )
         assert info.value.exit_code == 5
@@ -912,7 +935,8 @@ def plain_step(completed, pattern, m, model, cfg):
         if h:
             view = partition(c, h)
             q_vh, q_hh = impute_from_model(view.q_vv, m, h)
-            c[view.vh], c[view.hv], c[view.hh] = q_vh, q_vh.T, q_hh
+            c[view.vh], c[np.ix_(view.hid, view.vis)] = q_vh, q_vh.T
+            c[np.ix_(view.hid, view.hid)] = q_hh
     s_reg = regularize(average_kernel(completed), pattern.n_views, cfg.reg_epsilon)
     if cfg.method == "fc":
         return fc_model_update(s_reg)
@@ -989,6 +1013,35 @@ class TestAcceleration:
         for part, ref in zip(result.model.parameters(), refit.parameters()):
             assert np.linalg.norm(part - ref) <= 1e-10 * np.linalg.norm(ref)
 
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_fc_iteration_1_from_the_factored_start_is_the_dense_step(self, seed):
+        """``fc`` keeps its start as the PPCA fit and imputes iteration 1 from that fit's
+        Woodbury inverse. At the ``gk`` count, completions and M match the dense plain step
+        from the materialized start."""
+        masked, pattern = seeded_problem(seed)
+        cfg = CompletionConfig(method="fc", rank_criterion="gk", max_iters=1)
+        result = run_completion(masked, pattern, cfg)
+        start = start_model(masked, pattern, "fc", result.rank, cfg.reg_epsilon)
+        completed = [apply_mask(q, h, Fill.ZERO) for q, h in zip(masked, pattern.hidden)]
+        refit = plain_step(completed, pattern, start.materialize(), start, cfg)
+        for c, ref in zip(result.completed, completed):
+            assert np.linalg.norm(c - ref) <= 1e-10 * np.linalg.norm(ref)
+        assert (np.linalg.norm(result.model.matrix - refit.matrix)
+                <= 1e-10 * np.linalg.norm(refit.matrix))
+
+    @pytest.mark.parametrize("rank", [{"rank": 2}, {"rank_criterion": "gk"}, {}],
+                             ids=["given", "gk", "default"])
+    def test_fc_and_pca_share_iteration_1(self, rank):
+        """One start for every method: capped at one evaluation, ``fc`` and ``pca`` impute
+        the same blocks from the same model, bit for bit."""
+        masked, pattern = seeded_problem(1)
+        fc, pca = (run_completion(masked, pattern, CompletionConfig(method=method, max_iters=1,
+                                                                    **rank))
+                   for method in ("fc", "pca"))
+        assert fc.rank == pca.rank and fc.dof != pca.dof
+        for c_fc, c_pca in zip(fc.completed, pca.completed):
+            assert np.array_equal(c_fc, c_pca)
+
     @pytest.mark.parametrize("method", ["fc", "pca", "fa"])
     def test_three_iterations_are_plain_steps(self, method):
         masked, pattern = seeded_problem(0)
@@ -1057,10 +1110,12 @@ class TestAcceleration:
         """||theta_new - point|| / max(||point||, ||theta_new||), recomputed from the start
         model and the models the hook received. The point is the start model for entry 0,
         the last accepted model for a later plain step and theta0 - 2 alpha r + alpha^2 v
-        of the cycle's three models for an extrapolated one. seeded_problem(0) has accepted
-        extrapolations; ("fc", 0) and ("fa", 2) a rejection."""
+        of the cycle's three models for an extrapolated one; ``fc``'s start point is its
+        materialized matrix. seeded_problem(0) has accepted extrapolations; ("fa", 2) a
+        rejection."""
         masked, pattern = seeded_problem(seed)
-        models = [start_model(masked, pattern, method, 2, 1e-3)]
+        start = start_model(masked, pattern, method, 2, 1e-3)
+        models = [FullModel(matrix=start.materialize()) if method == "fc" else start]
         result = run_completion(masked, pattern, CompletionConfig(method=method, rank=2, max_iters=300),
                                 on_iteration=lambda _it, _c, m: models.append(m))
         assert result.stop == "tol" and any(a is not None for a in result.step_length)
@@ -1080,17 +1135,18 @@ class TestAcceleration:
             expected = np.linalg.norm(thetas[i + 1] - point) / scale
             assert result.residual[i] == pytest.approx(expected, rel=1e-12), f"entry {i}"
 
-    @pytest.mark.parametrize("method, seed", [("fc", 0), ("pca", 0), ("fa", 0), ("fa", 2)])
+    @pytest.mark.parametrize("method, seed",
+                             [("fc", 0), ("fc", 2), ("pca", 0), ("fa", 0), ("fa", 2)])
     def test_a_hook_changes_nothing(self, method, seed):
         """A run with ``on_iteration`` returns bit for bit what one without returns, though
         ``fa`` then writes its views after every accepted evaluation instead of once at the end.
-        ("fc", 0) and ("fa", 2) reject an extrapolation."""
+        ("fc", 2) and ("fa", 2) reject an extrapolation."""
         masked, pattern = seeded_problem(seed)
         cfg = CompletionConfig(method=method, rank=2, max_iters=300)
         hooked = run_completion(masked, pattern, cfg, on_iteration=lambda *_: None)
         plain = run_completion(masked, pattern, cfg)
         assert hooked.stop == "tol" and (hooked.rejected >= 1) == ((method, seed) in (
-            ("fc", 0), ("fa", 2)))
+            ("fc", 2), ("fa", 2)))
         for c_hooked, c_plain in zip(hooked.completed, plain.completed):
             assert np.array_equal(c_hooked, c_plain)
         for p_hooked, p_plain in zip(hooked.model.parameters(), plain.model.parameters()):
@@ -1098,7 +1154,7 @@ class TestAcceleration:
         for name in ("trace", "residual", "step_length", "rejected", "iterations"):
             assert getattr(hooked, name) == getattr(plain, name), name
 
-    @pytest.mark.parametrize("method, seed", [("fc", 0), ("fa", 2)])  # problems with a rejection
+    @pytest.mark.parametrize("method, seed", [("fc", 2), ("fa", 2)])  # problems with a rejection
     def test_rejection_is_followed_by_the_plain_step(self, method, seed):
         masked, pattern = seeded_problem(seed)
         cfg = CompletionConfig(method=method, rank=2, max_iters=300)
@@ -1120,7 +1176,7 @@ class TestAcceleration:
             np.testing.assert_allclose(accepted[it + 1][1].materialize(), refit.materialize(),
                                        rtol=1e-9, atol=1e-12)
 
-    @pytest.mark.parametrize("method, seed", [("fc", 0), ("fa", 2)])  # problems with a rejection
+    @pytest.mark.parametrize("method, seed", [("fc", 2), ("fa", 2)])  # problems with a rejection
     def test_run_capped_at_a_rejection_ends_with_the_plain_step(self, method, seed):
         """Capped at the full run's first rejected evaluation r, the run makes evaluation r
         the plain step the full run makes at r + 1, so it ends in that step's state."""
@@ -1193,22 +1249,25 @@ class TestSetUp:
     def test_same_s0_bit_for_bit(self, case, eps):
         """One ``fc`` evaluation from the one-pass set-up gives, bit for bit, the completed
         views of the same step from the set-up's reference sequence: zero-fill every view,
-        average, regularize, factor S_0_reg, impute each view from its inverse with Q_vv
-        gathered by ``np.ix_`` and write it. Its model, S_reg accumulated from the imputed
-        blocks with no view written, is exactly symmetric and matches averaging and
-        regularizing the written views at round-off."""
+        average, regularize, fit the PPCA start warm from S_0_reg's top-variance columns,
+        impute each view from its factored inverse with Q_vv gathered by ``np.ix_`` and write
+        it. Its model, S_reg accumulated from the imputed blocks with no view written, is
+        exactly symmetric and matches averaging and regularizing the written views at
+        round-off."""
         masked, pattern = setup_problem(case)
         result = run_completion(masked, pattern, CompletionConfig(
-            method="fc", max_iters=1, reg_epsilon=eps))
+            method="fc", rank=2, max_iters=1, reg_epsilon=eps))
         completed = [apply_mask(q, h, Fill.ZERO) for q, h in zip(masked, pattern.hidden)]
         s0_reg = regularize(average_kernel(completed), pattern.n_views, eps)
-        _, inverse = linalg.logdet_and_inverse(s0_reg)
+        top = np.sort(np.argsort(-s0_reg.diagonal(), kind="stable")[:2])
+        _, inverse = pca_model_update(s0_reg, 2, s0_reg[:, top]).logdet_and_inverse()
         for c, h in zip(completed, pattern.hidden):
             if h:
                 view = partition(c, h)
                 view = replace(view, q_vv=c[np.ix_(view.vis, view.vis)])
                 _, q_vh, q_hh = impute_view(inverse, view)
-                c[view.vh], c[view.hv], c[view.hh] = q_vh, q_vh.T, q_hh
+                c[view.vh], c[np.ix_(view.hid, view.vis)] = q_vh, q_vh.T
+                c[np.ix_(view.hid, view.hid)] = q_hh
         s_reg, ref_s_reg = result.model.matrix, regularize(average_kernel(completed),
                                                            pattern.n_views, eps)
         assert np.max(np.abs(s_reg - ref_s_reg)) <= 1e-15 * np.max(np.abs(ref_s_reg))

@@ -207,7 +207,7 @@ def test_driver_imputes_like_dense_oracle(problem):
                 got = partition(c, h)
                 q_vh, q_hh = impute_from_model(got.q_vv, m_prev, h)
                 assert_close(c[got.vh], q_vh)
-                assert_close(c[got.hh], q_hh)
+                assert_close(c[np.ix_(got.hid, got.hid)], q_hh)
 
 
 @st.composite
@@ -255,7 +255,8 @@ def test_imputed_average_matches_the_dense_average(state):
         written = [c.copy() for c in completed]
         for k, view in views:
             _, q_vh, q_hh = impute_view(p, view)
-            written[k][view.vh], written[k][view.hv], written[k][view.hh] = q_vh, q_vh.T, q_hh
+            written[k][view.vh], written[k][np.ix_(view.hid, view.vis)] = q_vh, q_vh.T
+            written[k][np.ix_(view.hid, view.hid)] = q_hh
         dense = regularize(average_kernel(written), pattern.n_views, eps)
         assert_close(assembled, dense, rel=1e-12)
         assert np.array_equal(assembled, assembled.T)
