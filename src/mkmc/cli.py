@@ -127,7 +127,7 @@ def _resolve_config(config_path, **run):
 @click.option("--method", type=click.Choice(METHODS), default=CompletionConfig.method)
 @click.option("--rank", type=int, default=None, help="Rank q of the start and the pca/fa model.")
 @click.option("--rank-criterion", type=click.Choice(RANK_CRITERIA), default=None,
-              help="Pick q from the initial average kernel's spectrum.")
+              help="Pick q as the lower median of counts on each view's visible block.")
 @click.option("--tol", type=float, default=CompletionConfig.tol)
 @click.option("--max-iters", type=int, default=CompletionConfig.max_iters)
 @click.option("--reg-epsilon", type=float, default=CompletionConfig.reg_epsilon)

@@ -69,9 +69,9 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import ConfigError, DimensionError, NotPositiveDefiniteError, NumericalError
-from .linalg import (EigenDecomposition, LowRankInverse, eigh_sorted, eigh_warm, logdet,
-                     logdet_and_inverse, logdet_divergences, low_rank_logdet_and_inverse,
-                     symmetric_update, symmetrize)
+from .linalg import (EigenDecomposition, LowRankInverse, count_above, eigh_sorted, eigh_warm,
+                     logdet, logdet_and_inverse, logdet_divergences,
+                     low_rank_logdet_and_inverse, symmetric_update, symmetrize)
 from .views import (Fill, PartitionedView, VisibilityPattern, apply_mask, is_integer, is_real,
                     partition)
 
@@ -163,7 +163,8 @@ ModelParams = Union[FullModel, PcaModel, FaModel]
 @dataclass(frozen=True)
 class CompletionConfig:
     """Driver settings; ``rank``/``rank_criterion`` fix q of every method's start and of the
-    pca/fa model, and at most one of them may be set (with neither, ``gk`` picks the rank).
+    pca/fa model, and at most one of them may be set (with neither, ``gk`` picks the rank). A
+    criterion counts on each view's visible block, and q is the counts' lower median (README).
 
     Each setting is checked here, by type and value, for the library and the
     CLI alike; :func:`degrees_of_freedom` checks that ``rank`` fits the data.
@@ -453,29 +454,17 @@ class _FactoredAverage(_ImputedAverage):
 
 
 def select_rank(s: np.ndarray, criterion: str) -> int:
-    """Guttman-Kaiser (above the spectrum mean, tr S / ell) or Kaiser (above one) count.
-
-    The raw count is clamped into [1, ell-1].
-    """
-    return _rank_and_eigenpairs(s, criterion)[0]
-
-
-def _rank_and_eigenpairs(s: np.ndarray, criterion: str) -> tuple[int, EigenDecomposition]:
-    """:func:`select_rank`'s q and the top q eigenpairs of ``s``, from one value-range
-    ``dsyevr``."""
-    ell = s.shape[0]
+    """Guttman-Kaiser (above the spectrum mean, tr S / n) or Kaiser (above one) count of the
+    eigenvalues of a symmetric n x n ``s``, clamped into [1, n-1], from the inertia of one
+    LDL^T (:func:`~mkmc.linalg.count_above`). The driver calls it on each view (README)."""
+    n = s.shape[0]
     if criterion == CRITERION_GK:
-        threshold = float(np.trace(s)) / ell
+        threshold = float(np.trace(s)) / n
     elif criterion == CRITERION_KAISER:
         threshold = 1.0
     else:
         raise ValueError(f"unknown rank criterion {criterion!r}")
-    eig = eigh_sorted(s, above=threshold)
-    count = len(eig.eigenvalues)
-    if count == 0:
-        return 1, eigh_sorted(s, top=1)
-    q = max(1, min(count, ell - 1))
-    return q, EigenDecomposition(eig.eigenvalues[:q], eig.eigenvectors[:, :q])
+    return max(1, min(count_above(s, threshold), n - 1))
 
 
 def degrees_of_freedom(method: str, ell: int, q: Optional[int] = None) -> int:
@@ -523,8 +512,10 @@ def run_completion(
     n_views, ell = pattern.n_views, pattern.ell
     eps = cfg.reg_epsilon
 
-    # One pass per view, while it is in cache; the sum runs in average_kernel's order.
-    completed, views, logdet_vv = [], [], 0.0
+    # One pass per view, while it is in cache; the sum runs in average_kernel's order. With a
+    # rank criterion, each view with two or more visible objects counts on its Q_vv.
+    criterion = None if cfg.rank is not None else cfg.rank_criterion or CRITERION_GK
+    completed, views, logdet_vv, counts = [], [], 0.0, []
     for k, (q, h) in enumerate(zip(qs_masked, pattern.hidden)):
         c = apply_mask(q, h, Fill.ZERO)
         completed.append(c)
@@ -535,26 +526,27 @@ def run_completion(
         except NotPositiveDefiniteError as exc:
             raise NotPositiveDefiniteError(
                 f"view {k}: visible block is not positive definite") from exc
+        if criterion is not None and len(view.vis) >= 2:
+            counted = view.q_vv
+            if criterion == CRITERION_KAISER:  # the correlation form D^{-1/2} Q_vv D^{-1/2}
+                scale = 1.0 / np.sqrt(counted.diagonal())
+                counted = counted * scale * scale[:, None]
+            counts.append(select_rank(counted, criterion))
         if h:
             views.append((k, view))
     s0_reg /= n_views  # S_0, then S_0_reg
     s0_reg = regularize(s0_reg, n_views, eps)
 
-    eig = None  # with a rank criterion, the top eigenpairs its count came from
-    if cfg.rank is not None:
+    if criterion is None:
         rank = int(cfg.rank)
-    else:
-        rank, eig = _rank_and_eigenpairs(s0_reg, cfg.rank_criterion or CRITERION_GK)
+    else:  # each count lies in [1, n_v - 1], so their lower median lies in [1, ell - 1]
+        rank = sorted(counts)[(len(counts) - 1) // 2] if counts else 1
     dof = degrees_of_freedom(cfg.method, ell, rank)
 
-    # The start: the PPCA fit to S_0, for every method. FA takes its loadings and, as noise,
-    # what they leave of each variance. A given rank's fit is warm, from S_0's top-variance
-    # columns.
-    if eig is None:
-        top = np.sort(np.argsort(-s0_reg.diagonal(), kind="stable")[:rank])
-        model = pca_model_update(s0_reg, rank, s0_reg[:, top])
-    else:
-        model = _pca_fit(s0_reg, eig)
+    # The start: the PPCA fit to S_0, for every method, warm from S_0's top-variance columns.
+    # FA takes its loadings and, as noise, what they leave of each variance.
+    top = np.sort(np.argsort(-s0_reg.diagonal(), kind="stable")[:rank])
+    model = pca_model_update(s0_reg, rank, s0_reg[:, top])
     if cfg.method == METHOD_FA:
         model = FaModel(W=model.W, psi=_fa_noise(s0_reg, model.W, model.W))
     try:

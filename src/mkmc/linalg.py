@@ -3,7 +3,8 @@
 Every log det and inverse of a PD matrix is taken here, from one Cholesky factor: of the
 matrix itself, or of the q x q capacitance matrix of W W^T + diag(d). LAPACK ``dpotrf``
 factors A^T, a Fortran-ordered view of A when A is C-ordered, so every matrix factored here
-must be exactly symmetric. Eigenpairs come from ``dsyevr`` or certified subspace iteration.
+must be exactly symmetric. Eigenpairs come from ``dsyevr`` or certified subspace iteration;
+an eigenvalue count comes from the inertia of one LDL^T factor.
 
 ``scipy.linalg`` is imported inside the functions that call LAPACK or BLAS, not here: only a
 solve factors or eigensolves, so ``import mkmc``, ``mkmc mask``, ``mkmc evaluate`` and
@@ -13,7 +14,7 @@ solve factors or eigensolves, so ``import mkmc``, ``mkmc mask``, ``mkmc evaluate
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -55,13 +56,6 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
 
-def _eigensolver_failed(a: np.ndarray) -> NumericalError:
-    return NumericalError(
-        f"eigensolver failed on {a.shape[0]}x{a.shape[0]} matrix "
-        f"(fro norm {np.linalg.norm(a):.3e})"
-    )
-
-
 def _signed(vals: np.ndarray, vecs: np.ndarray) -> EigenDecomposition:
     """The pairs with each eigenvector's largest-magnitude entry made positive."""
     lead = np.argmax(np.abs(vecs), axis=0)
@@ -70,24 +64,38 @@ def _signed(vals: np.ndarray, vecs: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=vals, eigenvectors=vecs * signs)
 
 
-def eigh_sorted(a: np.ndarray, top: Optional[int] = None, *,
-                above: Optional[float] = None) -> EigenDecomposition:
-    """The ``top`` = q largest eigenpairs of a symmetric matrix, or those with an eigenvalue
-    > ``above``, eigenvalues sorted descending.
+def eigh_sorted(a: np.ndarray, top: int) -> EigenDecomposition:
+    """The ``top`` = q largest eigenpairs of a symmetric matrix, eigenvalues sorted descending.
 
-    Only those are computed (LAPACK ``dsyevr`` on an index or a value range); the tridiagonal
-    reduction costs O(ell^3) either way.
+    Only those are computed (LAPACK ``dsyevr`` on an index range); the tridiagonal reduction
+    costs O(ell^3) whatever q is.
     """
     import scipy.linalg as sla
 
     ell = a.shape[0]
-    subset = ({"subset_by_index": (ell - top, ell - 1)} if above is None
-              else {"subset_by_value": (above, np.inf)})
     try:
-        vals, vecs = sla.eigh(a, **subset)
+        vals, vecs = sla.eigh(a, subset_by_index=(ell - top, ell - 1))
     except (np.linalg.LinAlgError, ValueError) as exc:  # scipy refuses NaN and inf
-        raise _eigensolver_failed(a) from exc
+        raise NumericalError(f"eigensolver failed on {ell}x{ell} matrix "
+                             f"(fro norm {np.linalg.norm(a):.3e})") from exc
     return _signed(vals[::-1].copy(), vecs[:, ::-1].copy())
+
+
+def count_above(a: np.ndarray, threshold: float) -> int:
+    """How many eigenvalues of a symmetric ``a`` exceed ``threshold`` = t, by Sylvester's law
+    of inertia: A - t I = L D L^T (LAPACK ``dsytrf``, ell^3 / 3 flops) and D have as many, one
+    per positive 1 x 1 pivot and one per 2 x 2 Bunch-Kaufman block (its determinant is < 0)."""
+    import scipy.linalg as sla
+
+    shifted = np.array(a, dtype=float)
+    shifted.flat[::len(shifted) + 1] -= threshold
+    if not np.isfinite(shifted).all():
+        raise NumericalError(f"cannot count the eigenvalues of a non-finite {shifted.shape} "
+                             "matrix")
+    lwork = int(sla.lapack.dsytrf_lwork(len(shifted), lower=1)[0])  # the blocked code's workspace
+    ldu, ipiv, _ = sla.lapack.dsytrf(shifted.T, lower=1, lwork=lwork, overwrite_a=1)
+    one = ipiv > 0  # both rows of a 2 x 2 block are marked negative
+    return int(np.count_nonzero(np.diagonal(ldu)[one] > 0) + np.count_nonzero(~one) // 2)
 
 
 # A warm solve stops once every Ritz pair's residual is at most this times |lambda_1|.

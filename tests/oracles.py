@@ -4,7 +4,8 @@ A run imputes each view from M^{-1} or its factors (:func:`mkmc.engines.impute_v
 :func:`impute_from_model` is the plain conditional-moment formula that step is checked
 against. :func:`start_model` is the model a run starts from, rebuilt from public functions.
 :func:`eigh_descending` is every eigenpair, from numpy's solver rather than the top-q one a
-run uses.
+run uses, and :func:`criterion_rank` the rank a criterion picks, from every eigenvalue rather
+than the inertia of one LDL^T factor per view.
 """
 
 import numpy as np
@@ -55,3 +56,26 @@ def eigh_descending(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vecs = vecs[:, ::-1]
     lead = np.argmax(np.abs(vecs), axis=0)
     return vals[::-1], vecs * np.sign(vecs[lead, np.arange(vecs.shape[1])])
+
+
+def criterion_rank(masked, pattern, criterion: str) -> int:
+    """The rank a run picks by ``criterion``: the lower median of the counts of the views with
+    at least two visible objects, 1 when there is none. A view counts the eigenvalues
+    (``np.linalg.eigvalsh``) of its visible block Q_vv above their mean (``gk``), or those of
+    its correlation form D^{-1/2} Q_vv D^{-1/2} above one (``kaiser``), clamped into
+    [1, n_v - 1]."""
+    counts = []
+    for q, h in zip(masked, pattern.hidden):
+        vis = np.setdiff1d(np.arange(pattern.ell), h)
+        if len(vis) < 2:
+            continue
+        q_vv = symmetrize(q)[np.ix_(vis, vis)]
+        if criterion == "kaiser":
+            scale = 1.0 / np.sqrt(np.diag(q_vv))
+            vals = np.linalg.eigvalsh(q_vv * np.outer(scale, scale))
+            raw = np.sum(vals > 1.0)
+        else:
+            vals = np.linalg.eigvalsh(q_vv)
+            raw = np.sum(vals > np.mean(vals))
+        counts.append(max(1, min(int(raw), len(vis) - 1)))
+    return sorted(counts)[(len(counts) - 1) // 2] if counts else 1

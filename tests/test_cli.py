@@ -19,6 +19,7 @@ from mkmc.recovery import SyntheticSpec, generate_synthetic
 from mkmc.views import Fill, apply_mask, random_mask
 
 from conftest import random_pd
+from oracles import criterion_rank
 
 
 @pytest.fixture
@@ -219,9 +220,6 @@ class TestCompleteCommand:
         assert trace["iterations"] <= 2
 
     def test_rank_criterion_matches_library(self, runner, tmp_path, synthetic_inputs):
-        from mkmc.engines import average_kernel, regularize, select_rank
-        from mkmc.views import Fill, apply_mask
-
         masked_dir = tmp_path / "masked"
         runner.invoke(
             main,
@@ -242,11 +240,7 @@ class TestCompleteCommand:
 
         pat = matrixio.read_mask(masked_dir / "mask.json")
         mats = [matrixio.read_matrix(p) for p in masked_paths]
-        s0 = regularize(
-            average_kernel([apply_mask(m, h, Fill.ZERO) for m, h in zip(mats, pat.hidden)]),
-            pat.n_views, 1e-3,
-        )
-        assert trace["rank"] == select_rank(s0, "gk")
+        assert trace["rank"] == criterion_rank(mats, pat, "gk")
 
     def test_fa_dof_in_trace(self, runner, tmp_path, synthetic_inputs):
         masked_dir = tmp_path / "masked"

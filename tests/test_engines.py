@@ -30,7 +30,7 @@ from mkmc.recovery import SyntheticSpec, generate_synthetic
 from mkmc.views import Fill, VisibilityPattern, apply_mask, partition, random_mask
 
 from conftest import random_pd
-from oracles import eigh_descending, impute_from_model, start_model
+from oracles import criterion_rank, eigh_descending, impute_from_model, start_model
 
 
 def augmented_objective(completed, model, eps):
@@ -357,13 +357,14 @@ class TestSelectRank:
     def test_tie_at_the_threshold(self, criterion, spectrum):
         """An eigenvalue equal to the threshold is not above it. Off the diagonal the tie holds
         only to rounding, so either count may come out; a run's start is then the PPCA fit of
-        whichever count the one set-up eigensolve gave."""
+        whichever count its one view gave, on Q_vv or, for ``kaiser``, its correlation form."""
         assert select_rank(np.diag(spectrum), criterion) == 1
         basis = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))[0]
         s = symmetrize(basis @ np.diag(spectrum) @ basis.T)
-        rank = select_rank(s, criterion)
-        assert rank in (1, 2)
-        # one view, nothing hidden and eps = 0: S_0 is s, and the run's one refit is its fit
+        assert select_rank(s, criterion) in (1, 2)
+        scale = 1.0 / np.sqrt(s.diagonal()) if criterion == "kaiser" else np.ones(3)
+        rank = select_rank(s * scale * scale[:, None], criterion)
+        # one view, nothing hidden and eps = 0: S_0 and Q_vv are s, and the one refit is its fit
         result = run_completion([s], VisibilityPattern(ell=3, hidden=((),)), CompletionConfig(
             method="pca", rank_criterion=criterion, reg_epsilon=0.0))
         assert result.rank == rank and result.stop == "no_hidden"
@@ -372,14 +373,21 @@ class TestSelectRank:
 
     @pytest.mark.parametrize("criterion", ["gk", "kaiser"])
     def test_rank_and_start_fit_take_one_eigensolve(self, criterion, monkeypatch):
+        """Before iteration 1, each view counts by one LDL^T and no eigensolve, and the start
+        fit takes one eigensolve: at ell = 16 its warm solve falls back to ``dsyevr``."""
         masked, pattern = seeded_problem(1)
         zero_filled = [apply_mask(q, h, Fill.ZERO) for q, h in zip(masked, pattern.hidden)]
-        rank = select_rank(regularize(average_kernel(zero_filled), 3, 1e-3), criterion)
-        original, step, calls = linalg.eigh_sorted, engines.impute_view, []
+        rank = criterion_rank(masked, pattern, criterion)
+        original, count, step, calls = (linalg.eigh_sorted, engines.select_rank,
+                                        engines.impute_view, [])
 
         def counting(*args, **kwargs):
             calls.append(sorted(kwargs))
             return original(*args, **kwargs)
+
+        def counting_views(*args):
+            calls.append("count")
+            return count(*args)
 
         def stepping(*args):
             calls.append("impute")
@@ -387,17 +395,58 @@ class TestSelectRank:
 
         for module in (linalg, engines):
             monkeypatch.setattr(module, "eigh_sorted", counting)
+        monkeypatch.setattr(engines, "select_rank", counting_views)
         monkeypatch.setattr(engines, "impute_view", stepping)
         cfg = CompletionConfig(method="pca", rank_criterion=criterion, max_iters=1)
         result = run_completion(masked, pattern, cfg)
         monkeypatch.undo()
         assert result.rank == rank and 1 <= rank <= 15
-        assert calls[:calls.index("impute")] == [["above"]]  # the count and the start's pairs
+        assert calls[:calls.index("impute")] == ["count"] * 3 + [["top"]]
         start = start_model(masked, pattern, "pca", rank, cfg.reg_epsilon)
         refit = plain_step(zero_filled, pattern, start.materialize(), start,
                            CompletionConfig(method="pca", rank=rank))
         for part, ref in zip(result.model.parameters(), refit.parameters()):
             assert np.linalg.norm(part - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("criterion", ["gk", "kaiser"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rank_is_the_lower_median_of_the_view_counts(self, criterion, seed):
+        masked, pattern = seeded_problem(seed)
+        for method in ("fc", "pca", "fa"):
+            cfg = CompletionConfig(method=method, rank_criterion=criterion, max_iters=1)
+            assert run_completion(masked, pattern, cfg).rank == criterion_rank(
+                masked, pattern, criterion)
+
+    @pytest.mark.parametrize("criterion", ["gk", "kaiser"])
+    def test_views_that_disagree(self, criterion):
+        """Views of true ranks 2, 3 and 5 count 2, 3 and 5, and the run fits q = 3. A fourth
+        view with one visible object casts no count; counted as 1, it would move q to 2."""
+        ell = 30
+        truths = [generate_synthetic(SyntheticSpec(ell=ell, n_views=1, true_rank=r,
+                                                   noise_sigma2=0.1, per_view_jitter=0.05,
+                                                   seed=r))[0] for r in (2, 3, 5, 4)]
+        hidden = (*random_mask(ell, 3, 0.2, seed=0).hidden, tuple(range(1, ell)))
+        pattern = VisibilityPattern(ell=ell, hidden=hidden)
+        masked = [apply_mask(t, h, Fill.ZERO) for t, h in zip(truths, hidden)]
+        for k, r in enumerate((2, 3, 5)):
+            one = VisibilityPattern(ell=ell, hidden=(hidden[k],))
+            assert criterion_rank([masked[k]], one, criterion) == r
+        assert criterion_rank(masked, pattern, criterion) == 3
+        assert criterion_rank([*masked[:3], np.eye(ell)], VisibilityPattern(
+            ell=ell, hidden=(*hidden[:3], ())), criterion) == 2  # with the fourth view's count
+        cfg = CompletionConfig(method="pca", rank_criterion=criterion, max_iters=1)
+        assert run_completion(masked, pattern, cfg).rank == 3
+
+    @pytest.mark.parametrize("method", ["fc", "pca", "fa"])
+    def test_no_view_counts(self, method):
+        """At ell = 2 each view below sees one object, so no view counts and q is 1."""
+        pattern = VisibilityPattern(ell=2, hidden=((0,), (1,)))
+        masked = [apply_mask(np.array([[2.0, 0.5], [0.5, 1.0]]), h, Fill.ZERO)
+                  for h in pattern.hidden]
+        assert criterion_rank(masked, pattern, "gk") == 1
+        for criterion in ("gk", "kaiser"):
+            cfg = CompletionConfig(method=method, rank_criterion=criterion, max_iters=3)
+            assert run_completion(masked, pattern, cfg).rank == 1
 
     @pytest.mark.parametrize("criterion", ["gk", "kaiser"])
     def test_matches_full_decomposition_count(self, criterion):
@@ -528,12 +577,7 @@ class TestRunCompletion:
         _, masked, pattern = make_instance(rng, 12, 3, 0.2)
         cfg = CompletionConfig(method="pca", rank_criterion="gk", max_iters=30)
         result = run_completion(masked, pattern, cfg)
-        from mkmc.engines import average_kernel, regularize, select_rank
-
-        s0 = regularize(average_kernel([apply_mask(m, h, Fill.ZERO)
-                                        for m, h in zip(masked, pattern.hidden)]),
-                        3, cfg.reg_epsilon)
-        assert result.rank == select_rank(s0, "gk")
+        assert result.rank == criterion_rank(masked, pattern, "gk")
 
     @pytest.mark.parametrize("method", ["fc", "pca", "fa"])
     @pytest.mark.parametrize(

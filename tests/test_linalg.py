@@ -10,6 +10,7 @@ from mkmc.errors import DimensionError, NotPositiveDefiniteError, NumericalError
 from mkmc.linalg import (
     EigenDecomposition,
     cholesky_lower,
+    count_above,
     eigh_sorted,
     eigh_warm,
     logdet,
@@ -117,22 +118,34 @@ class TestEigh:
 
     @pytest.mark.parametrize("ell", [1, 7, 40])
     def test_value_range_matches_full_decomposition(self, rng, ell):
-        # every pair strictly above the threshold, as the rank criteria count them
+        # the eigenvalues strictly above the threshold, as the rank criteria count them, from
+        # the inertia of one LDL^T factor; indefinite matrices exercise the 2 x 2 pivots
         for _ in range(5):
             a = random_symmetric(rng, ell)
-            vals, vecs = eigh_descending(a)
+            vals = eigh_descending(a)[0]
             for threshold in (float(np.trace(a)) / ell, 1.0, vals[0] + 1.0, vals[-1] - 1.0):
-                above = eigh_sorted(a, above=threshold)
-                count = int(np.sum(vals > threshold))
-                assert above.eigenvalues.shape == (count,)
-                assert above.eigenvectors.shape == (ell, count)
-                scale = max(1.0, np.abs(vals).max())
-                assert np.max(np.abs(above.eigenvalues - vals[:count]), initial=0.0) <= 1e-10 * scale
-                assert np.max(np.abs(above.eigenvectors - vecs[:, :count]), initial=0.0) <= 1e-10
+                assert count_above(a, threshold) == int(np.sum(vals > threshold))
 
     def test_value_range_tie_at_the_threshold_is_not_above(self):
-        eig = eigh_sorted(np.diag([3.0, 2.0, 1.0]), above=2.0)
-        assert np.array_equal(eig.eigenvalues, [3.0])
+        assert count_above(np.diag([3.0, 2.0, 1.0]), 2.0) == 1
+        assert count_above(np.zeros((3, 3)), 0.0) == 0  # every pivot 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_count_refuses_non_finite_input(self, rng, bad):
+        a = random_pd(rng, 5)
+        a[1, 2] = a[2, 1] = bad
+        with pytest.raises(NumericalError, match=r"^cannot count the eigenvalues of a "
+                                                  r"non-finite \(5, 5\) matrix$"):
+            count_above(a, 0.0)
+        with pytest.raises(NumericalError):
+            count_above(random_pd(rng, 5), bad)
+
+    def test_count_sees_two_by_two_pivots(self):
+        """A zero diagonal forces Bunch-Kaufman into 2 x 2 pivots, each with one positive
+        eigenvalue: [[0, 1], [1, 0]] has eigenvalues 1 and -1."""
+        a = np.kron(np.eye(3), [[0.0, 1.0], [1.0, 0.0]])
+        assert count_above(a, 0.0) == 3
+        assert count_above(a, -2.0) == 6 and count_above(a, 2.0) == 0
 
 
 def planted(seed, ell, q, ratio, spread):

@@ -32,6 +32,9 @@ A :class:`VisibilityPattern` built by a library caller obeys one integer rule:
 ``ell`` and every hidden index are integers of any integral type, numpy's
 included, but not bools; anything else is a ``ConfigError`` (exit 2).
 
+The rank a criterion picks does not depend on the kernels' units: scaling every input by
+2^k leaves it unchanged, under ``gk`` and under ``kaiser``.
+
 The CLI never exits 1: whatever values its flags, a run config, a mask file,
 an ``evaluate --trace`` file or ``mask --seed`` carry, it ends in one of the
 documented exit codes, and codes 3-5, like every error of ``evaluate``, print
@@ -57,7 +60,7 @@ from mkmc.linalg import low_rank_logdet_and_inverse
 from mkmc.views import Fill, VisibilityPattern, apply_mask, partition, random_mask
 
 from conftest import random_pd
-from oracles import impute_from_model, start_model
+from oracles import criterion_rank, impute_from_model, start_model
 
 MASK_KINDS = ("empty", "correlated", "single-visible-object", "independent")
 
@@ -154,6 +157,24 @@ def test_completion_invariants(problem):
     assert again.trace == result.trace
     for c, c2 in zip(result.completed, again.completed):
         assert np.array_equal(c, c2)
+
+
+@pytest.mark.parametrize("criterion", ["gk", "kaiser"])
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(problem=problems())
+def test_rank_count_is_unit_free(criterion, problem):
+    """Scaling every input by 2^k scales each visible block exactly, and ``gk``'s mean with
+    it, while ``kaiser``'s correlation form does not move: the rank is the same at every k,
+    and it is the oracle's lower median of the views' counts."""
+    pattern, method, _, eps, seed = problem
+    if set.intersection(*map(set, pattern.hidden)):
+        return
+    masked = masked_views(pattern, seed)
+    cfg = CompletionConfig(method=method, rank_criterion=criterion, reg_epsilon=eps,
+                           max_iters=1)
+    ranks = [run_completion([q * 2.0 ** k for q in masked], pattern, cfg).rank
+             for k in (-30, 0, 30)]
+    assert ranks == [criterion_rank(masked, pattern, criterion)] * 3
 
 
 def assert_close(fast, ref, rel=1e-10):
