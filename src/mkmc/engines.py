@@ -47,6 +47,21 @@ the trace term read S_reg only as products S_reg X, O(ell^2 p + ell K q p) for a
 and diag S_reg, O(ell K q^2). ``pca`` reads all of it: with Z~_k = Z_k + Y_k G_k / 2 the
 imputed part is Z~ Y^T + Y Z~^T, one BLAS-3 product, O(ell^2 K q).
 
+FA refit (ECME; Liu & Rubin 1998, *Statistica Sinica*). An ``fa`` evaluation first refits the
+loadings given psi (:func:`fa_loadings_step`), then takes one EM step from them
+(:func:`fa_model_update`). With S~ = Psi^{-1/2} S_reg Psi^{-1/2}, the loadings whose columns
+Psi^{-1/2} W lie in a subspace give at best (Joreskog 1967, *Psychometrika*)
+
+    J = c + (K + eps) / 2 sum_j (log theta_j - theta_j + 1),    c fixed by psi and S_reg,
+
+over the top q Ritz values theta_j > 1 of S~ on that subspace, at W = Psi^{1/2} U
+diag(sqrt(theta - 1)) with U their Ritz vectors (a Ritz value <= 1 gives a zero column). Each
+term falls as theta_j grows, and the j-th Ritz value on a subspace containing span(V),
+V = Psi^{-1/2} W_prev, is at least the j-th on span(V) (Courant-Fischer). So the step, which
+takes the subspace span[V, S~ V], cannot raise J, nor can the EM step after it: a plain step
+still descends. Householder QR gives [V, S~ V] = Q R, so S~ Q = [S~ V, S~^2 V] R^{-1} needs two
+products of q columns, O(ell^2 q); at 2q >= ell the step is the exact optimum given psi.
+
 SQUAREM (Varadhan & Roland 2008, *Scand. J. Stat.*). F converges linearly at a rate near 1,
 like EM. From the model of evaluation 1 on, evaluations run in cycles over the parameters
 theta: M for ``fc``, (W, log sigma2) for ``pca``, (W, log psi) for ``fa``, the logs keeping
@@ -69,8 +84,8 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import ConfigError, DimensionError, NotPositiveDefiniteError, NumericalError
-from .linalg import (EigenDecomposition, LowRankInverse, count_above, eigh_sorted, eigh_warm,
-                     logdet, logdet_and_inverse, logdet_divergences,
+from .linalg import (EigenDecomposition, LowRankInverse, _signed, count_above, eigh_sorted,
+                     eigh_warm, logdet, logdet_and_inverse, logdet_divergences,
                      low_rank_logdet_and_inverse, symmetric_update, symmetrize)
 from .views import (Fill, PartitionedView, VisibilityPattern, apply_mask, is_integer, is_real,
                     partition)
@@ -86,6 +101,9 @@ RANK_CRITERIA = (CRITERION_GK, CRITERION_KAISER)
 
 # Relative floor keeping noise variances strictly positive in the FA update.
 PSI_FLOOR_REL = 1e-10
+# A pivot of the FA loadings step's QR at most this times its column's norm marks a column the
+# ones before it span to about half the digits; T on the basis is then formed directly.
+RITZ_PIVOT_REL = float(np.sqrt(np.finfo(float).eps))
 
 
 @dataclass(frozen=True)
@@ -311,8 +329,9 @@ def fa_model_update(s_reg: np.ndarray, prev: FaModel,
     """One EM step for the factor-analysis model, O(ell^2 q + ell q^2).
 
     W_new = S_xz S_zz^{-1} and psi_new = diag(S - S_xz W_new^T), floored (:func:`_fa_noise`).
-    ``s_reg`` is read only through ``s_reg @ x`` and ``s_reg.diagonal()``; the driver passes a
-    :class:`_FactoredAverage`.
+    ``s_reg`` is read only through ``s_reg @ x`` and ``s_reg.diagonal()``. In an evaluation the
+    driver passes a :class:`_FactoredAverage` and, as ``prev``, the result of
+    :func:`fa_loadings_step`, whose inverse this step factors itself.
     """
     if np.any(prev.psi <= 0):
         raise ValueError("previous noise variances must be positive")
@@ -329,6 +348,47 @@ def _fa_noise(s_reg: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.ndarray:
     diag = s_reg.diagonal()
     psi = diag - np.einsum("ij,ij->i", x, w)
     return np.maximum(psi, PSI_FLOOR_REL * diag.sum() / len(psi))
+
+
+def fa_loadings_step(s_reg: np.ndarray, prev: FaModel) -> FaModel:
+    """The loadings refit given psi: one Rayleigh-Ritz step (module docstring), O(ell^2 q).
+
+    With V = Psi^{-1/2} W and T = S~ - I = Psi^{-1/2} (S_reg - Psi) Psi^{-1/2}, it takes the top
+    q Ritz pairs (tau_j, u_j) of T on the span of [V, T V], tau_j = theta_j - 1, and returns
+    W = Psi^{1/2} U diag(sqrt(max(tau_j, 0))), each u_j's largest-magnitude entry positive, with
+    psi kept. ``s_reg`` is read only through ``s_reg @ x``: T V and T^2 V, q columns each, or T
+    on the basis when a column of the block is (nearly) spanned by the ones before it.
+    """
+    import scipy.linalg as sla
+
+    if np.any(prev.psi <= 0):
+        raise ValueError("previous noise variances must be positive")
+    ell, q = prev.W.shape
+    root = np.sqrt(prev.psi)[:, None]
+
+    def shifted(x):  # T x = Psi^{-1/2} (S_reg y - psi y), y = Psi^{-1/2} x: 0 where S_reg = Psi
+        y = x / root
+        return (s_reg @ y - prev.psi[:, None] * y) / root
+
+    v = prev.W / root
+    tv = shifted(v)
+    p = min(ell, 2 * q)  # at 2q >= ell the basis spans everything
+    block = np.hstack([v, tv[:, :p - q]])
+    basis, r = np.linalg.qr(block)
+    if np.all(np.abs(np.diagonal(r)) > RITZ_PIVOT_REL * np.linalg.norm(block, axis=0)):
+        # T basis = [T V, T^2 V] R^{-1}; column j of it reads only the block's first j + 1
+        # columns, so the lower triangle of basis^T T basis is the accurate half
+        g = basis.T @ np.hstack([tv, shifted(tv[:, :p - q])])
+        h = sla.solve_triangular(r, g.T, trans="T", check_finite=False).T
+        h = np.tril(h) + np.tril(h, -1).T
+    else:
+        h = symmetrize(basis.T @ shifted(basis))
+    if not np.isfinite(h).all():
+        raise NumericalError("FA loadings step: S_reg or the model is not finite")
+    tau, z = np.linalg.eigh(h)
+    pairs = _signed(tau[::-1][:q], basis @ z[:, ::-1][:, :q])
+    return FaModel(W=root * pairs.eigenvectors * np.sqrt(np.maximum(pairs.eigenvalues, 0.0)),
+                   psi=prev.psi)
 
 
 def objective(qs: Sequence[np.ndarray], model: ModelParams) -> float:
@@ -578,8 +638,8 @@ def run_completion(
             new = fc_model_update(s_reg)
         elif cfg.method == METHOD_PCA:
             new = pca_model_update(s_reg, rank, prev.W)
-        else:  # prev_inv is prev's LowRankInverse, which the E-step reuses
-            new = fa_model_update(s_reg, prev, prev_inv)
+        else:  # the loadings given psi, then one EM step from them
+            new = fa_model_update(s_reg, fa_loadings_step(s_reg, prev))
         logdet_m, new_inv = new.logdet_and_inverse()
         # <M^{-1}, S_reg> - ell, which is 0 for fc, as its M is S_reg
         trace_term = new_inv.inner(s_reg) - ell if factored else 0.0

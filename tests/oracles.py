@@ -5,7 +5,8 @@ A run imputes each view from M^{-1} or its factors (:func:`mkmc.engines.impute_v
 against. :func:`start_model` is the model a run starts from, rebuilt from public functions.
 :func:`eigh_descending` is every eigenpair, from numpy's solver rather than the top-q one a
 run uses, and :func:`criterion_rank` the rank a criterion picks, from every eigenvalue rather
-than the inertia of one LDL^T factor per view.
+than the inertia of one LDL^T factor per view. :func:`ritz_loadings` is ``fa``'s loadings step
+from the materialized S~ and an SVD basis, rather than from two products and a QR factor.
 """
 
 import numpy as np
@@ -79,3 +80,19 @@ def criterion_rank(masked, pattern, criterion: str) -> int:
             raw = np.sum(vals > np.mean(vals))
         counts.append(max(1, min(int(raw), len(vis) - 1)))
     return sorted(counts)[(len(counts) - 1) // 2] if counts else 1
+
+
+def ritz_loadings(s: np.ndarray, model: FaModel) -> FaModel:
+    """``fa``'s loadings step from the dense S~ = Psi^{-1/2} S Psi^{-1/2}: with V = Psi^{-1/2} W,
+    the top q eigenpairs (theta_j, z_j) of B^T S~ B for an orthonormal basis B of span[V, S~ V]
+    (``scipy.linalg.orth``, by SVD) give u_j = B z_j, sign-fixed as :func:`eigh_descending`
+    does, and W = Psi^{1/2} U diag(sqrt(max(theta_j - 1, 0))); psi is kept."""
+    q = model.W.shape[1]
+    root = np.sqrt(model.psi)
+    s_tilde = s / np.outer(root, root)
+    v = model.W / root[:, None]
+    basis = sla.orth(np.hstack([v, s_tilde @ v]))
+    theta, z = eigh_descending(symmetrize(basis.T @ s_tilde @ basis))
+    u = basis @ z[:, :q]
+    u *= np.sign(u[np.argmax(np.abs(u), axis=0), np.arange(q)])
+    return FaModel(W=root[:, None] * u * np.sqrt(np.maximum(theta[:q] - 1.0, 0.0)), psi=model.psi)

@@ -5,6 +5,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mkmc import engines, linalg
 from mkmc.engines import (
@@ -30,7 +32,8 @@ from mkmc.recovery import SyntheticSpec, generate_synthetic
 from mkmc.views import Fill, VisibilityPattern, apply_mask, partition, random_mask
 
 from conftest import random_pd
-from oracles import criterion_rank, eigh_descending, impute_from_model, start_model
+from oracles import (criterion_rank, eigh_descending, impute_from_model, ritz_loadings,
+                     start_model)
 
 
 def augmented_objective(completed, model, eps):
@@ -283,6 +286,120 @@ class TestModelUpdates:
         inner = inverse.inner(s) if factored else float(np.vdot(inverse, s))
         assert logdet_m == pytest.approx(ref_logdet, rel=1e-10)
         assert inner == pytest.approx(float(np.vdot(ref_inverse, s)), rel=1e-10)
+
+
+@st.composite
+def loadings_problems(draw):
+    """A random PD S with variances over six decades and an FA model to refit, whose loadings
+    may have a zero column or two equal ones (a QR pivot of 0)."""
+    ell = draw(st.integers(2, 12))
+    q = draw(st.integers(1, ell - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** rng.uniform(-3, 3, size=ell)
+    s = random_pd(rng, ell) * np.sqrt(np.outer(scale, scale))
+    w = rng.standard_normal((ell, q)) * np.sqrt(scale)[:, None]
+    degenerate = draw(st.sampled_from(["none", "zero", "equal"]))
+    if degenerate == "zero":
+        w[:, -1] = 0.0
+    elif degenerate == "equal" and q >= 2:
+        w[:, 1] = w[:, 0]
+    return s, FaModel(W=w, psi=rng.uniform(0.1, 2.0, size=ell) * scale)
+
+
+class TestFaLoadingsStep:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(loadings_problems())
+    def test_never_raises_j(self, problem):
+        """For a fixed psi the step's loadings fit S at least as well as the ones it refits."""
+        s, prev = problem
+        new = engines.fa_loadings_step(s, prev)
+        assert new.W.shape == prev.W.shape and new.psi is prev.psi
+        before, after = objective([s], prev), objective([s], new)
+        assert after <= before + 1e-10 * max(1.0, abs(before))
+
+    @pytest.mark.parametrize("ell, q", [(2, 1), (5, 3), (8, 4), (9, 8)])
+    def test_exact_when_the_basis_spans_everything(self, rng, ell, q):
+        """At 2q >= ell the block spans R^ell, so the step is the exact optimum given psi
+        (Joreskog 1967): the top q eigenpairs of the materialized S~ from ``eigh_sorted``."""
+        s = random_pd(rng, ell)
+        prev = FaModel(W=rng.standard_normal((ell, q)), psi=rng.uniform(0.1, 1.0, size=ell))
+        new = engines.fa_loadings_step(s, prev)
+        root = np.sqrt(prev.psi)
+        exact = linalg.eigh_sorted(s / np.outer(root, root), top=q)
+        gap = np.sqrt(np.maximum(exact.eigenvalues - 1.0, 0.0))
+        np.testing.assert_allclose(new.W, root[:, None] * exact.eigenvectors * gap,
+                                   rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("q", [1, 3, 7])
+    def test_matches_the_dense_oracle(self, q, monkeypatch):
+        """From the S_reg of an evaluation, a :class:`_FactoredAverage` read only by products,
+        and the model it gave, the step matches the Rayleigh-Ritz step on the materialized S~
+        with an SVD basis of the same span (2q < ell)."""
+        masked, pattern = seeded_problem(0, ell=40)
+        original, kept = engines._FactoredAverage, []
+
+        def keeping(*args):
+            kept.append(original(*args))
+            return kept[-1]
+
+        monkeypatch.setattr(engines, "_FactoredAverage", keeping)
+        model = run_completion(masked, pattern, CompletionConfig(method="fa", rank=q,
+                                                                 max_iters=1)).model
+        s = kept[-1]
+        new = engines.fa_loadings_step(s, model)
+        ref = ritz_loadings(s.dense(), model)
+        np.testing.assert_allclose(new.W, ref.W, rtol=1e-9, atol=1e-12 * np.abs(ref.W).max())
+
+    @pytest.mark.parametrize("ell, q", [(3, 1), (3, 2), (6, 5)])
+    def test_zero_loadings_are_a_fixed_point(self, ell, q):
+        """W = 0 with psi = diag S, S diagonal: T = Psi^{-1/2} (S - Psi) Psi^{-1/2} is 0, so
+        every tau_j is 0 and every column stays exactly 0, up to q = ell - 1; the EM step then
+        keeps the model too."""
+        s = np.diag([2.0, 0.7, 5.0, 1.3, 3.1, 0.2][:ell])
+        prev = FaModel(W=np.zeros((ell, q)), psi=np.diag(s).copy())
+        new = engines.fa_loadings_step(s, prev)
+        assert np.array_equal(new.W, prev.W) and new.psi is prev.psi
+        refit = fa_model_update(s, new)
+        assert np.array_equal(refit.W, prev.W) and np.array_equal(refit.psi, prev.psi)
+
+    def test_a_zero_column_at_theta_one_stays_zero(self):
+        """S = W W^T + Psi with W's one factor on object 0 and q = ell - 1 = 3: the factor is
+        kept and the two columns with theta = 1 stay exactly 0."""
+        psi = np.array([0.5, 2.0, 0.3, 1.7])
+        w = np.zeros((4, 3))
+        w[0, 0] = 1.5
+        s = np.diag(psi) + w @ w.T
+        new = engines.fa_loadings_step(s, FaModel(W=w, psi=psi))
+        np.testing.assert_allclose(new.W[:, 0], w[:, 0], rtol=1e-14, atol=0)
+        assert np.array_equal(new.W[:, 1:], np.zeros((4, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_raises_numerical_error(self, bad):
+        s = np.eye(4)
+        s[0, 1] = s[1, 0] = bad
+        prev = FaModel(W=np.arange(1.0, 5.0)[:, None], psi=np.ones(4))
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="not finite"):
+            engines.fa_loadings_step(s, prev)
+
+    def test_refuses_non_positive_noise(self):
+        with pytest.raises(ValueError, match="previous noise variances must be positive"):
+            engines.fa_loadings_step(np.eye(3), FaModel(W=np.ones((3, 1)), psi=np.r_[1.0, 0, 1]))
+
+    def test_an_fa_run_never_forms_the_dense_average(self, monkeypatch):
+        """``fa`` reads S_reg only through products and its diagonal: with
+        :meth:`_FactoredAverage.dense` raising, a run to tol completes as before."""
+        masked, pattern = seeded_problem(1)
+        cfg = CompletionConfig(method="fa", rank=2, max_iters=300)
+        expected = run_completion(masked, pattern, cfg)
+
+        def refusing(self):
+            raise AssertionError("fa formed the dense S_reg")
+
+        monkeypatch.setattr(engines._FactoredAverage, "dense", refusing)
+        result = run_completion(masked, pattern, cfg)
+        assert result.stop == "tol" and result.trace == expected.trace
+        for c, ref in zip(result.completed, expected.completed):
+            assert np.array_equal(c, ref)
 
 
 class TestObjective:
@@ -561,8 +678,12 @@ class TestRunCompletion:
     def test_permutation_equivariance(self, rng, method):
         ell = 10
         qs, masked, pattern = make_instance(rng, ell, 3, 0.2)
-        cfg = CompletionConfig(method=method, rank=2, max_iters=60)
+        # fc and pca stop by tol before the cap; fa's run stops at it, before the extrapolations
+        # with |alpha| in the hundreds that come later on this problem and scale rounding by
+        # alpha^2
+        cfg = CompletionConfig(method=method, rank=2, max_iters=40)
         base = run_completion(masked, pattern, cfg)
+        assert any(a is not None for a in base.step_length)
 
         perm = rng.permutation(ell)
         qs_p = [m[np.ix_(perm, perm)] for m in masked]
@@ -702,9 +823,10 @@ class TestRunCompletion:
         setup = [ell - 3] * 3 + [2]  # each view's Q_vv, then C of the start model
         assert factored[:len(setup)] == setup
         # every iteration: C of the extrapolated point if there is one, each view's
-        # q x q C_v, then C of the new model (fa's E-step reuses the held C)
+        # q x q C_v, for fa C of the loadings step's model (its E-step), then C of the new model
         for it, (lo, hi) in enumerate(zip([len(setup)] + marks, marks), start=1):
-            assert factored[lo:hi] == [2] * (extrapolated[it - 1] + 4), f"iteration {it}"
+            expected = extrapolated[it - 1] + 4 + (method == "fa")
+            assert factored[lo:hi] == [2] * expected, f"iteration {it}"
         # no ell x ell matrix is factored or inverted, set-up included: each view inverts
         # its C_v, and no P_hh is ever formed
         assert ell not in factored
@@ -986,7 +1108,7 @@ def plain_step(completed, pattern, m, model, cfg):
         return fc_model_update(s_reg)
     if cfg.method == "pca":
         return pca_model_update(s_reg, cfg.rank)
-    return fa_model_update(s_reg, model)
+    return fa_model_update(s_reg, ritz_loadings(s_reg, model))
 
 
 def dense_loop(masked, pattern, cfg):
@@ -1180,17 +1302,18 @@ class TestAcceleration:
             assert result.residual[i] == pytest.approx(expected, rel=1e-12), f"entry {i}"
 
     @pytest.mark.parametrize("method, seed",
-                             [("fc", 0), ("fc", 2), ("pca", 0), ("fa", 0), ("fa", 2)])
+                             [("fc", 0), ("fc", 2), ("pca", 0), ("fa", 0), ("fa", 1), ("fa", 2)])
     def test_a_hook_changes_nothing(self, method, seed):
         """A run with ``on_iteration`` returns bit for bit what one without returns, though
         ``fa`` then writes its views after every accepted evaluation instead of once at the end.
-        ("fc", 2) and ("fa", 2) reject an extrapolation."""
+        ("fc", 2), ("fa", 0) and ("fa", 2) reject an extrapolation."""
         masked, pattern = seeded_problem(seed)
         cfg = CompletionConfig(method=method, rank=2, max_iters=300)
         hooked = run_completion(masked, pattern, cfg, on_iteration=lambda *_: None)
         plain = run_completion(masked, pattern, cfg)
         assert hooked.stop == "tol" and (hooked.rejected >= 1) == ((method, seed) in (
-            ("fc", 2), ("fa", 2)))
+            ("fc", 2), ("fa", 0), ("fa", 2)))
+        assert any(a is not None for a in hooked.step_length)
         for c_hooked, c_plain in zip(hooked.completed, plain.completed):
             assert np.array_equal(c_hooked, c_plain)
         for p_hooked, p_plain in zip(hooked.model.parameters(), plain.model.parameters()):
