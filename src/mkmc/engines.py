@@ -59,19 +59,20 @@ diag(sqrt(theta - 1)) with U their Ritz vectors (a Ritz value <= 1 gives a zero 
 term falls as theta_j grows, and the j-th Ritz value on a subspace containing span(V),
 V = Psi^{-1/2} W_prev, is at least the j-th on span(V) (Courant-Fischer). So the step, which
 takes the subspace span[V, S~ V], cannot raise J, nor can the EM step after it: a plain step
-still descends. Householder QR gives [V, S~ V] = Q R, so S~ Q = [S~ V, S~^2 V] R^{-1} needs two
-products of q columns, O(ell^2 q); at 2q >= ell the step is the exact optimum given psi.
+still descends. Householder QR gives the basis Q of [V, S~ V], at any rank of the block; S~ V
+and S~ Q are products of q and 2q columns, O(ell^2 q). At 2q >= ell the step is the exact
+optimum given psi.
 
 SQUAREM (Varadhan & Roland 2008, *Scand. J. Stat.*). F converges linearly at a rate near 1,
 like EM. From the model of evaluation 1 on, evaluations run in cycles over the parameters
 theta: M for ``fc``, (W, log sigma2) for ``pca``, (W, log psi) for ``fa``, the logs keeping
 the noise positive. Two plain steps give theta1 = F(theta0) and theta2 = F(theta1); with
 r = theta1 - theta0, v = theta2 - 2 theta1 + theta0 and alpha = -||r|| / ||v|| (extrapolated
-only below -1), the third evaluates F at theta0 - 2 alpha r + alpha^2 v: O(ell^2) for ``fc``
-and O(ell q) otherwise, plus factoring the point. The safeguard keeps its result only if J
-does not rise above the last kept value; otherwise, or if the point cannot be factored or
-imputed from, the evaluation is rejected and the next is the plain step F(theta2), which
-always descends.
+only below -1, and for ``fa`` no further than its adaptive bound), the third evaluates F at
+theta0 - 2 alpha r + alpha^2 v: O(ell^2) for ``fc`` and O(ell q) otherwise, plus factoring the
+point. The safeguard keeps its result only if J does not rise above the last kept value;
+otherwise, or if the point cannot be factored or imputed from, the evaluation is rejected and
+the next is the plain step F(theta2), which always descends.
 """
 
 from __future__ import annotations
@@ -101,9 +102,13 @@ RANK_CRITERIA = (CRITERION_GK, CRITERION_KAISER)
 
 # Relative floor keeping noise variances strictly positive in the FA update.
 PSI_FLOOR_REL = 1e-10
-# A pivot of the FA loadings step's QR at most this times its column's norm marks a column the
-# ones before it span to about half the digits; T on the basis is then formed directly.
-RITZ_PIVOT_REL = float(np.sqrt(np.finfo(float).eps))
+# ``fa``'s bound on the SQUAREM |alpha| starts at FA_STEP_MAX0 and is multiplied by
+# FA_STEP_GROWTH when a step reaches it and holds, divided when such a step is rejected (the
+# defaults of Varadhan's SQUAREM package). Where a noise variance tends to 0 (a Heywood case)
+# log psi_i falls by about the same amount each evaluation, so ||r|| / ||v|| has no bound, and an
+# unbounded step scales the iterates' rounding by up to alpha^2.
+FA_STEP_MAX0 = 1.0
+FA_STEP_GROWTH = 4.0
 
 
 @dataclass(frozen=True)
@@ -306,36 +311,33 @@ def _pca_fit(s_reg: np.ndarray, eig: EigenDecomposition) -> PcaModel:
     return PcaModel(W=eig.eigenvectors * np.sqrt(gap), sigma2=sigma2)
 
 
-def fa_estep(s: np.ndarray, w: np.ndarray, psi: np.ndarray,
-             inverse: Optional[LowRankInverse] = None) -> tuple[np.ndarray, np.ndarray]:
+def fa_estep(s: np.ndarray, w: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Latent second moments S_xz = S B^T and S_zz = I - B W + B S_xz, B = W^T M^{-1}.
 
-    B comes from the Woodbury form of M = W W^T + diag(psi) (``inverse``, when the caller
-    holds it), so ``s`` is read only through one product: O(ell^2 q + ell q^2).
+    B comes from the Woodbury form of M = W W^T + diag(psi), so ``s`` is read only through one
+    product: O(ell^2 q + ell q^2).
     """
-    if inverse is None:
-        try:
-            _, inverse = low_rank_logdet_and_inverse(w, psi)
-        except NotPositiveDefiniteError as exc:
-            raise NumericalError("FA E-step capacitance matrix is singular") from exc
+    try:
+        _, inverse = low_rank_logdet_and_inverse(w, psi)
+    except NotPositiveDefiniteError as exc:
+        raise NumericalError("FA E-step capacitance matrix is singular") from exc
     b = inverse.w_t_inverse()
     s_xz = s @ b.T
     s_zz = np.eye(w.shape[1]) - b @ w + b @ s_xz
     return s_xz, s_zz
 
 
-def fa_model_update(s_reg: np.ndarray, prev: FaModel,
-                    inverse: Optional[LowRankInverse] = None) -> FaModel:
+def fa_model_update(s_reg: np.ndarray, prev: FaModel) -> FaModel:
     """One EM step for the factor-analysis model, O(ell^2 q + ell q^2).
 
     W_new = S_xz S_zz^{-1} and psi_new = diag(S - S_xz W_new^T), floored (:func:`_fa_noise`).
     ``s_reg`` is read only through ``s_reg @ x`` and ``s_reg.diagonal()``. In an evaluation the
     driver passes a :class:`_FactoredAverage` and, as ``prev``, the result of
-    :func:`fa_loadings_step`, whose inverse this step factors itself.
+    :func:`fa_loadings_step`.
     """
     if np.any(prev.psi <= 0):
         raise ValueError("previous noise variances must be positive")
-    s_xz, s_zz = fa_estep(s_reg, prev.W, prev.psi, inverse)
+    s_xz, s_zz = fa_estep(s_reg, prev.W, prev.psi)
     try:
         w_new = np.linalg.solve(s_zz.T, s_xz.T).T  # S_xz S_zz^{-1}
     except np.linalg.LinAlgError as exc:
@@ -356,11 +358,8 @@ def fa_loadings_step(s_reg: np.ndarray, prev: FaModel) -> FaModel:
     With V = Psi^{-1/2} W and T = S~ - I = Psi^{-1/2} (S_reg - Psi) Psi^{-1/2}, it takes the top
     q Ritz pairs (tau_j, u_j) of T on the span of [V, T V], tau_j = theta_j - 1, and returns
     W = Psi^{1/2} U diag(sqrt(max(tau_j, 0))), each u_j's largest-magnitude entry positive, with
-    psi kept. ``s_reg`` is read only through ``s_reg @ x``: T V and T^2 V, q columns each, or T
-    on the basis when a column of the block is (nearly) spanned by the ones before it.
+    psi kept. ``s_reg`` is read only through ``s_reg @ x``: T V, then T on the basis.
     """
-    import scipy.linalg as sla
-
     if np.any(prev.psi <= 0):
         raise ValueError("previous noise variances must be positive")
     ell, q = prev.W.shape
@@ -372,17 +371,8 @@ def fa_loadings_step(s_reg: np.ndarray, prev: FaModel) -> FaModel:
 
     v = prev.W / root
     tv = shifted(v)
-    p = min(ell, 2 * q)  # at 2q >= ell the basis spans everything
-    block = np.hstack([v, tv[:, :p - q]])
-    basis, r = np.linalg.qr(block)
-    if np.all(np.abs(np.diagonal(r)) > RITZ_PIVOT_REL * np.linalg.norm(block, axis=0)):
-        # T basis = [T V, T^2 V] R^{-1}; column j of it reads only the block's first j + 1
-        # columns, so the lower triangle of basis^T T basis is the accurate half
-        g = basis.T @ np.hstack([tv, shifted(tv[:, :p - q])])
-        h = sla.solve_triangular(r, g.T, trans="T", check_finite=False).T
-        h = np.tril(h) + np.tril(h, -1).T
-    else:
-        h = symmetrize(basis.T @ shifted(basis))
+    basis = np.linalg.qr(np.hstack([v, tv[:, :ell - q]]))[0]  # at 2q >= ell it spans R^ell
+    h = symmetrize(basis.T @ shifted(basis))
     if not np.isfinite(h).all():
         raise NumericalError("FA loadings step: S_reg or the model is not finite")
     tau, z = np.linalg.eigh(h)
@@ -652,6 +642,7 @@ def run_completion(
     step_length: list[Optional[float]] = []
     cycle: list = []  # parameters of this cycle's accepted models: theta0, theta1, theta2
     alpha: Optional[float] = None  # step length of the next evaluation, if extrapolated
+    step_max = FA_STEP_MAX0 if cfg.method == METHOD_FA else np.inf  # the bound on |alpha|
     rejected, stop, t0 = 0, STOP_MAX_ITERS, time.perf_counter()
     for it in range(1, cfg.max_iters + 1):
         if alpha is None:
@@ -672,6 +663,8 @@ def run_completion(
             except (NumericalError, NotPositiveDefiniteError, FloatingPointError):
                 accepted = False
             if not accepted:  # next, the plain step, which re-imputes every hidden block
+                if alpha == -step_max:
+                    step_max = max(FA_STEP_MAX0, step_max / FA_STEP_GROWTH)
                 rejected += 1
                 alpha = None
                 continue
@@ -680,6 +673,8 @@ def run_completion(
         theta = model.parameters()
         residual.append(_relative_change(theta, point))
         step_length.append(alpha)
+        if alpha == -step_max:
+            step_max *= FA_STEP_GROWTH
         alpha = None
         # A cycle starts at the model of iteration 1, not the start, and after each third one.
         if len(cycle) == 3:
@@ -690,7 +685,7 @@ def run_completion(
             v = tuple(c - b - a for a, b, c in zip(r, *cycle[1:]))  # (theta2 - theta1) - r
             rr, vv = _sq_norm(r), _sq_norm(v)
             if rr > vv > 0.0:  # SQUAREM's -||r|| / ||v|| when below -1; else the plain step
-                alpha = -float(np.sqrt(rr / vv))
+                alpha = max(-float(np.sqrt(rr / vv)), -step_max)
         iter_ms.append((time.perf_counter() - t0) * 1e3)
         trace.append(j)
         if on_iteration is not None:

@@ -291,7 +291,7 @@ class TestModelUpdates:
 @st.composite
 def loadings_problems(draw):
     """A random PD S with variances over six decades and an FA model to refit, whose loadings
-    may have a zero column or two equal ones (a QR pivot of 0)."""
+    may have a zero column or two equal ones, so that the block [V, T V] is rank-deficient."""
     ell = draw(st.integers(2, 12))
     q = draw(st.integers(1, ell - 1))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -678,10 +678,7 @@ class TestRunCompletion:
     def test_permutation_equivariance(self, rng, method):
         ell = 10
         qs, masked, pattern = make_instance(rng, ell, 3, 0.2)
-        # fc and pca stop by tol before the cap; fa's run stops at it, before the extrapolations
-        # with |alpha| in the hundreds that come later on this problem and scale rounding by
-        # alpha^2
-        cfg = CompletionConfig(method=method, rank=2, max_iters=40)
+        cfg = CompletionConfig(method=method, rank=2, max_iters=60)
         base = run_completion(masked, pattern, cfg)
         assert any(a is not None for a in base.step_length)
 
@@ -1114,12 +1111,14 @@ def plain_step(completed, pattern, m, model, cfg):
 def dense_loop(masked, pattern, cfg):
     """The driver's accelerated loop rebuilt from the dense oracles: every evaluation is
     plain_step from the materialized point (the documented start, the last accepted model, or
-    theta0 - 2 alpha r + alpha^2 v of the cycle's three models), and J is augmented_objective
-    of its result. Returns the completions, the trace, the step lengths and the counts."""
+    theta0 - 2 alpha r + alpha^2 v of the cycle's three models, |alpha| within fa's adaptive
+    bound), and J is augmented_objective of its result. Returns the completions, the trace, the
+    step lengths and the counts."""
     eps = cfg.reg_epsilon
     completed = [apply_mask(q, h, Fill.ZERO) for q, h in zip(masked, pattern.hidden)]
     model = start_model(masked, pattern, cfg.method, cfg.rank, eps)
     trace, step_length, cycle, alpha, rejected = [], [], [], None, 0
+    step_max = engines.FA_STEP_MAX0 if cfg.method == "fa" else np.inf
     for it in range(1, cfg.max_iters + 1):
         point = model
         if alpha is not None:  # as theta2 - 2(1 + alpha) r + (alpha^2 - 1) v
@@ -1135,10 +1134,14 @@ def dense_loop(masked, pattern, cfg):
                 raise
             j = np.inf
         if alpha is not None and not j <= trace[-1]:
+            if alpha == -step_max:
+                step_max = max(engines.FA_STEP_MAX0, step_max / engines.FA_STEP_GROWTH)
             rejected, alpha = rejected + 1, None
             continue
         completed, model = trial, new
         step_length.append(alpha)
+        if alpha == -step_max:
+            step_max *= engines.FA_STEP_GROWTH
         alpha = None
         cycle = cycle if len(cycle) < 3 else []
         cycle.append(model.parameters())
@@ -1147,7 +1150,7 @@ def dense_loop(masked, pattern, cfg):
             v = [c - b - a for a, b, c in zip(r, *cycle[1:])]  # (theta2 - theta1) - r
             rr, vv = (sum(float(np.vdot(x, x)) for x in parts) for parts in (r, v))
             if rr > vv > 0.0:
-                alpha = -float(np.sqrt(rr / vv))
+                alpha = max(-float(np.sqrt(rr / vv)), -step_max)
         trace.append(j)
         if len(trace) >= 2 and abs(j - trace[-2]) / max(1.0, abs(trace[-2])) < cfg.tol:
             break
@@ -1278,7 +1281,8 @@ class TestAcceleration:
         the last accepted model for a later plain step and theta0 - 2 alpha r + alpha^2 v
         of the cycle's three models for an extrapolated one; ``fc``'s start point is its
         materialized matrix. seeded_problem(0) has accepted extrapolations; ("fa", 2) a
-        rejection."""
+        rejection. ``fa``'s alpha is -||r|| / ||v|| or, where that is beyond its adaptive bound,
+        the bound, a power of FA_STEP_GROWTH."""
         masked, pattern = seeded_problem(seed)
         start = start_model(masked, pattern, method, 2, 1e-3)
         models = [FullModel(matrix=start.materialize()) if method == "fc" else start]
@@ -1295,14 +1299,19 @@ class TestAcceleration:
                 assert i % 3 == 0
                 t0, t1, t2 = thetas[i - 2:i + 1]
                 r, v = t1 - t0, t2 - 2 * t1 + t0
-                assert alpha == pytest.approx(-np.linalg.norm(r) / np.linalg.norm(v), rel=1e-12)
+                ratio = np.linalg.norm(r) / np.linalg.norm(v)
+                if method == "fa" and -alpha < ratio * (1 - 1e-12):
+                    assert -alpha in [engines.FA_STEP_MAX0 * engines.FA_STEP_GROWTH**k
+                                      for k in range(8)]
+                else:
+                    assert alpha == pytest.approx(-ratio, rel=1e-12)
                 point = t0 - 2 * alpha * r + alpha**2 * v
             scale = max(np.linalg.norm(point), np.linalg.norm(thetas[i + 1]))
             expected = np.linalg.norm(thetas[i + 1] - point) / scale
             assert result.residual[i] == pytest.approx(expected, rel=1e-12), f"entry {i}"
 
     @pytest.mark.parametrize("method, seed",
-                             [("fc", 0), ("fc", 2), ("pca", 0), ("fa", 0), ("fa", 1), ("fa", 2)])
+                             [("fc", 0), ("fc", 2), ("pca", 0), ("fa", 0), ("fa", 2), ("fa", 4)])
     def test_a_hook_changes_nothing(self, method, seed):
         """A run with ``on_iteration`` returns bit for bit what one without returns, though
         ``fa`` then writes its views after every accepted evaluation instead of once at the end.
@@ -1320,6 +1329,21 @@ class TestAcceleration:
             assert np.array_equal(p_hooked, p_plain)
         for name in ("trace", "residual", "step_length", "rejected", "iterations"):
             assert getattr(hooked, name) == getattr(plain, name), name
+
+    def test_fa_step_bound_grows_when_reached_and_shrinks_on_rejection(self):
+        """``fa``'s bound on |alpha| starts at FA_STEP_MAX0, grows FA_STEP_GROWTH-fold when a
+        step reaches it and holds, and shrinks as much when such a step is rejected.
+        seeded_problem(0) does both (a bound of 16 is rejected, so 4 is reached again); the
+        driver's step lengths and rejections match dense_loop, which keeps its own bound."""
+        masked, pattern = seeded_problem(0)
+        cfg = CompletionConfig(method="fa", rank=2, max_iters=300)
+        fast = run_completion(masked, pattern, cfg)
+        dense = dense_loop(masked, pattern, cfg)
+        assert fast.stop == "tol" and fast.rejected == dense.rejected >= 1
+        assert dense.step_length == pytest.approx(fast.step_length, rel=1e-6)  # 35 entries
+        bounds = [engines.FA_STEP_MAX0 * engines.FA_STEP_GROWTH**k for k in range(3)]
+        held = [-a for a in fast.step_length if a is not None and -a in bounds]
+        assert held[0] == engines.FA_STEP_MAX0 and held == [1.0, 4.0, 4.0, 16.0]
 
     @pytest.mark.parametrize("method, seed", [("fc", 2), ("fa", 2)])  # problems with a rejection
     def test_rejection_is_followed_by_the_plain_step(self, method, seed):
