@@ -65,14 +65,16 @@ optimum given psi.
 
 SQUAREM (Varadhan & Roland 2008, *Scand. J. Stat.*). F converges linearly at a rate near 1,
 like EM. From the model of evaluation 1 on, evaluations run in cycles over the parameters
-theta: M for ``fc``, (W, log sigma2) for ``pca``, (W, log psi) for ``fa``, the logs keeping
-the noise positive. Two plain steps give theta1 = F(theta0) and theta2 = F(theta1); with
-r = theta1 - theta0, v = theta2 - 2 theta1 + theta0 and alpha = -||r|| / ||v|| (extrapolated
-only below -1, and for ``fa`` no further than its adaptive bound), the third evaluates F at
-theta0 - 2 alpha r + alpha^2 v: O(ell^2) for ``fc`` and O(ell q) otherwise, plus factoring the
-point. The safeguard keeps its result only if J does not rise above the last kept value;
-otherwise, or if the point cannot be factored or imputed from, the evaluation is rejected and
-the next is the plain step F(theta2), which always descends.
+theta: P = M^{-1} for ``fc``, (W, log sigma2) for ``pca``, (W, log psi) for ``fa``, the logs
+keeping the noise positive. Two plain steps give theta1 = F(theta0) and theta2 = F(theta1);
+with r = theta1 - theta0, v = theta2 - 2 theta1 + theta0 and alpha = -||r|| / ||v||
+(extrapolated only below -1, and for ``fa`` no further than its adaptive bound), the third
+evaluates F at theta0 - 2 alpha r + alpha^2 v. ``fc`` imputes straight from that P', O(ell^2),
+and factors no ell x ell trial matrix: the log det identity above needs only each P'_hh to be
+PD, so J is still that of real completions and their refit M. ``pca`` and ``fa`` factor the
+point's model, O(ell q^2). The safeguard keeps the result only if J does not rise above the
+last kept value; otherwise, or if the point cannot be imputed from (for ``fc``, a P'_hh is not
+PD), the evaluation is rejected and the next is the plain step F(theta2), which always descends.
 """
 
 from __future__ import annotations
@@ -121,22 +123,13 @@ class FullModel:
         return self.matrix
 
     def logdet_and_inverse(self) -> tuple[float, np.ndarray]:
-        """log det M and the whole M^{-1}."""
+        """log det M and the whole M^{-1}, the point the driver extrapolates."""
         return logdet_and_inverse(self.matrix)
-
-    def parameters(self) -> tuple[np.ndarray, ...]:
-        """The point the driver extrapolates: M itself (a reference)."""
-        return (self.matrix,)
-
-    @classmethod
-    def from_parameters(cls, theta: tuple[np.ndarray, ...]) -> "FullModel":
-        return cls(matrix=theta[0])
 
 
 @dataclass(frozen=True)
 class PcaModel:
-    """Low-rank plus isotropic noise: W W^T + sigma2 I; :meth:`materialize` gives ``fc``'s
-    start as the point of its first residual."""
+    """Low-rank plus isotropic noise: W W^T + sigma2 I; :meth:`materialize` serves the tests."""
 
     W: np.ndarray
     sigma2: float
@@ -603,14 +596,14 @@ def run_completion(
         model_inv = model.logdet_and_inverse()[1]
     except NotPositiveDefiniteError as exc:
         raise NumericalError(f"initial model matrix: {exc}") from exc
-    # fc's iteration-1 residual compares its M with the start's, materialised, O(ell^2 q)
-    theta = (model.materialize(),) if cfg.method == METHOD_FC else model.parameters()
+    factored = cfg.method != METHOD_FC  # pca/fa: the imputed blocks stay in factors
+    # fc's theta is P = M^{-1}: its iteration-1 residual compares with the start's, O(ell^2 q)
+    theta = model.parameters() if factored else (model_inv.dense(),)
     setup_ms = (time.perf_counter() - t_entry) * 1e3
 
-    factored = cfg.method != METHOD_FC  # pca/fa: the imputed blocks stay in factors
-
     def evaluate(prev: ModelParams, prev_inv):
-        """F at ``prev``: J, the new model, its inverse and the :class:`_ImputedAverage`."""
+        """F at ``prev``, imputing from ``prev_inv`` (all ``fc`` reads): J, the new model, its
+        inverse and the :class:`_ImputedAverage`."""
         logdet_q = logdet_vv  # sum_k log det Q^(k) after imputing from prev
         blocks = []  # each view's (Q_vh, Q_hh), or for pca/fa (Q_vv A, G)
         for k, view in views:
@@ -656,9 +649,10 @@ def run_completion(
                 with np.errstate(all="raise"):  # theta0 - 2 alpha r + alpha^2 v, from theta2
                     point = tuple(t - 2.0 * (1.0 + alpha) * a + (alpha * alpha - 1.0) * b
                                   for t, a, b in zip(cycle[2], r, v))
-                    trial = type(model).from_parameters(point)
-                with np.errstate(over="raise", invalid="raise", divide="raise"):
-                    j, new, new_inv, imputed = evaluate(trial, trial.logdet_and_inverse()[1])
+                    trial = type(model).from_parameters(point) if factored else None
+                with np.errstate(over="raise", invalid="raise", divide="raise"):  # fc: from P'
+                    j, new, new_inv, imputed = evaluate(
+                        trial, trial.logdet_and_inverse()[1] if factored else point[0])
                 accepted = j <= trace[-1]
             except (NumericalError, NotPositiveDefiniteError, FloatingPointError):
                 accepted = False
@@ -670,7 +664,7 @@ def run_completion(
                 continue
 
         model, model_inv, accepted_imputed = new, new_inv, imputed
-        theta = model.parameters()
+        theta = model.parameters() if factored else (model_inv,)
         residual.append(_relative_change(theta, point))
         step_length.append(alpha)
         if alpha == -step_max:

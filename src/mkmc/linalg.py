@@ -225,6 +225,12 @@ class LowRankInverse:
         fsf = self.f @ (s @ self.f.T)
         return float(np.sum(s.diagonal() / self.d) - np.trace(self.solve_c(fsf)))
 
+    def dense(self) -> np.ndarray:
+        """M^{-1} as an ell x ell array: one ell x q x ell product, then D^{-1} added in place."""
+        out = self.f.T @ -self.solve_c(self.f)
+        out.flat[::len(out) + 1] += 1.0 / self.d
+        return out
+
 
 def low_rank_logdet_and_inverse(w: np.ndarray, d: np.ndarray) -> tuple[float, LowRankInverse]:
     """log det and factored inverse of M = W W^T + diag(d), from one q x q Cholesky factor.

@@ -2,7 +2,9 @@
 
 A run imputes each view from M^{-1} or its factors (:func:`mkmc.engines.impute_view`);
 :func:`impute_from_model` is the plain conditional-moment formula that step is checked
-against. :func:`start_model` is the model a run starts from, rebuilt from public functions.
+against, and :func:`impute_from_inverse` the same blocks from a matrix P taken as M^{-1}, by
+the dense partitioned-inverse formulas, for ``fc``'s extrapolated points. :func:`start_model`
+is the model a run starts from, rebuilt from public functions.
 :func:`eigh_descending` is every eigenpair, from numpy's solver rather than the top-q one a
 run uses, and :func:`criterion_rank` the rank a criterion picks, from every eigenvalue rather
 than the inertia of one LDL^T factor per view. :func:`ritz_loadings` is ``fa``'s loadings step
@@ -33,6 +35,24 @@ def impute_from_model(q_vv: np.ndarray, m: np.ndarray, hidden) -> tuple[np.ndarr
     x = sla.cho_solve((cholesky_lower(view.q_vv), True), m_vh)  # M_vv^{-1} M_vh
     q_vh = q_vv @ x
     return q_vh, symmetrize(m[np.ix_(view.hid, view.hid)] - m_vh.T @ x + x.T @ q_vh)
+
+
+def impute_from_inverse(q_vv: np.ndarray, p: np.ndarray, hidden) -> tuple[np.ndarray, np.ndarray]:
+    """The hidden blocks of one view imputed from P = M^{-1}, which need not be definite.
+
+    By the partitioned inverse, M_vv^{-1} M_vh = X = -P_vh P_hh^{-1} and the Schur complement
+    M_hh - M_hv M_vv^{-1} M_vh is P_hh^{-1}, so
+
+        Q_vh = Q_vv X,    Q_hh = P_hh^{-1} + X^T Q_vv X.
+
+    P_hh is factored by Cholesky, which raises NotPositiveDefiniteError if it is not PD, and
+    its inverse is a Cholesky solve against I; Q_hh is symmetrized.
+    """
+    view = partition(p, hidden)
+    factor = (cholesky_lower(p[np.ix_(view.hid, view.hid)]), True)
+    x = -sla.cho_solve(factor, p[view.vh].T).T
+    q_vh = q_vv @ x
+    return q_vh, symmetrize(sla.cho_solve(factor, np.eye(len(view.hid))) + x.T @ q_vh)
 
 
 def start_model(masked, pattern, method: str, rank: int, eps: float):

@@ -839,7 +839,9 @@ def test_import_leaves_jsonschema_unloaded():
 
 def test_only_complete_loads_scipy(tmp_path, synthetic_inputs, mask_file):
     """``mask``, ``evaluate`` and ``--help`` run in a new process without loading scipy, and
-    ``complete`` loads it when it factors and writes its completions."""
+    ``complete`` loads it when it factors and writes its completions. Those match, bit for bit,
+    ``run_completion``'s in another new process with the same environment: this one may run
+    BLAS at another thread count, if ``OPENBLAS_NUM_THREADS`` was set after numpy loaded."""
     masked, completed = tmp_path / "masked", tmp_path / "completed"
     commands = [
         ["mask", "--fraction", "0.2", "--out-dir", str(masked), *synthetic_inputs],
@@ -859,11 +861,20 @@ for args in {commands!r}:
     assert run_fresh(code).splitlines() == [
         "mask 0 False", "evaluate 0 False", "--help 0 False", "complete 0 True"]
     assert (tmp_path / "report.json").exists()
-    result = run_completion([matrixio.read_matrix(p) for p in synthetic_inputs],
-                            matrixio.read_mask(mask_file), CompletionConfig())
-    for p, want in zip(synthetic_inputs, result.completed):
-        assert (masked / Path(p).name).exists()
-        np.testing.assert_array_equal(matrixio.read_matrix(completed / Path(p).name), want)
+    reference = tmp_path / "reference.npz"
+    run_fresh(f"""
+import numpy as np
+from mkmc import matrixio
+from mkmc.engines import CompletionConfig, run_completion
+result = run_completion([matrixio.read_matrix(p) for p in {list(map(str, synthetic_inputs))!r}],
+                        matrixio.read_mask({str(mask_file)!r}), CompletionConfig())
+np.savez({str(reference)!r}, *result.completed)
+""")
+    with np.load(reference) as ref:
+        for k, p in enumerate(synthetic_inputs):
+            assert (masked / Path(p).name).exists()
+            np.testing.assert_array_equal(matrixio.read_matrix(completed / Path(p).name),
+                                          ref[f"arr_{k}"])
 
 
 class TestEvaluateCommand:

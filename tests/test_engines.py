@@ -32,8 +32,13 @@ from mkmc.recovery import SyntheticSpec, generate_synthetic
 from mkmc.views import Fill, VisibilityPattern, apply_mask, partition, random_mask
 
 from conftest import random_pd
-from oracles import (criterion_rank, eigh_descending, impute_from_model, ritz_loadings,
-                     start_model)
+from oracles import (criterion_rank, eigh_descending, impute_from_inverse, impute_from_model,
+                     ritz_loadings, start_model)
+
+
+def parameters(model):
+    """What a run returns of its model, as arrays: ``fc``'s M, or pca/fa's parameters."""
+    return (model.matrix,) if isinstance(model, FullModel) else model.parameters()
 
 
 def augmented_objective(completed, model, eps):
@@ -789,8 +794,8 @@ class TestRunCompletion:
         # the start's capacitance matrix, then each view's C_v in iteration 1
         assert sizes.count(2) == 1 + 3
         assert sizes.count(3) == 3 * (result.iterations - 1)  # each view's P_hh, from then on
-        # each M, and the extrapolated point of iteration 4
-        assert sizes.count(10) == result.iterations + extrapolated
+        # each M once: the extrapolated iteration 4 imputes from P' and factors no M'
+        assert sizes.count(10) == result.iterations
 
     @pytest.mark.parametrize("method,ell", [("pca", 48), ("fa", 48), ("pca", 10), ("fa", 10)],
                              ids=["pca", "fa", "pca-ell10", "fa-ell10"])
@@ -1092,12 +1097,13 @@ def plain_loop(masked, pattern, cfg):
     return it, model
 
 
-def plain_step(completed, pattern, m, model, cfg):
-    """Impute every view of ``completed`` in place from the matrix m, then refit."""
+def plain_step(completed, pattern, m, model, cfg, impute=impute_from_model):
+    """Impute every view of ``completed`` in place from the matrix m, by default the model
+    matrix, then refit."""
     for c, h in zip(completed, pattern.hidden):
         if h:
             view = partition(c, h)
-            q_vh, q_hh = impute_from_model(view.q_vv, m, h)
+            q_vh, q_hh = impute(view.q_vv, m, h)
             c[view.vh], c[np.ix_(view.hid, view.vis)] = q_vh, q_vh.T
             c[np.ix_(view.hid, view.hid)] = q_hh
     s_reg = regularize(average_kernel(completed), pattern.n_views, cfg.reg_epsilon)
@@ -1112,22 +1118,30 @@ def dense_loop(masked, pattern, cfg):
     """The driver's accelerated loop rebuilt from the dense oracles: every evaluation is
     plain_step from the materialized point (the documented start, the last accepted model, or
     theta0 - 2 alpha r + alpha^2 v of the cycle's three models, |alpha| within fa's adaptive
-    bound), and J is augmented_objective of its result. Returns the completions, the trace, the
-    step lengths and the counts."""
+    bound), and J is augmented_objective of its result. ``fc``'s theta is P = M^{-1}, taken by
+    ``linalg.logdet_and_inverse`` as the driver takes it, and an extrapolated ``fc`` point is
+    imputed from P' itself (impute_from_inverse). Returns the completions, the trace, the step
+    lengths and the counts."""
     eps = cfg.reg_epsilon
     completed = [apply_mask(q, h, Fill.ZERO) for q, h in zip(masked, pattern.hidden)]
     model = start_model(masked, pattern, cfg.method, cfg.rank, eps)
     trace, step_length, cycle, alpha, rejected = [], [], [], None, 0
     step_max = engines.FA_STEP_MAX0 if cfg.method == "fa" else np.inf
     for it in range(1, cfg.max_iters + 1):
-        point = model
+        point, p = model, None
         if alpha is not None:  # as theta2 - 2(1 + alpha) r + (alpha^2 - 1) v
-            point = type(model).from_parameters(tuple(
-                t - 2.0 * (1.0 + alpha) * a + (alpha * alpha - 1.0) * b
-                for t, a, b in zip(cycle[2], r, v)))
+            theta = tuple(t - 2.0 * (1.0 + alpha) * a + (alpha * alpha - 1.0) * b
+                          for t, a, b in zip(cycle[2], r, v))
+            if cfg.method == "fc":
+                p = theta[0]
+            else:
+                point = type(model).from_parameters(theta)
         trial = [c.copy() for c in completed]
         try:
-            new = plain_step(trial, pattern, point.materialize(), point, cfg)
+            if p is None:
+                new = plain_step(trial, pattern, point.materialize(), point, cfg)
+            else:
+                new = plain_step(trial, pattern, p, point, cfg, impute_from_inverse)
             j = augmented_objective(trial, new, eps)
         except (NotPositiveDefiniteError, NumericalError):
             if alpha is None:
@@ -1144,7 +1158,8 @@ def dense_loop(masked, pattern, cfg):
             step_max *= engines.FA_STEP_GROWTH
         alpha = None
         cycle = cycle if len(cycle) < 3 else []
-        cycle.append(model.parameters())
+        cycle.append((linalg.logdet_and_inverse(model.matrix)[1],) if cfg.method == "fc"
+                     else model.parameters())
         if len(cycle) == 3 and it + 1 < cfg.max_iters:
             r = [b - a for a, b in zip(*cycle[:2])]
             v = [c - b - a for a, b, c in zip(r, *cycle[1:])]  # (theta2 - theta1) - r
@@ -1179,7 +1194,7 @@ class TestAcceleration:
         refit = plain_step(completed, pattern, start.materialize(), start, cfg)
         for c, ref in zip(result.completed, completed):
             assert np.linalg.norm(c - ref) <= 1e-10 * np.linalg.norm(ref)
-        for part, ref in zip(result.model.parameters(), refit.parameters()):
+        for part, ref in zip(parameters(result.model), parameters(refit)):
             assert np.linalg.norm(part - ref) <= 1e-10 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("seed", [0, 2])
@@ -1279,17 +1294,22 @@ class TestAcceleration:
         """||theta_new - point|| / max(||point||, ||theta_new||), recomputed from the start
         model and the models the hook received. The point is the start model for entry 0,
         the last accepted model for a later plain step and theta0 - 2 alpha r + alpha^2 v
-        of the cycle's three models for an extrapolated one; ``fc``'s start point is its
-        materialized matrix. seeded_problem(0) has accepted extrapolations; ("fa", 2) a
-        rejection. ``fa``'s alpha is -||r|| / ||v|| or, where that is beyond its adaptive bound,
-        the bound, a power of FA_STEP_GROWTH."""
+        of the cycle's three models for an extrapolated one; ``fc``'s theta is M^{-1}, and its
+        start point the start's inverse. seeded_problem(0) has accepted extrapolations, and
+        rejections for ``fc`` and ``fa``; ("fa", 2) has a rejection too. ``fa``'s alpha is
+        -||r|| / ||v|| or, where that is beyond its adaptive bound, the bound, a power of
+        FA_STEP_GROWTH."""
         masked, pattern = seeded_problem(seed)
         start = start_model(masked, pattern, method, 2, 1e-3)
-        models = [FullModel(matrix=start.materialize()) if method == "fc" else start]
+        models = [start]
         result = run_completion(masked, pattern, CompletionConfig(method=method, rank=2, max_iters=300),
                                 on_iteration=lambda _it, _c, m: models.append(m))
         assert result.stop == "tol" and any(a is not None for a in result.step_length)
-        thetas = [np.concatenate([p.ravel() for p in m.parameters()]) for m in models]
+        if method == "fc":  # the start's inverse, then each M^{-1} as the driver takes it
+            thetas = [np.linalg.inv(start.materialize()).ravel()] + [
+                linalg.logdet_and_inverse(m.matrix)[1].ravel() for m in models[1:]]
+        else:
+            thetas = [np.concatenate([p.ravel() for p in m.parameters()]) for m in models]
         assert len(result.residual) == len(thetas) - 1  # thetas[i + 1] is entry i's model
         for i in range(len(result.residual)):
             alpha = result.step_length[i]
@@ -1311,21 +1331,23 @@ class TestAcceleration:
             assert result.residual[i] == pytest.approx(expected, rel=1e-12), f"entry {i}"
 
     @pytest.mark.parametrize("method, seed",
-                             [("fc", 0), ("fc", 2), ("pca", 0), ("fa", 0), ("fa", 2), ("fa", 4)])
+                             [("fc", 0), ("fc", 2), ("fc", 31), ("pca", 0), ("fa", 0), ("fa", 2),
+                              ("fa", 4)])
     def test_a_hook_changes_nothing(self, method, seed):
         """A run with ``on_iteration`` returns bit for bit what one without returns, though
         ``fa`` then writes its views after every accepted evaluation instead of once at the end.
-        ("fc", 2), ("fa", 0) and ("fa", 2) reject an extrapolation."""
+        ("fc", 0), ("fc", 2), ("fa", 0) and ("fa", 2) reject an extrapolation, and ("fc", 31)
+        and ("fa", 4) reject none."""
         masked, pattern = seeded_problem(seed)
         cfg = CompletionConfig(method=method, rank=2, max_iters=300)
         hooked = run_completion(masked, pattern, cfg, on_iteration=lambda *_: None)
         plain = run_completion(masked, pattern, cfg)
         assert hooked.stop == "tol" and (hooked.rejected >= 1) == ((method, seed) in (
-            ("fc", 2), ("fa", 0), ("fa", 2)))
+            ("fc", 0), ("fc", 2), ("fa", 0), ("fa", 2)))
         assert any(a is not None for a in hooked.step_length)
         for c_hooked, c_plain in zip(hooked.completed, plain.completed):
             assert np.array_equal(c_hooked, c_plain)
-        for p_hooked, p_plain in zip(hooked.model.parameters(), plain.model.parameters()):
+        for p_hooked, p_plain in zip(parameters(hooked.model), parameters(plain.model)):
             assert np.array_equal(p_hooked, p_plain)
         for name in ("trace", "residual", "step_length", "rejected", "iterations"):
             assert getattr(hooked, name) == getattr(plain, name), name
@@ -1344,6 +1366,22 @@ class TestAcceleration:
         bounds = [engines.FA_STEP_MAX0 * engines.FA_STEP_GROWTH**k for k in range(3)]
         held = [-a for a in fast.step_length if a is not None and -a in bounds]
         assert held[0] == engines.FA_STEP_MAX0 and held == [1.0, 4.0, 4.0, 16.0]
+
+    def test_fc_extrapolates_the_inverse(self):
+        """``fc`` extrapolates P = M^{-1} and imputes straight from P'. seeded_problem(0) has
+        accepted and rejected extrapolations, and the driver's trace, step lengths and
+        rejections match dense_loop's, which imputes from P' by the partitioned formulas."""
+        masked, pattern = seeded_problem(0)
+        cfg = CompletionConfig(method="fc", rank=2, max_iters=300)
+        fast = run_completion(masked, pattern, cfg)
+        dense = dense_loop(masked, pattern, cfg)
+        assert fast.stop == "tol" and fast.rejected == dense.rejected >= 1
+        assert fast.iterations == dense.iterations
+        assert sum(a is not None for a in fast.step_length) >= 1
+        assert dense.step_length == pytest.approx(fast.step_length, rel=1e-6)
+        assert dense.trace == pytest.approx(fast.trace, rel=1e-6)
+        for c_fast, c_dense in zip(fast.completed, dense.completed):
+            assert np.linalg.norm(c_fast - c_dense) <= 1e-6 * np.linalg.norm(c_dense)
 
     @pytest.mark.parametrize("method, seed", [("fc", 2), ("fa", 2)])  # problems with a rejection
     def test_rejection_is_followed_by_the_plain_step(self, method, seed):
@@ -1385,7 +1423,7 @@ class TestAcceleration:
         completed, model = accepted[r + 1]
         for c, ref in zip(capped.completed, completed):
             assert np.array_equal(c, ref)
-        for part, ref in zip(capped.model.parameters(), model.parameters()):
+        for part, ref in zip(parameters(capped.model), parameters(model)):
             assert np.array_equal(part, ref)
 
     @pytest.mark.parametrize("method", ["fc", "pca", "fa"])
@@ -1432,7 +1470,7 @@ class TestSetUp:
             assert all(np.isfinite(c).all() for c in result.completed)
             for q, ref in zip(masked, before):
                 assert q.dtype == ref.dtype and q.tobytes() == ref.tobytes()
-            for out in (*result.completed, *result.model.parameters()):
+            for out in (*result.completed, *parameters(result.model)):
                 assert not any(np.shares_memory(out, q) for q in masked)
 
     @pytest.mark.parametrize("eps", [0.0, 1e-3])

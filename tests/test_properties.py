@@ -21,12 +21,13 @@ start model (``oracles.start_model``) for iteration 1, the previous model for a
 later plain step, and for an extrapolated one the point
 theta0 - 2 alpha r + alpha^2 v rebuilt from the recorded step length alpha and
 the three previous models (r = theta1 - theta0, v = theta2 - 2 theta1 + theta0,
-theta = M for fc, (W, log sigma2) for pca, (W, log psi) for fa). The drawn
-problems are small (ell <= 12), so both driver properties also run on explicit
-pca/fa examples at ell = 20 and 40. ``pca`` and ``fa`` never average the completed views in
-an iteration: they hold S_reg as S_0_reg plus the imputed blocks in factors, whose products
-and diagonal (``fa``) and assembled matrix (``pca``) equal those of the dense average of the
-written views.
+theta = M^{-1} for fc, (W, log sigma2) for pca, (W, log psi) for fa); an extrapolated fc
+point P' is itself the inverse, imputed from by the partitioned-inverse formulas
+(``oracles.impute_from_inverse``). The drawn problems are small (ell <= 12), so both
+driver properties also run on explicit pca/fa examples at ell = 20 and 40. ``pca`` and
+``fa`` never average the completed views in an iteration: they hold S_reg as S_0_reg plus
+the imputed blocks in factors, whose products and diagonal (``fa``) and assembled matrix
+(``pca``) equal those of the dense average of the written views.
 
 A :class:`VisibilityPattern` built by a library caller obeys one integer rule:
 ``ell`` and every hidden index are integers of any integral type, numpy's
@@ -56,11 +57,11 @@ from mkmc.cli import main
 from mkmc.engines import (METHODS, CompletionConfig, FullModel, PcaModel, average_kernel,
                           impute_view, objective, regularize, run_completion)
 from mkmc.errors import ConfigError, DimensionError
-from mkmc.linalg import low_rank_logdet_and_inverse
+from mkmc.linalg import logdet_and_inverse, low_rank_logdet_and_inverse
 from mkmc.views import Fill, VisibilityPattern, apply_mask, partition, random_mask
 
 from conftest import random_pd
-from oracles import criterion_rank, impute_from_model, start_model
+from oracles import criterion_rank, impute_from_inverse, impute_from_model, start_model
 
 MASK_KINDS = ("empty", "correlated", "single-visible-object", "independent")
 
@@ -182,19 +183,21 @@ def assert_close(fast, ref, rel=1e-10):
 
 
 def extrapolated_point(three_models, alpha):
-    """The model matrix at theta0 - 2 alpha r + alpha^2 v of three consecutive models."""
+    """The point theta0 - 2 alpha r + alpha^2 v of three consecutive models and the oracle that
+    imputes from it: ``fc``'s P' itself, theta being M^{-1} as ``logdet_and_inverse`` gives it
+    to the driver, by impute_from_inverse; otherwise the model matrix, by impute_from_model."""
     def theta(model):
         if isinstance(model, FullModel):
-            return [model.matrix]
+            return [logdet_and_inverse(model.matrix)[1]]
         noise = model.sigma2 if isinstance(model, PcaModel) else model.psi
         return [model.W, np.log(np.atleast_1d(noise))]
 
     t0, t1, t2 = map(theta, three_models)
     point = [a - 2 * alpha * (b - a) + alpha ** 2 * (c - 2 * b + a) for a, b, c in zip(t0, t1, t2)]
     if len(point) == 1:
-        return point[0]
+        return point[0], impute_from_inverse
     w, noise = point[0], np.exp(point[1])
-    return w @ w.T + np.diag(np.broadcast_to(noise, (w.shape[0],)))
+    return w @ w.T + np.diag(np.broadcast_to(noise, (w.shape[0],))), impute_from_model
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -217,16 +220,17 @@ def test_driver_imputes_like_dense_oracle(problem):
     cfg = CompletionConfig(method=method, rank=rank, reg_epsilon=eps, max_iters=30)
     result = run_completion(masked, pattern, cfg, on_iteration=record)
     for i, (completed, alpha) in enumerate(zip(steps, result.step_length)):
+        impute = impute_from_model
         if i == 0:  # iteration 1 imputes from the start model
             m_prev = start_model(masked, pattern, method, rank, eps).materialize()
         elif alpha is None:
             m_prev = models[i - 1].materialize()
         else:
-            m_prev = extrapolated_point(models[i - 3:i], alpha)
+            m_prev, impute = extrapolated_point(models[i - 3:i], alpha)
         for c, h in zip(completed, pattern.hidden):
             if h:
                 got = partition(c, h)
-                q_vh, q_hh = impute_from_model(got.q_vv, m_prev, h)
+                q_vh, q_hh = impute(got.q_vv, m_prev, h)
                 assert_close(c[got.vh], q_vh)
                 assert_close(c[np.ix_(got.hid, got.hid)], q_hh)
 
