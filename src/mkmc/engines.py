@@ -37,15 +37,17 @@ S_reg. No evaluation writes or averages a view: S_reg is the set-up's S_0_reg, t
 transform of the zero-filled views' average, plus the imputed blocks over K + eps. ``fc``
 adds each hiding view's row block [Q_hv | Q_hh / 2] into the hidden rows of a zero U:
 S_reg = C + C^T with C = S_0_reg / 2 + U / (K + eps), exactly symmetric, in
-O(ell^2 + sum_k n_h ell). ``pca`` and ``fa`` stack the factors over the hiding views:
+O(ell^2 + sum_k n_h ell). ``pca`` and ``fa`` read S_reg from two ell x Kq factors stacked
+over the hiding views, built once per evaluation:
 
-    S_reg = S_0_reg + (Z Y^T + Y Z^T + Y G Y^T + diag(d o n)) / (K + eps),
+    S_reg = S_0_reg + (Z~ Y^T + Y Z~^T + diag(d o n)) / (K + eps),
 
-with Z_k = Q_vv A on view k's visible rows and Y_k = W on its hidden rows, both zero
-elsewhere, G = diag(G_k) and n_i the number of views hiding object i. The ``fa`` refit and
-the trace term read S_reg only as products S_reg X, O(ell^2 p + ell K q p) for an ell x p X,
-and diag S_reg, O(ell K q^2). ``pca`` reads all of it: with Z~_k = Z_k + Y_k G_k / 2 the
-imputed part is Z~ Y^T + Y Z~^T, one BLAS-3 product, O(ell^2 K q).
+with Z~_k = Q_vv A on view k's visible rows and W_h G_v / 2 on its hidden rows, Y_k = W on
+its hidden rows, both zero elsewhere, and n_i the number of views hiding object i; on the
+hidden rows Z~_k Y_k^T + Y_k Z~_k^T = W_h G_v W_h^T. The ``fa`` refit and the trace term read
+only the products S_reg X = S_0_reg X + (Z~ (Y^T X) + Y (Z~^T X) + (d o n) o X) / (K + eps),
+O(ell^2 p + ell K q p) for an ell x p X, and diag S_reg = diag S_0_reg + (2 rowsum(Z~ o Y)
++ d o n) / (K + eps), O(ell K q). ``pca`` forms S_reg whole, one BLAS-3 product, O(ell^2 K q).
 
 FA refit (ECME; Liu & Rubin 1998, *Statistica Sinica*). An ``fa`` evaluation first refits the
 loadings given psi (:func:`fa_loadings_step`), then takes one EM step from them
@@ -115,7 +117,8 @@ FA_STEP_GROWTH = 4.0
 
 @dataclass(frozen=True)
 class FullModel:
-    """Unrestricted model matrix."""
+    """Unrestricted model matrix. No solve calls :meth:`materialize`; it stays for
+    :func:`objective`, the tests and perfbench's tracer, which wraps it by name."""
 
     matrix: np.ndarray
 
@@ -129,7 +132,7 @@ class FullModel:
 
 @dataclass(frozen=True)
 class PcaModel:
-    """Low-rank plus isotropic noise: W W^T + sigma2 I; :meth:`materialize` serves the tests."""
+    """Low-rank plus isotropic noise: W W^T + sigma2 I; :meth:`materialize` as in FullModel."""
 
     W: np.ndarray
     sigma2: float
@@ -152,7 +155,7 @@ class PcaModel:
 
 @dataclass(frozen=True)
 class FaModel:
-    """Low-rank plus diagonal noise: W W^T + diag(psi); :meth:`materialize` serves the tests."""
+    """Low-rank plus diagonal noise: W W^T + diag(psi); :meth:`materialize` as in FullModel."""
 
     W: np.ndarray
     psi: np.ndarray
@@ -385,7 +388,7 @@ def impute_view(inverse: Union[np.ndarray, LowRankInverse], view: PartitionedVie
 
     From the whole P (``fc`` from iteration 2) row-wise, X^T = -P_hh^{-1} P_hv from P's
     hidden rows, O(n_h^3 + n_v^2 n_h); Q_vh is a view of Q_hv. From a ``LowRankInverse``
-    (every start), O(n_v^2 q); with ``factored`` it returns log det P_hh, Q_vv A and G_v."""
+    (every start), O(n_v^2 q); with ``factored`` it returns log det P_hh, Q_vv A and W_h G_v."""
     if isinstance(inverse, LowRankInverse):
         f_v = inverse.f[:, view.vis]
         # C_v = I + W_v^T D_v^{-1} W_v >= I, the capacitance matrix of M_vv
@@ -393,12 +396,12 @@ def impute_view(inverse: Union[np.ndarray, LowRankInverse], view: PartitionedVie
         logdet_c_v, c_v_inv = logdet_and_inverse(c_v)
         a = f_v.T @ c_v_inv  # D_v^{-1} W_v C_v^{-1} = M_vv^{-1} W_v
         qa = view.q_vv @ a
-        g = c_v_inv + a.T @ qa
-        d_h = inverse.d[view.hid]
+        w_h, d_h = inverse.w[view.hid], inverse.d[view.hid]
+        w_h_g = w_h @ (c_v_inv + a.T @ qa)  # W_h G_v
         logdet_p_hh = logdet_c_v - float(np.sum(np.log(d_h))) - inverse.logdet_c
         if factored:
-            return logdet_p_hh, qa, g
-        return (logdet_p_hh, *_hidden_blocks(qa, g, inverse.w[view.hid], d_h))
+            return logdet_p_hh, qa, w_h_g
+        return (logdet_p_hh, *_hidden_blocks(qa, w_h_g, w_h, d_h))
     p_h = inverse.take(view.hid, 0)  # P's hidden rows: P_hv = P_vh^T, as P is symmetric
     logdet_p_hh, schur = logdet_and_inverse(p_h.take(view.hid, 1))
     x_t = -schur @ p_h.take(view.vis, 1)  # X^T = (M_vv^{-1} M_vh)^T
@@ -406,10 +409,10 @@ def impute_view(inverse: Union[np.ndarray, LowRankInverse], view: PartitionedVie
     return logdet_p_hh, q_hv.T, symmetrize(schur + q_hv @ x_t.T)
 
 
-def _hidden_blocks(qa: np.ndarray, g: np.ndarray, w_h: np.ndarray,
+def _hidden_blocks(qa: np.ndarray, w_h_g: np.ndarray, w_h: np.ndarray,
                    d_h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Q_vh = (Q_vv A) W_h^T and Q_hh = D_h + W_h G W_h^T of a view imputed from a low-rank model."""
-    q_hh = w_h @ g @ w_h.T
+    """Q_vh = (Q_vv A) W_h^T and Q_hh = (W_h G) W_h^T + D_h from :func:`impute_view`'s factors."""
+    q_hh = w_h_g @ w_h.T
     q_hh.flat[::len(d_h) + 1] += d_h
     return qa @ w_h.T, symmetrize(q_hh)
 
@@ -445,8 +448,8 @@ class _ImputedAverage:
 
 
 class _FactoredAverage(_ImputedAverage):
-    """S_reg of a ``pca``/``fa`` evaluation from the stacked Z, Y, G and n (module docstring):
-    ``s @ x``, :meth:`diagonal` and :meth:`dense`."""
+    """S_reg of a ``pca``/``fa`` evaluation from the stacked Z~ and Y (module docstring), built
+    once: ``s @ x``, :meth:`diagonal` and :meth:`dense` all read that one pair."""
 
     def __init__(self, s0_reg: np.ndarray, denom: float, views: list,
                  inverse: LowRankInverse, factors: list):
@@ -455,45 +458,34 @@ class _FactoredAverage(_ImputedAverage):
         w, d = inverse.w, inverse.d
         ell, q = w.shape
         m = len(views)
-        zy = np.zeros((ell, 2, m, q))
+        z_tilde, y = np.zeros((ell, m, q)), np.zeros((ell, m, q))
         n_hiding = np.zeros(ell)
-        for i, ((_, view), (qa, _)) in enumerate(zip(views, factors)):
-            zy[view.vis, 0, i] = qa
-            zy[view.hid, 1, i] = w[view.hid]
+        for i, ((_, view), (qa, w_h_g)) in enumerate(zip(views, factors)):
+            z_tilde[view.vis, i] = qa
+            z_tilde[view.hid, i] = 0.5 * w_h_g
+            y[view.hid, i] = w[view.hid]
             n_hiding[view.hid] += 1.0
-        self.zy = zy.reshape(ell, 2 * m * q)  # [Z, Y]
-        self.z, self.y = zy[:, 0], zy[:, 1]  # ell x m x q views
-        self.g = np.array([g for _, g in factors]).reshape(m, q, q)
+        self.z_tilde, self.y = z_tilde.reshape(ell, m * q), y.reshape(ell, m * q)
         self.delta = d * n_hiding
-        self._diagonal = None
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        m, q = self.g.shape[:2]
-        p = x.shape[1]
-        t_z, t_y = (self.zy.T @ x).reshape(2, m, q, p)  # Z^T x, Y^T x
-        core = np.concatenate([t_y, t_z + self.g @ t_y]).reshape(2 * m * q, p)
-        return self.s0_reg @ x + (self.zy @ core + self.delta[:, None] * x) / self.denom
+        imputed = self.z_tilde @ (self.y.T @ x) + self.y @ (self.z_tilde.T @ x)
+        return self.s0_reg @ x + (imputed + self.delta[:, None] * x) / self.denom
 
     def diagonal(self) -> np.ndarray:
-        if self._diagonal is None:
-            # diag(Z Y^T) = 0, as Z_k and Y_k share no nonzero row
-            y_g_y = np.einsum("kia,ika->i", np.matmul(self.y.transpose(1, 0, 2), self.g), self.y)
-            self._diagonal = self.s0_reg.diagonal() + (y_g_y + self.delta) / self.denom
-        return self._diagonal
+        z_y = np.einsum("ij,ij->i", self.z_tilde, self.y)
+        return self.s0_reg.diagonal() + (2.0 * z_y + self.delta) / self.denom
 
     def dense(self) -> np.ndarray:
         """S_reg as an exactly symmetric ell x ell array, O(ell^2 K q) (module docstring)."""
-        ell, m, q = self.y.shape
-        half_yg = 0.5 * np.matmul(self.y.transpose(1, 0, 2), self.g).transpose(1, 0, 2)
-        z_tilde = ((self.z + half_yg) / self.denom).reshape(ell, m * q)
-        s_reg = symmetric_update(self.s0_reg, z_tilde, self.y.reshape(ell, m * q))
-        s_reg.flat[::ell + 1] += self.delta / self.denom
+        s_reg = symmetric_update(self.s0_reg, self.z_tilde / self.denom, self.y)
+        s_reg.flat[::len(s_reg) + 1] += self.delta / self.denom
         return s_reg
 
     def write(self, completed: list[np.ndarray]) -> None:
         w, d = self.inverse.w, self.inverse.d
-        for (k, view), (qa, g) in zip(self.views, self.blocks):
-            _write(completed[k], view, *_hidden_blocks(qa, g, w[view.hid], d[view.hid]))
+        for (k, view), (qa, w_h_g) in zip(self.views, self.blocks):
+            _write(completed[k], view, *_hidden_blocks(qa, w_h_g, w[view.hid], d[view.hid]))
 
 
 def select_rank(s: np.ndarray, criterion: str) -> int:
@@ -605,7 +597,7 @@ def run_completion(
         """F at ``prev``, imputing from ``prev_inv`` (all ``fc`` reads): J, the new model, its
         inverse and the :class:`_ImputedAverage`."""
         logdet_q = logdet_vv  # sum_k log det Q^(k) after imputing from prev
-        blocks = []  # each view's (Q_vh, Q_hh), or for pca/fa (Q_vv A, G)
+        blocks = []  # each view's (Q_vh, Q_hh), or for pca/fa (Q_vv A, W_h G)
         for k, view in views:
             try:
                 logdet_p_hh, *view_blocks = impute_view(prev_inv, view, factored)

@@ -205,7 +205,6 @@ class LowRankInverse:
     w: np.ndarray
     d: np.ndarray
     f: np.ndarray  # W^T D^{-1}, q x ell
-    fw: np.ndarray  # F W = C - I
     chol: np.ndarray
     logdet_c: float
 
@@ -216,8 +215,8 @@ class LowRankInverse:
         return sla.lapack.dpotrs(self.chol, b, lower=1)[0]
 
     def w_t_inverse(self) -> np.ndarray:
-        """W^T M^{-1} = F - (F W) C^{-1} F, in O(ell q^2)."""
-        return self.f - self.fw @ self.solve_c(self.f)
+        """W^T M^{-1} = F - (C - I) C^{-1} F = C^{-1} F, in O(ell q^2)."""
+        return self.solve_c(self.f)
 
     def inner(self, s) -> float:
         """<M^{-1}, S> = sum_i S_ii / d_i - <C^{-1}, F S F^T>, in O(ell^2 q); ``s`` is read only
@@ -247,10 +246,9 @@ def low_rank_logdet_and_inverse(w: np.ndarray, d: np.ndarray) -> tuple[float, Lo
     if not (np.isfinite(d).all() and np.isfinite(w).all()):
         raise NotPositiveDefiniteError(f"matrix of dim {ell} is not positive definite")
     f = w.T * (1.0 / d)
-    fw = f @ w
-    chol = cholesky_lower(symmetrize(np.eye(w.shape[1]) + fw))  # C >= I
+    chol = cholesky_lower(symmetrize(np.eye(w.shape[1]) + f @ w))  # C >= I
     logdet_c = _logdet_of_factor(chol)
-    inv = LowRankInverse(w=w, d=d, f=f, fw=fw, chol=chol, logdet_c=logdet_c)
+    inv = LowRankInverse(w=w, d=d, f=f, chol=chol, logdet_c=logdet_c)
     return float(np.sum(np.log(d))) + logdet_c, inv
 
 

@@ -162,6 +162,33 @@ class TestImputeView:
             pert = assemble(q_vh + d_vh, q_hh + d_hh)
             assert logdet_divergence(pert, m) >= j_best - 1e-12
 
+    @pytest.mark.parametrize("q", [1, 3, 6])
+    def test_factored_return_matches_dense_formulas(self, rng, q):
+        """From M = W W^T + diag(d) in Woodbury form, the factored return is log det P_hh,
+        Q_vv A with A = M_vv^{-1} W_v, and W_h (C_v^{-1} + A^T Q_vv A), each as dense inverses
+        give it; the hidden blocks written from it are the unfactored return, bit for bit."""
+        ell = 12
+        for _ in range(10):
+            w, d = rng.standard_normal((ell, q)), rng.uniform(0.2, 2.0, ell)
+            inverse = linalg.low_rank_logdet_and_inverse(w, d)[1]
+            n_h = int(rng.integers(1, ell - 1))
+            hidden = tuple(int(i) for i in rng.choice(ell, n_h, replace=False))
+            view = partition(random_pd(rng, ell), hidden)
+            vis, hid = view.vis, view.hid
+            m = w @ w.T + np.diag(d)
+            a = np.linalg.inv(m[np.ix_(vis, vis)]) @ w[vis]
+            c_v = np.eye(q) + w[vis].T @ np.diag(1.0 / d[vis]) @ w[vis]
+            ref_w_h_g = w[hid] @ (np.linalg.inv(c_v) + a.T @ view.q_vv @ a)
+            logdet_p_hh, qa, w_h_g = impute_view(inverse, view, True)
+            ref_logdet = np.linalg.slogdet(np.linalg.inv(m)[np.ix_(hid, hid)])[1]
+            assert logdet_p_hh == pytest.approx(ref_logdet, rel=1e-10, abs=1e-10)
+            for got, ref in ((qa, view.q_vv @ a), (w_h_g, ref_w_h_g)):
+                assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+            whole = impute_view(inverse, view)
+            written = engines._hidden_blocks(qa, w_h_g, w[hid], d[hid])
+            assert whole[0] == logdet_p_hh
+            assert all(np.array_equal(got, ref) for got, ref in zip(written, whole[1:]))
+
 
 class TestModelUpdates:
     def test_fc_is_average(self, rng):
