@@ -30,7 +30,8 @@ capacitance matrix of M_vv, and A = D_v^{-1} W_v C_v^{-1} = M_vv^{-1} W_v, X = A
 
 O(n_v^2 q) per view, so a ``pca``/``fa`` run factors no ell x ell matrix.
 
-Start. Every method starts at the PPCA fit of S_0_reg, so iteration 1 imputes in Woodbury
+Start. Every method starts at the PPCA fit of S_0_reg, warm from its top-variance columns
+(:func:`~mkmc.linalg.eigh_warm`), a run's one eigensolve: iteration 1 imputes in Woodbury
 form and no set-up factors an ell x ell matrix; ``fc``'s refit then makes M whole.
 
 S_reg. No evaluation writes or averages a view: S_reg is the set-up's S_0_reg, the same
@@ -44,26 +45,30 @@ over the hiding views, built once per evaluation:
 
 with Z~_k = Q_vv A on view k's visible rows and W_h G_v / 2 on its hidden rows, Y_k = W on
 its hidden rows, both zero elsewhere, and n_i the number of views hiding object i; on the
-hidden rows Z~_k Y_k^T + Y_k Z~_k^T = W_h G_v W_h^T. The ``fa`` refit and the trace term read
+hidden rows Z~_k Y_k^T + Y_k Z~_k^T = W_h G_v W_h^T. Their refits and the trace term read
 only the products S_reg X = S_0_reg X + (Z~ (Y^T X) + Y (Z~^T X) + (d o n) o X) / (K + eps),
 O(ell^2 p + ell K q p) for an ell x p X, and diag S_reg = diag S_0_reg + (2 rowsum(Z~ o Y)
-+ d o n) / (K + eps), O(ell K q). ``pca`` forms S_reg whole, one BLAS-3 product, O(ell^2 K q).
++ d o n) / (K + eps), O(ell K q): no ``pca`` or ``fa`` evaluation forms S_reg whole.
 
-FA refit (ECME; Liu & Rubin 1998, *Statistica Sinica*). An ``fa`` evaluation first refits the
-loadings given psi (:func:`fa_loadings_step`), then takes one EM step from them
-(:func:`fa_model_update`). With S~ = Psi^{-1/2} S_reg Psi^{-1/2}, the loadings whose columns
+Restricted refit, a generalized EM step (Dempster, Laird & Rubin 1977; Meng & Rubin 1993). A
+``pca`` evaluation refits (W, sigma2) by one Rayleigh-Ritz step (:func:`pca_model_update`); an
+``fa`` one refits the loadings given psi by one (:func:`fa_loadings_step`), then takes one EM
+step from them (:func:`fa_model_update`; ECME, Liu & Rubin 1998, *Statistica Sinica*). With
+psi = sigma2 1 for ``pca`` and S~ = Psi^{-1/2} S_reg Psi^{-1/2}, the loadings whose columns
 Psi^{-1/2} W lie in a subspace give at best (Joreskog 1967, *Psychometrika*)
 
     J = c + (K + eps) / 2 sum_j (log theta_j - theta_j + 1),    c fixed by psi and S_reg,
 
 over the top q Ritz values theta_j > 1 of S~ on that subspace, at W = Psi^{1/2} U
-diag(sqrt(theta - 1)) with U their Ritz vectors (a Ritz value <= 1 gives a zero column). Each
-term falls as theta_j grows, and the j-th Ritz value on a subspace containing span(V),
-V = Psi^{-1/2} W_prev, is at least the j-th on span(V) (Courant-Fischer). So the step, which
-takes the subspace span[V, S~ V], cannot raise J, nor can the EM step after it: a plain step
-still descends. Householder QR gives the basis Q of [V, S~ V], at any rank of the block; S~ V
-and S~ Q are products of q and 2q columns, O(ell^2 q). At 2q >= ell the step is the exact
-optimum given psi.
+diag(sqrt(theta - 1)) with U their Ritz vectors (a Ritz value <= 1 gives a zero column); each
+term falls as theta_j grows. ``pca`` frees sigma2 too: its joint optimum on the subspace is
+:func:`_pca_fit` of the Ritz pairs of S_reg. The j-th Ritz value on a subspace containing
+span(V), V = Psi^{-1/2} W_prev, is at least the j-th on span(V) (Courant-Fischer), and the
+previous model has its columns in span(V). So the step, which takes the subspace
+span[V, S~ V], cannot raise J, nor can the EM step after it: a plain step still descends.
+Householder QR gives the basis Q of [V, S~ V] at any rank of the block (:func:`_ritz_pairs`);
+S~ V and S~ Q are products of q and 2q columns, O(ell^2 q). At 2q >= ell the step is exact:
+the PPCA optimum, and FA's given psi.
 
 SQUAREM (Varadhan & Roland 2008, *Scand. J. Stat.*). F converges linearly at a rate near 1,
 like EM. From the model of evaluation 1 on, evaluations run in cycles over the parameters
@@ -91,7 +96,7 @@ import numpy as np
 from .errors import ConfigError, DimensionError, NotPositiveDefiniteError, NumericalError
 from .linalg import (EigenDecomposition, LowRankInverse, _signed, count_above, eigh_sorted,
                      eigh_warm, logdet, logdet_and_inverse, logdet_divergences,
-                     low_rank_logdet_and_inverse, symmetric_update, symmetrize)
+                     low_rank_logdet_and_inverse, symmetrize)
 from .views import (Fill, PartitionedView, VisibilityPattern, apply_mask, is_integer, is_real,
                     partition)
 
@@ -282,29 +287,49 @@ def fc_model_update(s_reg: np.ndarray) -> FullModel:
 
 
 def pca_model_update(s_reg: np.ndarray, q: int, start: Optional[np.ndarray] = None) -> PcaModel:
-    """Closed-form joint optimum of (W, sigma2) for the PPCA model (Tipping & Bishop 1999).
+    """The PPCA refit of (W, sigma2) (Tipping & Bishop 1999) from q pairs (theta_j, u_j) of
+    S_reg (:func:`_pca_fit`): W = U diag(sqrt(max(theta_j - sigma2, 0))), rotation fixed to I.
 
-    sigma2 = (tr S - sum of the top q eigenvalues) / (ell - q), the mean of the trailing ones,
-    and W = U_q diag(sqrt(lambda_j - sigma2)), the rotation fixed to the identity. The top q
-    pairs come from ``dsyevr``, O(ell^3), or, from an ell x q ``start``, from
-    :func:`~mkmc.linalg.eigh_warm`, O(ell^2 q) per step. In an evaluation the driver passes the
-    W being refit as ``start`` and an ``s_reg`` from :meth:`_FactoredAverage.dense`.
+    With no ``start`` they are the top q eigenpairs from ``dsyevr``, O(ell^3): the closed-form
+    joint optimum. From an ell x q ``start``, in an evaluation the W being refit, they are the
+    top q Ritz pairs on span[start, S_reg start], O(ell^2 q) (module docstring), and ``s_reg``,
+    there a :class:`_FactoredAverage`, is read only through ``s_reg @ x`` and its diagonal.
     """
-    ell = s_reg.shape[0]
+    diag = s_reg.diagonal()
+    ell = len(diag)
     degrees_of_freedom(METHOD_PCA, ell, q)  # the rank rule
     if start is None:
-        return _pca_fit(s_reg, eigh_sorted(s_reg, top=q))
+        return _pca_fit(diag, eigh_sorted(s_reg, top=q))
     if start.shape != (ell, q):
         raise ValueError(f"start must have shape {(ell, q)}, got {start.shape}")
-    return _pca_fit(s_reg, eigh_warm(s_reg, start))
+    return _pca_fit(diag, _ritz_pairs(lambda x: s_reg @ x, start, "PPCA refit"))
 
 
-def _pca_fit(s_reg: np.ndarray, eig: EigenDecomposition) -> PcaModel:
-    """The PPCA optimum from the top q eigenpairs of ``s_reg`` (:func:`pca_model_update`)."""
+def _pca_fit(diag: np.ndarray, eig: EigenDecomposition) -> PcaModel:
+    """sigma2 = (tr S_reg - theta_1 - ... - theta_p) / (ell - p) and W from diag S_reg and q pairs,
+    p the number of leading pairs with theta_j above the sigma2 of the first j: each such pair
+    lowers J and any later one would raise it. Eigenpairs keep all q but at ties."""
     ell, q = eig.eigenvectors.shape
-    sigma2 = float(np.trace(s_reg) - np.sum(eig.eigenvalues)) / (ell - q)
-    gap = np.clip(eig.eigenvalues - sigma2, 0.0, None)
+    theta, trace = eig.eigenvalues, diag.sum()
+    kept = int(np.count_nonzero(theta > (trace - np.cumsum(theta)) / (ell - np.arange(1, q + 1))))
+    sigma2 = float(trace - np.sum(theta[:kept])) / (ell - kept)
+    gap = np.clip(theta - sigma2, 0.0, None)
     return PcaModel(W=eig.eigenvectors * np.sqrt(gap), sigma2=sigma2)
+
+
+def _ritz_pairs(product: Callable[[np.ndarray], np.ndarray], v: np.ndarray,
+                step: str) -> EigenDecomposition:
+    """The top q Ritz pairs of a symmetric A, read only through ``product(x)`` = A x, on the span
+    of [V, A V] for an ell x q ``v``, sign-fixed by :func:`~mkmc.linalg._signed`. Householder
+    QR gives the basis Q at any rank of the block (at 2q >= ell, of R^ell); then A Q and the
+    eigenpairs of Q^T A Q. A non-finite Q^T A Q raises a NumericalError naming ``step``."""
+    ell, q = v.shape
+    basis = np.linalg.qr(np.hstack([v, product(v)[:, :ell - q]]))[0]
+    h = symmetrize(basis.T @ product(basis))
+    if not np.isfinite(h).all():
+        raise NumericalError(f"{step}: S_reg or the model is not finite")
+    theta, z = np.linalg.eigh(h)
+    return _signed(theta[::-1][:q], basis @ z[:, ::-1][:, :q])
 
 
 def fa_estep(s: np.ndarray, w: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -358,21 +383,13 @@ def fa_loadings_step(s_reg: np.ndarray, prev: FaModel) -> FaModel:
     """
     if np.any(prev.psi <= 0):
         raise ValueError("previous noise variances must be positive")
-    ell, q = prev.W.shape
     root = np.sqrt(prev.psi)[:, None]
 
     def shifted(x):  # T x = Psi^{-1/2} (S_reg y - psi y), y = Psi^{-1/2} x: 0 where S_reg = Psi
         y = x / root
         return (s_reg @ y - prev.psi[:, None] * y) / root
 
-    v = prev.W / root
-    tv = shifted(v)
-    basis = np.linalg.qr(np.hstack([v, tv[:, :ell - q]]))[0]  # at 2q >= ell it spans R^ell
-    h = symmetrize(basis.T @ shifted(basis))
-    if not np.isfinite(h).all():
-        raise NumericalError("FA loadings step: S_reg or the model is not finite")
-    tau, z = np.linalg.eigh(h)
-    pairs = _signed(tau[::-1][:q], basis @ z[:, ::-1][:, :q])
+    pairs = _ritz_pairs(shifted, prev.W / root, "FA loadings step")
     return FaModel(W=root * pairs.eigenvectors * np.sqrt(np.maximum(pairs.eigenvalues, 0.0)),
                    psi=prev.psi)
 
@@ -447,13 +464,13 @@ class _ImputedAverage:
             _write(completed[k], view, *blocks)
 
 
-class _FactoredAverage(_ImputedAverage):
+class _FactoredAverage:
     """S_reg of a ``pca``/``fa`` evaluation from the stacked Z~ and Y (module docstring), built
-    once: ``s @ x``, :meth:`diagonal` and :meth:`dense` all read that one pair."""
+    once and read only through ``s @ x`` and :meth:`diagonal`: no evaluation forms it whole."""
 
     def __init__(self, s0_reg: np.ndarray, denom: float, views: list,
                  inverse: LowRankInverse, factors: list):
-        super().__init__(s0_reg, denom, views, factors)
+        self.s0_reg, self.denom, self.views, self.blocks = s0_reg, denom, views, factors
         self.inverse = inverse
         w, d = inverse.w, inverse.d
         ell, q = w.shape
@@ -475,12 +492,6 @@ class _FactoredAverage(_ImputedAverage):
     def diagonal(self) -> np.ndarray:
         z_y = np.einsum("ij,ij->i", self.z_tilde, self.y)
         return self.s0_reg.diagonal() + (2.0 * z_y + self.delta) / self.denom
-
-    def dense(self) -> np.ndarray:
-        """S_reg as an exactly symmetric ell x ell array, O(ell^2 K q) (module docstring)."""
-        s_reg = symmetric_update(self.s0_reg, self.z_tilde / self.denom, self.y)
-        s_reg.flat[::len(s_reg) + 1] += self.delta / self.denom
-        return s_reg
 
     def write(self, completed: list[np.ndarray]) -> None:
         w, d = self.inverse.w, self.inverse.d
@@ -581,7 +592,7 @@ def run_completion(
     # The start: the PPCA fit to S_0, for every method, warm from S_0's top-variance columns.
     # FA takes its loadings and, as noise, what they leave of each variance.
     top = np.sort(np.argsort(-s0_reg.diagonal(), kind="stable")[:rank])
-    model = pca_model_update(s0_reg, rank, s0_reg[:, top])
+    model = _pca_fit(s0_reg.diagonal(), eigh_warm(s0_reg, s0_reg[:, top]))
     if cfg.method == METHOD_FA:
         model = FaModel(W=model.W, psi=_fa_noise(s0_reg, model.W, model.W))
     try:
@@ -595,7 +606,7 @@ def run_completion(
 
     def evaluate(prev: ModelParams, prev_inv):
         """F at ``prev``, imputing from ``prev_inv`` (all ``fc`` reads): J, the new model, its
-        inverse and the :class:`_ImputedAverage`."""
+        inverse and the S_reg holder, :class:`_ImputedAverage` or :class:`_FactoredAverage`."""
         logdet_q = logdet_vv  # sum_k log det Q^(k) after imputing from prev
         blocks = []  # each view's (Q_vh, Q_hh), or for pca/fa (Q_vv A, W_h G)
         for k, view in views:
@@ -608,7 +619,7 @@ def run_completion(
             blocks.append(view_blocks)
         imputed = (_FactoredAverage(s0_reg, n_views + eps, views, prev_inv, blocks) if factored
                    else _ImputedAverage(s0_reg, n_views + eps, views, blocks))
-        s_reg = imputed if cfg.method == METHOD_FA else imputed.dense()  # fa reads products
+        s_reg = imputed if factored else imputed.dense()  # pca and fa read products
         if cfg.method == METHOD_FC:
             new = fc_model_update(s_reg)
         elif cfg.method == METHOD_PCA:

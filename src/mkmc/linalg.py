@@ -31,18 +31,6 @@ def symmetrize(raw) -> np.ndarray:
     return out
 
 
-def symmetric_update(s: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """S + X Y^T + Y X^T as a new, exactly symmetric array, for an exactly symmetric ell x ell
-    ``s`` and ell x p ``x`` and ``y``: C = S/2 + X Y^T by one BLAS ``dgemm``, O(ell^2 p), then
-    C + C^T."""
-    import scipy.linalg as sla
-
-    c = s * 0.5
-    # C^T += Y X^T: C^T is C's memory in Fortran order, so dgemm writes it in place
-    c = sla.blas.dgemm(1.0, y, x, beta=1.0, c=c.T, trans_b=1, overwrite_c=1)
-    return c + c.T
-
-
 @dataclass(frozen=True)
 class EigenDecomposition:
     """Leading eigenpairs with eigenvalues sorted non-increasing.

@@ -8,13 +8,16 @@ is the model a run starts from, rebuilt from public functions.
 :func:`eigh_descending` is every eigenpair, from numpy's solver rather than the top-q one a
 run uses, and :func:`criterion_rank` the rank a criterion picks, from every eigenvalue rather
 than the inertia of one LDL^T factor per view. :func:`ritz_loadings` is ``fa``'s loadings step
-from the materialized S~ and an SVD basis, rather than from two products and a QR factor.
+and :func:`ritz_pca` ``pca``'s refit, each from the materialized matrix and an SVD basis,
+rather than from two products and a QR factor; :func:`factored_average_dense` is the S_reg
+that those products read, formed whole.
 """
 
 import numpy as np
 import scipy.linalg as sla
 
-from mkmc.engines import PSI_FLOOR_REL, FaModel, average_kernel, pca_model_update, regularize
+from mkmc.engines import (PSI_FLOOR_REL, FaModel, PcaModel, average_kernel, pca_model_update,
+                          regularize)
 from mkmc.linalg import cholesky_lower, symmetrize
 from mkmc.views import Fill, apply_mask, partition
 
@@ -116,3 +119,31 @@ def ritz_loadings(s: np.ndarray, model: FaModel) -> FaModel:
     u = basis @ z[:, :q]
     u *= np.sign(u[np.argmax(np.abs(u), axis=0), np.arange(q)])
     return FaModel(W=root[:, None] * u * np.sqrt(np.maximum(theta[:q] - 1.0, 0.0)), psi=model.psi)
+
+
+def ritz_pca(s: np.ndarray, model: PcaModel) -> PcaModel:
+    """``pca``'s refit from the dense S: the top q eigenpairs (theta_j, z_j) of B^T S B for an
+    orthonormal basis B of span[W, S W] (``scipy.linalg.orth``, by SVD) give u_j = B z_j,
+    sign-fixed as :func:`eigh_descending` does. Of the q pairs the first p are kept, p the
+    largest with theta_p above sigma2 = (tr S - theta_1 - ... - theta_p) / (ell - p), searched
+    down from q; then W = U diag(sqrt(max(theta_j - sigma2, 0)))."""
+    ell, q = model.W.shape
+    basis = sla.orth(np.hstack([model.W, s @ model.W]))
+    theta, z = eigh_descending(symmetrize(basis.T @ s @ basis))
+    u = basis @ z[:, :q]
+    u *= np.sign(u[np.argmax(np.abs(u), axis=0), np.arange(q)])
+    kept = q
+    while kept and theta[kept - 1] <= (np.trace(s) - np.sum(theta[:kept])) / (ell - kept):
+        kept -= 1
+    sigma2 = float(np.trace(s) - np.sum(theta[:kept])) / (ell - kept)
+    return PcaModel(W=u * np.sqrt(np.maximum(theta[:q] - sigma2, 0.0)), sigma2=sigma2)
+
+
+def factored_average_dense(average) -> np.ndarray:
+    """The S_reg a ``pca``/``fa`` evaluation reads through products, as an ell x ell array
+    from the stacked factors of its :class:`mkmc.engines._FactoredAverage`:
+    S_0_reg + (Z~ Y^T + Y Z~^T + diag(d o n)) / (K + eps), exactly symmetric."""
+    imputed = average.z_tilde @ average.y.T
+    imputed = imputed + imputed.T
+    imputed.flat[::len(imputed) + 1] += average.delta
+    return average.s0_reg + imputed / average.denom

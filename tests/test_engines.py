@@ -32,8 +32,8 @@ from mkmc.recovery import SyntheticSpec, generate_synthetic
 from mkmc.views import Fill, VisibilityPattern, apply_mask, partition, random_mask
 
 from conftest import random_pd
-from oracles import (criterion_rank, eigh_descending, impute_from_inverse, impute_from_model,
-                     ritz_loadings, start_model)
+from oracles import (criterion_rank, eigh_descending, factored_average_dense, impute_from_inverse,
+                     impute_from_model, ritz_loadings, ritz_pca, start_model)
 
 
 def parameters(model):
@@ -379,7 +379,7 @@ class TestFaLoadingsStep:
                                                                  max_iters=1)).model
         s = kept[-1]
         new = engines.fa_loadings_step(s, model)
-        ref = ritz_loadings(s.dense(), model)
+        ref = ritz_loadings(factored_average_dense(s), model)
         np.testing.assert_allclose(new.W, ref.W, rtol=1e-9, atol=1e-12 * np.abs(ref.W).max())
 
     @pytest.mark.parametrize("ell, q", [(3, 1), (3, 2), (6, 5)])
@@ -418,20 +418,111 @@ class TestFaLoadingsStep:
             engines.fa_loadings_step(np.eye(3), FaModel(W=np.ones((3, 1)), psi=np.r_[1.0, 0, 1]))
 
     def test_an_fa_run_never_forms_the_dense_average(self, monkeypatch):
-        """``fa`` reads S_reg only through products and its diagonal: with
-        :meth:`_FactoredAverage.dense` raising, a run to tol completes as before."""
-        masked, pattern = seeded_problem(1)
-        cfg = CompletionConfig(method="fa", rank=2, max_iters=300)
-        expected = run_completion(masked, pattern, cfg)
+        assert_refits_read_products("fa", monkeypatch)
 
-        def refusing(self):
-            raise AssertionError("fa formed the dense S_reg")
 
-        monkeypatch.setattr(engines._FactoredAverage, "dense", refusing)
-        result = run_completion(masked, pattern, cfg)
-        assert result.stop == "tol" and result.trace == expected.trace
-        for c, ref in zip(result.completed, expected.completed):
-            assert np.array_equal(c, ref)
+def assert_refits_read_products(method, monkeypatch):
+    """``pca`` and ``fa`` read S_reg only through products and its diagonal: every refit of a
+    run to tol is given the :class:`_FactoredAverage`, which has no dense form, and with
+    ``fc``'s dense assembly (:meth:`_ImputedAverage.dense`) raising, the run completes as
+    before."""
+    masked, pattern = seeded_problem(1)
+    cfg = CompletionConfig(method=method, rank=2, max_iters=300)
+    expected = run_completion(masked, pattern, cfg)
+    assert not hasattr(engines._FactoredAverage, "dense")
+
+    def refusing(self):
+        raise AssertionError(f"{method} formed the dense S_reg")
+
+    update, given = getattr(engines, f"{method}_model_update"), []
+
+    def recording(s_reg, *args):
+        given.append(type(s_reg))
+        return update(s_reg, *args)
+
+    monkeypatch.setattr(engines._ImputedAverage, "dense", refusing)
+    monkeypatch.setattr(engines, f"{method}_model_update", recording)
+    result = run_completion(masked, pattern, cfg)
+    assert len(given) >= result.iterations - result.rejected
+    assert set(given) == {engines._FactoredAverage}
+    assert result.stop == "tol" and result.trace == expected.trace
+    for c, ref in zip(result.completed, expected.completed):
+        assert np.array_equal(c, ref)
+
+
+@st.composite
+def refit_problems(draw):
+    """A random PD S and a PPCA model to refit: :func:`loadings_problems`' loadings, which may
+    have a zero column or two equal ones, and the mean of its noise variances as sigma2."""
+    s, model = draw(loadings_problems())
+    return s, PcaModel(W=model.W, sigma2=float(np.mean(model.psi)))
+
+
+class TestPcaRefit:
+    """``pca_model_update`` from a ``start``: one Rayleigh-Ritz step (module docstring)."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(refit_problems())
+    def test_never_raises_j(self, problem):
+        """At a fixed S the refit from the model's loadings fits S at least as well as the
+        model."""
+        s, prev = problem
+        new = pca_model_update(s, prev.W.shape[1], prev.W)
+        assert new.W.shape == prev.W.shape
+        before, after = objective([s], prev), objective([s], new)
+        assert after <= before + 1e-10 * max(1.0, abs(before))
+
+    def test_a_ritz_value_below_what_it_leaves_is_dropped(self):
+        """S = diag(2, 1, 1, 100) and W along e_0 + e_1, so [W, S W] spans e_0 and e_1 and the
+        top Ritz value is 2. Kept, it would leave sigma2 = (104 - 2) / 3 = 34 > 2, which fits
+        S worse than the model refit; dropped, W = 0 and sigma2 = tr S / 4 = 26, the optimum
+        on that span, and J falls."""
+        s = np.diag([2.0, 1.0, 1.0, 100.0])
+        prev = PcaModel(W=0.1 * np.array([[1.0], [1.0], [0.0], [0.0]]), sigma2=26.0)
+        new = pca_model_update(s, 1, prev.W)
+        assert new.sigma2 == 26.0 and np.array_equal(new.W, np.zeros((4, 1)))
+        kept = PcaModel(W=np.zeros((4, 1)), sigma2=34.0)
+        assert objective([s], new) < objective([s], prev) < objective([s], kept)
+
+    @pytest.mark.parametrize("ell, q", [(2, 1), (5, 3), (8, 4), (9, 8)])
+    def test_exact_when_the_basis_spans_everything(self, rng, ell, q):
+        """At 2q >= ell the basis spans R^ell, so the refit from any start is the closed-form
+        optimum, ``pca_model_update(s, q)``."""
+        s = random_pd(rng, ell)
+        new, exact = pca_model_update(s, q, rng.standard_normal((ell, q))), pca_model_update(s, q)
+        assert new.sigma2 == pytest.approx(exact.sigma2, rel=1e-12)
+        np.testing.assert_allclose(new.W, exact.W, rtol=1e-10, atol=1e-12 * np.abs(exact.W).max())
+
+    @pytest.mark.parametrize("q", [1, 3, 7])
+    def test_matches_the_dense_oracle(self, q, monkeypatch):
+        """From the S_reg of an evaluation, a :class:`_FactoredAverage` read only by products,
+        and the model it gave, the refit matches the Rayleigh-Ritz step on the dense S_reg with
+        an SVD basis of the same span (2q < ell)."""
+        masked, pattern = seeded_problem(0, ell=40)
+        original, kept = engines._FactoredAverage, []
+
+        def keeping(*args):
+            kept.append(original(*args))
+            return kept[-1]
+
+        monkeypatch.setattr(engines, "_FactoredAverage", keeping)
+        model = run_completion(masked, pattern, CompletionConfig(method="pca", rank=q,
+                                                                 max_iters=1)).model
+        s = kept[-1]
+        new, ref = pca_model_update(s, q, model.W), ritz_pca(factored_average_dense(s), model)
+        assert new.sigma2 == pytest.approx(ref.sigma2, rel=1e-12)
+        np.testing.assert_allclose(new.W, ref.W, rtol=1e-9, atol=1e-12 * np.abs(ref.W).max())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_raises_numerical_error(self, bad):
+        s = np.eye(4)
+        s[0, 1] = s[1, 0] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError) as info:
+            pca_model_update(s, 1, np.arange(1.0, 5.0)[:, None])
+        assert str(info.value) == "PPCA refit: S_reg or the model is not finite"
+
+    def test_a_pca_run_never_forms_the_dense_average(self, monkeypatch):
+        assert_refits_read_products("pca", monkeypatch)
 
 
 class TestObjective:
@@ -886,35 +977,41 @@ class TestRunCompletion:
             assert np.linalg.norm(c_fast - c_dense) <= 1e-9 * np.linalg.norm(c_dense)
         assert np.allclose(fast.trace, dense.trace, rtol=1e-10, atol=0)
 
-    def test_pca_refits_warm_after_setup(self, monkeypatch):
-        """Only the start model's fit calls ``eigh_sorted``: every refit after it is the warm
-        solve from the W being refit, and matches the cold dense refit and the plain step."""
+    def test_only_the_setup_eigensolves(self, monkeypatch):
+        """The start's fit is a ``pca`` run's one eigensolve: ``eigh_warm`` runs once, before
+        iteration 1, and ``eigh_sorted`` at most once, as its fallback. Every refit after it is
+        the Rayleigh-Ritz step from the W being refit, and matches the plain dense step."""
         masked, pattern = seeded_problem(0)  # true rank 3, well gapped
         cfg = CompletionConfig(method="pca", rank=3, max_iters=300)
-        original, calls, snapshots = linalg.eigh_sorted, [], []
+        calls, snapshots = [], []
 
-        def counting(*args, **kwargs):
-            calls.append(len(snapshots))
-            return original(*args, **kwargs)
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls.append((name, len(snapshots)))
+                return original(*args, **kwargs)
+            return wrapper
 
-        for module in (linalg, engines):
-            monkeypatch.setattr(module, "eigh_sorted", counting)
+        for name in ("eigh_warm", "eigh_sorted"):
+            wrapper = counting(name, getattr(linalg, name))
+            for module in (linalg, engines):
+                monkeypatch.setattr(module, name, wrapper)
         result = run_completion(masked, pattern, cfg, on_iteration=lambda _it, c, m: snapshots.append(
             ([x.copy() for x in c], m)))
         monkeypatch.undo()
         assert result.stop == "tol" and any(a is not None for a in result.step_length)
-        assert calls == [0]  # set-up only
+        assert calls in ([("eigh_warm", 0)], [("eigh_warm", 0), ("eigh_sorted", 0)])  # set-up only
         models = [start_model(masked, pattern, "pca", 3, cfg.reg_epsilon)] + [m for _, m in snapshots]
+        plain = 0
         for i, (completed, model) in enumerate(snapshots):
-            cold = pca_model_update(regularize(average_kernel(completed), 3, cfg.reg_epsilon), 3)
-            refits = [cold]
-            if result.step_length[i] is None:  # from the last accepted model
-                previous = [c.copy() for c in snapshots[i - 1][0]] if i else [
-                    apply_mask(q, h, Fill.ZERO) for q, h in zip(masked, pattern.hidden)]
-                refits.append(plain_step(previous, pattern, models[i].materialize(), models[i], cfg))
-            for ref in refits:
-                for part, expected in zip(model.parameters(), ref.parameters()):
-                    assert np.linalg.norm(part - expected) <= 1e-10 * np.linalg.norm(expected), i
+            if result.step_length[i] is not None:
+                continue
+            previous = [c.copy() for c in snapshots[i - 1][0]] if i else [
+                apply_mask(q, h, Fill.ZERO) for q, h in zip(masked, pattern.hidden)]
+            ref = plain_step(previous, pattern, models[i].materialize(), models[i], cfg)
+            for part, expected in zip(model.parameters(), ref.parameters()):
+                assert np.linalg.norm(part - expected) <= 1e-10 * np.linalg.norm(expected), i
+            plain += 1
+        assert plain >= 3
 
     @staticmethod
     def start_fit(masked, pattern, cfg, monkeypatch):
@@ -989,14 +1086,8 @@ class TestRunCompletion:
     def test_non_positive_noise_ends_the_run(self, rng, method, model, monkeypatch):
         hidden = ((0,), (1, 2), ())
         masked = [apply_mask(random_pd(rng, 48), h, Fill.ZERO) for h in hidden]
-        # the update of iteration 1 returns the model; pca's start, its first call, does not
-        update, calls = getattr(engines, f"{method}_model_update"), []
-
-        def failing(*args):
-            calls.append(args)
-            return update(*args) if method == "pca" and len(calls) == 1 else model
-
-        monkeypatch.setattr(engines, f"{method}_model_update", failing)
+        # the update of iteration 1, its first call, returns the model
+        monkeypatch.setattr(engines, f"{method}_model_update", lambda *_: model)
         with pytest.raises(NumericalError) as info:
             run_completion(masked, VisibilityPattern(ell=48, hidden=hidden),
                            CompletionConfig(method=method, rank=2))
@@ -1008,7 +1099,7 @@ class TestRunCompletion:
         hidden = ((0,), (1, 2), ())
         masked = [apply_mask(random_pd(rng, 48), h, Fill.ZERO) for h in hidden]
         start = PcaModel(W=np.ones((48, 2)), sigma2=0.0)
-        monkeypatch.setattr(engines, "pca_model_update", lambda *_: start)
+        monkeypatch.setattr(engines, "_pca_fit", lambda *_: start)  # the start's PPCA fit
         with pytest.raises(NumericalError) as info:
             run_completion(masked, VisibilityPattern(ell=48, hidden=hidden),
                            CompletionConfig(method="pca", rank=2))
@@ -1126,7 +1217,7 @@ def plain_loop(masked, pattern, cfg):
 
 def plain_step(completed, pattern, m, model, cfg, impute=impute_from_model):
     """Impute every view of ``completed`` in place from the matrix m, by default the model
-    matrix, then refit."""
+    matrix, then refit: ``pca`` and ``fa`` by the dense Rayleigh-Ritz oracles from ``model``."""
     for c, h in zip(completed, pattern.hidden):
         if h:
             view = partition(c, h)
@@ -1137,7 +1228,7 @@ def plain_step(completed, pattern, m, model, cfg, impute=impute_from_model):
     if cfg.method == "fc":
         return fc_model_update(s_reg)
     if cfg.method == "pca":
-        return pca_model_update(s_reg, cfg.rank)
+        return ritz_pca(s_reg, model)
     return fa_model_update(s_reg, ritz_loadings(s_reg, model))
 
 
@@ -1516,7 +1607,8 @@ class TestSetUp:
         completed = [apply_mask(q, h, Fill.ZERO) for q, h in zip(masked, pattern.hidden)]
         s0_reg = regularize(average_kernel(completed), pattern.n_views, eps)
         top = np.sort(np.argsort(-s0_reg.diagonal(), kind="stable")[:2])
-        _, inverse = pca_model_update(s0_reg, 2, s0_reg[:, top]).logdet_and_inverse()
+        start = engines._pca_fit(s0_reg.diagonal(), linalg.eigh_warm(s0_reg, s0_reg[:, top]))
+        _, inverse = start.logdet_and_inverse()
         for c, h in zip(completed, pattern.hidden):
             if h:
                 view = partition(c, h)

@@ -61,7 +61,8 @@ from mkmc.linalg import logdet_and_inverse, low_rank_logdet_and_inverse
 from mkmc.views import Fill, VisibilityPattern, apply_mask, partition, random_mask
 
 from conftest import random_pd
-from oracles import criterion_rank, impute_from_inverse, impute_from_model, start_model
+from oracles import (criterion_rank, factored_average_dense, impute_from_inverse, impute_from_model,
+                     start_model)
 
 MASK_KINDS = ("empty", "correlated", "single-visible-object", "independent")
 
@@ -260,8 +261,9 @@ def test_imputed_average_matches_the_dense_average(state):
     """S_reg held as S_0_reg plus the imputed blocks, assembled before any view is written,
     matches regularize(average_kernel(completed)) once the views are written from the per-view
     step's blocks, and is exactly symmetric: as dense blocks imputed from a whole P (``fc``,
-    accumulated row-wise) and in factors from a low-rank model (``pca``), whose products and
-    diagonal (``fa``) match too. Each holder's ``write`` writes those same views."""
+    accumulated row-wise) and in factors from a low-rank model (``pca`` and ``fa``), formed
+    whole by the oracle, whose products and diagonal, all that a run reads, match too. Each
+    holder's ``write`` writes those same views."""
     pattern, rank, eps, seed = state
     rng = np.random.default_rng(seed)
     completed = masked_views(pattern, seed)
@@ -275,8 +277,8 @@ def test_imputed_average_matches_the_dense_average(state):
                                    [impute_view(whole_p, view)[1:] for _, view in views])
     factored = engines._FactoredAverage(s0_reg, denom, views, inverse,
                                         [impute_view(inverse, view, True)[1:] for _, view in views])
-    for imputed, p in ((full, whole_p), (factored, inverse)):
-        assembled = imputed.dense()
+    for imputed, p, assembled in ((full, whole_p, full.dense()),
+                                  (factored, inverse, factored_average_dense(factored))):
         written = [c.copy() for c in completed]
         for k, view in views:
             _, q_vh, q_hh = impute_view(p, view)
