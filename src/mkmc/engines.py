@@ -30,9 +30,11 @@ capacitance matrix of M_vv, and A = D_v^{-1} W_v C_v^{-1} = M_vv^{-1} W_v, X = A
 
 O(n_v^2 q) per view, so a ``pca``/``fa`` run factors no ell x ell matrix.
 
-Start. Every method starts at the PPCA fit of S_0_reg, warm from its top-variance columns
-(:func:`~mkmc.linalg.eigh_warm`), a run's one eigensolve: iteration 1 imputes in Woodbury
-form and no set-up factors an ell x ell matrix; ``fc``'s refit then makes M whole.
+Start. Every method starts at one M_0 = W W^T + sigma2 I, the ``pca`` refit of S_0_reg from its
+q top-variance columns (:func:`pca_model_update`): one Rayleigh-Ritz step, as in every ``pca``
+evaluation, so no run eigensolves an ell x ell matrix. ``fa`` takes it as W and psi = sigma2 1,
+as a Ritz fit's diag(S_0_reg - W W^T) can fall to the floor. Iteration 1 imputes in Woodbury
+form, so no set-up factors an ell x ell matrix; ``fc``'s refit then makes M whole.
 
 S_reg. No evaluation writes or averages a view: S_reg is the set-up's S_0_reg, the same
 transform of the zero-filled views' average, plus the imputed blocks over K + eps. ``fc``
@@ -95,8 +97,8 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, NotPositiveDefiniteError, NumericalError
 from .linalg import (EigenDecomposition, LowRankInverse, _signed, count_above, eigh_sorted,
-                     eigh_warm, logdet, logdet_and_inverse, logdet_divergences,
-                     low_rank_logdet_and_inverse, symmetrize)
+                     logdet, logdet_and_inverse, logdet_divergences, low_rank_logdet_and_inverse,
+                     symmetrize)
 from .views import (Fill, PartitionedView, VisibilityPattern, apply_mask, is_integer, is_real,
                     partition)
 
@@ -291,9 +293,10 @@ def pca_model_update(s_reg: np.ndarray, q: int, start: Optional[np.ndarray] = No
     S_reg (:func:`_pca_fit`): W = U diag(sqrt(max(theta_j - sigma2, 0))), rotation fixed to I.
 
     With no ``start`` they are the top q eigenpairs from ``dsyevr``, O(ell^3): the closed-form
-    joint optimum. From an ell x q ``start``, in an evaluation the W being refit, they are the
-    top q Ritz pairs on span[start, S_reg start], O(ell^2 q) (module docstring), and ``s_reg``,
-    there a :class:`_FactoredAverage`, is read only through ``s_reg @ x`` and its diagonal.
+    joint optimum. From an ell x q ``start``, at the set-up S_0_reg's top-variance columns and
+    in an evaluation the W being refit, they are the top q Ritz pairs on span[start,
+    S_reg start], O(ell^2 q) (module docstring), and ``s_reg``, in an evaluation a
+    :class:`_FactoredAverage`, is read only through ``s_reg @ x`` and its diagonal.
     """
     diag = s_reg.diagonal()
     ell = len(diag)
@@ -351,7 +354,8 @@ def fa_estep(s: np.ndarray, w: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray,
 def fa_model_update(s_reg: np.ndarray, prev: FaModel) -> FaModel:
     """One EM step for the factor-analysis model, O(ell^2 q + ell q^2).
 
-    W_new = S_xz S_zz^{-1} and psi_new = diag(S - S_xz W_new^T), floored (:func:`_fa_noise`).
+    W_new = S_xz S_zz^{-1} and psi_new = diag(S - S_xz W_new^T), floored at PSI_FLOOR_REL times
+    the mean of diag S to stay positive.
     ``s_reg`` is read only through ``s_reg @ x`` and ``s_reg.diagonal()``. In an evaluation the
     driver passes a :class:`_FactoredAverage` and, as ``prev``, the result of
     :func:`fa_loadings_step`.
@@ -363,14 +367,9 @@ def fa_model_update(s_reg: np.ndarray, prev: FaModel) -> FaModel:
         w_new = np.linalg.solve(s_zz.T, s_xz.T).T  # S_xz S_zz^{-1}
     except np.linalg.LinAlgError as exc:
         raise NumericalError("FA M-step latent covariance is singular") from exc
-    return FaModel(W=w_new, psi=_fa_noise(s_reg, s_xz, w_new))
-
-
-def _fa_noise(s_reg: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """diag(S - X W^T), floored at PSI_FLOOR_REL times the mean of diag S to stay positive."""
     diag = s_reg.diagonal()
-    psi = diag - np.einsum("ij,ij->i", x, w)
-    return np.maximum(psi, PSI_FLOOR_REL * diag.sum() / len(psi))
+    psi = diag - np.einsum("ij,ij->i", s_xz, w_new)
+    return FaModel(W=w_new, psi=np.maximum(psi, PSI_FLOOR_REL * diag.sum() / len(psi)))
 
 
 def fa_loadings_step(s_reg: np.ndarray, prev: FaModel) -> FaModel:
@@ -589,12 +588,12 @@ def run_completion(
         rank = sorted(counts)[(len(counts) - 1) // 2] if counts else 1
     dof = degrees_of_freedom(cfg.method, ell, rank)
 
-    # The start: the PPCA fit to S_0, for every method, warm from S_0's top-variance columns.
-    # FA takes its loadings and, as noise, what they leave of each variance.
+    # The start, for every method: the pca refit of S_0_reg from its top-variance columns. FA
+    # takes its loadings and its sigma2 as every noise variance (module docstring).
     top = np.sort(np.argsort(-s0_reg.diagonal(), kind="stable")[:rank])
-    model = _pca_fit(s0_reg.diagonal(), eigh_warm(s0_reg, s0_reg[:, top]))
+    model = pca_model_update(s0_reg, rank, s0_reg[:, top])
     if cfg.method == METHOD_FA:
-        model = FaModel(W=model.W, psi=_fa_noise(s0_reg, model.W, model.W))
+        model = FaModel(W=model.W, psi=np.full(ell, model.sigma2))
     try:
         model_inv = model.logdet_and_inverse()[1]
     except NotPositiveDefiniteError as exc:

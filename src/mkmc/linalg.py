@@ -3,8 +3,8 @@
 Every log det and inverse of a PD matrix is taken here, from one Cholesky factor: of the
 matrix itself, or of the q x q capacitance matrix of W W^T + diag(d). LAPACK ``dpotrf``
 factors A^T, a Fortran-ordered view of A when A is C-ordered, so every matrix factored here
-must be exactly symmetric. Eigenpairs come from ``dsyevr`` or certified subspace iteration;
-an eigenvalue count comes from the inertia of one LDL^T factor.
+must be exactly symmetric. Eigenpairs come from ``dsyevr``; an eigenvalue count comes from the
+inertia of one LDL^T factor.
 
 ``scipy.linalg`` is imported inside the functions that call LAPACK or BLAS, not here: only a
 solve factors or eigensolves, so ``import mkmc``, ``mkmc mask``, ``mkmc evaluate`` and
@@ -84,60 +84,6 @@ def count_above(a: np.ndarray, threshold: float) -> int:
     ldu, ipiv, _ = sla.lapack.dsytrf(shifted.T, lower=1, lwork=lwork, overwrite_a=1)
     one = ipiv > 0  # both rows of a 2 x 2 block are marked negative
     return int(np.count_nonzero(np.diagonal(ldu)[one] > 0) + np.count_nonzero(~one) // 2)
-
-
-# A warm solve stops once every Ritz pair's residual is at most this times |lambda_1|.
-WARM_TOL = 1e-13
-
-
-def eigh_warm(a: np.ndarray, start: np.ndarray) -> EigenDecomposition:
-    """The q largest eigenpairs of a symmetric matrix, as :func:`eigh_sorted` gives them, found
-    by block subspace iteration from the span of the ell x q ``start``.
-
-    Each step makes one product Y = A V, O(ell^2 q), takes the Rayleigh-Ritz pairs
-    (theta_j, x_j) of V^T Y and orthonormalizes the rotated Y by QR (Saad, *Numerical Methods
-    for Large Eigenvalue Problems*, ch. 5). It stops when every residual ||A x_j - theta_j x_j||
-    is at most ``WARM_TOL`` |theta_1|. With R the residual block, the compression B of A to the
-    complement of the Ritz vectors has ||B||_2 <= beta = sqrt(||A||_F^2 - sum_j theta_j^2
-    + ell eps ||A||_F^2) (the last term allows for rounding), so by Weyl's theorem the pairs
-    are the top q if theta_q - ||R||_F > beta + ||R||_F.
-
-    Otherwise the answer is :func:`eigh_sorted`'s: when A or the start is not finite or the
-    start's columns are dependent, when the residual's contraction predicts more steps than
-    the budget, or when the certificate fails. The budget, max(12, ell / (3 q)) steps, is what
-    one ``dsyevr`` costs (README).
-    """
-    ell, q = start.shape
-    eps = np.finfo(float).eps
-    fro2 = float(np.vdot(a, a))
-    norms = np.linalg.norm(start, axis=0)
-    if not (np.isfinite(fro2) and np.isfinite(norms).all() and np.all(norms > 0)):
-        return eigh_sorted(a, top=q)
-    v, r = np.linalg.qr(start / norms)
-    if not np.all(np.abs(np.diagonal(r)) > ell * eps):
-        return eigh_sorted(a, top=q)
-    budget = max(12, ell // (3 * q))
-    last = np.inf
-    for step in range(1, budget + 1):
-        y = a @ v
-        theta, z = np.linalg.eigh(symmetrize(v.T @ y))
-        theta, z = theta[::-1], z[:, ::-1]
-        x, ax = v @ z, y @ z
-        res = ax - x * theta
-        worst = float(np.linalg.norm(res, axis=0).max())
-        target = WARM_TOL * float(np.abs(theta).max())
-        if worst <= target:
-            res_fro = float(np.linalg.norm(res))
-            beta = np.sqrt(max(0.0, fro2 - float(np.sum(theta ** 2))) + ell * eps * fro2)
-            if theta[-1] - res_fro > beta + res_fro:
-                return _signed(theta.copy(), x)
-            break
-        rate = worst / last  # 0 at step 1
-        if rate >= 1.0 or worst * rate ** (budget - step) > target:
-            break
-        last = worst
-        v = np.linalg.qr(ax)[0]
-    return eigh_sorted(a, top=q)
 
 
 def cholesky_lower(a: np.ndarray) -> np.ndarray:

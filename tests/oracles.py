@@ -4,7 +4,7 @@ A run imputes each view from M^{-1} or its factors (:func:`mkmc.engines.impute_v
 :func:`impute_from_model` is the plain conditional-moment formula that step is checked
 against, and :func:`impute_from_inverse` the same blocks from a matrix P taken as M^{-1}, by
 the dense partitioned-inverse formulas, for ``fc``'s extrapolated points. :func:`start_model`
-is the model a run starts from, rebuilt from public functions.
+is the model a run starts from, rebuilt with :func:`ritz_pca`.
 :func:`eigh_descending` is every eigenpair, from numpy's solver rather than the top-q one a
 run uses, and :func:`criterion_rank` the rank a criterion picks, from every eigenvalue rather
 than the inertia of one LDL^T factor per view. :func:`ritz_loadings` is ``fa``'s loadings step
@@ -16,8 +16,7 @@ that those products read, formed whole.
 import numpy as np
 import scipy.linalg as sla
 
-from mkmc.engines import (PSI_FLOOR_REL, FaModel, PcaModel, average_kernel, pca_model_update,
-                          regularize)
+from mkmc.engines import FaModel, PcaModel, average_kernel, regularize
 from mkmc.linalg import cholesky_lower, symmetrize
 from mkmc.views import Fill, apply_mask, partition
 
@@ -59,17 +58,17 @@ def impute_from_inverse(q_vv: np.ndarray, p: np.ndarray, hidden) -> tuple[np.nda
 
 
 def start_model(masked, pattern, method: str, rank: int, eps: float):
-    """The documented start: the model fitted to S_0, the regularized average of the
-    zero-filled views. ``fc`` and ``pca``: the PPCA optimum for S_0; ``fa``: that optimum's
-    loadings W with noise diag(S_0 - W W^T), floored at PSI_FLOOR_REL times the mean of
-    diag S_0."""
+    """The documented start: the ``pca`` refit (:func:`ritz_pca`) of S_0, the regularized
+    average of the zero-filled views, from its ``rank`` columns of largest variance (ties to the
+    lower index), in index order. ``fc`` and ``pca`` start at that model; ``fa`` at its loadings
+    W with noise sigma2 1."""
     zero_filled = [apply_mask(q, h, Fill.ZERO) for q, h in zip(masked, pattern.hidden)]
     s0 = regularize(average_kernel(zero_filled), pattern.n_views, eps)
-    pca = pca_model_update(s0, rank)
+    top = np.sort(np.argsort(-np.diag(s0), kind="stable")[:rank])
+    pca = ritz_pca(s0, PcaModel(W=s0[:, top], sigma2=1.0))  # ritz_pca reads only W
     if method in ("fc", "pca"):
         return pca
-    psi = np.diag(s0) - np.sum(pca.W ** 2, axis=1)
-    return FaModel(W=pca.W, psi=np.maximum(psi, PSI_FLOOR_REL * np.mean(np.diag(s0))))
+    return FaModel(W=pca.W, psi=np.full(pattern.ell, pca.sigma2))
 
 
 def eigh_descending(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -2,17 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
-from mkmc import linalg
 from mkmc.errors import DimensionError, NotPositiveDefiniteError, NumericalError
 from mkmc.linalg import (
-    EigenDecomposition,
     cholesky_lower,
     count_above,
     eigh_sorted,
-    eigh_warm,
     logdet,
     logdet_and_inverse,
     logdet_divergence,
@@ -146,126 +141,6 @@ class TestEigh:
         a = np.kron(np.eye(3), [[0.0, 1.0], [1.0, 0.0]])
         assert count_above(a, 0.0) == 3
         assert count_above(a, -2.0) == 6 and count_above(a, 2.0) == 0
-
-
-def planted(seed, ell, q, ratio, spread):
-    """A PD matrix with a random eigenbasis U, top eigenvalues in [1, spread] (lambda_q = 1)
-    and lambda_{q+1} = ratio: (matrix, U)."""
-    rng = np.random.default_rng(seed)
-    basis, _ = np.linalg.qr(rng.standard_normal((ell, ell)))
-    top = np.r_[np.sort(rng.uniform(1.0, spread, q - 1))[::-1], 1.0]
-    tail = np.r_[ratio, np.sort(rng.uniform(0.01 * ratio, ratio, ell - q - 1))[::-1]]
-    return symmetrize(basis @ np.diag(np.r_[top, tail]) @ basis.T), basis
-
-
-def warm_start(seed, basis, q, kind):
-    """An ell x q start: near the top-q eigenvectors (scaled like a PPCA W), a random one, or
-    a near one with a zero column (a PPCA gap clipped to 0)."""
-    rng = np.random.default_rng(seed + 1)
-    ell = basis.shape[0]
-    if kind == "far":
-        return rng.standard_normal((ell, q))
-    start = basis[:, :q] * rng.uniform(0.5, 2.0, q) + 1e-3 * rng.standard_normal((ell, q))
-    if kind == "zero-column":
-        start[:, q // 2] = 0.0
-    return start
-
-
-@st.composite
-def warm_cases(draw):
-    ell = draw(st.integers(3, 60))
-    q = draw(st.integers(1, min(8, ell - 1)))
-    ratio = draw(st.sampled_from([0.01, 0.1, 0.3, 0.5, 0.8, 0.95]))
-    spread = draw(st.sampled_from([1.0, 3.0, 100.0]))
-    kind = draw(st.sampled_from(["near", "far", "zero-column"]))
-    return draw(st.integers(0, 2**31)), ell, q, ratio, spread, kind
-
-
-class TestEighWarm:
-    """The warm solver against ``eigh_sorted``, its fallback and oracle."""
-
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    @given(case=warm_cases())
-    @example(case=(1, 50, 5, 0.05, 3.0, "near"))
-    @example(case=(2, 40, 8, 0.5, 100.0, "far"))
-    @example(case=(3, 30, 4, 0.5, 1.0, "near"))  # the top q all equal: only their span is set
-    @example(case=(4, 12, 3, 0.3, 3.0, "zero-column"))
-    @example(case=(5, 5, 4, 0.95, 1.0, "far"))
-    def test_matches_eigh_sorted(self, case):
-        seed, ell, q, ratio, spread, kind = case
-        a, basis = planted(seed, ell, q, ratio, spread)
-        warm, ref = eigh_warm(a, warm_start(seed, basis, q, kind)), eigh_sorted(a, top=q)
-        if kind == "zero-column":  # refused: the answer is eigh_sorted's
-            assert np.array_equal(warm.eigenvalues, ref.eigenvalues)
-            assert np.array_equal(warm.eigenvectors, ref.eigenvectors)
-        lam1 = ref.eigenvalues[0]
-        assert warm.eigenvalues.shape == (q,) and warm.eigenvectors.shape == (ell, q)
-        assert np.max(np.abs(warm.eigenvalues - ref.eigenvalues)) <= 1e-12 * lam1
-        u = warm.eigenvectors
-        assert np.max(np.abs(u.T @ u - np.eye(q))) <= 1e-12
-        lead = np.argmax(np.abs(u), axis=0)
-        assert np.all(u[lead, np.arange(q)] > 0)  # eigh_sorted's sign rule
-        if ratio <= 0.5:
-            span = basis[:, :q]
-            assert np.max(np.abs(u @ u.T - span @ span.T)) <= 1e-10
-
-    def test_near_start_is_not_refused(self, monkeypatch):
-        a, basis = planted(7, 50, 4, 0.1, 3.0)
-        calls = []
-        monkeypatch.setattr(linalg, "eigh_sorted", lambda *args, **kw: calls.append(args))
-        eig = eigh_warm(a, warm_start(7, basis, 4, "near"))
-        assert calls == [] and isinstance(eig, EigenDecomposition)
-
-    @pytest.mark.parametrize("q", [1, 3])
-    def test_invariant_subspace_below_the_top_is_refused(self, rng, q, monkeypatch):
-        # S = diag(A, D) with A's eigenvalues above D's; the start spans q eigenvectors of D,
-        # so its residual is exactly 0 at step 1 and only the certificate can refuse it
-        big = random_pd(rng, 6) + 10.0 * np.eye(6)
-        d = np.diag([5.0, 4.0, 3.0, 2.0, 1.0])
-        a = np.zeros((11, 11))
-        a[:6, :6], a[6:, 6:] = big, d
-        start = np.eye(11)[:, 6:6 + q]
-        assert not np.any(a @ start - start @ (start.T @ a @ start))  # an invariant subspace
-        ref = eigh_sorted(a, top=q)
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return ref
-
-        monkeypatch.setattr(linalg, "eigh_sorted", counting)
-        eig = eigh_warm(a, start)
-        assert len(calls) == 1
-        monkeypatch.undo()
-        again = eigh_sorted(a, top=q)
-        assert np.array_equal(eig.eigenvalues, again.eigenvalues)
-        assert np.array_equal(eig.eigenvectors, again.eigenvectors)
-
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
-    @pytest.mark.parametrize("where", ["matrix", "start"])
-    def test_non_finite_input(self, rng, where, value):
-        a, start = random_pd(rng, 5), rng.standard_normal((5, 2))
-        if where == "start":  # refused: the answer is eigh_sorted's
-            start[3, 1] = value
-            eig, ref = eigh_warm(a, start), eigh_sorted(a, top=2)
-            assert np.array_equal(eig.eigenvalues, ref.eigenvalues)
-            assert np.array_equal(eig.eigenvectors, ref.eigenvectors)
-            return
-        a[1, 3] = a[3, 1] = value
-        with pytest.raises(NumericalError) as cold:
-            eigh_sorted(a, top=2)
-        with pytest.raises(NumericalError) as warm:
-            eigh_warm(a, start)
-        assert str(warm.value) == str(cold.value)
-        assert str(warm.value).startswith("eigensolver failed on 5x5 matrix")
-        assert warm.value.exit_code == 5
-
-    def test_bit_identical_across_calls(self):
-        a, basis = planted(11, 60, 5, 0.2, 3.0)
-        start = warm_start(11, basis, 5, "near")
-        first, second = eigh_warm(a, start), eigh_warm(a, start.copy())
-        assert np.array_equal(first.eigenvalues, second.eigenvalues)
-        assert np.array_equal(first.eigenvectors, second.eigenvectors)
 
 
 class TestLogdet:
