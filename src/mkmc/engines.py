@@ -32,9 +32,10 @@ O(n_v^2 q) per view, so a ``pca``/``fa`` run factors no ell x ell matrix.
 
 Start. Every method starts at one M_0 = W W^T + sigma2 I, the ``pca`` refit of S_0_reg from its
 q top-variance columns (:func:`pca_model_update`): one Rayleigh-Ritz step, as in every ``pca``
-evaluation, so no run eigensolves an ell x ell matrix. ``fa`` takes it as W and psi = sigma2 1,
-as a Ritz fit's diag(S_0_reg - W W^T) can fall to the floor. Iteration 1 imputes in Woodbury
-form, so no set-up factors an ell x ell matrix; ``fc``'s refit then makes M whole.
+evaluation, so no run with 2q < ell eigensolves an ell x ell matrix (at 2q >= ell the step's
+basis spans R^ell, and its Q^T S Q is an ell x ell eigensolve). ``fa`` takes it as W and
+psi = sigma2 1, as a Ritz fit's diag(S_0_reg - W W^T) can fall to the floor. Iteration 1 imputes
+in Woodbury form, so no set-up factors an ell x ell matrix; ``fc``'s refit then makes M whole.
 
 S_reg. No evaluation writes or averages a view: S_reg is the set-up's S_0_reg, the same
 transform of the zero-filled views' average, plus the imputed blocks over K + eps. ``fc``

@@ -925,14 +925,12 @@ class TestRunCompletion:
     def test_low_rank_path_matches_dense_path(self, rng, method, rank):
         ell = 48  # q = ell/16, ell/4 and ell/2
         _, masked, pattern = make_instance(rng, ell, 3, 0.2)
-        dense_objective = []
-        # A step length is a ratio of second differences that shrink about 3-fold per cycle, so
-        # the two paths' rounding (1e-14 of W per evaluation, at eigengaps of 4e-4 at q = 24)
-        # moves it 3-fold more each cycle: past 30 evaluations it reaches 1e-8 at q = 24
-        cfg = CompletionConfig(method=method, rank=rank, max_iters=30)
+        dense_objective, states = [], []
+        cfg = CompletionConfig(method=method, rank=rank, max_iters=40)
 
         def record(_it, completed, model):
             dense_objective.append(augmented_objective(completed, model, cfg.reg_epsilon))
+            states.append(([c.copy() for c in completed], model))
 
         fast = run_completion(masked, pattern, cfg, on_iteration=record)
         assert len(dense_objective) == len(fast.trace) >= 2
@@ -942,7 +940,15 @@ class TestRunCompletion:
 
         dense = dense_loop(masked, pattern, cfg)
         assert dense.iterations == fast.iterations and dense.rejected == fast.rejected
-        assert dense.step_length == pytest.approx(fast.step_length, rel=1e-8)
+        # At q = ell/2 two eigenvalues of S_reg lie 0.2% apart. The rounding of their
+        # eigenvectors (1e-14 of W per evaluation) grows by about |alpha| at each extrapolation
+        # (up to 41 here), in a mode that hardly contracts, so two runs that differ by rounding
+        # part by 1e-10 in W and by 1e-8 in the last step length: the run's own moves by 1.2e-8
+        # between one and two BLAS threads. So at q = ell/2 each step length is checked against
+        # the dense refits of the run's own evaluations, where rounding cannot accumulate.
+        expected = (replayed_step_lengths(masked, pattern, cfg, states, fast.step_length)
+                    if (method, rank) == ("pca", 24) else dense.step_length)
+        assert expected == pytest.approx(fast.step_length, rel=1e-8)
         for c_fast, c_dense in zip(fast.completed, dense.completed):
             assert np.linalg.norm(c_fast - c_dense) <= 1e-9 * np.linalg.norm(c_dense)
         assert np.allclose(fast.trace, dense.trace, rtol=1e-10, atol=0)
@@ -951,10 +957,10 @@ class TestRunCompletion:
                                       {"rank_criterion": "kaiser"}], ids=["given", "gk", "kaiser"])
     @pytest.mark.parametrize("method", ["fc", "pca", "fa"])
     def test_no_run_eigensolves(self, method, rank, monkeypatch):
-        """No run eigensolves an ell x ell matrix, set-up included: before iteration 1 each view
-        counts by one LDL^T (with a criterion), and the start and every ``pca`` and ``fa`` refit
-        are Rayleigh-Ritz steps on 2q x 2q matrices. Every plain evaluation matches the plain
-        dense step from the previous model."""
+        """No run with 2q < ell eigensolves an ell x ell matrix, set-up included: before
+        iteration 1 each view counts by one LDL^T (with a criterion), and the start and every
+        ``pca`` and ``fa`` refit are Rayleigh-Ritz steps on 2q x 2q matrices. Every plain
+        evaluation matches the plain dense step from the previous model."""
         masked, pattern = seeded_problem(0)  # true rank 3, well gapped
         ell = pattern.ell
         cfg = CompletionConfig(method=method, max_iters=300, **rank)
@@ -978,6 +984,7 @@ class TestRunCompletion:
         assert result.stop == "tol" and any(a is not None for a in result.step_length)
         assert calls == ([] if "rank" in rank else [("count", 0)] * pattern.n_views)
         q = result.rank
+        assert 2 * q < ell
         assert q == rank.get("rank") or q == criterion_rank(masked, pattern, rank["rank_criterion"])
         cfg = replace(cfg, rank=q, rank_criterion=None)
         models = [start_model(masked, pattern, method, q, cfg.reg_epsilon)] + [m for _, m in snapshots]
@@ -1259,6 +1266,39 @@ def dense_loop(masked, pattern, cfg):
             break
     return SimpleNamespace(completed=completed, trace=trace, step_length=step_length,
                            iterations=it, rejected=rejected)
+
+
+def replayed_step_lengths(masked, pattern, cfg, states, step_length):
+    """A ``pca`` run's step lengths from the dense refits of its own evaluations, for a run with
+    no rejection (``pca``'s |alpha| has no bound). Evaluation k is plain_step from the run's
+    state after evaluation k - 1, from the point theta0 - 2 alpha r + alpha^2 v of the run's
+    cycle and step length when it extrapolated, and each refit must match the run's model to
+    1e-10. A step length is -||r|| / ||v|| of the three refits before it, when below -1."""
+    zero_filled = [apply_mask(x, h, Fill.ZERO) for x, h in zip(masked, pattern.hidden)]
+    start = start_model(masked, pattern, cfg.method, cfg.rank, cfg.reg_epsilon)
+    models = [start] + [m for _, m in states]
+    refits, replayed, next_alpha = [], [], None
+    for k, alpha in enumerate(step_length):
+        replayed.append(next_alpha)
+        point = models[k]
+        if alpha is not None:  # the run's own extrapolated point, from its cycle and step length
+            t0, t1, t2 = (m.parameters() for m in models[k - 2:k + 1])
+            r = [b - a for a, b in zip(t0, t1)]
+            v = [c - b - a for a, b, c in zip(r, t1, t2)]
+            point = PcaModel.from_parameters(tuple(t - 2.0 * (1.0 + alpha) * a
+                                                   + (alpha * alpha - 1.0) * b
+                                                   for t, a, b in zip(t2, r, v)))
+        previous = [c.copy() for c in (states[k - 1][0] if k else zero_filled)]
+        refits.append(plain_step(previous, pattern, point.materialize(), point, cfg).parameters())
+        for part, expected in zip(refits[-1], models[k + 1].parameters()):
+            assert np.linalg.norm(part - expected) <= 1e-10 * np.linalg.norm(expected), k
+        next_alpha = None  # unless a cycle ends here and the next evaluation is not the last
+        if k % 3 == 2 and k + 2 < cfg.max_iters:
+            r = [b - a for a, b in zip(*refits[-3:-1])]
+            v = [c - b - a for a, b, c in zip(r, *refits[-2:])]
+            rr, vv = (sum(float(np.vdot(x, x)) for x in parts) for parts in (r, v))
+            next_alpha = -float(np.sqrt(rr / vv)) if rr > vv > 0.0 else None
+    return replayed
 
 
 def seeded_problem(seed, ell=16, n_views=3):
