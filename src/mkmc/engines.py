@@ -8,7 +8,10 @@ eps = ``reg_epsilon``. That refit fits the views and eps copies of I, so a plain
     J = sum_k LogDet(Q^(k), M) + eps LogDet(I, M)
       = ((K + eps)(log det M + <M^{-1}, S_reg> - ell) - sum_k log det Q^(k)) / 2,
 
-as sum_k Q^(k) + eps I = (K + eps) S_reg. For ``fc``, M = S_reg, so <M^{-1}, S_reg> = ell.
+as sum_k Q^(k) + eps I = (K + eps) S_reg. For ``fc``, M = S_reg, so <M^{-1}, S_reg> = ell; so
+too for ``pca``, whose refit M = sigma2 I + sum_{j<=p} (theta_j - sigma2) u_j u_j^T has orthonormal
+u_j, u_j^T S_reg u_j = theta_j and sigma2 = (tr S_reg - sum_{j<=p} theta_j) / (ell - p), its other
+columns zero (:func:`_pca_fit`): <M^{-1}, S_reg> = (ell - p) + p. Only ``fa`` reads the term.
 
 Imputation. Let P = M^{-1}. For a view with visible objects v and hidden objects h, the
 partitioned inverse gives X := M_vv^{-1} M_vh = -P_vh P_hh^{-1}, and the Schur complement of
@@ -466,32 +469,30 @@ class _ImputedAverage:
 
 class _FactoredAverage:
     """S_reg of a ``pca``/``fa`` evaluation from the stacked Z~ and Y (module docstring), built
-    once and read only through ``s @ x`` and :meth:`diagonal`: no evaluation forms it whole."""
+    once and read only through ``s @ x`` and :meth:`diagonal`: no evaluation forms it whole.
+    ``n_hiding`` holds each n_i, which the mask fixes for the run."""
 
-    def __init__(self, s0_reg: np.ndarray, denom: float, views: list,
+    def __init__(self, s0_reg: np.ndarray, denom: float, views: list, n_hiding: np.ndarray,
                  inverse: LowRankInverse, factors: list):
         self.s0_reg, self.denom, self.views, self.blocks = s0_reg, denom, views, factors
         self.inverse = inverse
-        w, d = inverse.w, inverse.d
-        ell, q = w.shape
-        m = len(views)
-        z_tilde, y = np.zeros((ell, m, q)), np.zeros((ell, m, q))
-        n_hiding = np.zeros(ell)
+        ell, q = inverse.w.shape
+        z_tilde, y = np.zeros((ell, len(views), q)), np.zeros((ell, len(views), q))
         for i, ((_, view), (qa, w_h_g)) in enumerate(zip(views, factors)):
             z_tilde[view.vis, i] = qa
             z_tilde[view.hid, i] = 0.5 * w_h_g
-            y[view.hid, i] = w[view.hid]
-            n_hiding[view.hid] += 1.0
-        self.z_tilde, self.y = z_tilde.reshape(ell, m * q), y.reshape(ell, m * q)
-        self.delta = d * n_hiding
+            y[view.hid, i] = inverse.w[view.hid]
+        self.z_tilde, self.y = z_tilde.reshape(ell, -1), y.reshape(ell, -1)
+        self.delta = inverse.d * n_hiding
+        z_y = np.einsum("ij,ij->i", self.z_tilde, self.y)
+        self.diag = s0_reg.diagonal() + (2.0 * z_y + self.delta) / denom
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         imputed = self.z_tilde @ (self.y.T @ x) + self.y @ (self.z_tilde.T @ x)
         return self.s0_reg @ x + (imputed + self.delta[:, None] * x) / self.denom
 
     def diagonal(self) -> np.ndarray:
-        z_y = np.einsum("ij,ij->i", self.z_tilde, self.y)
-        return self.s0_reg.diagonal() + (2.0 * z_y + self.delta) / self.denom
+        return self.diag
 
     def write(self, completed: list[np.ndarray]) -> None:
         w, d = self.inverse.w, self.inverse.d
@@ -555,13 +556,13 @@ def run_completion(
     pattern.check(qs_masked)
     if pattern.unobserved:
         raise DimensionError(f"objects {list(pattern.unobserved)} are hidden in every view")
-    n_views, ell = pattern.n_views, pattern.ell
-    eps = cfg.reg_epsilon
+    n_views, ell, eps = pattern.n_views, pattern.ell, cfg.reg_epsilon
+    denom = n_views + eps  # K + eps
 
     # One pass per view, while it is in cache; the sum runs in average_kernel's order. With a
     # rank criterion, each view with two or more visible objects counts on its Q_vv.
     criterion = None if cfg.rank is not None else cfg.rank_criterion or CRITERION_GK
-    completed, views, logdet_vv, counts = [], [], 0.0, []
+    completed, views, logdet_vv, counts, n_hiding = [], [], 0.0, [], np.zeros(ell)
     for k, (q, h) in enumerate(zip(qs_masked, pattern.hidden)):
         c = apply_mask(q, h, Fill.ZERO)
         completed.append(c)
@@ -580,6 +581,7 @@ def run_completion(
             counts.append(select_rank(counted, criterion))
         if h:
             views.append((k, view))
+            n_hiding[view.hid] += 1.0
     s0_reg /= n_views  # S_0, then S_0_reg
     s0_reg = regularize(s0_reg, n_views, eps)
 
@@ -617,8 +619,8 @@ def run_completion(
                                      f"numerically singular: {exc}") from exc
             logdet_q -= logdet_p_hh
             blocks.append(view_blocks)
-        imputed = (_FactoredAverage(s0_reg, n_views + eps, views, prev_inv, blocks) if factored
-                   else _ImputedAverage(s0_reg, n_views + eps, views, blocks))
+        imputed = (_FactoredAverage(s0_reg, denom, views, n_hiding, prev_inv, blocks) if factored
+                   else _ImputedAverage(s0_reg, denom, views, blocks))
         s_reg = imputed if factored else imputed.dense()  # pca and fa read products
         if cfg.method == METHOD_FC:
             new = fc_model_update(s_reg)
@@ -627,9 +629,9 @@ def run_completion(
         else:  # the loadings given psi, then one EM step from them
             new = fa_model_update(s_reg, fa_loadings_step(s_reg, prev))
         logdet_m, new_inv = new.logdet_and_inverse()
-        # <M^{-1}, S_reg> - ell, which is 0 for fc, as its M is S_reg
-        trace_term = new_inv.inner(s_reg) - ell if factored else 0.0
-        j = 0.5 * ((n_views + eps) * (logdet_m + trace_term) - logdet_q)
+        # <M^{-1}, S_reg> - ell, 0 but for fa (module docstring)
+        trace_term = new_inv.inner(s_reg) - ell if cfg.method == METHOD_FA else 0.0
+        j = 0.5 * (denom * (logdet_m + trace_term) - logdet_q)
         return j, new, new_inv, imputed
 
     trace: list[float] = []
@@ -699,17 +701,6 @@ def run_completion(
     if on_iteration is None:
         accepted_imputed.write(completed)
 
-    return CompletionResult(
-        completed=completed,
-        model=model,
-        trace=trace,
-        iterations=it,
-        stop=stop,
-        dof=dof,
-        rank=rank,
-        iter_ms=iter_ms,
-        residual=residual,
-        step_length=step_length,
-        rejected=rejected,
-        setup_ms=setup_ms,
-    )
+    return CompletionResult(completed=completed, model=model, trace=trace, iterations=it, stop=stop,
+                            dof=dof, rank=rank, iter_ms=iter_ms, residual=residual,
+                            step_length=step_length, rejected=rejected, setup_ms=setup_ms)

@@ -3,8 +3,9 @@
 Every log det and inverse of a PD matrix is taken here, from one Cholesky factor: of the
 matrix itself, or of the q x q capacitance matrix of W W^T + diag(d). LAPACK ``dpotrf``
 factors A^T, a Fortran-ordered view of A when A is C-ordered, so every matrix factored here
-must be exactly symmetric. Eigenpairs come from ``dsyevr``; an eigenvalue count comes from the
-inertia of one LDL^T factor.
+must be exactly symmetric. :func:`logdet` reads only the factor's diagonal and leaves its strict
+upper triangle as ``dpotrf`` does; :func:`cholesky_lower` zeroes it. Eigenpairs come from
+``dsyevr``; an eigenvalue count comes from the inertia of one LDL^T factor.
 
 ``scipy.linalg`` is imported inside the functions that call LAPACK or BLAS, not here: only a
 solve factors or eigensolves, so ``import mkmc``, ``mkmc mask``, ``mkmc evaluate`` and
@@ -86,17 +87,23 @@ def count_above(a: np.ndarray, threshold: float) -> int:
     return int(np.count_nonzero(np.diagonal(ldu)[one] > 0) + np.count_nonzero(~one) // 2)
 
 
-def cholesky_lower(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of an exactly symmetric ``a``; raises if it is not positive
-    definite, NaN or inf entries included (they pass the pivot test, not the finite diagonal)."""
+def _potrf(a: np.ndarray, clean: int) -> np.ndarray:
+    """``dpotrf`` of an exactly symmetric ``a``, its strict upper triangle zeroed only with
+    ``clean``; raises if ``a`` is not positive definite, NaN or inf entries included (they pass
+    the pivot test, not the finite diagonal)."""
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
     import scipy.linalg as sla
 
-    chol, info = sla.lapack.dpotrf(a.T, lower=1, clean=1)
+    chol, info = sla.lapack.dpotrf(a.T, lower=1, clean=clean)
     if info != 0 or not np.isfinite(np.diagonal(chol)).all():
         raise NotPositiveDefiniteError(f"matrix of dim {a.shape[0]} is not positive definite")
     return chol
+
+
+def cholesky_lower(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor L of an exactly symmetric PD ``a``, its upper triangle zero."""
+    return _potrf(a, clean=1)
 
 
 def _logdet_of_factor(chol: np.ndarray) -> float:
@@ -105,8 +112,8 @@ def _logdet_of_factor(chol: np.ndarray) -> float:
 
 
 def logdet(a: np.ndarray) -> float:
-    """log det of a positive definite matrix, via Cholesky."""
-    return _logdet_of_factor(cholesky_lower(a))
+    """log det of a positive definite matrix, from a Cholesky factor whose upper triangle stays."""
+    return _logdet_of_factor(_potrf(a, clean=0))
 
 
 def logdet_and_inverse(a: np.ndarray) -> tuple[float, np.ndarray]:

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mkmc import engines, linalg
@@ -460,8 +460,45 @@ def refit_problems(draw):
     return s, PcaModel(W=model.W, sigma2=float(np.mean(model.psi)))
 
 
+@st.composite
+def fit_problems(draw):
+    """A PD S with variances over two decades, loadings to refit from as in
+    :func:`loadings_problems`, and whether the fit is exact (no ``start``). With a spike, S's
+    last object is a block of its own, 100 tr S in variance, which no start column reaches:
+    [W, S W] misses it, and its share of sigma2 can make the Ritz fit drop pairs."""
+    ell = draw(st.integers(2, 12))
+    q = draw(st.integers(1, ell - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** rng.uniform(-1, 1, size=ell)
+    s = random_pd(rng, ell) * np.sqrt(np.outer(scale, scale))
+    w = rng.standard_normal((ell, q)) * np.sqrt(scale)[:, None]
+    degenerate = draw(st.sampled_from(["none", "zero", "equal"]))
+    if degenerate == "zero":
+        w[:, -1] = 0.0
+    elif degenerate == "equal" and q >= 2:
+        w[:, 1] = w[:, 0]
+    if draw(st.booleans()):
+        s[-1, :-1] = s[:-1, -1] = 0.0
+        s[-1, -1] = 100.0 * np.trace(s)
+        w[-1] = 0.0
+    return s, w, draw(st.booleans())
+
+
 class TestPcaRefit:
     """``pca_model_update`` from a ``start``: one Rayleigh-Ritz step (module docstring)."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(fit_problems())
+    @example((np.diag([2.0, 1.0, 1.0, 100.0]), np.array([[0.1], [0.1], [0.0], [0.0]]), False))
+    def test_every_fit_has_trace_term_ell(self, problem):
+        """Every fit, Ritz or exact, q = 1 to ell - 1, pairs dropped or not, has
+        <M^{-1}, S> = (ell - p) + p = ell (module docstring), so the driver takes ``pca``'s
+        trace term as 0. The example drops its one Ritz pair (the test below)."""
+        s, w, exact = problem
+        ell, q = w.shape
+        new = pca_model_update(s, q, None if exact else w)
+        inverse = linalg.low_rank_logdet_and_inverse(new.W, np.full(ell, new.sigma2))[1]
+        assert inverse.inner(s) == pytest.approx(ell, rel=1e-10)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(refit_problems())
@@ -552,13 +589,13 @@ class TestObjective:
         qs = [random_pd(rng, 6) for _ in range(4)]
         m = random_pd(rng, 6)
         expected = sum(logdet_divergence(q, m) for q in qs)
-        sizes = []
+        sizes, potrf = [], linalg._potrf
 
-        def recording(a):
+        def recording(a, clean):  # every factor: cholesky_lower's and logdet's
             sizes.append(a.shape[0])
-            return cholesky_lower(a)
+            return potrf(a, clean)
 
-        monkeypatch.setattr(linalg, "cholesky_lower", recording)
+        monkeypatch.setattr(linalg, "_potrf", recording)
         total = objective(qs, FullModel(matrix=m))
         assert sizes == [6] * (1 + len(qs))
         assert total == expected  # bit for bit
@@ -799,24 +836,28 @@ class TestRunCompletion:
         ids=["correlated", "view-fully-visible", "single-visible-object", "nothing-hidden"],
     )
     def test_trace_matches_dense_objective(self, rng, method, hidden):
+        """Every trace entry is the dense objective of the completed views and the model. ``pca``
+        takes <M^{-1}, S_reg> = ell, so it runs at q = 2 and at q = 6 (2q >= ell, exact refits)."""
         base = random_pd(rng, 10)
         qs = [base + 0.1 * random_pd(rng, 10) for _ in hidden]
         pattern = VisibilityPattern(ell=10, hidden=hidden)
         masked = [apply_mask(q, h, Fill.ZERO) for q, h in zip(qs, pattern.hidden)]
-        dense = []
         cfg = CompletionConfig(method=method, rank=2, max_iters=30)
         if pattern.unobserved:  # correlated: objects no view sees are refused
             with pytest.raises(DimensionError, match=r"^objects \[1, 4, 7\] are hidden in every view$"):
                 run_completion(masked, pattern, cfg)
             return
 
-        def record(_it, completed, model):
-            dense.append(augmented_objective(completed, model, cfg.reg_epsilon))
+        for rank in (2, 6) if method == "pca" else (2,):
+            cfg, dense = replace(cfg, rank=rank), []
 
-        result = run_completion(masked, pattern, cfg, on_iteration=record)
-        assert len(dense) == len(result.trace) == result.iterations - result.rejected
-        for it, (fast, ref) in enumerate(zip(result.trace, dense), start=1):
-            assert fast == pytest.approx(ref, rel=1e-10), f"entry {it}"
+            def record(_it, completed, model):
+                dense.append(augmented_objective(completed, model, cfg.reg_epsilon))
+
+            result = run_completion(masked, pattern, cfg, on_iteration=record)
+            assert len(dense) == len(result.trace) == result.iterations - result.rejected
+            for it, (fast, ref) in enumerate(zip(result.trace, dense), start=1):
+                assert fast == pytest.approx(ref, rel=1e-10), f"q = {rank}, entry {it}"
 
     @pytest.mark.parametrize("method", ["fc", "pca", "fa"])
     @pytest.mark.parametrize("eps", [0.0, 1e-3])
@@ -863,13 +904,13 @@ class TestRunCompletion:
         hidden = ((1, 2, 3), (4, 5, 6), (0, 7, 8))
         base = random_pd(rng, 10)
         masked = [apply_mask(base + 0.1 * random_pd(rng, 10), h, Fill.ZERO) for h in hidden]
-        sizes = []
+        sizes, potrf = [], linalg._potrf
 
-        def recording(a):
+        def recording(a, clean):  # every factor: cholesky_lower's and logdet's
             sizes.append(a.shape[0])
-            return cholesky_lower(a)
+            return potrf(a, clean)
 
-        monkeypatch.setattr(linalg, "cholesky_lower", recording)
+        monkeypatch.setattr(linalg, "_potrf", recording)
         cfg = CompletionConfig(method="fc", rank=2, max_iters=5)
         result = run_completion(masked, VisibilityPattern(ell=10, hidden=hidden), cfg)
         assert result.iterations == 5 and result.rejected == 0
@@ -889,17 +930,17 @@ class TestRunCompletion:
         hidden = ((1, 2, 3), (4, 5, 6), (0, 7, 8))
         base = random_pd(rng, ell)
         masked = [apply_mask(base + 0.1 * random_pd(rng, ell), h, Fill.ZERO) for h in hidden]
-        factored, inverted, marks = [], [], []
+        factored, inverted, marks, potrf = [], [], [], linalg._potrf
 
-        def recording(a):
+        def recording(a, clean):  # every factor: cholesky_lower's and logdet's
             factored.append(a.shape[0])
-            return cholesky_lower(a)
+            return potrf(a, clean)
 
         def recording_inverse(a):
             inverted.append(a.shape[0])
             return linalg.logdet_and_inverse(a)
 
-        monkeypatch.setattr(linalg, "cholesky_lower", recording)
+        monkeypatch.setattr(linalg, "_potrf", recording)
         monkeypatch.setattr(engines, "logdet_and_inverse", recording_inverse)
         cfg = CompletionConfig(method=method, rank=2, max_iters=8)
         result = run_completion(masked, VisibilityPattern(ell=ell, hidden=hidden), cfg,

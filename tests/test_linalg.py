@@ -245,10 +245,13 @@ class TestFactorLayouts:
             ref = np.linalg.inv(base)
             assert np.linalg.norm(inv - ref) <= 1e-12 * np.linalg.norm(ref)
             assert value == pytest.approx(np.linalg.slogdet(base)[1], rel=1e-12, abs=1e-12)
+            # logdet's factor keeps its upper triangle, which it does not read
+            assert logdet(a) == 2.0 * np.sum(np.log(np.diagonal(chol)))
+            assert np.array_equal(a, before)
 
     @pytest.mark.parametrize("layout", ["C", "F", "strided", "fancy"])
-    @pytest.mark.parametrize("call", [cholesky_lower, logdet_and_inverse],
-                             ids=["cholesky_lower", "logdet_and_inverse"])
+    @pytest.mark.parametrize("call", [cholesky_lower, logdet, logdet_and_inverse],
+                             ids=["cholesky_lower", "logdet", "logdet_and_inverse"])
     @pytest.mark.parametrize("bad", ["nan", "indefinite"])
     def test_nan_and_non_pd_rejected(self, rng, call, layout, bad):
         a = random_pd(rng, 6)

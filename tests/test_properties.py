@@ -275,7 +275,10 @@ def test_imputed_average_matches_the_dense_average(state):
     whole_p = random_pd(rng, pattern.ell)
     full = engines._ImputedAverage(s0_reg, denom, views,
                                    [impute_view(whole_p, view)[1:] for _, view in views])
-    factored = engines._FactoredAverage(s0_reg, denom, views, inverse,
+    n_hiding = np.zeros(pattern.ell)  # the number of views hiding each object
+    for _, view in views:
+        n_hiding[view.hid] += 1.0
+    factored = engines._FactoredAverage(s0_reg, denom, views, n_hiding, inverse,
                                         [impute_view(inverse, view, True)[1:] for _, view in views])
     for imputed, p, assembled in ((full, whole_p, full.dense()),
                                   (factored, inverse, factored_average_dense(factored))):
