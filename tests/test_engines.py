@@ -321,13 +321,13 @@ class TestModelUpdates:
 
 
 @st.composite
-def loadings_problems(draw):
-    """A random PD S with variances over six decades and an FA model to refit, whose loadings
+def loadings_problems(draw, decades=6):
+    """A random PD S with variances over six ``decades`` and an FA model to refit, whose loadings
     may have a zero column or two equal ones, so that the block [V, T V] is rank-deficient."""
     ell = draw(st.integers(2, 12))
     q = draw(st.integers(1, ell - 1))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    scale = 10.0 ** rng.uniform(-3, 3, size=ell)
+    scale = 10.0 ** rng.uniform(-decades / 2, decades / 2, size=ell)
     s = random_pd(rng, ell) * np.sqrt(np.outer(scale, scale))
     w = rng.standard_normal((ell, q)) * np.sqrt(scale)[:, None]
     degenerate = draw(st.sampled_from(["none", "zero", "equal"]))
@@ -462,21 +462,13 @@ def refit_problems(draw):
 
 @st.composite
 def fit_problems(draw):
-    """A PD S with variances over two decades, loadings to refit from as in
-    :func:`loadings_problems`, and whether the fit is exact (no ``start``). With a spike, S's
-    last object is a block of its own, 100 tr S in variance, which no start column reaches:
-    [W, S W] misses it, and its share of sigma2 can make the Ritz fit drop pairs."""
-    ell = draw(st.integers(2, 12))
-    q = draw(st.integers(1, ell - 1))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    scale = 10.0 ** rng.uniform(-1, 1, size=ell)
-    s = random_pd(rng, ell) * np.sqrt(np.outer(scale, scale))
-    w = rng.standard_normal((ell, q)) * np.sqrt(scale)[:, None]
-    degenerate = draw(st.sampled_from(["none", "zero", "equal"]))
-    if degenerate == "zero":
-        w[:, -1] = 0.0
-    elif degenerate == "equal" and q >= 2:
-        w[:, 1] = w[:, 0]
+    """:func:`loadings_problems`' S and loadings with variances over two decades, and whether
+    the fit is exact (no ``start``). With a spike, S's last object is a block of its own, 100 tr S
+    in variance, which no start column reaches: [W, S W] misses it, and its share of sigma2 can
+    make the Ritz fit drop pairs. Over six decades the rounding of <M^{-1}, S> itself, which
+    grows with tr S / sigma2, reaches 5e-10."""
+    s, model = draw(loadings_problems(decades=2))
+    w = model.W
     if draw(st.booleans()):
         s[-1, :-1] = s[:-1, -1] = 0.0
         s[-1, -1] = 100.0 * np.trace(s)
